@@ -1,0 +1,10 @@
+"""Make the benchmark modules and the library under ``src/`` importable."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+ROOT = BENCH.parent
+for path in (ROOT / "src", BENCH):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
