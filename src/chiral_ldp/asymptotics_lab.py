@@ -28,7 +28,7 @@ from .core_types import (
     derived_scales,
     gumbel_sf,
 )
-from .exact_dist import DEFAULT_QUAD, QuadratureSpec, log_prob
+from .exact_dist import log_prob
 from .rate_functions import (
     MdpMinRegime,
     mdp_max_left_const,
@@ -357,7 +357,6 @@ def _row_for(
     n: int,
     v: int,
     x: float,
-    quad: QuadratureSpec,
 ) -> ConvergenceRow:
     params = EnsembleParams(n=n, v=v)
     alpha = v / n
@@ -420,7 +419,7 @@ def _row_for(
 
     if l is not None:
         note = _mdp_window_note(tag, n, v, l)
-    exact = -log_prob(params, query, quad)
+    exact = -log_prob(params, query)
     gap = abs(exact / scaling - rate)
     alt_gap = abs(exact / scaling - alt_rate) if alt_rate is not None else None
     return ConvergenceRow(
@@ -443,7 +442,6 @@ def converge_table(
     theorem: str,
     grid: tuple[tuple[int, int], ...] | None = None,
     x: float | None = None,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> list[ConvergenceRow]:
     """Exact decay exponents against a limit theorem's rate, row per (n, v).
 
@@ -457,7 +455,7 @@ def converge_table(
         )
     pairs = tuple(grid) if grid is not None else _DEFAULT_GRIDS[theorem]
     level = float(x) if x is not None else _DEFAULT_X[theorem]
-    return [_row_for(theorem, nn, vv, level, quad) for nn, vv in pairs]
+    return [_row_for(theorem, nn, vv, level) for nn, vv in pairs]
 
 
 def clt_default_levels(
@@ -480,7 +478,6 @@ def clt_check(
     n: int,
     v: int,
     y_grid: list[float] | None = None,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> list[CltRow]:
     """Exact P(max >= 1+y) against the limiting Gumbel upper tail.
 
@@ -503,7 +500,7 @@ def clt_check(
         g = sqrt_log_s * (spread - a)
         g_disp = sqrt_log_s * (spread - a_disp)
         query = TailQuery(Statistic.MAX_SQ, Direction.GE, 1.0 + y)
-        exact = math.exp(log_prob(params, query, quad))
+        exact = math.exp(log_prob(params, query))
         target = gumbel_sf(g)
         target_disp = gumbel_sf(g_disp)
         rows.append(

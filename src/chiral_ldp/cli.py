@@ -8,9 +8,9 @@ Default output is CSV on stdout with diagnostics on stderr; ``--format
 json`` emits one structured record instead (schema shipped at
 ``data/output_schema.json``).  Floats are printed with 17 significant
 digits so every value round-trips losslessly.  Exit codes: 0 success,
-1 verification failure, 2 usage or guard violation, 3 numeric failure.
-The environment variable CHIRAL_LDP_THREADS caps worker parallelism of
-the underlying batch computations.
+1 verification failure, 2 usage or guard violation, 3 numeric failure:
+a non-finite Bessel or ladder value, or a reverse ladder sum that did not
+converge, reported with the partial estimate on stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from ._quad import QuadratureError
 from .asymptotics_lab import THEOREM_TAGS, clt_check, converge_table
 from .core_types import Direction, EnsembleParams, Statistic, TailQuery, classify_alpha
-from .exact_dist import DEFAULT_QUAD, QuadratureSpec, log_prob
+from .exact_dist import IndexTails, index_tails, log_prob
 from .rate_functions import (
     MdpMinRegime,
     mdp_max_left_const,
@@ -195,11 +195,24 @@ def _cmd_rate(args) -> tuple[OutputRecord, int]:
     return OutputRecord("rate", params, [row]), 0
 
 
+def _ladder_note(tails: IndexTails) -> str:
+    """Which tail side each index summed directly, and where the ladder stopped."""
+    top = tails.log_sf.size
+    direct = int(np.count_nonzero(tails.cdf_direct))
+    note = (
+        f"gamma-shape ladder over indices 1..{top}: "
+        f"cdf summed directly for {direct}, sf for {top - direct}"
+    )
+    if tails.stop:
+        note += (
+            f"; reverse sum stopped at index {tails.stop} with dropped tail "
+            f"below {tails.truncation_bound:.1e} relative"
+        )
+    return note
+
+
 def _cmd_prob(args) -> tuple[OutputRecord, int]:
     params_obj = EnsembleParams(args.n, args.v)
-    quad = (
-        QuadratureSpec(rel_tol=args.quad_tol) if args.quad_tol is not None else DEFAULT_QUAD
-    )
     stat = Statistic.MAX_SQ if args.stat == "max" else Statistic.MIN_SQ
     side = Direction.GE if args.side == "ge" else Direction.LE
     query = TailQuery(stat, side, args.x)
@@ -209,13 +222,12 @@ def _cmd_prob(args) -> tuple[OutputRecord, int]:
         "x": args.x,
         "stat": args.stat,
         "side": args.side,
-        "quad_tol": quad.rel_tol,
     }
-    diags = [f"quadrature relative tolerance {quad.rel_tol:.1e}"]
+    diags = [_ladder_note(index_tails(params_obj, args.x))]
     try:
-        lp = log_prob(params_obj, query, quad)
+        lp = log_prob(params_obj, query)
     except QuadratureError as exc:
-        diags.append(f"quadrature failure: {exc}")
+        diags.append(f"numeric failure: {exc}")
         row = {
             "n": args.n,
             "v": args.v,
@@ -435,7 +447,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "Deviation probabilities and rate functions for the extreme "
             "squared eigenvalue moduli of the chiral two-block ensemble."
         ),
-        epilog="CHIRAL_LDP_THREADS caps parallelism of batch computations.",
+        epilog=(
+            "Exit codes: 0 success, 1 verification failure, 2 usage or guard "
+            "violation, 3 numeric failure (non-finite Bessel or ladder value, or "
+            "a reverse ladder sum that did not converge; the partial estimate is "
+            "reported on stderr)."
+        ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -460,9 +477,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prob.add_argument("--x", type=float, required=True, help="threshold level")
     p_prob.add_argument("--stat", choices=("max", "min"), required=True)
     p_prob.add_argument("--side", choices=("ge", "le"), required=True)
-    p_prob.add_argument(
-        "--quad-tol", type=float, default=None, help="quadrature relative tolerance"
-    )
     add_format(p_prob)
     p_prob.set_defaults(handler=_cmd_prob)
 

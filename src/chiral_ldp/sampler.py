@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_types import EnsembleParams, derived_scales
-from .exact_dist import QuadratureSpec, DEFAULT_QUAD, _tail_one, _mode_and_spread
+from .exact_dist import _checked, _tails_at
 from .special_fn import log_kv, log_Zj
 
 __all__ = [
@@ -302,17 +302,15 @@ def _cdf_grid_index(
     t_lo: float,
     t_hi: float,
     points: int,
-    quad: QuadratureSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative distribution of ``2n Y_j`` on a dense grid.
 
-    One tail integration anchors the left end; composite Simpson on the
-    density accumulates across the grid.  ``points`` must be odd.
+    The exact cdf at ``t_lo`` from the gamma-shape ladder anchors the left
+    end; composite Simpson on the density accumulates across the grid.
+    ``points`` must be odd.
     """
-    t_star, sigma = _mode_and_spread(params.n, params.v, np.array([j]))
-    log_cdf0 = _tail_one(
-        params.n, params.v, j, t_lo, t_star[0], sigma[0], quad, force_side="cdf"
-    )[1]
+    tails = _tails_at(t_lo, params.v, j)
+    log_cdf0 = _checked(float(tails.log_cdf[-1]), tails)
     grid = np.linspace(t_lo, t_hi, points)
     b = 2 * j + params.v - 1
     logf = b * np.log(grid) + log_kv(float(params.v), grid) - log_Zj(j, params.v)
@@ -332,7 +330,6 @@ def ks_statistic(
     params: EnsembleParams,
     j: int,
     y_values: np.ndarray,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> float:
     """Kolmogorov-Smirnov distance of a ``Y_j`` sample from its exact law.
 
@@ -345,7 +342,7 @@ def ks_statistic(
         raise ValueError("y_values must be a nonempty 1-d array")
     t_lo = 0.9 * t[0]
     t_hi = 1.1 * t[-1]
-    grid, cdf = _cdf_grid_index(params, j, t_lo, t_hi, 2**15 + 1, quad)
+    grid, cdf = _cdf_grid_index(params, j, t_lo, t_hi, 2**15 + 1)
     f = np.interp(t, grid, cdf)
     k = np.arange(1, t.size + 1)
     d_plus = np.max(k / t.size - f)
@@ -356,7 +353,6 @@ def ks_statistic(
 def ks_statistic_max(
     params: EnsembleParams,
     x_values: np.ndarray,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> float:
     """Kolmogorov-Smirnov distance of a max-statistic sample from its law.
 
@@ -373,7 +369,7 @@ def ks_statistic_max(
     t_hi = 1.1 * t[-1]
     log_cdf = np.zeros(x.size)
     for j in range(1, params.n + 1):
-        grid, cdf = _cdf_grid_index(params, j, t_lo, t_hi, 2**15 + 1, quad)
+        grid, cdf = _cdf_grid_index(params, j, t_lo, t_hi, 2**15 + 1)
         fj = np.interp(t, grid, cdf)
         with np.errstate(divide="ignore"):
             log_cdf += np.log(fj)

@@ -1,9 +1,9 @@
 """Named invariant checks behind the command-line ``verify`` subcommand.
 
-Two suites.  ``quick`` runs the deterministic algebraic and quadrature
-invariants in a couple of seconds; the full suite adds the statistical
-and convergence checks at their acceptance tolerances (roughly half a
-minute).  Every check is a pure function of fixed seeds, so a pass or
+Two suites.  ``quick`` runs the deterministic algebraic, ladder and
+quadrature invariants in a couple of seconds; the full suite adds the
+statistical and convergence checks at their acceptance tolerances (roughly
+half a minute).  Every check is a pure function of fixed seeds, so a pass or
 fail is reproducible bit for bit.
 """
 
@@ -24,10 +24,10 @@ from .core_types import (
     Statistic,
     TailQuery,
     classify_alpha,
+    derived_scales,
 )
 from .exact_dist import (
-    DEFAULT_QUAD,
-    log_cdf_index,
+    _ladder_sums,
     log_prob,
     log_prob_max_le,
     log_sf_index,
@@ -48,6 +48,10 @@ from .sampler import (
 )
 from .special_fn import log_kv
 from .tau_geometry import TauParams, minimizer_xj, tau, tau_prime
+
+# Largest |sf + cdf - 1| the tail-complement check accepts, with sf from the
+# forward ladder sum and cdf from the reverse one.
+COMPLEMENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,7 @@ def _check_closed_form_tail() -> tuple[bool, str]:
     params = EnsembleParams(1, 0)
     worst = 0.0
     for t in (0.5, 1.0, 2.0, 5.0):
-        got = math.exp(log_sf_index(params, 1, t / 2.0, DEFAULT_QUAD))
+        got = math.exp(log_sf_index(params, 1, t / 2.0))
         want = t * math.exp(float(log_kv(1.0, t)))
         worst = max(worst, abs(got - want) / want)
     return worst <= 1e-6, f"max rel error vs t*K_1(t): {worst:.3e} (tol 1e-6)"
@@ -106,24 +110,24 @@ def _check_closed_form_tail() -> tuple[bool, str]:
 
 def _check_tail_complement() -> tuple[bool, str]:
     cases = ((7, 2, 4, 0.9), (20, 3, 11, 1.1), (50, 0, 50, 1.02))
-    tol = 10.0 * DEFAULT_QUAD.rel_tol
     worst = 0.0
     for n, v, j, x in cases:
-        params = EnsembleParams(n, v)
-        sf = math.exp(log_sf_index(params, j, x, DEFAULT_QUAD))
-        cdf = math.exp(log_cdf_index(params, j, x, DEFAULT_QUAD))
-        worst = max(worst, abs(sf + cdf - 1.0))
-    return worst <= tol, f"max |sf+cdf-1| = {worst:.3e} (tol {tol:.1e})"
+        # both sides summed directly: forward for sf, reverse for cdf
+        sums = _ladder_sums(derived_scales(EnsembleParams(n, v)).c * x, v, j, force_reverse=True)
+        gap = abs(math.exp(sums.log_sf[-1]) + math.exp(sums.log_cdf[-1]) - 1.0)
+        worst = max(worst, gap if sums.converged else math.inf)
+    ok = worst <= COMPLEMENT_TOL
+    return ok, f"max |sf+cdf-1| = {worst:.3e} (tol {COMPLEMENT_TOL:.1e})"
 
 
 def _check_max_tail_sandwich() -> tuple[bool, str]:
     params = EnsembleParams(20, 3)
     x = 1.2
     logs = np.array(
-        [log_sf_index(params, j, x, DEFAULT_QUAD) for j in range(1, 21)]
+        [log_sf_index(params, j, x) for j in range(1, 21)]
     )
     query = TailQuery(Statistic.MAX_SQ, Direction.GE, x)
-    lp = log_prob(params, query, DEFAULT_QUAD)
+    lp = log_prob(params, query)
     lo = float(logs.max())
     hi = float(logs.max() + math.log(np.exp(logs - logs.max()).sum()))
     ok = lo - 1e-9 <= lp <= hi + 1e-9
@@ -340,7 +344,7 @@ def _check_sampler_vs_product_law() -> tuple[bool, str]:
     params = EnsembleParams(10, 0)
     mx = sample_extremes_independent(params, seed=5, count=100_000)["max"]
     phat = float(np.mean(mx <= 1.1))
-    want = math.exp(log_prob_max_le(params, 1.1, DEFAULT_QUAD))
+    want = math.exp(log_prob_max_le(params, 1.1))
     se = math.sqrt(want * (1.0 - want) / mx.size)
     z = (phat - want) / se
     return abs(z) <= 3.0, f"empirical {phat:.5f} vs exact {want:.5f}, z = {z:+.2f}"

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's own code paths: Bessel
 values come from a high-precision saddle-window quadrature of the integral
-representation (mpmath), incomplete-gamma tails from mpmath's gammainc,
+representation (mpmath), incomplete-gamma tails and the Bessel-free
+gamma-product law from mpmath's gammainc,
 minimizers from interval bisection, and matrix spectra from companion
 matrices with chosen roots.  Headline constants frozen into the test files
 were produced by these routines at >= 30 significant digits.
@@ -93,6 +94,33 @@ def index_cdf_oracle(n: int, v: int, j: int, x: float, dps: int = 25) -> float:
         mode = mp.mpf(max(2 * j + v - mp.mpf("1.5"), mp.mpf("0.5")))
         hi = c * mp.mpf(x)
         pts = sorted({mp.mpf(0), min(mode, hi), hi})
+        return float(mp.quad(f, pts))
+
+
+def gamma_product_tail_oracle(
+    n: int, v: int, j: int, x: float, upper: bool, dps: int = 30
+) -> float:
+    """P(X_j >= x) when upper else P(X_j <= x), without any Bessel function.
+
+    On the t scale X_j is 2 sqrt(G_j G_{j+v}) with independent gamma
+    variables, so with s = n (n+v) x^2 the tail is the Gamma(j) average of
+    the regularized incomplete gamma function of shape j+v at s/g.
+    """
+    with mp.workdps(dps):
+        s = mp.mpf(n) * (n + v) * mp.mpf(x) ** 2
+        a, b = mp.mpf(j), mp.mpf(j + v)
+        log_norm = mp.loggamma(a)
+
+        def f(g):
+            dens = mp.exp((a - 1) * mp.log(g) - g - log_norm)
+            y = s / g
+            q = mp.gammainc(b, y, mp.inf, regularized=True) if upper else mp.gammainc(
+                b, 0, y, regularized=True
+            )
+            return dens * q
+
+        # the product's mass sits near g ~ j and g ~ s / (j+v)
+        pts = sorted({mp.mpf(0), a, s / b, 4 * a + 40, mp.inf})
         return float(mp.quad(f, pts))
 
 

@@ -16,7 +16,6 @@ import pytest
 from scipy.special import k1
 
 from chiral_ldp import (
-    DEFAULT_QUAD,
     Direction,
     EnsembleParams,
     MatrixProbeConfig,
@@ -52,7 +51,7 @@ def _elapsed(t0: float) -> str:
 
 def _exponent(n: int, v: int, x: float, stat, side) -> float:
     """-log P for the requested tail, through the public entry point."""
-    return -log_prob(EnsembleParams(n, v), TailQuery(stat, side, x), DEFAULT_QUAD)
+    return -log_prob(EnsembleParams(n, v), TailQuery(stat, side, x))
 
 
 def test_ac01_boundary_zeros():
@@ -95,7 +94,7 @@ def test_ac03_closed_form_oracle():
     worst = 0.0
     for t in (0.5, 1.0, 2.0, 5.0):
         query = TailQuery(Statistic.MAX_SQ, Direction.GE, t / 2.0)
-        got = math.exp(log_prob(params, query, DEFAULT_QUAD))
+        got = math.exp(log_prob(params, query))
         want = t * float(k1(t))
         worst = max(worst, abs(got - want) / want)
     assert worst <= 1e-6
@@ -161,7 +160,7 @@ def test_ac07_max_right_rate_alpha_one():
 
 
 def test_ac08_sampler_law_ks():
-    """KS of 2e5 sampler draws against the quadrature CDF below 0.006."""
+    """KS of 2e5 sampler draws against the exact CDF below 0.006."""
     t0 = time.perf_counter()
     params = EnsembleParams(5, 2)
     values = sample_yj(params, 3, seed=20240817, count=200_000).values

@@ -1,17 +1,23 @@
 """Tests for the exact finite-size tail probabilities.
 
 Closed forms exist at n=1, v=0 where the survival is t K_1(t) on the t scale;
-everything else is checked against high-precision mpmath quadrature, two-sided
-normalization, product laws, stochastic ordering, and the analytic integral
-sandwiches that the asymptotic machinery leans on.
+everything else is checked against high-precision mpmath oracles (Bessel
+density quadrature and the Bessel-free gamma-product law), two-sided
+normalization of the ladder sums, property tests over extreme inputs, product
+laws, stochastic ordering, and the analytic integral sandwiches that the
+asymptotic machinery leans on.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+import chiral_ldp.exact_dist as exact_dist
 from chiral_ldp._quad import QuadratureError, log_integral_adaptive
 from chiral_ldp.core_types import (
     Direction,
@@ -21,11 +27,9 @@ from chiral_ldp.core_types import (
     derived_scales,
 )
 from chiral_ldp.exact_dist import (
-    DEFAULT_QUAD,
     IndexDistribution,
-    QuadratureSpec,
-    _mode_and_spread,
-    _tail_one,
+    _ladder_sums,
+    index_tails,
     log_cdf_index,
     log_prob,
     log_prob_max_ge,
@@ -36,7 +40,12 @@ from chiral_ldp.exact_dist import (
 )
 from chiral_ldp.tau_geometry import TauParams, minimizer_xj, tau, tau_prime
 
-from oracles import gamma_tail_log, tau_integral_log
+from oracles import (
+    gamma_product_tail_oracle,
+    gamma_tail_log,
+    index_cdf_oracle,
+    tau_integral_log,
+)
 
 # log P(2Y_1 >= t) = log(t K_1(t)) at n=1, v=0, frozen from 30-digit mpmath.
 CLOSED_TAIL_LOGS = {
@@ -55,39 +64,6 @@ CDF_ORACLE_PINS = {
     (7, 0, 7, 1.3): 0.8927929206855425,
     (4, 4, 1, 0.35): 0.58171787704509659,
 }
-
-
-class TestQuadratureSpec:
-    """Validation contract of the accuracy knobs."""
-
-    def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.rel_tol == 1e-10
-        assert spec.panel_order == 64
-        assert spec.control_order == 40
-        assert spec.max_panels == 256
-
-    def test_rel_tol_upper_boundary_accepted(self):
-        assert QuadratureSpec(rel_tol=1e-4).rel_tol == 1e-4
-
-    @pytest.mark.parametrize("bad", [1e-3, 0.0, -1.0, 1.0])
-    def test_rel_tol_outside_contract_rejected(self, bad):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=bad)
-
-    def test_order_floors(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(panel_order=7)
-        with pytest.raises(ValueError):
-            QuadratureSpec(control_order=1)
-
-    def test_control_below_value_order(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(panel_order=16, control_order=16)
-
-    def test_max_panels_floor(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_panels=3)
 
 
 class TestIndexDistribution:
@@ -129,8 +105,9 @@ class TestNormalization:
     """Both tails integrated independently must account for all the mass."""
 
     def test_forced_two_sided_mass(self):
-        # force_side makes each side its own quadrature, so this is a real
-        # normalization check rather than a complement identity.
+        # sf from the forward ladder sum and cdf from the reverse one, both
+        # summed directly, so this is a real normalization check rather than
+        # a complement identity.
         rng = np.random.default_rng(42)
         for _ in range(12):
             n = int(rng.integers(1, 13))
@@ -138,13 +115,9 @@ class TestNormalization:
             j = int(rng.integers(1, n + 1))
             x = float(rng.uniform(0.05, 2.5))
             a = derived_scales(EnsembleParams(n, v)).c * x
-            t_star, sigma = _mode_and_spread(n, v, np.array([float(j)]))
-            sf, _, _ = _tail_one(
-                n, v, j, a, float(t_star[0]), float(sigma[0]), DEFAULT_QUAD, force_side="sf"
-            )
-            _, cdf, _ = _tail_one(
-                n, v, j, a, float(t_star[0]), float(sigma[0]), DEFAULT_QUAD, force_side="cdf"
-            )
+            sums = _ladder_sums(a, v, j, force_reverse=True)
+            assert sums.converged
+            sf, cdf = sums.log_sf[-1], sums.log_cdf[-1]
             assert math.exp(sf) + math.exp(cdf) == pytest.approx(1.0, abs=1e-12), (n, v, j, x)
 
     def test_sf_saturates_at_tiny_level(self):
@@ -162,6 +135,112 @@ class TestNormalization:
             assert s == pytest.approx(1.0, abs=1e-9)
             s = math.exp(log_prob_min_ge(params, x)) + math.exp(log_prob_min_le(params, x))
             assert s == pytest.approx(1.0, abs=1e-9)
+
+
+class TestLadderOracles:
+    """The ladder against mpmath, sides compared in linear space."""
+
+    # (n, v, j, x): a few small cases for the Bessel-density quadrature
+    BESSEL_CASES = ((3, 1, 2, 0.6), (6, 0, 4, 1.2), (4, 3, 1, 2.0), (2, 5, 2, 0.3))
+    # wider orders and deeper tails for the Bessel-free gamma-product law
+    GAMMA_CASES = (
+        (5, 40, 3, 0.8), (50, 10, 25, 1.0), (2, 200, 1, 0.05),
+        (30, 0, 30, 1.1), (12, 3, 6, 0.4), (1, 1000, 1, 0.2),
+    )
+
+    @pytest.mark.parametrize("n, v, j, x", BESSEL_CASES)
+    def test_tails_match_bessel_density_oracle(self, n, v, j, x):
+        params = EnsembleParams(n, v)
+        cdf = index_cdf_oracle(n, v, j, x)
+        assert math.exp(log_cdf_index(params, j, x)) == pytest.approx(cdf, rel=1e-11)
+        assert math.exp(log_sf_index(params, j, x)) == pytest.approx(1.0 - cdf, rel=1e-11)
+
+    @pytest.mark.parametrize("n, v, j, x", GAMMA_CASES)
+    def test_tails_match_gamma_product_oracle(self, n, v, j, x):
+        params = EnsembleParams(n, v)
+        sf = gamma_product_tail_oracle(n, v, j, x, upper=True)
+        cdf = gamma_product_tail_oracle(n, v, j, x, upper=False)
+        assert math.exp(log_sf_index(params, j, x)) == pytest.approx(sf, rel=1e-11)
+        assert math.exp(log_cdf_index(params, j, x)) == pytest.approx(cdf, rel=1e-11)
+
+
+class TestLadderProperties:
+    """Extreme inputs: v up to 1e4, x from 1e-6 to 10, n up to 1e6."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(1, 10**6),
+        v=st.integers(0, 10**4),
+        x=st.floats(1e-6, 10.0),
+    )
+    def test_ladder_invariants(self, n, v, x):
+        params = EnsembleParams(n, v)
+        tails = index_tails(params, x)
+        assert tails.failure is None
+        for logs in (tails.log_sf, tails.log_cdf):
+            assert np.all(np.isfinite(logs)) and np.all(logs <= 0.0)
+        # stochastic order: sf non-decreasing in j, up to rounding at the
+        # index where the directly summed side switches
+        assert np.all(np.diff(tails.log_sf) >= -1e-12)
+        # both sides summed directly; near v ~ 1e4, t ~ v the log-terms reach
+        # ~5e3 in size, whose rounding alone is ~1e-12
+        sums = _ladder_sums(derived_scales(params).c * x, v, n, force_reverse=True)
+        if sums.converged:
+            total = np.exp(sums.log_sf) + np.exp(sums.log_cdf)
+            assert np.max(np.abs(total - 1.0)) <= 5e-12
+
+    def test_ladder_length_is_order_n_not_order_t(self):
+        # n=1e6 at x=10: t = c x ~ 2e7, far beyond every index's bulk
+        n, v, x = 10**6, 0, 10.0
+        params = EnsembleParams(n, v)
+        cap = n + 40.0 * math.sqrt(n + v) + 100
+        tracemalloc.start()
+        try:
+            tails = index_tails(params, x)
+            sums = _ladder_sums(derived_scales(params).c * x, v, n, force_reverse=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tails.failure is None and tails.stop == 0
+        assert not tails.cdf_direct.any()
+        # the forced reverse sum cannot converge below the bulk at t/2 ~ 1e7,
+        # but it stops at the cap instead of running on towards it
+        assert not sums.converged and sums.stop <= cap
+        # about nine float arrays of length cap (~8 MB each); one array of
+        # length t would take 160 MB on its own
+        assert peak < 16 * 8 * cap
+
+    @pytest.mark.parametrize(
+        "n, v, x", [(10**4, 0, 1e-3), (10**4, 100, 1e-6), (10, 10**4, 0.5), (10**6, 20, 0.01)]
+    )
+    def test_reverse_sum_stops_within_the_cap(self, n, v, x):
+        tails = index_tails(EnsembleParams(n, v), x)
+        assert tails.failure is None and tails.cdf_direct[-1]
+        assert n <= tails.stop <= n + 40.0 * math.sqrt(n + v) + 100
+        assert tails.truncation_bound <= math.exp(-40.0)
+
+
+class TestLadderFailures:
+    """Failures raise QuadratureError with the partial value, never a number."""
+
+    def test_non_finite_bessel_value_raises(self, monkeypatch):
+        monkeypatch.setattr(exact_dist, "kve", lambda order, t: np.full(np.shape(order), np.nan))
+        with pytest.raises(QuadratureError) as info:
+            log_prob_max_le(EnsembleParams(5, 2), 0.9)
+        assert "non-finite" in str(info.value)
+        assert info.value.partial is not None and math.isnan(info.value.partial)
+        assert info.value.rel_err == math.inf
+
+    def test_unconverged_reverse_sum_raises_with_partial(self, monkeypatch):
+        # demand more than the cap can give: the truncation test never passes
+        monkeypatch.setattr(exact_dist, "_TRUNCATION_NATS", 1e6)
+        params = EnsembleParams(10, 0)
+        with pytest.raises(QuadratureError) as info:
+            log_prob_min_ge(params, 0.5)
+        assert "did not converge" in str(info.value)
+        monkeypatch.undo()
+        assert info.value.partial == pytest.approx(log_prob_min_ge(params, 0.5), abs=1e-12)
+        assert 0.0 <= info.value.rel_err < 1e-12
 
 
 class TestProductLaws:
