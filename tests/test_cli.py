@@ -380,7 +380,36 @@ class TestVerifyCommand:
 
 
 class TestDeterminism:
-    """Outputs are bit-identical across runs."""
+    """Outputs are bit-identical across runs and across concurrent callers."""
+
+    def test_thread_count_does_not_change_output(self):
+        # the value prob prints must not depend on how many threads run the
+        # exact layer at once: no shared scratch state between calls
+        from concurrent.futures import ThreadPoolExecutor
+
+        from chiral_ldp.core_types import Direction, EnsembleParams, Statistic, TailQuery
+
+        argv = ["prob", "--n", "30", "--v", "0", "--x", "1.2", "--stat", "max",
+                "--side", "ge"]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        printed = float(csv_rows(out)[1][0]["log_probability"])
+
+        params = EnsembleParams(30, 0)
+        queries = [
+            TailQuery(stat, side, x)
+            for stat in (Statistic.MAX_SQ, Statistic.MIN_SQ)
+            for side in (Direction.GE, Direction.LE)
+            for x in (0.3, 1.2, 4.0)
+        ]
+        target = queries.index(TailQuery(Statistic.MAX_SQ, Direction.GE, 1.2))
+        serial = [cli_module.log_prob(params, q) for q in queries]
+        for threads in (1, 4):
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                concurrent = list(pool.map(lambda q: cli_module.log_prob(params, q),
+                                           queries * 3))
+            assert concurrent == serial * 3
+        assert serial[target] == printed
 
     def test_repeat_runs_identical(self):
         argv = ["rate", "--which", "max-left", "--alpha", "2.5", "--x", "0.7"]
