@@ -27,7 +27,7 @@ import numpy as np
 from ._quad import QuadratureError
 from .asymptotics_lab import THEOREM_TAGS, clt_check, converge_table
 from .core_types import Direction, EnsembleParams, Statistic, TailQuery, classify_alpha
-from .exact_dist import IndexTails, index_tails, log_prob
+from .exact_dist import IndexTails, index_tails, log_prob_from_tails
 from .rate_functions import (
     MdpMinRegime,
     mdp_max_left_const,
@@ -37,13 +37,7 @@ from .rate_functions import (
     rate_max_right,
     rate_min_right,
 )
-from .sampler import (
-    MatrixProbeConfig,
-    ks_statistic,
-    ks_statistic_max,
-    matrix_probe_extremes,
-    sample_yj,
-)
+from .sampler import MatrixProbeConfig, _ks_index, _ks_max, matrix_probe_extremes, sample_yj
 from .verification import all_passed, run_checks
 
 SCHEMA_VERSION = "1"
@@ -196,17 +190,22 @@ def _cmd_rate(args) -> tuple[OutputRecord, int]:
 
 
 def _ladder_note(tails: IndexTails) -> str:
-    """Which tail side each index summed directly, and where the ladder stopped."""
-    top = tails.log_sf.size
+    """Which tail side each index summed directly, and where the ladder
+    stopped; over a batch of sample points, counts over all (point, index)
+    pairs, the furthest stop and the largest bound."""
+    top = tails.log_sf.shape[-1]
+    batch = tails.log_sf.ndim == 2
     direct = int(np.count_nonzero(tails.cdf_direct))
+    points = f" at {tails.log_sf.size // top} sample points" if batch else ""
     note = (
-        f"gamma-shape ladder over indices 1..{top}: "
-        f"cdf summed directly for {direct}, sf for {top - direct}"
+        f"gamma-shape ladder over indices 1..{top}{points}: "
+        f"cdf summed directly for {direct}, sf for {tails.log_sf.size - direct}"
     )
-    if tails.stop:
+    stop = int(np.max(tails.stop))
+    if stop:
         note += (
-            f"; reverse sum stopped at index {tails.stop} with dropped tail "
-            f"below {tails.truncation_bound:.1e} relative"
+            f"; reverse {'sums stopped by' if batch else 'sum stopped at'} index {stop} "
+            f"with dropped tail below {float(np.max(tails.truncation_bound)):.1e} relative"
         )
     return note
 
@@ -223,9 +222,10 @@ def _cmd_prob(args) -> tuple[OutputRecord, int]:
         "stat": args.stat,
         "side": args.side,
     }
-    diags = [_ladder_note(index_tails(params_obj, args.x))]
+    tails = index_tails(params_obj, args.x)
+    diags = [_ladder_note(tails)]
     try:
-        lp = log_prob(params_obj, query)
+        lp = log_prob_from_tails(tails, query)
     except QuadratureError as exc:
         diags.append(f"numeric failure: {exc}")
         row = {
@@ -289,8 +289,9 @@ def _cmd_sample(args) -> tuple[OutputRecord, int]:
         ]
         diags.append("t denotes 2nY_j")
     elif args.ks:
-        ks = ks_statistic(params_obj, args.j, batch.values)
+        ks, tails = _ks_index(params_obj, args.j, batch.values)
         rows = [{"count": args.count, "ks": ks}]
+        diags.append(_ladder_note(tails))
     else:
         rows = [
             {"replicate": i, "y": float(y)} for i, y in enumerate(batch.values)
@@ -320,8 +321,9 @@ def _cmd_matrix(args) -> tuple[OutputRecord, int]:
             }
         ]
     elif args.ks:
-        ks = ks_statistic_max(params_obj, out["max"])
+        ks, tails = _ks_max(params_obj, out["max"])
         rows = [{"count": args.count, "ks": ks, "resample_count": resample_count}]
+        diags.append(_ladder_note(tails))
     else:
         rows = [
             {

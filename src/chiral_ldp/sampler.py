@@ -17,6 +17,11 @@ gamma sampler is pinned (Marsaglia-Tsang with a fixed rejection budget and
 Box-Muller normals) instead of delegating to ``Generator.gamma`` so that
 values are stable across numpy versions; Philox is used purely as a
 counter-based uniform source.
+
+:func:`ks_statistic` and :func:`ks_statistic_max` compare a sample with its
+exact law.  They evaluate the exact cdf at every sample point, all points in
+one batch of the gamma-shape ladder (:mod:`chiral_ldp.exact_dist`), so the
+distance is exact, not interpolated from a grid.
 """
 
 from __future__ import annotations
@@ -27,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_types import EnsembleParams, derived_scales
-from .exact_dist import _checked, _tails_at
-from .special_fn import log_kv, log_Zj
+from .exact_dist import IndexDistribution, IndexTails, _checked, _tails_at
 
 __all__ = [
     "SampleBatch",
@@ -296,34 +300,44 @@ def matrix_probe_extremes(
     }
 
 
-def _cdf_grid_index(
-    params: EnsembleParams,
-    j: int,
-    t_lo: float,
-    t_hi: float,
-    points: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative distribution of ``2n Y_j`` on a dense grid.
+def _sorted_sample(name: str, values: np.ndarray) -> np.ndarray:
+    """``values`` sorted, once checked to be a nonempty 1-d array of finite
+    values > 0."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-d array, got shape {arr.shape}")
+    bad = np.flatnonzero(~(np.isfinite(arr) & (arr > 0.0)))
+    if bad.size:
+        raise ValueError(
+            f"{name} must be finite and > 0, got {name}[{bad[0]}] = {float(arr[bad[0]])!r}"
+        )
+    return np.sort(arr)
 
-    The exact cdf at ``t_lo`` from the gamma-shape ladder anchors the left
-    end; composite Simpson on the density accumulates across the grid.
-    ``points`` must be odd.
-    """
-    tails = _tails_at(t_lo, params.v, j)
-    log_cdf0 = _checked(float(tails.log_cdf[-1]), tails)
-    grid = np.linspace(t_lo, t_hi, points)
-    b = 2 * j + params.v - 1
-    logf = b * np.log(grid) + log_kv(float(params.v), grid) - log_Zj(j, params.v)
-    dens = np.exp(logf)
-    h = grid[1] - grid[0]
-    # Simpson increments over consecutive point pairs via half-cell midpoints
-    # would need extra evaluations; instead pair up cells (points is odd).
-    pair = (h / 3.0) * (dens[0:-2:2] + 4.0 * dens[1:-1:2] + dens[2::2])
-    cdf = np.empty(points // 2 + 1)
-    cdf[0] = math.exp(log_cdf0)
-    np.cumsum(pair, out=cdf[1:])
-    cdf[1:] += cdf[0]
-    return grid[::2], np.minimum(cdf, 1.0)
+
+def _ks_distance(cdf: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance of a sorted sample whose exact cdf values
+    at the sample points are ``cdf``."""
+    k = np.arange(1, cdf.size + 1)
+    d_plus = np.max(k / cdf.size - cdf)
+    d_minus = np.max(cdf - (k - 1) / cdf.size)
+    return float(max(d_plus, d_minus))
+
+
+def _ks_index(
+    params: EnsembleParams, j: int, y_values: np.ndarray
+) -> tuple[float, IndexTails]:
+    """:func:`ks_statistic` and the ladder tails it was computed from."""
+    top = IndexDistribution(params, j).j
+    t = _sorted_sample("y_values", y_values) * (2.0 * params.n)
+    tails = _tails_at(t, params.v, top)
+    return _checked(_ks_distance(np.exp(tails.log_cdf[:, -1])), tails), tails
+
+
+def _ks_max(params: EnsembleParams, x_values: np.ndarray) -> tuple[float, IndexTails]:
+    """:func:`ks_statistic_max` and the ladder tails it was computed from."""
+    t = _sorted_sample("x_values", x_values) * derived_scales(params).c
+    tails = _tails_at(t, params.v, params.n)
+    return _checked(_ks_distance(np.exp(np.sum(tails.log_cdf, axis=1))), tails), tails
 
 
 def ks_statistic(
@@ -333,21 +347,13 @@ def ks_statistic(
 ) -> float:
     """Kolmogorov-Smirnov distance of a ``Y_j`` sample from its exact law.
 
-    The exact cdf is tabulated on a dense grid and interpolated at the
-    sample points; the interpolation error is far below any sampling noise
-    at realistic sample sizes.
+    The exact cdf is evaluated at every sample point by the gamma-shape
+    ladder, all points in one batch, so the distance is exact up to the
+    ladder's rounding, not interpolated.  Raises ``ValueError`` unless
+    ``y_values`` is a nonempty 1-d array of finite values > 0, and
+    :class:`QuadratureError` when the ladder fails at some point.
     """
-    t = np.sort(np.asarray(y_values, dtype=float)) * (2.0 * params.n)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("y_values must be a nonempty 1-d array")
-    t_lo = 0.9 * t[0]
-    t_hi = 1.1 * t[-1]
-    grid, cdf = _cdf_grid_index(params, j, t_lo, t_hi, 2**15 + 1)
-    f = np.interp(t, grid, cdf)
-    k = np.arange(1, t.size + 1)
-    d_plus = np.max(k / t.size - f)
-    d_minus = np.max(f - (k - 1) / t.size)
-    return float(max(d_plus, d_minus))
+    return _ks_index(params, j, y_values)[0]
 
 
 def ks_statistic_max(
@@ -356,25 +362,9 @@ def ks_statistic_max(
 ) -> float:
     """Kolmogorov-Smirnov distance of a max-statistic sample from its law.
 
-    ``x_values`` are scaled maxima ``sqrt(n/(n+v)) max_j |zeta_j|^2``; the
-    exact cdf is the product of per-index factors, each tabulated once on a
-    shared grid.
+    ``x_values`` are scaled maxima ``sqrt(n/(n+v)) max_j |zeta_j|^2``.  The
+    exact cdf ``prod_j P(X_j <= x)`` is evaluated at every sample point by
+    the gamma-shape ladder, so the distance is exact, not interpolated.
+    Input checks and failures as in :func:`ks_statistic`.
     """
-    x = np.sort(np.asarray(x_values, dtype=float))
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("x_values must be a nonempty 1-d array")
-    scales = derived_scales(params)
-    t = x * scales.c  # threshold for 2n Y_j at each sample point
-    t_lo = 0.9 * t[0]
-    t_hi = 1.1 * t[-1]
-    log_cdf = np.zeros(x.size)
-    for j in range(1, params.n + 1):
-        grid, cdf = _cdf_grid_index(params, j, t_lo, t_hi, 2**15 + 1)
-        fj = np.interp(t, grid, cdf)
-        with np.errstate(divide="ignore"):
-            log_cdf += np.log(fj)
-    f = np.exp(log_cdf)
-    k = np.arange(1, x.size + 1)
-    d_plus = np.max(k / x.size - f)
-    d_minus = np.max(f - (k - 1) / x.size)
-    return float(max(d_plus, d_minus))
+    return _ks_max(params, x_values)[0]

@@ -113,9 +113,10 @@ def _check_tail_complement() -> tuple[bool, str]:
     worst = 0.0
     for n, v, j, x in cases:
         # both sides summed directly: forward for sf, reverse for cdf
-        sums = _ladder_sums(derived_scales(EnsembleParams(n, v)).c * x, v, j, force_reverse=True)
-        gap = abs(math.exp(sums.log_sf[-1]) + math.exp(sums.log_cdf[-1]) - 1.0)
-        worst = max(worst, gap if sums.converged else math.inf)
+        t = derived_scales(EnsembleParams(n, v)).c * x
+        sums = _ladder_sums(np.array([t]), v, j, force_reverse=True)
+        gap = abs(math.exp(sums.log_sf[0, -1]) + math.exp(sums.log_cdf[0, -1]) - 1.0)
+        worst = max(worst, gap if sums.converged[0] else math.inf)
     ok = worst <= COMPLEMENT_TOL
     return ok, f"max |sf+cdf-1| = {worst:.3e} (tol {COMPLEMENT_TOL:.1e})"
 

@@ -154,10 +154,10 @@ class TestProbCommand:
         assert "probability underflows" in err
 
     def test_quadrature_failure_exits_3_with_partial(self, monkeypatch):
-        def boom(params, query):
+        def boom(tails, query):
             raise QuadratureError("synthetic failure", partial=-1.0, rel_err=1e-3)
 
-        monkeypatch.setattr(cli_module, "log_prob", boom)
+        monkeypatch.setattr(cli_module, "log_prob_from_tails", boom)
         code, out, err = run_cli(
             ["prob", "--n", "5", "--v", "0", "--x", "0.9", "--stat", "max", "--side", "ge"]
         )
@@ -241,6 +241,10 @@ class TestJsonOutput:
             (["matrix", "--n", "1", "--count", "2", "--seed", "4"], "matrix"),
             (["converge", "--theorem", "clt", "--grid", "500:0"], "converge"),
             (["verify", "--quick"], "verify"),
+            (["sample", "--n", "5", "--v", "2", "--j", "3", "--count", "50",
+              "--seed", "3", "--ks"], "sample"),
+            (["matrix", "--n", "3", "--v", "1", "--count", "30", "--seed", "4",
+              "--ks"], "matrix"),
         ],
     )
     def test_records_validate(self, argv, command):
@@ -304,6 +308,22 @@ class TestSampleCommand:
         assert header == ["count", "ks", "schema_version"]
         assert float(rows[0]["ks"]) < ks_critical(8000)
 
+    def test_ks_mode_reports_the_ladder(self):
+        # one diagnostic: points evaluated, the furthest reverse-sum stop
+        # (within the ladder's cap) and the largest truncation bound
+        code, _, err = run_cli(
+            ["sample", "--n", "5", "--v", "2", "--j", "3", "--count", "2000",
+             "--seed", "11", "--ks"]
+        )
+        assert code == 0
+        notes = [line for line in err.splitlines() if "gamma-shape ladder" in line]
+        assert len(notes) == 1
+        assert notes[0].startswith("# gamma-shape ladder over indices 1..3 at 2000 sample points")
+        stop = int(notes[0].split("reverse sums stopped by index ")[1].split()[0])
+        assert 3 <= stop <= 3 + 40 * math.sqrt(5) + 100
+        bound = float(notes[0].split("dropped tail below ")[1].split()[0])
+        assert bound <= math.exp(-40.0)
+
     def test_seeded_output_is_reproducible(self):
         argv = ["sample", "--n", "3", "--v", "2", "--j", "2", "--count", "10",
                 "--seed", "77"]
@@ -334,6 +354,18 @@ class TestMatrixCommand:
         row = rows[0]
         assert int(row["count"]) == 40
         assert float(row["mean_max"]) >= float(row["mean_min"]) > 0
+
+    def test_ks_mode_reports_the_ladder(self):
+        code, out, err = run_cli(
+            ["matrix", "--n", "3", "--v", "1", "--count", "200", "--seed", "6", "--ks"]
+        )
+        assert code == 0
+        header, _ = csv_rows(out)
+        assert header == ["count", "ks", "resample_count", "schema_version"]
+        notes = [line for line in err.splitlines() if "gamma-shape ladder" in line]
+        assert len(notes) == 1
+        assert notes[0].startswith("# gamma-shape ladder over indices 1..3 at 200 sample points")
+        assert "; reverse sums stopped by index" in notes[0]
 
 
 class TestConvergeCommand:
@@ -403,10 +435,10 @@ class TestDeterminism:
             for x in (0.3, 1.2, 4.0)
         ]
         target = queries.index(TailQuery(Statistic.MAX_SQ, Direction.GE, 1.2))
-        serial = [cli_module.log_prob(params, q) for q in queries]
+        serial = [exact_dist.log_prob(params, q) for q in queries]
         for threads in (1, 4):
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                concurrent = list(pool.map(lambda q: cli_module.log_prob(params, q),
+                concurrent = list(pool.map(lambda q: exact_dist.log_prob(params, q),
                                            queries * 3))
             assert concurrent == serial * 3
         assert serial[target] == printed

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.optimize import brentq
+from scipy.special import kve, logsumexp
 
 import chiral_ldp.exact_dist as exact_dist
 from chiral_ldp._quad import QuadratureError, log_integral_adaptive
@@ -29,6 +30,7 @@ from chiral_ldp.core_types import (
 from chiral_ldp.exact_dist import (
     IndexDistribution,
     _ladder_sums,
+    _tails_at,
     index_tails,
     log_cdf_index,
     log_prob,
@@ -115,9 +117,9 @@ class TestNormalization:
             j = int(rng.integers(1, n + 1))
             x = float(rng.uniform(0.05, 2.5))
             a = derived_scales(EnsembleParams(n, v)).c * x
-            sums = _ladder_sums(a, v, j, force_reverse=True)
-            assert sums.converged
-            sf, cdf = sums.log_sf[-1], sums.log_cdf[-1]
+            sums = _ladder_sums(np.array([a]), v, j, force_reverse=True)
+            assert sums.converged[0]
+            sf, cdf = sums.log_sf[0, -1], sums.log_cdf[0, -1]
             assert math.exp(sf) + math.exp(cdf) == pytest.approx(1.0, abs=1e-12), (n, v, j, x)
 
     def test_sf_saturates_at_tiny_level(self):
@@ -184,8 +186,8 @@ class TestLadderProperties:
         assert np.all(np.diff(tails.log_sf) >= -1e-12)
         # both sides summed directly; near v ~ 1e4, t ~ v the log-terms reach
         # ~5e3 in size, whose rounding alone is ~1e-12
-        sums = _ladder_sums(derived_scales(params).c * x, v, n, force_reverse=True)
-        if sums.converged:
+        sums = _ladder_sums(np.array([derived_scales(params).c * x]), v, n, force_reverse=True)
+        if sums.converged[0]:
             total = np.exp(sums.log_sf) + np.exp(sums.log_cdf)
             assert np.max(np.abs(total - 1.0)) <= 5e-12
 
@@ -197,7 +199,7 @@ class TestLadderProperties:
         tracemalloc.start()
         try:
             tails = index_tails(params, x)
-            sums = _ladder_sums(derived_scales(params).c * x, v, n, force_reverse=True)
+            sums = _ladder_sums(np.array([derived_scales(params).c * x]), v, n, force_reverse=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -205,7 +207,7 @@ class TestLadderProperties:
         assert not tails.cdf_direct.any()
         # the forced reverse sum cannot converge below the bulk at t/2 ~ 1e7,
         # but it stops at the cap instead of running on towards it
-        assert not sums.converged and sums.stop <= cap
+        assert not sums.converged[0] and sums.stop[0] <= cap
         # about nine float arrays of length cap (~8 MB each); one array of
         # length t would take 160 MB on its own
         assert peak < 16 * 8 * cap
@@ -240,6 +242,93 @@ class TestLadderFailures:
         assert "did not converge" in str(info.value)
         monkeypatch.undo()
         assert info.value.partial == pytest.approx(log_prob_min_ge(params, 0.5), abs=1e-12)
+        assert 0.0 <= info.value.rel_err < 1e-12
+
+
+class TestBatchedLadder:
+    """A batch of thresholds is one ladder per row: each row equals the same
+    threshold run alone, and one failing row fails the batch."""
+
+    @staticmethod
+    def _paired_switch(v: int) -> float:
+        # the increments switch form where log kve(v, t) = t, i.e. K_v(t) = 1
+        return brentq(lambda t: math.log(kve(v, t)) - t, 1e-8, 10.0 * v + 10.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(1, 10**4),
+        v=st.integers(0, 10**4),
+        # more rows than the float-loop path takes, so the batch runs vectorized
+        xs=st.lists(
+            st.floats(1e-6, 10.0),
+            min_size=exact_dist._VECTOR_ROWS,
+            max_size=exact_dist._VECTOR_ROWS + 8,
+        ),
+        top_share=st.floats(0.0, 1.0),
+    )
+    def test_rows_equal_single_threshold_runs(self, n, v, xs, top_share):
+        top = 1 + int(top_share * (n - 1))
+        c = derived_scales(EnsembleParams(n, v)).c
+        # x = 1e-6 has sf_top near 1 and x = 10 near 0; the last two sit
+        # on either side of the paired switch when it lies in range
+        switch = self._paired_switch(v)
+        extra = [s for s in (switch * 0.999 / c, switch * 1.001 / c) if 1e-6 <= s <= 10.0]
+        t = c * np.array(xs + [1e-6, 10.0] + extra)
+        batch = _tails_at(t, v, top)
+        assert batch.failure is None
+        assert batch.cdf_direct[-len(extra) - 2].any()
+        assert not batch.cdf_direct[-len(extra) - 1].any()
+        for row, threshold in enumerate(t):
+            alone = _tails_at(np.array([threshold]), v, top)
+            assert alone.stop[0] == batch.stop[row]
+            assert alone.truncation_bound[0] == batch.truncation_bound[row]
+            np.testing.assert_array_equal(alone.cdf_direct[0], batch.cdf_direct[row])
+            for got, want in ((batch.log_sf[row], alone.log_sf[0]),
+                              (batch.log_cdf[row], alone.log_cdf[0])):
+                assert np.max(np.abs(np.expm1(got - want))) <= 1e-14
+
+    @pytest.mark.parametrize("n, v", [(1000, 0), (100, 50), (10, 10**4)])
+    def test_growing_window_matches_one_window_to_the_cap(self, n, v, monkeypatch):
+        # levels below 1 stop up to 120 indices past top, so the window grows
+        # once or twice; above 1 no reverse sum is taken
+        t = derived_scales(EnsembleParams(n, v)).c * np.linspace(0.5, 1.2, 8)
+        grown = _ladder_sums(t, v, n)
+        assert np.max(grown.stop) > n + exact_dist._FIRST_WINDOW
+        monkeypatch.setattr(exact_dist, "_FIRST_WINDOW", 10**4)
+        whole = _ladder_sums(t, v, n)
+        for got, want in zip(grown, whole):
+            np.testing.assert_array_equal(got, want)
+
+    def test_one_nan_row_fails_the_batch(self, monkeypatch):
+        from chiral_ldp.sampler import ks_statistic
+
+        params = EnsembleParams(5, 2)
+        y = np.linspace(0.05, 2.0, 40)
+        bad = float(2.0 * params.n * y[17])
+        real = exact_dist.kve
+        monkeypatch.setattr(
+            exact_dist, "kve", lambda order, t: np.where(t == bad, np.nan, real(order, t))
+        )
+        tails = _tails_at(2.0 * params.n * y, params.v, 3)
+        assert f"non-finite ladder value at t={bad!r}" in tails.failure
+        assert np.isfinite(np.delete(tails.log_cdf, 17, axis=0)).all()
+        with pytest.raises(QuadratureError) as info:
+            ks_statistic(params, 3, y)
+        assert "non-finite" in str(info.value)
+        assert math.isnan(info.value.partial) and info.value.rel_err == math.inf
+
+    def test_unconverged_rows_fail_the_batch_with_partial(self, monkeypatch):
+        from chiral_ldp.sampler import ks_statistic
+
+        params = EnsembleParams(5, 2)
+        y = np.linspace(0.05, 2.0, 40)
+        exact = ks_statistic(params, 3, y)
+        monkeypatch.setattr(exact_dist, "_TRUNCATION_NATS", 1e6)
+        with pytest.raises(QuadratureError) as info:
+            ks_statistic(params, 3, y)
+        assert "did not converge" in str(info.value)
+        assert "more thresholds" in str(info.value)
+        assert info.value.partial == pytest.approx(exact, abs=1e-12)
         assert 0.0 <= info.value.rel_err < 1e-12
 
 

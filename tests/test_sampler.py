@@ -1,7 +1,7 @@
 """Tests for the reproducible samplers and the direct matrix probe.
 
 Distributional checks use one-sample Kolmogorov-Smirnov distances against the
-quadrature cdf at the 0.1% level (1% for the small matrix-probe batch), so a
+exact cdf at the sample points (the gamma-shape ladder) at the 0.1% level (1% for the small matrix-probe batch), so a
 false failure is a once-in-a-thousand event under a frozen seed; moment checks
 sit at four standard errors.
 """
@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from chiral_ldp.core_types import EnsembleParams
-from chiral_ldp.exact_dist import log_prob_max_le
+from chiral_ldp.core_types import EnsembleParams, derived_scales
+from chiral_ldp.exact_dist import _tails_at, log_prob_max_le
 from chiral_ldp.sampler import (
     MatrixProbeConfig,
     SampleBatch,
@@ -25,7 +25,7 @@ from chiral_ldp.sampler import (
     sample_yj,
 )
 
-from oracles import companion_matrix, ks_critical
+from oracles import companion_matrix, index_cdf_oracle, ks_critical
 
 # E[2n Y_j] = 2 Gamma(j+1/2) Gamma(j+v+1/2) / (Gamma(j) Gamma(j+v)), and
 # E[(2n Y_j)^2] = 4 j (j+v) from the gamma product representation.
@@ -103,6 +103,76 @@ class TestDistribution:
             ks_statistic(EnsembleParams(2, 0), 1, np.array([]))
         with pytest.raises(ValueError):
             ks_statistic_max(EnsembleParams(2, 0), np.array([]))
+
+
+def _brute_ks(cdf: np.ndarray) -> float:
+    k = np.arange(1, cdf.size + 1)
+    return float(max(np.max(k / cdf.size - cdf), np.max(cdf - (k - 1) / cdf.size)))
+
+
+class TestExactKs:
+    """The KS statistics evaluate the exact cdf at every sample point."""
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.float64(0.5), r"{name} must be a nonempty 1-d array"),
+            (np.ones((2, 3)), r"{name} must be a nonempty 1-d array"),
+            (np.array([0.5, 1.0, 0.0]), r"{name}\[2\] = 0\.0"),
+            (np.array([0.5, -1.0]), r"{name}\[1\] = -1\.0"),
+            (np.array([math.nan, 0.5]), r"{name}\[0\] = nan"),
+            (np.array([0.5, 0.7, math.inf]), r"{name}\[2\] = inf"),
+        ],
+        ids=["0-d", "2-d", "zero", "negative", "nan", "inf"],
+    )
+    def test_input_guard(self, values, message):
+        params = EnsembleParams(3, 1)
+        with pytest.raises(ValueError, match=message.format(name="y_values")):
+            ks_statistic(params, 2, values)
+        with pytest.raises(ValueError, match=message.format(name="x_values")):
+            ks_statistic_max(params, values)
+
+    @pytest.mark.parametrize("j", [0, 4])
+    def test_index_out_of_range(self, j):
+        with pytest.raises(ValueError):
+            ks_statistic(EnsembleParams(3, 1), j, np.array([0.5, 1.0]))
+
+    def test_cdf_at_sample_points_matches_density_oracle(self):
+        n, v, j = 5, 2, 3
+        params = EnsembleParams(n, v)
+        t = 2.0 * n * sample_yj(params, j, seed=4, count=3).values
+        cdf = np.exp(_tails_at(t, v, j).log_cdf[:, j - 1])
+        c = derived_scales(params).c
+        for ti, got in zip(t, cdf):
+            assert got == pytest.approx(index_cdf_oracle(n, v, j, ti / c), rel=1e-11)
+
+    def test_max_cdf_at_sample_points_matches_density_oracle(self):
+        n, v = 3, 1
+        params = EnsembleParams(n, v)
+        x = matrix_probe_extremes(MatrixProbeConfig(params), seed=2, count=2)["max"]
+        cdf = np.exp(np.sum(_tails_at(x * derived_scales(params).c, v, n).log_cdf, axis=1))
+        for xi, got in zip(x, cdf):
+            want = math.prod(index_cdf_oracle(n, v, j, xi) for j in range(1, n + 1))
+            assert got == pytest.approx(want, rel=1e-11)
+
+    def test_ks_equals_per_point_ladder(self):
+        # one scalar ladder per sample point against the batched statistic
+        n, v, j = 5, 2, 3
+        params = EnsembleParams(n, v)
+        y = sample_yj(params, j, seed=8, count=200).values
+        t = np.sort(y) * 2.0 * n
+        cdf = np.array([math.exp(_tails_at(np.array([ti]), v, j).log_cdf[0, -1]) for ti in t])
+        assert ks_statistic(params, j, y) == pytest.approx(_brute_ks(cdf), rel=1e-14, abs=0)
+
+    def test_ks_max_equals_per_point_ladder(self):
+        n, v = 3, 1
+        params = EnsembleParams(n, v)
+        x = matrix_probe_extremes(MatrixProbeConfig(params), seed=9, count=200)["max"]
+        t = np.sort(x) * derived_scales(params).c
+        cdf = np.array(
+            [math.exp(float(np.sum(_tails_at(np.array([ti]), v, n).log_cdf))) for ti in t]
+        )
+        assert ks_statistic_max(params, x) == pytest.approx(_brute_ks(cdf), rel=1e-14, abs=0)
 
 
 class TestExtremesIndependent:
