@@ -1,48 +1,20 @@
-"""Log-space Gauss-Legendre quadrature engines.
-
-Two engines live here:
-
-* :func:`log_integral_adaptive` integrates exp(logf) over an interval with
-  mode-centered panels and worst-panel bisection, comparing a 64-point value
-  rule against a 40-point control rule per panel.  Used for the outer
-  per-index tail integrals.
-* :func:`log_integral_layout` integrates a batch of integrands that share a
-  fixed panel layout (offsets in units of a per-row scale), fully vectorized.
-  Used for the inner Bessel integral where thousands of abscissae are needed
-  per outer evaluation.
-
-Both return natural logs and use ``-inf`` for a zero integral.  All panel
-construction is deterministic, so results are bit-identical run to run.
-"""
+"""The numeric-failure exception of the exact layer."""
 
 from __future__ import annotations
 
-import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import logsumexp
-
-__all__ = [
-    "gl_rule",
-    "log_integral_adaptive",
-    "log_integral_layout",
-    "QuadratureError",
-]
-
-_RULE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-# Stop extending panels once the integrand has fallen this far below its peak.
-_DROP_NATS = 90.0
-# Geometric growth of probe offsets during bracket search.
-_PROBE_GROWTH = 1.5
-_PROBE_COUNT = 64
+__all__ = ["QuadratureError"]
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the requested relative tolerance cannot be certified.
+    """Raised when an exact value cannot be certified.
 
-    Carries the best partial estimate (log scale) and its relative error
-    when the failing routine had one, so callers can report a degraded
-    value instead of nothing.
+    The gamma-shape ladder (:mod:`.exact_dist`) raises it for a non-finite
+    ``kve`` or ladder value, or for a reverse sum that did not converge
+    within its cap; ``verify``'s tau-integral rule raises it when its two
+    orders disagree.  ``partial`` carries the best partial value (log
+    scale, NaN when non-finite) and ``rel_err`` its relative error bound
+    (inf when non-finite), so callers can report a degraded value instead
+    of nothing.
     """
 
     def __init__(
@@ -54,260 +26,3 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.partial = partial
         self.rel_err = rel_err
-
-
-def gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
-    rule = _RULE_CACHE.get(order)
-    if rule is None:
-        x, w = leggauss(order)
-        rule = (x, w)
-        _RULE_CACHE[order] = rule
-    return rule
-
-
-def _panel_log_integrals(
-    logf, lo: np.ndarray, hi: np.ndarray, order: int
-) -> np.ndarray:
-    """Log of the order-point GL integral of exp(logf) over each [lo_i, hi_i]."""
-    x, w = gl_rule(order)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    # nodes shape (panels, order)
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    vals = logf(nodes.ravel()).reshape(nodes.shape)
-    with np.errstate(divide="ignore"):
-        log_half = np.where(half > 0.0, np.log(np.maximum(half, 1e-300)), -np.inf)
-    return logsumexp(vals + np.log(w)[None, :], axis=1) + log_half
-
-
-def _bracket_side(logf, start: float, bound: float, step: float, peak: float) -> float:
-    """Find the abscissa, moving from start toward bound, where logf has
-    dropped _DROP_NATS below peak (clipped at bound)."""
-    sign = 1.0 if bound > start else -1.0
-    offsets = step * (_PROBE_GROWTH ** np.arange(_PROBE_COUNT))
-    probes = start + sign * np.cumsum(offsets)
-    if sign > 0:
-        probes = np.minimum(probes, bound)
-    else:
-        probes = np.maximum(probes, bound)
-    vals = logf(probes)
-    below = np.nonzero(vals < peak - _DROP_NATS)[0]
-    if below.size:
-        return float(probes[below[0]])
-    return float(bound)
-
-
-def log_integral_adaptive(
-    logf,
-    lo: float,
-    hi: float,
-    mode: float,
-    scale: float,
-    rel_tol: float = 1e-10,
-    panel_order: int = 64,
-    control_order: int = 40,
-    max_panels: int = 256,
-) -> tuple[float, float]:
-    """Integrate exp(logf) over [lo, hi] around a peak near ``mode``.
-
-    Parameters
-    ----------
-    logf : callable
-        Vectorized: maps an ndarray of abscissae to log integrand values.
-    lo, hi : float
-        Integration bounds, lo < hi.  ``hi`` may be ``inf`` only in the sense
-        that the caller passes a finite bound already known to contain the
-        mass; infinite bounds are rejected.
-    mode, scale : float
-        Peak location estimate and a characteristic width; only used to seed
-        the panel layout, the answer does not depend on their accuracy.
-    rel_tol : float
-        Target relative error, certified by the 64-vs-40 point comparison.
-
-    Returns
-    -------
-    (log_integral, rel_err_estimate)
-    """
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError("bounds must be finite")
-    if not hi > lo:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    scale = min(max(scale, 1e-12), hi - lo)
-
-    center = min(max(mode, lo), hi)
-    peak = float(logf(np.array([center]))[0])
-    if not np.isfinite(peak):
-        # Center probe missed the support; fall back to a coarse scan.
-        grid = np.linspace(lo, hi, 257)
-        vals = logf(grid)
-        if not np.any(np.isfinite(vals)):
-            return -np.inf, 0.0
-        k = int(np.argmax(vals))
-        center = float(grid[k])
-        peak = float(vals[k])
-
-    left = _bracket_side(logf, center, lo, scale, peak) if center > lo else lo
-    right = _bracket_side(logf, center, hi, scale, peak) if center < hi else hi
-
-    # Initial edges: geometric fan-out from the center in units of scale.
-    fan = scale * (_PROBE_GROWTH ** np.arange(_PROBE_COUNT))
-    pos_r = center + np.cumsum(fan)
-    pos_l = center - np.cumsum(fan)
-    edges = [left]
-    edges.extend(float(p) for p in pos_l[::-1] if left < p < right)
-    edges.append(center)
-    edges.extend(float(p) for p in pos_r if left < p < right)
-    edges.append(right)
-    edges = np.unique(np.asarray(edges, dtype=float))
-    if edges.size < 2:
-        return -np.inf, 0.0
-
-    lo_arr = edges[:-1].copy()
-    hi_arr = edges[1:].copy()
-    log_main = _panel_log_integrals(logf, lo_arr, hi_arr, panel_order)
-    log_ctrl = _panel_log_integrals(logf, lo_arr, hi_arr, control_order)
-
-    def discrepancy(lm: np.ndarray, lc: np.ndarray) -> np.ndarray:
-        # |I_main - I_ctrl| per panel, in log space
-        both = np.maximum(lm, lc)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            diff = np.where(
-                np.isfinite(both),
-                both + np.log1p(-np.exp(-np.abs(lm - lc)) + 1e-300),
-                -np.inf,
-            )
-        return diff
-
-    lo_list = list(lo_arr)
-    hi_list = list(hi_arr)
-    main_list = list(log_main)
-    ctrl_list = list(log_ctrl)
-
-    while True:
-        main_arr = np.asarray(main_list)
-        ctrl_arr = np.asarray(ctrl_list)
-        total = float(logsumexp(main_arr))
-        if total == -np.inf:
-            return -np.inf, 0.0
-        disc = discrepancy(main_arr, ctrl_arr)
-        err_total = float(logsumexp(disc)) if np.any(np.isfinite(disc)) else -np.inf
-        rel_err = float(np.exp(err_total - total)) if err_total > -np.inf else 0.0
-        if rel_err <= rel_tol:
-            return total, rel_err
-        if len(main_list) >= max_panels:
-            raise QuadratureError(
-                f"relative error {rel_err:.3e} above tolerance {rel_tol:.3e} "
-                f"with {len(main_list)} panels",
-                partial=total,
-                rel_err=rel_err,
-            )
-        # Split the worst panel (ties resolve to the lowest index).
-        worst = int(np.argmax(np.where(np.isfinite(disc), disc, -np.inf)))
-        a, b = lo_list[worst], hi_list[worst]
-        m = 0.5 * (a + b)
-        if not (a < m < b):
-            raise QuadratureError(
-                f"panel [{a}, {b}] cannot be split further",
-                partial=total,
-                rel_err=rel_err,
-            )
-        sub_lo = np.array([a, m])
-        sub_hi = np.array([m, b])
-        sub_main = _panel_log_integrals(logf, sub_lo, sub_hi, panel_order)
-        sub_ctrl = _panel_log_integrals(logf, sub_lo, sub_hi, control_order)
-        lo_list[worst : worst + 1] = [a, m]
-        hi_list[worst : worst + 1] = [m, b]
-        main_list[worst : worst + 1] = list(sub_main)
-        ctrl_list[worst : worst + 1] = list(sub_ctrl)
-
-
-# Fixed offsets (in units of the per-row width) for the layout engine: dense
-# near the mode, geometric in the tails.
-_LAYOUT_OFFSETS = np.array(
-    [
-        -60.0, -34.0, -20.0, -12.0, -8.0, -5.5, -4.0, -3.0, -2.2, -1.6,
-        -1.1, -0.7, -0.35, 0.0, 0.35, 0.7, 1.1, 1.6, 2.2, 3.0,
-        4.0, 5.5, 8.0, 12.0, 20.0, 34.0, 60.0,
-    ]
-)
-
-# Secondary edge family measured from the lower bound, used when the
-# integrand carries a second, wider length scale than the peak width.
-_TAIL_OFFSETS = np.array(
-    [
-        0.25, 0.5, 0.75, 1.0, 1.33, 1.67, 2.0, 2.5, 3.0, 3.5,
-        4.25, 5.0, 6.0, 7.5, 9.5, 12.0,
-    ]
-)
-
-# Geometric ladder toward the lower bound.  Panels between consecutive rungs
-# keep an algebraic endpoint singularity at ``lower`` a fixed relative
-# distance away, restoring spectral convergence; the innermost panel's
-# contribution is O(2e-16^{s+1}) of the total for integrands ~ w^s.
-_CUSP_OFFSETS = 4.0 ** (-np.arange(26, -1, -1, dtype=float))
-
-
-def log_integral_layout(
-    log_g,
-    center: np.ndarray,
-    width: np.ndarray,
-    lower: float = 0.0,
-    order: int = 24,
-    tail_scale: np.ndarray | None = None,
-    cusp_scale: np.ndarray | None = None,
-) -> np.ndarray:
-    """Integrate exp(log_g(w, row)) dw over (lower, inf) for each row.
-
-    The integrand of row i is assumed peaked near ``center[i]`` with
-    characteristic width ``width[i]``; panels are laid out at fixed offsets
-    so the whole batch evaluates as one array operation.
-
-    Parameters
-    ----------
-    log_g : callable
-        ``log_g(w)`` with ``w`` shaped (rows, points); must broadcast its own
-        per-row parameters against axis 0 and return the same shape.
-    center, width : ndarray shape (rows,)
-    lower : float
-        Hard lower bound of the domain (edges are clipped here).
-    tail_scale : ndarray shape (rows,), optional
-        A second per-row length scale; extra edges are placed at fixed
-        multiples of it above ``lower`` so integrands whose decay scale is
-        much wider than their peak width stay resolved and covered.
-    cusp_scale : ndarray shape (rows,), optional
-        When the integrand has an algebraic singularity at ``lower``, a
-        geometric ladder of edges from ~2e-16 of this scale up to it keeps
-        every panel spectrally convergent.
-
-    Returns
-    -------
-    ndarray shape (rows,) of log integrals.
-    """
-    center = np.asarray(center, dtype=float)
-    width = np.asarray(width, dtype=float)
-    edges = center[:, None] + width[:, None] * _LAYOUT_OFFSETS[None, :]
-    if tail_scale is not None:
-        tail_scale = np.asarray(tail_scale, dtype=float)
-        extra = lower + tail_scale[:, None] * _TAIL_OFFSETS[None, :]
-        edges = np.concatenate([edges, extra], axis=1)
-    if cusp_scale is not None:
-        cusp_scale = np.asarray(cusp_scale, dtype=float)
-        rungs = lower + cusp_scale[:, None] * _CUSP_OFFSETS[None, :]
-        edges = np.concatenate([edges, rungs], axis=1)
-    np.maximum(edges, lower, out=edges)
-    edges.sort(axis=1)
-    lo = edges[:, :-1]
-    hi = edges[:, 1:]
-    half = 0.5 * (hi - lo)  # (rows, panels)
-    mid = 0.5 * (hi + lo)
-    x, w = gl_rule(order)
-    # nodes: (rows, panels, order)
-    nodes = mid[:, :, None] + half[:, :, None] * x[None, None, :]
-    rows = center.shape[0]
-    vals = log_g(nodes.reshape(rows, -1)).reshape(nodes.shape)
-    logw = np.log(w)
-    with np.errstate(divide="ignore"):
-        log_half = np.where(half > 0.0, np.log(np.maximum(half, 1e-300)), -np.inf)
-    per_panel = logsumexp(vals + logw[None, None, :], axis=2) + log_half
-    return logsumexp(per_panel, axis=1)

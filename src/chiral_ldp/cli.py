@@ -27,7 +27,7 @@ import numpy as np
 from ._quad import QuadratureError
 from .asymptotics_lab import THEOREM_TAGS, clt_check, converge_table
 from .core_types import Direction, EnsembleParams, Statistic, TailQuery, classify_alpha
-from .exact_dist import IndexTails, index_tails, log_prob_from_tails
+from .exact_dist import _tally, _Tally, index_tails, log_prob_from_tails
 from .rate_functions import (
     MdpMinRegime,
     mdp_max_left_const,
@@ -189,23 +189,21 @@ def _cmd_rate(args) -> tuple[OutputRecord, int]:
     return OutputRecord("rate", params, [row]), 0
 
 
-def _ladder_note(tails: IndexTails) -> str:
+def _ladder_note(tally: _Tally) -> str:
     """Which tail side each index summed directly, and where the ladder
     stopped; over a batch of sample points, counts over all (point, index)
     pairs, the furthest stop and the largest bound."""
-    top = tails.log_sf.shape[-1]
-    batch = tails.log_sf.ndim == 2
-    direct = int(np.count_nonzero(tails.cdf_direct))
-    points = f" at {tails.log_sf.size // top} sample points" if batch else ""
+    batch = tally.rows is not None
+    points = f" at {tally.rows} sample points" if batch else ""
+    pairs = tally.top * (tally.rows or 1)
     note = (
-        f"gamma-shape ladder over indices 1..{top}{points}: "
-        f"cdf summed directly for {direct}, sf for {tails.log_sf.size - direct}"
+        f"gamma-shape ladder over indices 1..{tally.top}{points}: "
+        f"cdf summed directly for {tally.cdf_direct}, sf for {pairs - tally.cdf_direct}"
     )
-    stop = int(np.max(tails.stop))
-    if stop:
+    if tally.stop:
         note += (
-            f"; reverse {'sums stopped by' if batch else 'sum stopped at'} index {stop} "
-            f"with dropped tail below {float(np.max(tails.truncation_bound)):.1e} relative"
+            f"; reverse {'sums stopped by' if batch else 'sum stopped at'} index {tally.stop} "
+            f"with dropped tail below {tally.truncation_bound:.1e} relative"
         )
     return note
 
@@ -223,7 +221,7 @@ def _cmd_prob(args) -> tuple[OutputRecord, int]:
         "side": args.side,
     }
     tails = index_tails(params_obj, args.x)
-    diags = [_ladder_note(tails)]
+    diags = [_ladder_note(_tally(tails))]
     try:
         lp = log_prob_from_tails(tails, query)
     except QuadratureError as exc:

@@ -139,6 +139,31 @@ class IndexTails(NamedTuple):
     failure: str | None  # why the values cannot be trusted, None when they can
 
 
+class _Tally(NamedTuple):
+    """An :class:`IndexTails` reduced to what its diagnostic reports, summed
+    over its (threshold, index) pairs; ``rows`` is None for a single
+    threshold from :func:`index_tails`."""
+
+    rows: int | None
+    top: int
+    cdf_direct: int  # pairs whose cdf came from its own sum
+    stop: int  # furthest reverse-sum stop, 0 when none was taken
+    truncation_bound: float  # largest bound on a reverse sum's dropped tail
+    failure: str | None
+
+
+def _tally(tails: IndexTails) -> _Tally:
+    batch = tails.log_sf.ndim == 2
+    return _Tally(
+        tails.log_sf.shape[0] if batch else None,
+        tails.log_sf.shape[-1],
+        int(np.count_nonzero(tails.cdf_direct)),
+        int(np.max(tails.stop)),
+        float(np.max(tails.truncation_bound)),
+        tails.failure,
+    )
+
+
 class _Rows(NamedTuple):
     """Per-threshold constants of one increment form, as columns."""
 
@@ -457,7 +482,7 @@ def _tails_at(t: np.ndarray, v: int, top: int) -> IndexTails:
     )
 
 
-def _checked(value: float, tails: IndexTails) -> float:
+def _checked(value: float, tails: IndexTails | _Tally) -> float:
     """``value`` when the tails it came from are sound; else raise with it."""
     if tails.failure is not None:
         rel_err = float(np.max(tails.truncation_bound)) if math.isfinite(value) else math.inf

@@ -32,7 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_types import EnsembleParams, derived_scales
-from .exact_dist import IndexDistribution, IndexTails, _checked, _tails_at
+from .exact_dist import (
+    _CHUNK_ELEMENTS,
+    IndexDistribution,
+    _checked,
+    _tails_at,
+    _Tally,
+    _tally,
+)
 
 __all__ = [
     "SampleBatch",
@@ -323,21 +330,39 @@ def _ks_distance(cdf: np.ndarray) -> float:
     return float(max(d_plus, d_minus))
 
 
-def _ks_index(
-    params: EnsembleParams, j: int, y_values: np.ndarray
-) -> tuple[float, IndexTails]:
-    """:func:`ks_statistic` and the ladder tails it was computed from."""
+def _ks_index(params: EnsembleParams, j: int, y_values: np.ndarray) -> tuple[float, _Tally]:
+    """:func:`ks_statistic` and a tally of the ladder it was computed from."""
     top = IndexDistribution(params, j).j
     t = _sorted_sample("y_values", y_values) * (2.0 * params.n)
     tails = _tails_at(t, params.v, top)
-    return _checked(_ks_distance(np.exp(tails.log_cdf[:, -1])), tails), tails
+    return _checked(_ks_distance(np.exp(tails.log_cdf[:, -1])), tails), _tally(tails)
 
 
-def _ks_max(params: EnsembleParams, x_values: np.ndarray) -> tuple[float, IndexTails]:
-    """:func:`ks_statistic_max` and the ladder tails it was computed from."""
+def _ks_max(params: EnsembleParams, x_values: np.ndarray) -> tuple[float, _Tally]:
+    """:func:`ks_statistic_max` and a tally of the ladder it was computed from.
+
+    The ladder runs over blocks of about _CHUNK_ELEMENTS // n sample points,
+    keeping only each point's sum of log cdfs, so memory does not grow with
+    points times n.  A failure names the first failing point; the count of
+    further failing points in its message covers that point's block.
+    """
     t = _sorted_sample("x_values", x_values) * derived_scales(params).c
-    tails = _tails_at(t, params.v, params.n)
-    return _checked(_ks_distance(np.exp(np.sum(tails.log_cdf, axis=1))), tails), tails
+    block = max(1, _CHUNK_ELEMENTS // params.n)
+    log_cdf = np.empty(t.size)
+    tallies = []
+    for start in range(0, t.size, block):
+        tails = _tails_at(t[start : start + block], params.v, params.n)
+        log_cdf[start : start + block] = np.sum(tails.log_cdf, axis=1)
+        tallies.append(_tally(tails))
+    tally = _Tally(
+        t.size,
+        params.n,
+        sum(part.cdf_direct for part in tallies),
+        max(part.stop for part in tallies),
+        max(part.truncation_bound for part in tallies),
+        next((part.failure for part in tallies if part.failure is not None), None),
+    )
+    return _checked(_ks_distance(np.exp(log_cdf)), tally), tally
 
 
 def ks_statistic(

@@ -1,50 +1,20 @@
-"""Log-space special functions: log Gamma, log K_v, and the per-index
-normalizing constant log Z_j.
+"""Log-space special functions: log Gamma and the per-index normalizing
+constant log Z_j.
 
-log K_v is computed by one of three routes chosen per point:
-
-* ``log_kv_uniform``  - large-order expansion with polynomial corrections,
-  used for v >= 30; uniformly accurate in x.
-* ``log_kv_large_arg`` - fixed-order asymptotic series in 1/x with optimal
-  truncation, used for v < 30 and x > max(50, 10 v).
-* ``log_kv_integral`` - direct quadrature of the integral representation
-  K_v(x) = sqrt(pi) x^v / (2^v Gamma(v+1/2)) * int_1^inf e^{-xt} (t^2-1)^{v-1/2} dt
-  after the substitution t = 1 + w^2, which removes the endpoint singularity;
-  used everywhere else, and valid for any v >= 0, x > 0.
-
-All three agree to better than 1e-8 relative (in log value) across their
-overlap regions; the dispatcher :func:`log_kv` picks the cheap route.
+Bessel K values are not computed here: the exact layer takes K_0 .. K_{v+1}
+from ``scipy.special.kve`` and a ratio recurrence (:mod:`.exact_dist`).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln
 
-from ._quad import log_integral_layout
-
-__all__ = [
-    "log_gamma",
-    "log_kv",
-    "log_kv_integral",
-    "log_kv_large_arg",
-    "log_kv_uniform",
-    "log_Zj",
-    "UNIFORM_ORDER_MIN",
-    "LARGE_ARG_MIN",
-]
-
-# Route boundaries.  Below UNIFORM_ORDER_MIN the order is "bounded" and the
-# argument decides between the series and the integral representation.
-UNIFORM_ORDER_MIN = 30.0
-LARGE_ARG_MIN = 50.0
-_LARGE_ARG_ORDER_FACTOR = 10.0
+__all__ = ["log_gamma", "log_Zj"]
 
 _LOG2 = math.log(2.0)
-_SERIES_KMAX = 40
 
 
 def log_gamma(x):
@@ -54,225 +24,6 @@ def log_gamma(x):
         raise ValueError("log_gamma requires x > 0")
     out = gammaln(x)
     return float(out) if out.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# Large-order (uniform) route: polynomial corrections generated exactly once.
-# ---------------------------------------------------------------------------
-
-_DEBYE_KMAX = 10
-
-
-def _debye_polynomials(kmax: int) -> list[np.ndarray]:
-    """Correction polynomials U_0..U_kmax as float coefficient arrays
-    (index = power), generated by the exact rational recursion
-
-        U_{k+1}(p) = p^2 (1 - p^2) U_k'(p) / 2
-                     + (1/8) int_0^p (1 - 5 t^2) U_k(t) dt.
-    """
-    polys: list[list[Fraction]] = [[Fraction(1)]]
-    for _ in range(kmax):
-        u = polys[-1]
-        # derivative
-        du = [Fraction(i) * u[i] for i in range(1, len(u))]
-        # p^2 (1 - p^2) u' / 2  ->  shift by 2 minus shift by 4, halved
-        term1 = [Fraction(0)] * (len(du) + 4)
-        for i, c in enumerate(du):
-            term1[i + 2] += c / 2
-            term1[i + 4] -= c / 2
-        # (1 - 5 t^2) u  then integrate term by term
-        prod = [Fraction(0)] * (len(u) + 2)
-        for i, c in enumerate(u):
-            prod[i] += c
-            prod[i + 2] -= 5 * c
-        term2 = [Fraction(0)] * (len(prod) + 1)
-        for i, c in enumerate(prod):
-            term2[i + 1] += c / Fraction(8 * (i + 1))
-        size = max(len(term1), len(term2))
-        nxt = [Fraction(0)] * size
-        for i, c in enumerate(term1):
-            nxt[i] += c
-        for i, c in enumerate(term2):
-            nxt[i] += c
-        while nxt and nxt[-1] == 0:
-            nxt.pop()
-        polys.append(nxt)
-    return [np.array([float(c) for c in poly]) for poly in polys]
-
-
-_DEBYE_POLYS = _debye_polynomials(_DEBYE_KMAX)
-
-
-def log_kv_uniform(v: float, x) -> np.ndarray | float:
-    """log K_v(x) by the large-order expansion; intended for v >= 30.
-
-    Writes x = v z and evaluates
-
-        K_v(vz) = sqrt(pi/(2v)) (1+z^2)^{-1/4} e^{-v eta(z)}
-                  * sum_k (-1)^k U_k(p) / v^k,
-
-    eta(z) = sqrt(1+z^2) + log z - log(1 + sqrt(1+z^2)),  p = (1+z^2)^{-1/2}.
-    """
-    if v <= 0.0:
-        raise ValueError("uniform route needs v > 0")
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    z = np.atleast_1d(x_arr) / v
-    root = np.sqrt(1.0 + z * z)
-    eta = root + np.log(z) - np.log1p(root)
-    p = 1.0 / root
-    total = np.zeros_like(z)
-    sign = 1.0
-    vk = 1.0
-    for coeffs in _DEBYE_POLYS:
-        # Horner evaluation of U_k at p
-        acc = np.zeros_like(p)
-        for c in coeffs[::-1]:
-            acc = acc * p + c
-        total += sign * acc / vk
-        sign = -sign
-        vk *= v
-    out = (
-        0.5 * math.log(math.pi / (2.0 * v))
-        - v * eta
-        - 0.25 * np.log1p(z * z)
-        + np.log(total)
-    )
-    return float(out[0]) if scalar else out
-
-
-# ---------------------------------------------------------------------------
-# Fixed-order large-argument route.
-# ---------------------------------------------------------------------------
-
-
-def log_kv_large_arg(v: float, x) -> np.ndarray | float:
-    """log K_v(x) by the 1/x asymptotic series with optimal truncation.
-
-    Accurate for x well above both 50 and 10 v (v < 30); the smallest term
-    of the series bounds the truncation error.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    xa = np.atleast_1d(x_arr)
-    if np.any(xa <= 0.0):
-        raise ValueError("log_kv_large_arg requires x > 0")
-    four_v2 = 4.0 * v * v
-    terms = np.empty((xa.size, _SERIES_KMAX + 1))
-    terms[:, 0] = 1.0
-    t = np.ones_like(xa)
-    for k in range(1, _SERIES_KMAX + 1):
-        t = t * (four_v2 - (2.0 * k - 1.0) ** 2) / (8.0 * k * xa)
-        terms[:, k] = t
-    # optimal truncation: sum through the smallest-magnitude term
-    kstar = np.argmin(np.abs(terms[:, 1:]), axis=1) + 1
-    csum = np.cumsum(terms, axis=1)
-    series = csum[np.arange(xa.size), kstar]
-    out = 0.5 * np.log(math.pi / (2.0 * xa)) - xa + np.log(series)
-    return float(out[0]) if scalar else out
-
-
-# ---------------------------------------------------------------------------
-# Integral-representation route.
-# ---------------------------------------------------------------------------
-
-
-def _integral_mode_width(v: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Peak location and Gaussian width of the substituted integrand
-    exp(2v log w + (v-1/2) log(w^2+2) - x w^2)."""
-    # stationary point in W = w^2: x W^2 + W (2x + 1/2 - 2v) - 2v = 0
-    b = 2.0 * x + 0.5 - 2.0 * v
-    disc = np.sqrt(b * b + 8.0 * v * x)
-    W = np.where(v > 0.0, (disc - b) / (2.0 * x), 0.0)
-    w = np.sqrt(np.maximum(W, 0.0))
-    # curvature -g'' at the peak (v/w^2 term only when the peak is interior)
-    Wsafe = np.maximum(W, 1e-300)
-    curv = (v - 0.5) * (4.0 - 2.0 * W) / (W + 2.0) ** 2 - 2.0 * x
-    if v > 0.0:
-        curv = curv - 2.0 * v / Wsafe
-    width = 1.0 / np.sqrt(np.maximum(-curv, 1e-300))
-    return w, width
-
-
-def log_kv_integral(v: float, x) -> np.ndarray | float:
-    """log K_v(x) by quadrature of the integral representation.
-
-    Valid for any v >= 0 and x > 0; cost is a fixed vectorized panel layout
-    per point, so large batches are cheap.
-    """
-    if v < 0.0:
-        raise ValueError("order must be >= 0")
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    xa = np.atleast_1d(x_arr).astype(float)
-    if np.any(xa <= 0.0):
-        raise ValueError("log_kv_integral requires x > 0")
-    x_col = xa[:, None]
-
-    if v == 0.0:
-
-        def log_g(w):
-            return _LOG2 - 0.5 * np.log(w * w + 2.0) - x_col * (1.0 + w * w)
-
-    else:
-
-        def log_g(w):
-            with np.errstate(divide="ignore"):
-                lw = np.log(w)
-            return (
-                _LOG2
-                + 2.0 * v * lw
-                + (v - 0.5) * np.log(w * w + 2.0)
-                - x_col * (1.0 + w * w)
-            )
-
-    center, width = _integral_mode_width(v, xa)
-    # second scale: the e^{-x w^2} factor keeps mass out to ~ 1/sqrt(2x)
-    tail = 1.0 / np.sqrt(2.0 * xa)
-    # fractional 2v leaves an algebraic cusp of w^{2v} at w = 0; integer 2v
-    # makes the integrand analytic there and needs no ladder
-    cusp = None
-    if abs(2.0 * v - round(2.0 * v)) > 1e-9:
-        cusp = np.minimum(width, tail)
-    log_int = log_integral_layout(
-        log_g, center, width, lower=0.0, tail_scale=tail, cusp_scale=cusp
-    )
-    out = (
-        0.5 * math.log(math.pi)
-        + v * np.log(xa)
-        - v * _LOG2
-        - gammaln(v + 0.5)
-        + log_int
-    )
-    return float(out[0]) if scalar else out
-
-
-def log_kv(v: float, x) -> np.ndarray | float:
-    """log K_v(x) for v >= 0 and x > 0, choosing the cheapest valid route.
-
-    Vectorized over x; v is a scalar order.  Relative accuracy of the log
-    value is better than 1e-8 over v in [0, 1e4], x in [1e-3, 1e5].
-    """
-    if v < 0.0:
-        raise ValueError("order must be >= 0")
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    xa = np.atleast_1d(x_arr).astype(float)
-    if np.any(~np.isfinite(xa)) or np.any(xa <= 0.0):
-        raise ValueError("log_kv requires finite x > 0")
-
-    if v >= UNIFORM_ORDER_MIN:
-        out = log_kv_uniform(v, xa)
-    else:
-        cut = max(LARGE_ARG_MIN, _LARGE_ARG_ORDER_FACTOR * v)
-        out = np.empty_like(xa)
-        big = xa > cut
-        if np.any(big):
-            out[big] = log_kv_large_arg(v, xa[big])
-        if np.any(~big):
-            out[~big] = log_kv_integral(v, xa[~big])
-    out = np.atleast_1d(out)
-    return float(out[0]) if scalar else out
 
 
 def log_Zj(j, v: float) -> np.ndarray | float:

@@ -1,7 +1,7 @@
 """Named invariant checks behind the command-line ``verify`` subcommand.
 
 Two suites.  ``quick`` runs the deterministic algebraic, ladder and
-quadrature invariants in a couple of seconds; the full suite adds the
+integral-sandwich invariants in a couple of seconds; the full suite adds the
 statistical and convergence checks at their acceptance tolerances (roughly
 half a minute).  Every check is a pure function of fixed seeds, so a pass or
 fail is reproducible bit for bit.
@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
+from scipy.special import gammainc, gammaincc, gammaln, kve
 
-from ._quad import log_integral_adaptive
+from ._quad import QuadratureError
 from .asymptotics_lab import clt_check, converge_table, lemma_ma_sums
 from .core_types import (
     Direction,
@@ -46,7 +48,6 @@ from .sampler import (
     matrix_probe_extremes,
     sample_yj,
 )
-from .special_fn import log_kv
 from .tau_geometry import TauParams, minimizer_xj, tau, tau_prime
 
 # Largest |sf + cdf - 1| the tail-complement check accepts, with sf from the
@@ -103,7 +104,7 @@ def _check_closed_form_tail() -> tuple[bool, str]:
     worst = 0.0
     for t in (0.5, 1.0, 2.0, 5.0):
         got = math.exp(log_sf_index(params, 1, t / 2.0))
-        want = t * math.exp(float(log_kv(1.0, t)))
+        want = t * float(kve(1, t)) * math.exp(-t)
         worst = max(worst, abs(got - want) / want)
     return worst <= 1e-6, f"max rel error vs t*K_1(t): {worst:.3e} (tol 1e-6)"
 
@@ -136,18 +137,10 @@ def _check_max_tail_sandwich() -> tuple[bool, str]:
 
 
 def _log_gamma_tail(a: float, b: float, upper: bool) -> float:
-    """log of int over y of y^b e^{-y}, upper=[a,inf) else (0,a], by quadrature."""
-
-    def logf(y: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return b * np.log(y) - y
-
-    if upper:
-        hi = max(4.0 * a, b + 60.0 * math.sqrt(max(b, 1.0)) + 60.0)
-        val, _ = log_integral_adaptive(logf, a, hi, max(a, min(b, hi)), math.sqrt(max(b, 1.0)))
-    else:
-        val, _ = log_integral_adaptive(logf, 0.0, a, min(b, a), math.sqrt(max(b, 1.0)))
-    return val
+    """log of int y^b e^{-y} dy over [a, inf) when upper else (0, a], in
+    closed form by the regularized incomplete gamma functions (DLMF 8.2)."""
+    tail = gammaincc(b + 1.0, a) if upper else gammainc(b + 1.0, a)
+    return float(gammaln(b + 1.0) + math.log(tail))
 
 
 def _check_gamma_tail_sandwich() -> tuple[bool, str]:
@@ -189,16 +182,35 @@ def _check_gamma_tail_sandwich() -> tuple[bool, str]:
     return True, f"{checks} sandwich inequalities hold"
 
 
+# Composite Gauss-Legendre rule for the tau integrals: equal panels, two
+# orders whose disagreement certifies the value.
+_TAU_PANELS = 16
+_TAU_ORDERS = (24, 32)
+_TAU_RULE_TOL = 1e-12
+
+
 def _log_tau_integral(p: TauParams, lo: float, hi: float) -> float:
-    xj = minimizer_xj(p)
-
-    def logf(y: np.ndarray) -> np.ndarray:
-        return -p.v * np.asarray(tau(p, y))
-
-    width = 1.0 / math.sqrt(p.v * max(float(tau_prime(p, xj * 1.001)) / (0.001 * xj), 1.0))
-    mode = min(max(xj, lo), hi)
-    val, _ = log_integral_adaptive(logf, lo, hi, mode, max(width, 1e-3 * xj))
-    return val
+    """log of int exp(-v tau_j(y)) dy over [lo, hi], by the composite rule at
+    both orders; raises QuadratureError when they differ by more than
+    _TAU_RULE_TOL in the log."""
+    edges = np.linspace(lo, hi, _TAU_PANELS + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    vals = []
+    for order in _TAU_ORDERS:
+        x, w = leggauss(order)
+        terms = -p.v * tau(p, mid + half * x) + np.log(half * w)
+        peak = float(np.max(terms))
+        vals.append(peak + math.log(float(np.sum(np.exp(terms - peak)))))
+    gap = abs(vals[1] - vals[0])
+    if not gap <= _TAU_RULE_TOL:
+        raise QuadratureError(
+            f"tau integral over [{lo}, {hi}] at j={p.j}, v={p.v}: orders "
+            f"{_TAU_ORDERS} differ by {gap:.1e}",
+            partial=vals[1],
+            rel_err=gap,
+        )
+    return vals[1]
 
 
 def _check_exponent_tail_sandwich() -> tuple[bool, str]:

@@ -13,6 +13,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -446,3 +450,22 @@ class TestDeterminism:
     def test_repeat_runs_identical(self):
         argv = ["rate", "--which", "max-left", "--alpha", "2.5", "--x", "0.7"]
         assert run_cli(argv)[1] == run_cli(argv)[1]
+
+
+class TestImportCost:
+    """Importing the library and the CLI stays cheap."""
+
+    def test_scipy_integrate_is_not_imported(self):
+        # scipy.integrate alone adds about a third of a second to every start
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        code = (
+            "import sys, chiral_ldp, chiral_ldp.cli\n"
+            "print('scipy.integrate' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

@@ -2,10 +2,10 @@
 
 Closed forms exist at n=1, v=0 where the survival is t K_1(t) on the t scale;
 everything else is checked against high-precision mpmath oracles (Bessel
-density quadrature and the Bessel-free gamma-product law), two-sided
-normalization of the ladder sums, property tests over extreme inputs, product
-laws, stochastic ordering, and the analytic integral sandwiches that the
-asymptotic machinery leans on.
+density quadrature, the Bessel-free gamma-product law and the Bessel values
+the ladder starts from), two-sided normalization of the ladder sums, property
+tests over extreme inputs, product laws, stochastic ordering, and the
+analytic integral sandwiches that the asymptotic machinery leans on.
 """
 
 import math
@@ -19,7 +19,7 @@ from scipy.optimize import brentq
 from scipy.special import kve, logsumexp
 
 import chiral_ldp.exact_dist as exact_dist
-from chiral_ldp._quad import QuadratureError, log_integral_adaptive
+from chiral_ldp._quad import QuadratureError
 from chiral_ldp.core_types import (
     Direction,
     EnsembleParams,
@@ -29,7 +29,9 @@ from chiral_ldp.core_types import (
 )
 from chiral_ldp.exact_dist import (
     IndexDistribution,
+    _bessel_ratios,
     _ladder_sums,
+    _prefix,
     _tails_at,
     index_tails,
     log_cdf_index,
@@ -41,11 +43,13 @@ from chiral_ldp.exact_dist import (
     log_sf_index,
 )
 from chiral_ldp.tau_geometry import TauParams, minimizer_xj, tau, tau_prime
+from chiral_ldp.verification import _log_gamma_tail, _log_tau_integral
 
 from oracles import (
     gamma_product_tail_oracle,
     gamma_tail_log,
     index_cdf_oracle,
+    log_kv_oracle,
     tau_integral_log,
 )
 
@@ -164,6 +168,34 @@ class TestLadderOracles:
         cdf = gamma_product_tail_oracle(n, v, j, x, upper=False)
         assert math.exp(log_sf_index(params, j, x)) == pytest.approx(sf, rel=1e-11)
         assert math.exp(log_cdf_index(params, j, x)) == pytest.approx(cdf, rel=1e-11)
+
+
+class TestBesselValues:
+    """log K_k(t) = log kve(k, t) - t as the ladder builds it: kve for k = 0
+    and 1, then the ratio recurrence and its exactly summed prefix, against
+    the mpmath saddle-window oracle on the extreme corners of v <= 1e4,
+    t in [1e-3, 1e5]."""
+
+    ORDERS = (1, 5, 30, 1000, 10000)
+    TS = (1e-3, 0.1, 1.0, 10.0, 100.0, 1e3, 1e5)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        ks = {k for order in self.ORDERS for k in (0, 1, order)}
+        return {(k, t): log_kv_oracle(k, t) for k in ks for t in self.TS}
+
+    # seven rows take the float loop, 42 the vector path
+    @pytest.mark.parametrize("tiles", [1, 6], ids=["float-path", "vector-path"])
+    def test_log_k_matches_oracle(self, tiles, reference):
+        t = np.tile(self.TS, tiles)
+        assert (t.size > exact_dist._VECTOR_ROWS) == (tiles > 1)
+        for order in self.ORDERS:
+            lk0, lk1, ratios = _bessel_ratios(t, order)
+            log_kve = np.concatenate((lk0[:, None], _prefix(lk1, np.log(ratios))), axis=1)
+            for k in (0, 1, order):
+                want = np.array([reference[k, ti] for ti in t])
+                err = np.abs(log_kve[:, k] - t - want)
+                assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(want))), (order, k)
 
 
 class TestLadderProperties:
@@ -428,44 +460,30 @@ class TestQueryDispatch:
 class TestGammaTailSandwich:
     """Closed bounds on int y^b e^-y dy used by the bounded-order analysis.
 
-    The integral itself comes from the package quadrature engine, so this
-    doubles as an engine test; a separate case ties the engine to mpmath.
+    The integral itself comes from ``verify``'s incomplete-gamma closed form,
+    so this doubles as a test of it; a separate case ties it to mpmath.
     """
 
     BS = (0.5, 3.0, 20.0)
 
-    @staticmethod
-    def _upper_log(b: float, a: float) -> float:
-        logf = lambda y: np.where(y > 0.0, b * np.log(np.maximum(y, 1e-300)) - y, -np.inf)
-        hi = 2.0 * max(a, b) + 600.0
-        val, _ = log_integral_adaptive(logf, a, hi, mode=max(a, b), scale=1.0 + math.sqrt(b))
-        return val
-
-    @staticmethod
-    def _lower_log(b: float, a: float) -> float:
-        logf = lambda y: np.where(y > 0.0, b * np.log(np.maximum(y, 1e-300)) - y, -np.inf)
-        val, _ = log_integral_adaptive(
-            logf, 0.0, a, mode=min(a, b), scale=1.0 + math.sqrt(min(a, b))
-        )
-        return val
-
     def test_engine_matches_high_precision(self):
         for b, a in [(3.0, 5.0), (20.0, 12.0), (0.5, 2.0)]:
-            assert self._upper_log(b, a) == pytest.approx(gamma_tail_log(a, b, True), abs=5e-10)
-            assert self._lower_log(b, a) == pytest.approx(gamma_tail_log(a, b, False), abs=5e-10)
+            for upper in (True, False):
+                want = gamma_tail_log(a, b, upper)
+                assert _log_gamma_tail(a, b, upper) == pytest.approx(want, abs=5e-10)
 
     def test_upper_integral_far_start(self):
         # a >= b + 1: a^b e^-a <= int_a^inf <= a^{b+1} e^-a
         for b in self.BS:
             for a in (b + 1.0, b + 2.5, 3.0 * b + 8.0):
-                mid = self._upper_log(b, a)
+                mid = _log_gamma_tail(a, b, upper=True)
                 assert b * math.log(a) - a <= mid <= (b + 1.0) * math.log(a) - a, (b, a)
 
     def test_upper_integral_near_start(self):
         # a < b + 1: b^b e^-(b+1) <= int_a^inf <= 2 (b+1) b^b e^-b
         for b in self.BS:
             for a in (0.02, b / 2.0, b + 0.9):
-                mid = self._upper_log(b, a)
+                mid = _log_gamma_tail(a, b, upper=True)
                 lo = b * math.log(b) - (b + 1.0)
                 hi = math.log(2.0 * (b + 1.0)) + b * math.log(b) - b
                 assert lo <= mid <= hi, (b, a)
@@ -474,7 +492,7 @@ class TestGammaTailSandwich:
         # a > b: b^{b+1} e^-b / (b+1) <= int_0^a <= a b^b e^-b
         for b in self.BS:
             for a in (b + 0.1, 2.0 * b + 3.0):
-                mid = self._lower_log(b, a)
+                mid = _log_gamma_tail(a, b, upper=False)
                 lo = (b + 1.0) * math.log(b) - b - math.log(b + 1.0)
                 hi = math.log(a) + b * math.log(b) - b
                 assert lo <= mid <= hi, (b, a)
@@ -483,7 +501,7 @@ class TestGammaTailSandwich:
         # a < b - 1: a^{b+1} e^-a / (b+1) <= int_0^a <= a^{b+1} e^-a
         for b, starts in [(3.0, (0.4, 1.9)), (20.0, (0.5, 9.0, 18.5))]:
             for a in starts:
-                mid = self._lower_log(b, a)
+                mid = _log_gamma_tail(a, b, upper=False)
                 hi = (b + 1.0) * math.log(a) - a
                 assert hi - math.log(b + 1.0) <= mid <= hi, (b, a)
 
@@ -555,21 +573,20 @@ class TestTauExponentSandwich:
             assert lo <= mid <= hi, (j, v)
 
 
-class TestQuadratureFailure:
-    def test_unreachable_tolerance_raises_with_partial(self):
-        logf = lambda y: -np.log1p(y * y)
-        with pytest.raises(QuadratureError) as info:
-            log_integral_adaptive(
-                logf, 0.0, 40.0, mode=0.0, scale=1.0,
-                rel_tol=1e-15, panel_order=8, control_order=2, max_panels=4,
-            )
-        err = info.value
-        assert err.partial is not None and math.isfinite(err.partial)
-        assert err.rel_err is not None and err.rel_err > 1e-15
+class TestTauIntegralRule:
+    """``verify``'s two-order composite rule for the tau integrals."""
 
-    def test_bad_intervals_rejected(self):
-        logf = lambda y: -y
-        with pytest.raises(ValueError):
-            log_integral_adaptive(logf, 0.0, math.inf, mode=0.0, scale=1.0)
-        with pytest.raises(ValueError):
-            log_integral_adaptive(logf, 2.0, 1.0, mode=0.0, scale=1.0)
+    @pytest.mark.parametrize("j, v", TestTauExponentSandwich.PAIRS)
+    def test_matches_high_precision_on_verify_ranges(self, j, v):
+        p = TauParams(j, float(v))
+        xj = minimizer_xj(p)
+        for lo, hi in ((1.5 * xj, max(10.0 * xj, 1.5 * xj + 50.0 / v)), (1e-12, 0.6 * xj)):
+            want = tau_integral_log(j, v, lo, hi)
+            assert _log_tau_integral(p, lo, hi) == pytest.approx(want, abs=1e-12), (lo, hi)
+
+    def test_disagreeing_orders_raise(self):
+        # sixteen panels across [0, 100 x_j] leave the peak under-resolved
+        p = TauParams(5, 50.0)
+        with pytest.raises(QuadratureError, match="differ") as info:
+            _log_tau_integral(p, 1e-12, 100.0 * minimizer_xj(p))
+        assert math.isfinite(info.value.partial) and info.value.rel_err > 1e-12

@@ -7,10 +7,14 @@ sit at four standard errors.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import chiral_ldp.exact_dist as exact_dist
+import chiral_ldp.sampler as sampler
+from chiral_ldp._quad import QuadratureError
 from chiral_ldp.core_types import EnsembleParams, derived_scales
 from chiral_ldp.exact_dist import _tails_at, log_prob_max_le
 from chiral_ldp.sampler import (
@@ -80,7 +84,7 @@ class TestDeterminism:
 
 class TestDistribution:
     @pytest.mark.parametrize("j,v,n", [(1, 0, 1), (3, 2, 5), (10, 5, 10)])
-    def test_ks_against_quadrature_cdf(self, j, v, n):
+    def test_ks_against_exact_cdf(self, j, v, n):
         params = EnsembleParams(n, v)
         batch = sample_yj(params, j, seed=11, count=30000)
         assert ks_statistic(params, j, batch.values) < ks_critical(30000)
@@ -173,6 +177,50 @@ class TestExactKs:
             [math.exp(float(np.sum(_tails_at(np.array([ti]), v, n).log_cdf))) for ti in t]
         )
         assert ks_statistic_max(params, x) == pytest.approx(_brute_ks(cdf), rel=1e-14, abs=0)
+
+
+class TestKsMaxBlocks:
+    """ks_statistic_max runs the ladder over blocks of sample points."""
+
+    @staticmethod
+    def _probe_maxima(params, count):
+        return matrix_probe_extremes(MatrixProbeConfig(params), seed=7, count=count)["max"]
+
+    def test_blocks_match_one_block(self, monkeypatch):
+        params = EnsembleParams(3, 1)
+        x = self._probe_maxima(params, 400)
+        whole = sampler._ks_max(params, x)
+        # eight blocks of 50 points, each above the float-loop row count
+        monkeypatch.setattr(sampler, "_CHUNK_ELEMENTS", 50 * params.n)
+        assert sampler._ks_max(params, x) == whole  # statistic and tally, bit for bit
+
+    def test_failure_names_the_first_failing_point(self, monkeypatch):
+        params = EnsembleParams(3, 1)
+        x = self._probe_maxima(params, 400)
+        t = np.sort(x) * derived_scales(params).c
+        bad = t[[120, 330]]  # in the third and the seventh block
+        real = exact_dist.kve
+        monkeypatch.setattr(
+            exact_dist, "kve", lambda order, s: np.where(np.isin(s, bad), np.nan, real(order, s))
+        )
+        monkeypatch.setattr(sampler, "_CHUNK_ELEMENTS", 50 * params.n)
+        with pytest.raises(QuadratureError) as info:
+            ks_statistic_max(params, x)
+        assert f"non-finite ladder value at t={float(bad[0])!r}" in str(info.value)
+        assert math.isnan(info.value.partial) and info.value.rel_err == math.inf
+
+    def test_memory_does_not_grow_with_points_times_n(self):
+        # 2e4 points at n=200 are four blocks; one array over all of them
+        # would take 32 MB, and the unblocked ladder peaked at 165 MB
+        params = EnsembleParams(200, 0)
+        x = np.random.default_rng(1).uniform(0.9, 1.3, 20_000)
+        tracemalloc.start()
+        try:
+            ks_statistic_max(params, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 8 * exact_dist._CHUNK_ELEMENTS
 
 
 class TestExtremesIndependent:
