@@ -7,7 +7,7 @@ scaled extreme moduli must match the independent model in distribution --
 that distributional identity is what makes everything else in the library
 tractable.
 
-Run time is roughly ten seconds, dominated by the matrix eigenproblems.
+Run time is a few seconds.
 """
 
 import math
@@ -59,7 +59,7 @@ print("--------------------------------------------------")
 config = MatrixProbeConfig(EnsembleParams(3, 1))
 out = matrix_probe_extremes(config, seed=7, count=2000)
 print(f"replicates       : {out['max'].size} "
-      f"({int(out['resample'].sum())} flagged by the iteration guard)")
+      f"({int(out['resample'].sum())} flagged as numerically singular)")
 print(f"mean scaled max  : {float(out['max'].mean()):.5f}")
 print(f"mean scaled min  : {float(out['min'].mean()):.5f}")
 

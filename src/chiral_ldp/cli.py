@@ -307,7 +307,7 @@ def _cmd_matrix(args) -> tuple[OutputRecord, int]:
     if resample_count:
         diags.append(
             f"{resample_count} replicate(s) flagged for resampling "
-            "(iteration did not certify convergence)"
+            "(M was numerically singular: smallest modulus not finite and > 0)"
         )
     if args.summary:
         rows = [

@@ -8,9 +8,9 @@ Two independent routes to the same distributions:
   ``2 sqrt(G_a G_b)`` with independent ``G_a ~ Gamma(j)`` and
   ``G_b ~ Gamma(j+v)``.
 * :func:`matrix_probe_extremes` builds the block matrix from two complex
-  Gaussian rectangles and extracts extreme eigenvalue moduli by power and
-  inverse iteration.  It exists to cross-check the surrogate route against
-  the ensemble itself, so it shares no sampling code with it.
+  Gaussian rectangles and takes its extreme eigenvalue moduli from one
+  batched dense eigensolve.  It exists to cross-check the surrogate route
+  against the ensemble itself, so it shares no sampling code with it.
 
 Every draw is a pure function of ``(seed, stream, replicate index)``.  The
 gamma sampler is pinned (Marsaglia-Tsang with a fixed rejection budget and
@@ -19,14 +19,16 @@ values are stable across numpy versions; Philox is used purely as a
 counter-based uniform source.
 
 :func:`ks_statistic` and :func:`ks_statistic_max` compare a sample with its
-exact law.  They evaluate the exact cdf at every sample point, all points in
-one batch of the gamma-shape ladder (:mod:`chiral_ldp.exact_dist`), so the
-distance is exact, not interpolated from a grid.
+exact law.  They evaluate the exact cdf at every sample point by the
+gamma-shape ladder (:mod:`chiral_ldp.exact_dist`), so the distance is exact,
+not interpolated from a grid.  The ladder runs over blocks of points, so
+memory does not grow with the sample size times the number of indices.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,16 +85,10 @@ class MatrixProbeConfig:
     """
 
     params: EnsembleParams
-    power_iters: int = 500
-    tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.params.n > 64:
             raise ValueError("matrix probe is limited to n <= 64")
-        if self.power_iters < 1:
-            raise ValueError("power_iters must be positive")
-        if not (0.0 < self.tol < 1.0):
-            raise ValueError("tol must lie in (0, 1)")
 
 
 def _uniform_block(seed: int, stream: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -204,59 +200,6 @@ def _complex_rect(
     return z.reshape(count, rows, cols)
 
 
-# A single small step-to-step delta is not convergence: with two nearly tied
-# moduli the norm sequence oscillates, and deltas pass through zero while the
-# error envelope is still large.  Demand a run of consecutive small deltas.
-_CONVERGED_STREAK = 8
-
-
-def _power_iteration(
-    m: np.ndarray, iters: int, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Largest eigenvalue modulus of each matrix in a batch.
-
-    Returns (estimate, converged).  A replicate counts as converged once the
-    relative change of the estimate stays below tol for a streak of
-    consecutive iterations; replicates that never settle within the budget
-    are reported unconverged but keep their final (best) estimate.
-    """
-    count, n, _ = m.shape
-    w = np.ones(n) + 1e-3 * np.arange(n)
-    w = np.broadcast_to(w / np.linalg.norm(w), (count, n)).astype(complex)
-    w = np.ascontiguousarray(w)
-    est = np.zeros(count)
-    streak = np.zeros(count, dtype=int)
-    for _ in range(iters):
-        mw = np.einsum("kij,kj->ki", m, w)
-        nrm = np.linalg.norm(mw, axis=1)
-        small = np.abs(nrm - est) <= tol * np.maximum(nrm, 1e-300)
-        streak = np.where(small, streak + 1, 0)
-        est = nrm
-        if np.all(streak >= _CONVERGED_STREAK):
-            break
-        # nrm = 0 only for the zero matrix, which has measure zero.
-        w = mw / np.maximum(nrm, 1e-300)[:, None]
-    return est, streak >= _CONVERGED_STREAK
-
-
-def _batched_inverse(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Invert a batch of matrices, flagging (not raising on) singular ones."""
-    count, n, _ = m.shape
-    singular = np.zeros(count, dtype=bool)
-    try:
-        return np.linalg.inv(m), singular
-    except np.linalg.LinAlgError:
-        inv = np.empty_like(m)
-        eye = np.eye(n, dtype=m.dtype)
-        for k in range(count):
-            try:
-                inv[k] = np.linalg.inv(m[k])
-            except np.linalg.LinAlgError:
-                inv[k] = eye
-                singular[k] = True
-        return inv, singular
-
-
 def matrix_probe_extremes(
     config: MatrixProbeConfig, seed: int, count: int
 ) -> dict[str, np.ndarray]:
@@ -273,11 +216,12 @@ def matrix_probe_extremes(
     shrinks every squared modulus by 2 and fails the distributional check
     outright, so the convention here is load-bearing, not cosmetic.
 
-    The result carries a ``resample`` flag marking replicates whose power
-    or inverse iteration did not converge within the budget (or whose M was
-    numerically singular, a measure-zero event); flagged entries hold the
-    best available estimate and callers wanting certified values should
-    redraw them under a fresh seed.
+    Every modulus of each replicate comes from one batched dense
+    eigensolve, so there is no iteration to converge.  The result carries a
+    ``resample`` flag marking replicates whose smallest modulus is not
+    finite and > 0, that is whose M was numerically singular (a
+    measure-zero event); callers wanting a usable minimum should redraw
+    those under a fresh seed.
     """
     params = config.params
     n, v = params.n, params.v
@@ -288,22 +232,13 @@ def matrix_probe_extremes(
     q = _complex_rect(u[:, per_block:], n + v, n, 1.0 / (4.0 * n))
     phi = p + q
     psi = p - q
-    m = np.einsum("kij,kil->kjl", psi.conj(), phi)
-
-    if n == 1:
-        mods = np.abs(m[:, 0, 0])
-        top = bottom = mods
-        resample = np.zeros(count, dtype=bool)
-    else:
-        top, conv_top = _power_iteration(m, config.power_iters, config.tol)
-        inv, singular = _batched_inverse(m)
-        inv_top, conv_bot = _power_iteration(inv, config.power_iters, config.tol)
-        bottom = 1.0 / inv_top
-        resample = ~conv_top | ~conv_bot | singular
+    m = np.swapaxes(psi.conj(), 1, 2) @ phi
+    mods = np.abs(np.linalg.eigvals(m))
+    bottom = mods.min(axis=1)
     return {
-        "max": scales.modulus_scale * top,
+        "max": scales.modulus_scale * mods.max(axis=1),
         "min": scales.modulus_scale * bottom,
-        "resample": resample,
+        "resample": ~(np.isfinite(bottom) & (bottom > 0.0)),
     }
 
 
@@ -330,38 +265,48 @@ def _ks_distance(cdf: np.ndarray) -> float:
     return float(max(d_plus, d_minus))
 
 
-def _ks_index(params: EnsembleParams, j: int, y_values: np.ndarray) -> tuple[float, _Tally]:
-    """:func:`ks_statistic` and a tally of the ladder it was computed from."""
-    top = IndexDistribution(params, j).j
-    t = _sorted_sample("y_values", y_values) * (2.0 * params.n)
-    tails = _tails_at(t, params.v, top)
-    return _checked(_ks_distance(np.exp(tails.log_cdf[:, -1])), tails), _tally(tails)
+def _blocked_log_cdf(
+    t: np.ndarray, v: int, top: int, keep: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, _Tally]:
+    """``keep`` of the ladder's log cdfs at each threshold of ``t``, and a
+    tally of the ladder they came from.
 
-
-def _ks_max(params: EnsembleParams, x_values: np.ndarray) -> tuple[float, _Tally]:
-    """:func:`ks_statistic_max` and a tally of the ladder it was computed from.
-
-    The ladder runs over blocks of about _CHUNK_ELEMENTS // n sample points,
-    keeping only each point's sum of log cdfs, so memory does not grow with
-    points times n.  A failure names the first failing point; the count of
-    further failing points in its message covers that point's block.
+    The ladder runs over blocks of about _CHUNK_ELEMENTS // top thresholds,
+    and ``keep`` reduces each block's (threshold, index) log cdfs to one
+    value per threshold, so memory does not grow with thresholds times top.
+    A failure names the first failing threshold; the count of further
+    failing thresholds in its message covers that threshold's block.
     """
-    t = _sorted_sample("x_values", x_values) * derived_scales(params).c
-    block = max(1, _CHUNK_ELEMENTS // params.n)
+    block = max(1, _CHUNK_ELEMENTS // top)
     log_cdf = np.empty(t.size)
     tallies = []
     for start in range(0, t.size, block):
-        tails = _tails_at(t[start : start + block], params.v, params.n)
-        log_cdf[start : start + block] = np.sum(tails.log_cdf, axis=1)
+        tails = _tails_at(t[start : start + block], v, top)
+        log_cdf[start : start + block] = keep(tails.log_cdf)
         tallies.append(_tally(tails))
     tally = _Tally(
         t.size,
-        params.n,
+        top,
         sum(part.cdf_direct for part in tallies),
         max(part.stop for part in tallies),
         max(part.truncation_bound for part in tallies),
         next((part.failure for part in tallies if part.failure is not None), None),
     )
+    return log_cdf, tally
+
+
+def _ks_index(params: EnsembleParams, j: int, y_values: np.ndarray) -> tuple[float, _Tally]:
+    """:func:`ks_statistic` and a tally of the ladder it was computed from."""
+    top = IndexDistribution(params, j).j
+    t = _sorted_sample("y_values", y_values) * (2.0 * params.n)
+    log_cdf, tally = _blocked_log_cdf(t, params.v, top, lambda block: block[:, -1])
+    return _checked(_ks_distance(np.exp(log_cdf)), tally), tally
+
+
+def _ks_max(params: EnsembleParams, x_values: np.ndarray) -> tuple[float, _Tally]:
+    """:func:`ks_statistic_max` and a tally of the ladder it was computed from."""
+    t = _sorted_sample("x_values", x_values) * derived_scales(params).c
+    log_cdf, tally = _blocked_log_cdf(t, params.v, params.n, lambda block: np.sum(block, axis=1))
     return _checked(_ks_distance(np.exp(log_cdf)), tally), tally
 
 
@@ -373,10 +318,10 @@ def ks_statistic(
     """Kolmogorov-Smirnov distance of a ``Y_j`` sample from its exact law.
 
     The exact cdf is evaluated at every sample point by the gamma-shape
-    ladder, all points in one batch, so the distance is exact up to the
-    ladder's rounding, not interpolated.  Raises ``ValueError`` unless
-    ``y_values`` is a nonempty 1-d array of finite values > 0, and
-    :class:`QuadratureError` when the ladder fails at some point.
+    ladder, so the distance is exact up to the ladder's rounding, not
+    interpolated.  Raises ``ValueError`` unless ``y_values`` is a nonempty
+    1-d array of finite values > 0, and :class:`QuadratureError` when the
+    ladder fails at some point.
     """
     return _ks_index(params, j, y_values)[0]
 

@@ -192,16 +192,6 @@ def tau_integral_log(
         return float(c + mp.log(mp.quad(g, pts)))
 
 
-def companion_matrix(roots) -> np.ndarray:
-    """Companion matrix of the monic polynomial with the given roots."""
-    coeffs = np.poly(np.asarray(roots, dtype=complex))
-    n = len(coeffs) - 1
-    m = np.zeros((n, n), dtype=complex)
-    m[0, :] = -coeffs[1:]
-    m[1:, :-1] = np.eye(n - 1)
-    return m
-
-
 def ks_critical(count: int, level: float = 0.001) -> float:
     """One-sample Kolmogorov-Smirnov critical distance at the given level."""
     return math.sqrt(-0.5 * math.log(level / 2.0)) / math.sqrt(count)

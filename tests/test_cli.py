@@ -23,6 +23,7 @@ import pytest
 
 import chiral_ldp.cli as cli_module
 import chiral_ldp.exact_dist as exact_dist
+import chiral_ldp.sampler as sampler
 from chiral_ldp._quad import QuadratureError
 from chiral_ldp.cli import main
 from oracles import ks_critical
@@ -370,6 +371,23 @@ class TestMatrixCommand:
         assert len(notes) == 1
         assert notes[0].startswith("# gamma-shape ladder over indices 1..3 at 200 sample points")
         assert "; reverse sums stopped by index" in notes[0]
+
+    def test_singular_replicates_are_reported(self, monkeypatch):
+        # P = Q in replicate 0 makes its M the zero matrix
+        real = sampler._complex_rect
+
+        def rect(u, rows, cols, var_component):
+            z = real(u, rows, cols, var_component)
+            z[0] = 1.0
+            return z
+
+        monkeypatch.setattr(sampler, "_complex_rect", rect)
+        code, out, err = run_cli(
+            ["matrix", "--n", "3", "--v", "1", "--count", "5", "--seed", "6", "--summary"]
+        )
+        assert code == 0
+        assert int(csv_rows(out)[1][0]["resample_count"]) == 1
+        assert "# 1 replicate(s) flagged for resampling (M was numerically singular" in err
 
 
 class TestConvergeCommand:

@@ -1,9 +1,10 @@
 """Tests for the reproducible samplers and the direct matrix probe.
 
 Distributional checks use one-sample Kolmogorov-Smirnov distances against the
-exact cdf at the sample points (the gamma-shape ladder) at the 0.1% level (1% for the small matrix-probe batch), so a
-false failure is a once-in-a-thousand event under a frozen seed; moment checks
-sit at four standard errors.
+exact cdf at the sample points (the gamma-shape ladder) at the 0.1% level (1%
+for the small matrix-probe batches), so a false failure is a once-in-a-thousand
+event under a frozen seed; moment and binomial checks sit at four standard
+errors.
 """
 
 import math
@@ -16,12 +17,10 @@ import chiral_ldp.exact_dist as exact_dist
 import chiral_ldp.sampler as sampler
 from chiral_ldp._quad import QuadratureError
 from chiral_ldp.core_types import EnsembleParams, derived_scales
-from chiral_ldp.exact_dist import _tails_at, log_prob_max_le
+from chiral_ldp.exact_dist import _tails_at, log_prob_max_le, log_prob_min_le
 from chiral_ldp.sampler import (
     MatrixProbeConfig,
     SampleBatch,
-    _batched_inverse,
-    _power_iteration,
     ks_statistic,
     ks_statistic_max,
     matrix_probe_extremes,
@@ -29,7 +28,7 @@ from chiral_ldp.sampler import (
     sample_yj,
 )
 
-from oracles import companion_matrix, index_cdf_oracle, ks_critical
+from oracles import index_cdf_oracle, ks_critical
 
 # E[2n Y_j] = 2 Gamma(j+1/2) Gamma(j+v+1/2) / (Gamma(j) Gamma(j+v)), and
 # E[(2n Y_j)^2] = 4 j (j+v) from the gamma product representation.
@@ -189,10 +188,14 @@ class TestKsMaxBlocks:
     def test_blocks_match_one_block(self, monkeypatch):
         params = EnsembleParams(3, 1)
         x = self._probe_maxima(params, 400)
-        whole = sampler._ks_max(params, x)
+        y = sample_yj(params, params.n, seed=7, count=400).values
+        whole_max = sampler._ks_max(params, x)
+        whole_index = sampler._ks_index(params, params.n, y)
         # eight blocks of 50 points, each above the float-loop row count
         monkeypatch.setattr(sampler, "_CHUNK_ELEMENTS", 50 * params.n)
-        assert sampler._ks_max(params, x) == whole  # statistic and tally, bit for bit
+        # statistic and tally, bit for bit
+        assert sampler._ks_max(params, x) == whole_max
+        assert sampler._ks_index(params, params.n, y) == whole_index
 
     def test_failure_names_the_first_failing_point(self, monkeypatch):
         params = EnsembleParams(3, 1)
@@ -210,17 +213,22 @@ class TestKsMaxBlocks:
         assert math.isnan(info.value.partial) and info.value.rel_err == math.inf
 
     def test_memory_does_not_grow_with_points_times_n(self):
-        # 2e4 points at n=200 are four blocks; one array over all of them
-        # would take 32 MB, and the unblocked ladder peaked at 165 MB
+        # 2e4 points at n=200 (and j=200) are four blocks; one array over all
+        # of them would take 32 MB, and the unblocked ladder peaked at 165 MB
         params = EnsembleParams(200, 0)
         x = np.random.default_rng(1).uniform(0.9, 1.3, 20_000)
-        tracemalloc.start()
-        try:
-            ks_statistic_max(params, x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * 8 * exact_dist._CHUNK_ELEMENTS
+        y = sample_yj(params, params.n, seed=1, count=20_000).values
+        for statistic in (
+            lambda: ks_statistic_max(params, x),
+            lambda: ks_statistic(params, params.n, y),
+        ):
+            tracemalloc.start()
+            try:
+                statistic()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 12 * 8 * exact_dist._CHUNK_ELEMENTS
 
 
 class TestExtremesIndependent:
@@ -247,40 +255,10 @@ class TestExtremesIndependent:
         assert 1.0 < med < 1.2
 
 
-class TestPowerIteration:
-    def test_matches_companion_spectrum(self):
-        # spectrum chosen with well separated moduli 3, 1.2, 0.4
-        roots = [3.0 * np.exp(0.7j), 1.2 * np.exp(-1.1j), 0.4]
-        m = companion_matrix(roots)[None, :, :]
-        est, conv = _power_iteration(m, 2000, 1e-12)
-        assert bool(conv[0])
-        assert float(est[0]) == pytest.approx(3.0, abs=1e-8)
-
-    def test_inverse_route_reaches_smallest_modulus(self):
-        roots = [3.0 * np.exp(0.7j), 1.2 * np.exp(-1.1j), 0.4]
-        m = companion_matrix(roots)[None, :, :]
-        inv, singular = _batched_inverse(m)
-        assert not singular[0]
-        est, conv = _power_iteration(inv, 2000, 1e-12)
-        assert bool(conv[0])
-        assert 1.0 / float(est[0]) == pytest.approx(0.4, abs=1e-8)
-
-    def test_linear_scaling(self):
-        roots = [3.0 * np.exp(0.7j), 1.2 * np.exp(-1.1j), 0.4]
-        m = companion_matrix(roots)[None, :, :]
-        est, _ = _power_iteration(m, 2000, 1e-12)
-        est4, _ = _power_iteration(4.0 * m, 2000, 1e-12)
-        assert float(est4[0]) == pytest.approx(4.0 * float(est[0]), rel=1e-10)
-
-
 class TestMatrixProbe:
     def test_config_guards(self):
         with pytest.raises(ValueError):
             MatrixProbeConfig(EnsembleParams(65, 0))
-        with pytest.raises(ValueError):
-            MatrixProbeConfig(EnsembleParams(4, 0), power_iters=0)
-        with pytest.raises(ValueError):
-            MatrixProbeConfig(EnsembleParams(4, 0), tol=1.5)
 
     def test_reproducible(self):
         cfg = MatrixProbeConfig(EnsembleParams(3, 1))
@@ -289,6 +267,20 @@ class TestMatrixProbe:
         np.testing.assert_array_equal(a["max"], b["max"])
         np.testing.assert_array_equal(a["min"], b["min"])
         np.testing.assert_array_equal(a["resample"], b["resample"])
+
+    def test_singular_matrix_is_flagged(self, monkeypatch):
+        # P = Q in replicate 1 makes M = conj(P - Q)^T (P + Q) the zero matrix
+        real = sampler._complex_rect
+
+        def rect(u, rows, cols, var_component):
+            z = real(u, rows, cols, var_component)
+            z[1] = 1.0
+            return z
+
+        monkeypatch.setattr(sampler, "_complex_rect", rect)
+        probe = matrix_probe_extremes(MatrixProbeConfig(EnsembleParams(3, 1)), seed=7, count=4)
+        np.testing.assert_array_equal(probe["resample"], [False, True, False, False])
+        assert probe["min"][1] == 0.0 and np.all(probe["min"][[0, 2, 3]] > 0.0)
 
     def test_scalar_case_matches_exact_law(self):
         # n=1, v=0: the probe's |lambda| is the single squared modulus, so
@@ -304,7 +296,20 @@ class TestMatrixProbe:
         # this is the same check at a size that keeps the suite fast
         params = EnsembleParams(3, 1)
         probe = matrix_probe_extremes(MatrixProbeConfig(params), seed=7, count=1500)
-        assert probe["resample"].mean() < 0.2
-        # every replicate counts: dropping flagged ones would bias the law
+        assert not probe["resample"].any()
         mx = probe["max"]
         assert ks_statistic_max(params, mx) < ks_critical(mx.size, level=0.01)
+
+    def test_larger_matrix_extremes_match_product_laws(self):
+        # (20, 3) is well past the scalar case: the max must pass the KS gate
+        # against the product law, and the min must hit exp(log_prob_min_le)
+        # at levels where that probability is about 0.2, 0.5 and 0.8
+        params = EnsembleParams(20, 3)
+        probe = matrix_probe_extremes(MatrixProbeConfig(params), seed=7, count=2000)
+        assert not probe["resample"].any()
+        assert ks_statistic_max(params, probe["max"]) < ks_critical(2000, level=0.01)
+        for level, target in [(0.0377, 0.2), (0.0652, 0.5), (0.0973, 0.8)]:
+            p = math.exp(log_prob_min_le(params, level))
+            assert p == pytest.approx(target, abs=0.01)
+            hit = float(np.mean(probe["min"] <= level))
+            assert abs(hit - p) <= 4.0 * math.sqrt(p * (1.0 - p) / 2000)
