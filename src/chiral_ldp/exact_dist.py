@@ -107,11 +107,6 @@ class IndexDistribution:
         if not 1 <= self.j <= self.params.n:
             raise ValueError(f"index j must lie in [1, n={self.params.n}], got {self.j}")
 
-    @property
-    def power(self) -> float:
-        """Exponent b = 2j + v - 1 of the density's power factor."""
-        return 2.0 * self.j + self.params.v - 1.0
-
 
 class _Sums(NamedTuple):
     """Raw ladder sums for indices 1..top, one row per threshold (log scale)."""

@@ -8,21 +8,28 @@ Two independent routes to the same distributions:
   ``2 sqrt(G_a G_b)`` with independent ``G_a ~ Gamma(j)`` and
   ``G_b ~ Gamma(j+v)``.
 * :func:`matrix_probe_extremes` builds the block matrix from two complex
-  Gaussian rectangles and takes its extreme eigenvalue moduli from one
-  batched dense eigensolve.  It exists to cross-check the surrogate route
-  against the ensemble itself, so it shares no sampling code with it.
+  Gaussian rectangles and takes its extreme eigenvalue moduli from a
+  batched dense eigensolve per block of replicates.  It exists to
+  cross-check the surrogate route against the ensemble itself, so it shares
+  no sampling code with it.
 
 Every draw is a pure function of ``(seed, stream, replicate index)``.  The
 gamma sampler is pinned (Marsaglia-Tsang with a fixed rejection budget and
 Box-Muller normals) instead of delegating to ``Generator.gamma`` so that
 values are stable across numpy versions; Philox is used purely as a
-counter-based uniform source.
+counter-based uniform source.  Each replicate owns a fixed slab of uniforms
+(144 for a ``Y_j``: 24 rounds of 3 per gamma, two gammas), drawn in row
+blocks by consecutive calls on one generator, which yield the same stream as
+one call.  Rejection rounds are evaluated lazily: round r only for the rows
+no earlier round accepted, so a draw costs about one round, not 24.  The
+probe draws its replicates in row blocks the same way.
 
-:func:`ks_statistic` and :func:`ks_statistic_max` compare a sample with its
-exact law.  They evaluate the exact cdf at every sample point by the
-gamma-shape ladder (:mod:`chiral_ldp.exact_dist`), so the distance is exact,
-not interpolated from a grid.  The ladder runs over blocks of points, so
-memory does not grow with the sample size times the number of indices.
+:func:`ks_statistic`, :func:`ks_statistic_max` and :func:`ks_statistic_min`
+compare a sample with its exact law.  They evaluate the exact cdf at every
+sample point by the gamma-shape ladder (:mod:`chiral_ldp.exact_dist`), so
+the distance is exact, not interpolated from a grid.  The ladder runs over
+blocks of points, so memory does not grow with the sample size times the
+number of indices.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .core_types import EnsembleParams, derived_scales
 from .exact_dist import (
     _CHUNK_ELEMENTS,
     IndexDistribution,
+    IndexTails,
     _checked,
     _tails_at,
     _Tally,
@@ -51,12 +59,18 @@ __all__ = [
     "matrix_probe_extremes",
     "ks_statistic",
     "ks_statistic_max",
+    "ks_statistic_min",
 ]
 
-# Rejection rounds per gamma draw.  Acceptance per round exceeds 0.95 for
-# shape >= 1, so 24 rounds leave a failure probability below 1e-30 per draw.
+# Rejection rounds per gamma draw, three uniforms each.  Acceptance per round
+# exceeds 0.95 for shape >= 1, so 24 rounds leave a failure probability below
+# 1e-30 per draw.  Every round keeps its uniforms in the layout, but only the
+# rows still pending evaluate it, so nearly all rows stop after round 0.
 _GAMMA_ROUNDS = 24
-_UNIFORMS_PER_GAMMA = 3 * _GAMMA_ROUNDS
+
+# Rows of uniforms sample_yj draws per block: 2^14 rows of 144 doubles are
+# 18.9 MB, so memory stays flat in the draw count.
+_SAMPLE_BLOCK_ROWS = 2**14
 
 # Stream id offset for the matrix probe, disjoint from index streams 1..n.
 _MATRIX_STREAM = 2**32
@@ -91,17 +105,18 @@ class MatrixProbeConfig:
             raise ValueError("matrix probe is limited to n <= 64")
 
 
-def _uniform_block(seed: int, stream: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Counter-based uniforms in [0, 1), keyed by (seed, stream).
+def _uniform_stream(seed: int, stream: int) -> np.random.Generator:
+    """A Philox generator of counter-based uniforms in [0, 1), keyed by
+    (seed, stream).
 
-    Fills in C order, so row i is a pure function of (seed, stream, i)
-    for any fixed trailing shape: prefixes of longer runs coincide.
+    ``random`` fills in C order and consecutive calls continue one stream,
+    so for a fixed row width row i is a pure function of (seed, stream, i)
+    however the rows are split into calls: prefixes of longer runs coincide.
     """
     if seed < 0 or stream < 0:
         raise ValueError("seed and stream must be nonnegative")
     key = np.array([seed, stream], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random(shape)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,34 +130,39 @@ def _gamma_from_uniforms(shape_a: float, uniforms: np.ndarray) -> np.ndarray:
     """Marsaglia-Tsang Gamma(shape_a) draws, one per row of uniforms.
 
     ``uniforms`` has shape (count, _GAMMA_ROUNDS, 3); the first accepted
-    round per row wins.  Requires shape_a >= 1 (always true here: shapes
-    are j and j + v with j >= 1, v >= 0).
+    round per row wins.  Rounds are evaluated lazily: round r runs only on
+    the rows that rounds 0 .. r-1 rejected, and accepted rows leave the
+    pending set.  Every test is element-wise, so each row's draw is the one
+    an evaluation of all rounds for all rows would pick.  Raises
+    ``RuntimeError`` when a row rejects all rounds.  Requires shape_a >= 1
+    (always true here: shapes are j and j + v with j >= 1, v >= 0).
     """
     if shape_a < 1.0:
         raise ValueError("gamma shape must be >= 1")
     d = shape_a - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
 
-    u1 = uniforms[:, :, 0]
-    u2 = uniforms[:, :, 1]
-    u3 = uniforms[:, :, 2]
-    z, _ = _box_muller(u1, u2)
+    out = np.empty(uniforms.shape[0])
+    pending = np.arange(uniforms.shape[0])
+    for r in range(_GAMMA_ROUNDS):
+        u1, u2, u3 = uniforms[pending, r].T
+        z, _ = _box_muller(u1, u2)
 
-    base = 1.0 + c * z
-    valid = base > 0.0
-    vcube = np.where(valid, base, 1.0) ** 3
-    # Squeeze first, full log test second; both against the same u3.
-    squeeze = u3 < 1.0 - 0.0331 * z**4
-    with np.errstate(divide="ignore"):
-        logu = np.log(np.where(u3 > 0.0, u3, 1.0))
-    full = logu < 0.5 * z**2 + d - d * vcube + d * np.log(vcube)
-    accept = valid & (u3 > 0.0) & (squeeze | full)
+        base = 1.0 + c * z
+        valid = base > 0.0
+        vcube = np.where(valid, base, 1.0) ** 3
+        # Squeeze first, full log test second; both against the same u3.
+        squeeze = u3 < 1.0 - 0.0331 * z**4
+        with np.errstate(divide="ignore"):
+            logu = np.log(np.where(u3 > 0.0, u3, 1.0))
+        full = logu < 0.5 * z**2 + d - d * vcube + d * np.log(vcube)
+        accept = valid & (u3 > 0.0) & (squeeze | full)
 
-    if not np.all(accept.any(axis=1)):
-        raise RuntimeError("gamma rejection budget exhausted")
-    first = np.argmax(accept, axis=1)
-    rows = np.arange(uniforms.shape[0])
-    return d * vcube[rows, first]
+        out[pending[accept]] = d * vcube[accept]
+        pending = pending[~accept]
+        if pending.size == 0:
+            return out
+    raise RuntimeError("gamma rejection budget exhausted")
 
 
 def sample_yj(
@@ -151,17 +171,20 @@ def sample_yj(
     """Draw ``count`` replicates of the surrogate variable ``Y_j``.
 
     Stream ``j`` of ``seed``; extending ``count`` preserves earlier values.
+    Uniforms are drawn in blocks of ``_SAMPLE_BLOCK_ROWS`` rows.
     """
     if not 1 <= j <= params.n:
         raise ValueError("index j must lie in [1, n]")
     if count < 1:
         raise ValueError("count must be positive")
-    u = _uniform_block(seed, j, (count, 2 * _UNIFORMS_PER_GAMMA))
-    ua = u[:, :_UNIFORMS_PER_GAMMA].reshape(count, _GAMMA_ROUNDS, 3)
-    ub = u[:, _UNIFORMS_PER_GAMMA:].reshape(count, _GAMMA_ROUNDS, 3)
-    ga = _gamma_from_uniforms(float(j), ua)
-    gb = _gamma_from_uniforms(float(j + params.v), ub)
-    t = 2.0 * np.sqrt(ga * gb)
+    gen = _uniform_stream(seed, j)
+    t = np.empty(count)
+    for start in range(0, count, _SAMPLE_BLOCK_ROWS):
+        rows = min(_SAMPLE_BLOCK_ROWS, count - start)
+        u = gen.random((rows, 2, _GAMMA_ROUNDS, 3))
+        ga = _gamma_from_uniforms(float(j), u[:, 0])
+        gb = _gamma_from_uniforms(float(j + params.v), u[:, 1])
+        t[start : start + rows] = 2.0 * np.sqrt(ga * gb)
     return SampleBatch(seed=seed, stream=j, count=count, values=t / (2.0 * params.n))
 
 
@@ -216,27 +239,37 @@ def matrix_probe_extremes(
     shrinks every squared modulus by 2 and fails the distributional check
     outright, so the convention here is load-bearing, not cosmetic.
 
-    Every modulus of each replicate comes from one batched dense
+    Every modulus of each replicate comes from a batched dense
     eigensolve, so there is no iteration to converge.  The result carries a
     ``resample`` flag marking replicates whose smallest modulus is not
     finite and > 0, that is whose M was numerically singular (a
     measure-zero event); callers wanting a usable minimum should redraw
     those under a fresh seed.
+
+    Replicates are drawn and solved in blocks of about
+    ``_CHUNK_ELEMENTS`` uniforms, so memory does not grow with ``count``.
     """
     params = config.params
     n, v = params.n, params.v
     scales = derived_scales(params)
-    per_block = 2 * (n + v) * n
-    u = _uniform_block(seed, _MATRIX_STREAM, (count, 2 * per_block))
-    p = _complex_rect(u[:, :per_block], n + v, n, 1.0 / (4.0 * n))
-    q = _complex_rect(u[:, per_block:], n + v, n, 1.0 / (4.0 * n))
-    phi = p + q
-    psi = p - q
-    m = np.swapaxes(psi.conj(), 1, 2) @ phi
-    mods = np.abs(np.linalg.eigvals(m))
-    bottom = mods.min(axis=1)
+    per_rect = 2 * (n + v) * n
+    block = max(1, _CHUNK_ELEMENTS // (2 * per_rect))
+    gen = _uniform_stream(seed, _MATRIX_STREAM)
+    top = np.empty(count)
+    bottom = np.empty(count)
+    for start in range(0, count, block):
+        rows = min(block, count - start)
+        u = gen.random((rows, 2 * per_rect))
+        p = _complex_rect(u[:, :per_rect], n + v, n, 1.0 / (4.0 * n))
+        q = _complex_rect(u[:, per_rect:], n + v, n, 1.0 / (4.0 * n))
+        phi = p + q
+        psi = p - q
+        m = np.swapaxes(psi.conj(), 1, 2) @ phi
+        mods = np.abs(np.linalg.eigvals(m))
+        top[start : start + rows] = mods.max(axis=1)
+        bottom[start : start + rows] = mods.min(axis=1)
     return {
-        "max": scales.modulus_scale * mods.max(axis=1),
+        "max": scales.modulus_scale * top,
         "min": scales.modulus_scale * bottom,
         "resample": ~(np.isfinite(bottom) & (bottom > 0.0)),
     }
@@ -266,23 +299,24 @@ def _ks_distance(cdf: np.ndarray) -> float:
 
 
 def _blocked_log_cdf(
-    t: np.ndarray, v: int, top: int, keep: Callable[[np.ndarray], np.ndarray]
+    t: np.ndarray, v: int, top: int, keep: Callable[[IndexTails], np.ndarray]
 ) -> tuple[np.ndarray, _Tally]:
-    """``keep`` of the ladder's log cdfs at each threshold of ``t``, and a
+    """``keep`` of the ladder's tails at each threshold of ``t``, and a
     tally of the ladder they came from.
 
     The ladder runs over blocks of about _CHUNK_ELEMENTS // top thresholds,
-    and ``keep`` reduces each block's (threshold, index) log cdfs to one
-    value per threshold, so memory does not grow with thresholds times top.
+    and ``keep`` reduces each block's (threshold, index) log tails, of the
+    side it chooses, to one log value per threshold, so memory does not grow
+    with thresholds times top.
     A failure names the first failing threshold; the count of further
     failing thresholds in its message covers that threshold's block.
     """
     block = max(1, _CHUNK_ELEMENTS // top)
-    log_cdf = np.empty(t.size)
+    kept = np.empty(t.size)
     tallies = []
     for start in range(0, t.size, block):
         tails = _tails_at(t[start : start + block], v, top)
-        log_cdf[start : start + block] = keep(tails.log_cdf)
+        kept[start : start + block] = keep(tails)
         tallies.append(_tally(tails))
     tally = _Tally(
         t.size,
@@ -292,22 +326,33 @@ def _blocked_log_cdf(
         max(part.truncation_bound for part in tallies),
         next((part.failure for part in tallies if part.failure is not None), None),
     )
-    return log_cdf, tally
+    return kept, tally
 
 
 def _ks_index(params: EnsembleParams, j: int, y_values: np.ndarray) -> tuple[float, _Tally]:
     """:func:`ks_statistic` and a tally of the ladder it was computed from."""
     top = IndexDistribution(params, j).j
     t = _sorted_sample("y_values", y_values) * (2.0 * params.n)
-    log_cdf, tally = _blocked_log_cdf(t, params.v, top, lambda block: block[:, -1])
+    log_cdf, tally = _blocked_log_cdf(t, params.v, top, lambda tails: tails.log_cdf[:, -1])
     return _checked(_ks_distance(np.exp(log_cdf)), tally), tally
 
 
 def _ks_max(params: EnsembleParams, x_values: np.ndarray) -> tuple[float, _Tally]:
     """:func:`ks_statistic_max` and a tally of the ladder it was computed from."""
     t = _sorted_sample("x_values", x_values) * derived_scales(params).c
-    log_cdf, tally = _blocked_log_cdf(t, params.v, params.n, lambda block: np.sum(block, axis=1))
+    log_cdf, tally = _blocked_log_cdf(
+        t, params.v, params.n, lambda tails: np.sum(tails.log_cdf, axis=1)
+    )
     return _checked(_ks_distance(np.exp(log_cdf)), tally), tally
+
+
+def _ks_min(params: EnsembleParams, x_values: np.ndarray) -> tuple[float, _Tally]:
+    """:func:`ks_statistic_min` and a tally of the ladder it was computed from."""
+    t = _sorted_sample("x_values", x_values) * derived_scales(params).c
+    log_sf, tally = _blocked_log_cdf(
+        t, params.v, params.n, lambda tails: np.sum(tails.log_sf, axis=1)
+    )
+    return _checked(_ks_distance(-np.expm1(log_sf)), tally), tally
 
 
 def ks_statistic(
@@ -338,3 +383,17 @@ def ks_statistic_max(
     Input checks and failures as in :func:`ks_statistic`.
     """
     return _ks_max(params, x_values)[0]
+
+
+def ks_statistic_min(
+    params: EnsembleParams,
+    x_values: np.ndarray,
+) -> float:
+    """Kolmogorov-Smirnov distance of a min-statistic sample from its law.
+
+    ``x_values`` are scaled minima ``sqrt(n/(n+v)) min_j |zeta_j|^2``.  The
+    exact cdf ``1 - prod_j P(X_j >= x)``, evaluated as
+    ``-expm1(sum_j log P(X_j >= x))``, is taken at every sample point by the
+    gamma-shape ladder.  Input checks and failures as in :func:`ks_statistic`.
+    """
+    return _ks_min(params, x_values)[0]

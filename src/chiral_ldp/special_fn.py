@@ -1,5 +1,4 @@
-"""Log-space special functions: log Gamma and the per-index normalizing
-constant log Z_j.
+"""The per-index normalizing constant log Z_j, in log space.
 
 Bessel K values are not computed here: the exact layer takes K_0 .. K_{v+1}
 from ``scipy.special.kve`` and a ratio recurrence (:mod:`.exact_dist`).
@@ -12,18 +11,9 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-__all__ = ["log_gamma", "log_Zj"]
+__all__ = ["log_Zj"]
 
 _LOG2 = math.log(2.0)
-
-
-def log_gamma(x):
-    """log Gamma(x) for x > 0, full double accuracy (vectorized)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("log_gamma requires x > 0")
-    out = gammaln(x)
-    return float(out) if out.ndim == 0 else out
 
 
 def log_Zj(j, v: float) -> np.ndarray | float:

@@ -8,6 +8,10 @@ minimizers from interval bisection, and matrix spectra from companion
 matrices with chosen roots.  Headline constants frozen into the test files
 were produced by these routines at >= 30 significant digits.
 
+The eager surrogate sampler at the end is the sampler's byte-identity
+oracle: it draws every uniform of a batch at once and runs every rejection
+round for every row, as the sampler did before it went lazy.
+
 Validation of the Bessel oracle (one-off, recorded here): it matches
 mpmath.besselk to full working precision on a 14-point matrix spanning
 v in [0, 1000], x in [1e-3, 1e5], matches scipy.special.kve at
@@ -53,12 +57,6 @@ def log_kv_oracle(v: float, x: float, dps: int = 30) -> float:
 
         val = mp.quad(g, [lo, (lo + t0) / 2, t0, (t0 + hi) / 2, hi])
         return float(c + mp.log(val))
-
-
-def log_gamma_oracle(z: float, dps: int = 30) -> float:
-    """log Gamma(z) via mpmath."""
-    with mp.workdps(dps):
-        return float(mp.loggamma(mp.mpf(z)))
 
 
 def log_zj_oracle(j: int, v: int, dps: int = 30) -> float:
@@ -195,3 +193,40 @@ def tau_integral_log(
 def ks_critical(count: int, level: float = 0.001) -> float:
     """One-sample Kolmogorov-Smirnov critical distance at the given level."""
     return math.sqrt(-0.5 * math.log(level / 2.0)) / math.sqrt(count)
+
+
+# Marsaglia-Tsang rejection rounds per gamma draw, three uniforms each.
+_GAMMA_ROUNDS = 24
+
+
+def _eager_gamma(shape_a: float, uniforms: np.ndarray) -> np.ndarray:
+    """Gamma(shape_a) draws, one per row of the (count, 24, 3) uniforms:
+    every round is evaluated for every row and the first accepted wins."""
+    d = shape_a - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    u1 = uniforms[:, :, 0]
+    u2 = uniforms[:, :, 1]
+    u3 = uniforms[:, :, 2]
+    z = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
+    base = 1.0 + c * z
+    valid = base > 0.0
+    vcube = np.where(valid, base, 1.0) ** 3
+    squeeze = u3 < 1.0 - 0.0331 * z**4
+    with np.errstate(divide="ignore"):
+        logu = np.log(np.where(u3 > 0.0, u3, 1.0))
+    full = logu < 0.5 * z**2 + d - d * vcube + d * np.log(vcube)
+    accept = valid & (u3 > 0.0) & (squeeze | full)
+    if not np.all(accept.any(axis=1)):
+        raise RuntimeError("gamma rejection budget exhausted")
+    first = np.argmax(accept, axis=1)
+    return d * vcube[np.arange(uniforms.shape[0]), first]
+
+
+def eager_sample_yj(n: int, v: int, j: int, seed: int, count: int) -> np.ndarray:
+    """Values of ``sample_yj(EnsembleParams(n, v), j, seed, count)`` from one
+    (count, 144) array of Philox uniforms keyed by (seed, j)."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
+    u = gen.random((count, 6 * _GAMMA_ROUNDS))
+    ga = _eager_gamma(float(j), u[:, : 3 * _GAMMA_ROUNDS].reshape(count, _GAMMA_ROUNDS, 3))
+    gb = _eager_gamma(float(j + v), u[:, 3 * _GAMMA_ROUNDS :].reshape(count, _GAMMA_ROUNDS, 3))
+    return 2.0 * np.sqrt(ga * gb) / (2.0 * n)

@@ -73,10 +73,6 @@ CDF_ORACLE_PINS = {
 
 
 class TestIndexDistribution:
-    def test_power_exponent(self):
-        dist = IndexDistribution(EnsembleParams(6, 3), 4)
-        assert dist.power == 2 * 4 + 3 - 1
-
     @pytest.mark.parametrize("j", [0, -1, 7])
     def test_index_out_of_range(self, j):
         with pytest.raises(ValueError):

@@ -23,12 +23,13 @@ from chiral_ldp.sampler import (
     SampleBatch,
     ks_statistic,
     ks_statistic_max,
+    ks_statistic_min,
     matrix_probe_extremes,
     sample_extremes_independent,
     sample_yj,
 )
 
-from oracles import index_cdf_oracle, ks_critical
+from oracles import eager_sample_yj, index_cdf_oracle, ks_critical
 
 # E[2n Y_j] = 2 Gamma(j+1/2) Gamma(j+v+1/2) / (Gamma(j) Gamma(j+v)), and
 # E[(2n Y_j)^2] = 4 j (j+v) from the gamma product representation.
@@ -79,6 +80,64 @@ class TestDeterminism:
         base = sample_yj(params, 3, seed=42, count=64).values
         assert not np.array_equal(base, sample_yj(params, 2, seed=42, count=64).values)
         assert not np.array_equal(base, sample_yj(params, 3, seed=43, count=64).values)
+
+
+class TestLazyRounds:
+    """The lazy, row-blocked sampler draws what the eager one drew, byte for
+    byte: every uniform from one array, every round for every row."""
+
+    BLOCK = sampler._SAMPLE_BLOCK_ROWS
+
+    # gamma shapes (j, j + v) of 1, 3 and 5, 10, 1000, and 3 with 1000
+    @pytest.mark.parametrize(
+        "n,v,j,seed",
+        [(1, 0, 1, 0), (5, 2, 3, 7), (10, 0, 10, 42), (1000, 0, 1000, 11), (3, 997, 3, 20240817)],
+    )
+    def test_sample_yj_matches_eager_oracle(self, n, v, j, seed):
+        eager = eager_sample_yj(n, v, j, seed, self.BLOCK + 1)
+        for count in (1, self.BLOCK, self.BLOCK + 1):
+            lazy = sample_yj(EnsembleParams(n, v), j, seed, count).values
+            assert lazy.tobytes() == eager[:count].tobytes(), count
+
+    @pytest.mark.parametrize("n,v,j,seed", [(5, 2, 3, 3), (4, 1, 2, 9)])
+    def test_many_blocks_match_eager_oracle(self, n, v, j, seed):
+        lazy = sample_yj(EnsembleParams(n, v), j, seed, 50_000).values
+        assert lazy.tobytes() == eager_sample_yj(n, v, j, seed, 50_000).tobytes()
+
+    def test_extremes_match_eager_oracle(self, monkeypatch):
+        params = EnsembleParams(4, 1)
+        lazy = sample_extremes_independent(params, seed=5, count=self.BLOCK + 1)
+
+        def eager(params, j, seed, count):
+            values = eager_sample_yj(params.n, params.v, j, seed, count)
+            return SampleBatch(seed=seed, stream=j, count=count, values=values)
+
+        # the extremes take their draws through the module's sample_yj
+        monkeypatch.setattr(sampler, "sample_yj", eager)
+        want = sample_extremes_independent(params, seed=5, count=self.BLOCK + 1)
+        assert lazy["max"].tobytes() == want["max"].tobytes()
+        assert lazy["min"].tobytes() == want["min"].tobytes()
+
+    def test_memory_stays_flat_in_the_draw_count(self):
+        # one (2e5, 144) array of uniforms alone would take 230 MB
+        tracemalloc.start()
+        try:
+            sample_yj(EnsembleParams(5, 2), 3, seed=1, count=200_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_exhausted_rejection_budget_raises(self):
+        # u1 = 0.999 and u2 = 0.5 give z = -3.72, so base = 1 + z / sqrt(6) < 0
+        # at shape 1 and every round of the second row is invalid
+        uniforms = np.full((3, sampler._GAMMA_ROUNDS, 3), [0.999, 0.5, 0.5])
+        uniforms[[0, 2], 5] = [0.3, 0.1, 0.5]  # rows 0 and 2 accept in round 5
+        with pytest.raises(RuntimeError, match="rejection budget exhausted"):
+            sampler._gamma_from_uniforms(1.0, uniforms)
+        uniforms[1, -1] = [0.3, 0.1, 0.5]  # ... and row 1 in the last round
+        draws = sampler._gamma_from_uniforms(1.0, uniforms)
+        assert np.all(draws == draws[0]) and draws[0] > 0.0
 
 
 class TestDistribution:
@@ -231,6 +290,31 @@ class TestKsMaxBlocks:
             assert peak < 12 * 8 * exact_dist._CHUNK_ELEMENTS
 
 
+class TestProbeBlocks:
+    """matrix_probe_extremes draws and solves its replicates in blocks."""
+
+    @pytest.mark.parametrize("n,v,count,rows", [(3, 1, 50, 7), (20, 3, 60, 16)])
+    def test_blocks_match_one_block(self, monkeypatch, n, v, count, rows):
+        config = MatrixProbeConfig(EnsembleParams(n, v))
+        whole = matrix_probe_extremes(config, seed=7, count=count)
+        monkeypatch.setattr(sampler, "_CHUNK_ELEMENTS", rows * 4 * n * (n + v) + 1)
+        blocked = matrix_probe_extremes(config, seed=7, count=count)
+        for key in ("max", "min", "resample"):
+            assert blocked[key].tobytes() == whole[key].tobytes(), key
+
+    def test_memory_does_not_grow_with_replicates(self):
+        # 500 replicates at (2, 1000) are eight blocks; drawn at once they
+        # peaked at 112 MB
+        config = MatrixProbeConfig(EnsembleParams(2, 1000))
+        tracemalloc.start()
+        try:
+            matrix_probe_extremes(config, seed=7, count=500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * exact_dist._CHUNK_ELEMENTS
+
+
 class TestExtremesIndependent:
     def test_single_index_extremes_coincide(self):
         ext = sample_extremes_independent(EnsembleParams(1, 2), seed=3, count=100)
@@ -309,6 +393,27 @@ class TestMatrixProbe:
         assert not probe["resample"].any()
         assert ks_statistic_max(params, probe["max"]) < ks_critical(2000, level=0.01)
         for level, target in [(0.0377, 0.2), (0.0652, 0.5), (0.0973, 0.8)]:
+            p = math.exp(log_prob_min_le(params, level))
+            assert p == pytest.approx(target, abs=0.01)
+            hit = float(np.mean(probe["min"] <= level))
+            assert abs(hit - p) <= 4.0 * math.sqrt(p * (1.0 - p) / 2000)
+
+    # levels where exp(log_prob_min_le) is about 0.2, 0.5 and 0.8
+    @pytest.mark.parametrize(
+        "n,v,levels",
+        [
+            (16, 16, ((0.0802, 0.2), (0.134, 0.5), (0.191, 0.8))),  # v / n = 1
+            (8, 400, ((0.158, 0.2), (0.261, 0.5), (0.369, 0.8))),  # v >> n
+        ],
+        ids=["alpha-1", "v-much-larger"],
+    )
+    def test_extremes_match_product_laws_across_v_regimes(self, n, v, levels):
+        # all replicates, never filtered on the resample flag
+        params = EnsembleParams(n, v)
+        probe = matrix_probe_extremes(MatrixProbeConfig(params), seed=7, count=2000)
+        assert ks_statistic_max(params, probe["max"]) < ks_critical(2000, level=0.01)
+        assert ks_statistic_min(params, probe["min"]) < ks_critical(2000, level=0.01)
+        for level, target in levels:
             p = math.exp(log_prob_min_le(params, level))
             assert p == pytest.approx(target, abs=0.01)
             hit = float(np.mean(probe["min"] <= level))

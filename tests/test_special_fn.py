@@ -1,34 +1,11 @@
-"""Log-space Gamma and the density normalizer Z_j."""
+"""The density normalizer Z_j."""
 
 import math
 
-import numpy as np
 import pytest
 
-from chiral_ldp.special_fn import log_gamma, log_Zj
-from oracles import log_gamma_oracle, log_zj_oracle
-
-
-class TestLogGamma:
-    def test_pinned_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-        # Gamma(11) = 10!, an exact integer
-        assert log_gamma(11.0) == pytest.approx(15.104412573075515295, rel=1e-15)
-
-    def test_accuracy_grid(self):
-        """|log_gamma(z) - log Gamma(z)| <= 1e-13 (1 + |log Gamma(z)|)."""
-        rng = np.random.default_rng(42)
-        zs = 10.0 ** rng.uniform(-3, 4, size=300)
-        for z in zs:
-            ref = log_gamma_oracle(float(z))
-            assert abs(float(log_gamma(float(z))) - ref) <= 1e-13 * (1.0 + abs(ref))
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-2.5)
+from chiral_ldp.special_fn import log_Zj
+from oracles import log_zj_oracle
 
 
 class TestLogZj:
