@@ -27,22 +27,18 @@ from .asymptotics_lab import (
 )
 from .core_types import (
     LOG_ZERO,
-    AlphaRegime,
     Direction,
     EnsembleParams,
     Scales,
     Statistic,
     TailQuery,
-    alpha_of,
     centering_a,
     centering_a_consistent,
-    classify_alpha,
     derived_scales,
     gumbel_cdf,
     gumbel_sf,
 )
 from .exact_dist import (
-    IndexDistribution,
     IndexTails,
     QuadratureError,
     index_tails,
@@ -93,14 +89,12 @@ from .verification import CheckResult, all_passed, check_names, run_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaRegime",
     "AsymptoticPrediction",
     "CheckResult",
     "CltRow",
     "ConvergenceRow",
     "Direction",
     "EnsembleParams",
-    "IndexDistribution",
     "IndexTails",
     "LOG_ZERO",
     "MaSums",
@@ -116,12 +110,10 @@ __all__ = [
     "TailQuery",
     "TauParams",
     "all_passed",
-    "alpha_of",
     "bracket_xj",
     "centering_a",
     "centering_a_consistent",
     "check_names",
-    "classify_alpha",
     "clt_check",
     "converge_table",
     "derived_scales",

@@ -25,6 +25,7 @@ from .core_types import (
     Direction,
     centering_a,
     centering_a_consistent,
+    check_index,
     derived_scales,
     gumbel_sf,
 )
@@ -152,11 +153,6 @@ def _guard_bounded(params: EnsembleParams, a: float) -> float:
     return ca
 
 
-def _check_index(params: EnsembleParams, j: int) -> None:
-    if not 1 <= j <= params.n:
-        raise ValueError("index j must lie in [1, n]")
-
-
 def _bulk_term(n: int, j: int, a: float) -> float:
     # -2j log(j/(na)) + 2j - 2na
     return -2.0 * j * math.log(j / (n * a)) + 2.0 * j - 2.0 * n * a
@@ -171,7 +167,7 @@ def predict_log_sf_bounded_v(
     their mass above it, so the prediction is 0; below it the tail costs
     -2j log(j/(na)) + 2j - 2na.
     """
-    _check_index(params, j)
+    check_index(params, j)
     ca = _guard_bounded(params, a)
     if 2 * j + params.v - 0.5 > ca:
         return AsymptoticPrediction(value=0.0, correction_class=CLASS_LOG_N)
@@ -188,7 +184,7 @@ def predict_log_cdf_bounded_v(
     Mirror of the survival predictor with the branches swapped and the
     index cutoff shifted to 2j + v - 5/2.
     """
-    _check_index(params, j)
+    check_index(params, j)
     ca = _guard_bounded(params, a)
     if 2 * j + params.v - 2.5 > ca:
         return AsymptoticPrediction(
@@ -229,7 +225,7 @@ def predict_log_sf_large_v(
     threshold below it leaves the mode in the tail (prediction 0), one
     above it costs the saddle value.
     """
-    _check_index(params, j)
+    check_index(params, j)
     z = _guard_large(params, a)
     if z > minimizer_xj(TauParams(j=j, v=float(params.v))):
         return AsymptoticPrediction(
@@ -242,7 +238,7 @@ def predict_log_cdf_large_v(
     params: EnsembleParams, j: int, a: float
 ) -> AsymptoticPrediction:
     """Predicted log P(X_j <= a) in the large-v regime (branches swapped)."""
-    _check_index(params, j)
+    check_index(params, j)
     z = _guard_large(params, a)
     if z > minimizer_xj(TauParams(j=j, v=float(params.v))):
         return AsymptoticPrediction(value=0.0, correction_class=CLASS_LOG_N)

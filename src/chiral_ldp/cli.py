@@ -19,14 +19,14 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence, TextIO
 
 import numpy as np
 
 from ._quad import QuadratureError
 from .asymptotics_lab import THEOREM_TAGS, clt_check, converge_table
-from .core_types import Direction, EnsembleParams, Statistic, TailQuery, classify_alpha
+from .core_types import Direction, EnsembleParams, Statistic, TailQuery, check_alpha
 from .exact_dist import _tally, _Tally, index_tails, log_prob_from_tails
 from .rate_functions import (
     MdpMinRegime,
@@ -127,29 +127,23 @@ def _emit(record: OutputRecord, fmt: str, out: TextIO, err: TextIO) -> None:
 
 
 def _parse_alpha(text: str) -> float:
-    lowered = text.strip().lower()
-    if lowered in ("inf", "infinity"):
-        return math.inf
     try:
-        value = float(lowered)
+        value = float(text)
     except ValueError:
         raise ValueError(f"alpha must be a number, '0', or 'inf', got {text!r}")
-    if value < 0.0:
-        raise ValueError("alpha must be >= 0")
-    return value
+    return check_alpha(value)
 
 
 def _cmd_rate(args) -> tuple[OutputRecord, int]:
     alpha = _parse_alpha(args.alpha)
     x = args.x
-    regime = classify_alpha(alpha)
     params = {"alpha": args.alpha, "x": x, "which": args.which}
     if args.which == "max-right":
-        ev = rate_max_right(regime, x)
+        ev = rate_max_right(alpha, x)
     elif args.which == "max-left":
-        ev = rate_max_left(regime, x)
+        ev = rate_max_left(alpha, x)
     elif args.which == "min-right":
-        ev = rate_min_right(regime, x)
+        ev = rate_min_right(alpha, x)
     else:
         ev = None
     if ev is not None:
@@ -165,9 +159,9 @@ def _cmd_rate(args) -> tuple[OutputRecord, int]:
         diags = [f"warning: {ev.warning}"] if ev.warning else []
         return OutputRecord("rate", params, [row], diags), 0
     if args.which == "mdp-max-right":
-        value, branch = mdp_max_right_const(regime) * x * x, "mdp_speed_n_l2"
+        value, branch = mdp_max_right_const(alpha) * x * x, "mdp_speed_n_l2"
     elif args.which == "mdp-max-left":
-        value, branch = mdp_max_left_const(regime) * x**3, "mdp_speed_n2_l3"
+        value, branch = mdp_max_left_const(alpha) * x**3, "mdp_speed_n2_l3"
     elif args.which == "mdp-min-small-v":
         value, branch = mdp_min_rate(MdpMinRegime.SMALL_V, x), "mdp_speed_n2_l2"
     elif args.which == "mdp-min-vscale":
@@ -376,46 +370,12 @@ def _cmd_converge(args) -> tuple[OutputRecord, int]:
         pairs = grid if grid is not None else ((2000, 0),)
         if args.x is not None:
             diags.append("--x is ignored for the clt experiment (levels are derived)")
-        rows = []
-        for n, v in pairs:
-            for r in clt_check(n, v):
-                rows.append(
-                    {
-                        "theorem": "clt",
-                        "n": r.n,
-                        "v": r.v,
-                        "y": r.y,
-                        "g_arg": r.g_arg,
-                        "exact": r.exact,
-                        "target": r.target,
-                        "abs_gap": r.abs_gap,
-                        "target_display": r.target_display,
-                        "abs_gap_display": r.abs_gap_display,
-                    }
-                )
-        return OutputRecord("converge", params, rows, diags), 0
-    table = converge_table(args.theorem, grid=grid, x=args.x)
-    rows = []
-    for r in table:
-        if r.note:
-            diags.append(f"(n={r.n}, v={r.v}): {r.note}")
-        rows.append(
-            {
-                "theorem": args.theorem,
-                "n": r.n,
-                "v": r.v,
-                "x": r.x,
-                "l": r.l,
-                "scaling": r.scaling,
-                "exact": r.exact,
-                "predicted": r.predicted,
-                "rate_target": r.rate_target,
-                "scaled_gap": r.scaled_gap,
-                "alt_rate_target": r.alt_rate_target,
-                "alt_scaled_gap": r.alt_scaled_gap,
-                "note": r.note,
-            }
-        )
+        table = [r for n, v in pairs for r in clt_check(n, v)]
+    else:
+        table = converge_table(args.theorem, grid=grid, x=args.x)
+        diags += [f"(n={r.n}, v={r.v}): {r.note}" for r in table if r.note]
+    # the field order of CltRow and ConvergenceRow is the column order
+    rows = [{"theorem": args.theorem, **asdict(r)} for r in table]
     return OutputRecord("converge", params, rows, diags), 0
 
 

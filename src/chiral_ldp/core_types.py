@@ -7,8 +7,8 @@ Everything downstream works with the scaled squared modulus
 where the Y_j are the independent per-index variables of the squared-modulus
 decomposition.  This module owns the ensemble parameters, the scale constants
 that convert between the X scale and the integration variable t = 2*n*y, the
-alpha regime classification (v/n -> 0, finite, or infinity), tail-query
-descriptors, and the small log-space helpers shared by every other module.
+guards on alpha = lim v/n and on the index j, tail-query descriptors, and the
+small log-space helpers shared by every other module.
 
 Probabilities are carried as natural logarithms throughout; log 0 is the
 sentinel ``-inf`` and is propagated by ordinary float arithmetic.
@@ -24,16 +24,11 @@ __all__ = [
     "LOG_ZERO",
     "EnsembleParams",
     "Scales",
-    "AlphaRegime",
     "Statistic",
     "Direction",
     "TailQuery",
     "derived_scales",
-    "alpha_of",
-    "classify_alpha",
     "log1mexp",
-    "log_add",
-    "log_sum",
     "centering_a",
     "centering_a_consistent",
     "gumbel_cdf",
@@ -81,11 +76,6 @@ class Scales:
     s: float
     modulus_scale: float
 
-    @property
-    def centering_defined(self) -> bool:
-        """Whether the centering sequence a(s) makes sense (needs s > 1)."""
-        return self.s > 1.0
-
 
 def derived_scales(params: EnsembleParams) -> Scales:
     """Compute the scale constants for the given parameters."""
@@ -97,77 +87,25 @@ def derived_scales(params: EnsembleParams) -> Scales:
     )
 
 
-class _RegimeKind(enum.Enum):
-    ZERO = "zero"
-    FINITE = "finite"
-    INFINITY = "infinity"
+def check_alpha(alpha) -> float:
+    """``float(alpha)`` for an alpha = lim v/n in [0, inf].
 
-
-@dataclass(frozen=True)
-class AlphaRegime:
-    """Limit regime of v/n: exactly zero, a finite positive value, or infinity."""
-
-    kind: _RegimeKind
-    value: float
-
-    @staticmethod
-    def zero() -> "AlphaRegime":
-        return AlphaRegime(_RegimeKind.ZERO, 0.0)
-
-    @staticmethod
-    def finite(value: float) -> "AlphaRegime":
-        if not (0.0 < value < math.inf):
-            raise ValueError(f"finite alpha must lie in (0, inf), got {value}")
-        return AlphaRegime(_RegimeKind.FINITE, float(value))
-
-    @staticmethod
-    def infinity() -> "AlphaRegime":
-        return AlphaRegime(_RegimeKind.INFINITY, math.inf)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind is _RegimeKind.ZERO
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind is _RegimeKind.FINITE
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.kind is _RegimeKind.INFINITY
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        if self.is_infinity:
-            return "inf"
-        return repr(self.value)
-
-
-def alpha_of(params: EnsembleParams) -> float:
-    """Pre-limit ratio v/n used when tagging finite-size experiments."""
-    return params.v / params.n
-
-
-def classify_alpha(alpha: float | str) -> AlphaRegime:
-    """Classify an alpha value (or the strings "0" / "inf") into its regime."""
-    if isinstance(alpha, str):
-        text = alpha.strip().lower()
-        if text in ("0", "0.0", "zero"):
-            return AlphaRegime.zero()
-        if text in ("inf", "infinity", "oo"):
-            return AlphaRegime.infinity()
-        alpha = float(text)
+    The three regimes are plain floats: ``0.0``, a finite positive value,
+    or ``math.inf``.  Raises ``ValueError`` for NaN or a negative value.
+    """
     alpha = float(alpha)
     if math.isnan(alpha):
         raise ValueError("alpha must not be NaN")
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if alpha == 0.0:
-        return AlphaRegime.zero()
-    if math.isinf(alpha):
-        return AlphaRegime.infinity()
-    return AlphaRegime.finite(alpha)
+    return alpha
+
+
+def check_index(params: EnsembleParams, j: int) -> int:
+    """``j`` when it indexes one of the n variables X_1 .. X_n, else raise."""
+    if not 1 <= j <= params.n:
+        raise ValueError(f"index j must lie in [1, n], got j = {j} with n = {params.n}")
+    return j
 
 
 class Statistic(enum.Enum):
@@ -213,24 +151,6 @@ def log1mexp(log_p: float) -> float:
     if log_p > -math.log(2.0):
         return math.log(-math.expm1(log_p))
     return math.log1p(-math.exp(log_p))
-
-
-def log_add(log_a: float, log_b: float) -> float:
-    """log(exp(log_a) + exp(log_b)) without overflow."""
-    if log_a == LOG_ZERO:
-        return log_b
-    if log_b == LOG_ZERO:
-        return log_a
-    hi, lo = (log_a, log_b) if log_a >= log_b else (log_b, log_a)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
-def log_sum(log_terms) -> float:
-    """log of the sum of exp(term) over an iterable, in the order given."""
-    total = LOG_ZERO
-    for term in log_terms:
-        total = log_add(total, term)
-    return total
 
 
 def centering_a(y: float) -> float:

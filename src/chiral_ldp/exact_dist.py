@@ -50,7 +50,6 @@ evaluate the exact cdf at every sample point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -62,12 +61,12 @@ from .core_types import (
     EnsembleParams,
     Statistic,
     TailQuery,
+    check_index,
     derived_scales,
     log1mexp,
 )
 
 __all__ = [
-    "IndexDistribution",
     "IndexTails",
     "index_tails",
     "log_sf_index",
@@ -93,19 +92,6 @@ _CHUNK_ELEMENTS = 1_000_000
 # as vectors; below it a float loop per row is faster (at v = 1e4 the two
 # cost the same near 32 rows).
 _VECTOR_ROWS = 32
-
-
-@dataclass(frozen=True)
-class IndexDistribution:
-    """One member of the independent family on the t scale:
-    density t^{2j+v-1} K_v(t) / Z_j."""
-
-    params: EnsembleParams
-    j: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.j <= self.params.n:
-            raise ValueError(f"index j must lie in [1, n={self.params.n}], got {self.j}")
 
 
 class _Sums(NamedTuple):
@@ -494,7 +480,7 @@ def _threshold(params: EnsembleParams, x: float) -> float:
 def index_tails(params: EnsembleParams, x: float, top: int | None = None) -> IndexTails:
     """Tails of X_1 .. X_top at level x (top defaults to n), unchecked:
     ``failure`` says whether they can be trusted."""
-    top = params.n if top is None else IndexDistribution(params, top).j
+    top = params.n if top is None else check_index(params, top)
     tails = _tails_at(np.array([_threshold(params, x)]), params.v, top)
     return IndexTails(
         tails.log_sf[0],
@@ -508,15 +494,13 @@ def index_tails(params: EnsembleParams, x: float, top: int | None = None) -> Ind
 
 def log_sf_index(params: EnsembleParams, j: int, x: float) -> float:
     """log P(X_j >= x) for one index."""
-    dist = IndexDistribution(params, j)
-    tails = index_tails(params, x, dist.j)
+    tails = index_tails(params, x, check_index(params, j))
     return _checked(float(tails.log_sf[-1]), tails)
 
 
 def log_cdf_index(params: EnsembleParams, j: int, x: float) -> float:
     """log P(X_j <= x) for one index."""
-    dist = IndexDistribution(params, j)
-    tails = index_tails(params, x, dist.j)
+    tails = index_tails(params, x, check_index(params, j))
     return _checked(float(tails.log_cdf[-1]), tails)
 
 

@@ -1,7 +1,7 @@
 """Limiting rate functions for the extreme scaled squared moduli.
 
-All rates are parametrized by the regime of alpha = lim v/n (zero, a finite
-positive value, or infinity) through the kappa map
+All rates are parametrized by alpha = lim v/n, a float that is 0.0, a finite
+positive value, or math.inf, through the kappa map
 
     kappa (kappa + alpha) = (1 + alpha) x^2,
 
@@ -23,7 +23,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .core_types import AlphaRegime, classify_alpha
+from .core_types import check_alpha
 from .tau_geometry import kappa
 
 __all__ = [
@@ -53,10 +53,6 @@ class RateEval:
     warning: str | None = None
 
 
-def _regime(alpha) -> AlphaRegime:
-    return alpha if isinstance(alpha, AlphaRegime) else classify_alpha(alpha)
-
-
 def rate_max_right(alpha, x: float) -> RateEval:
     """Decay rate (speed n) of P(max X >= x); zero on x <= 1.
 
@@ -65,15 +61,14 @@ def rate_max_right(alpha, x: float) -> RateEval:
     """
     if not x > 0.0:
         raise ValueError("x must be > 0")
-    regime = _regime(alpha)
+    a = check_alpha(alpha)
     if x <= 1.0:
         return RateEval(0.0, "zero_region", None)
-    if regime.is_zero:
-        return RateEval(2.0 * (x - math.log(x) - 1.0), "zero_alpha", float(kappa(regime, x)))
-    if regime.is_infinity:
-        return RateEval(x * x - 2.0 * math.log(x) - 1.0, "infinite_alpha", float(kappa(regime, x)))
-    a = regime.value
-    k = float(kappa(regime, x))
+    if a == 0.0:
+        return RateEval(2.0 * (x - math.log(x) - 1.0), "zero_alpha", float(kappa(a, x)))
+    if math.isinf(a):
+        return RateEval(x * x - 2.0 * math.log(x) - 1.0, "infinite_alpha", float(kappa(a, x)))
+    k = float(kappa(a, x))
     # log((1+a)/(a+k)) as log1p((1-k)/(a+k)): the ratio collapses onto 1 for
     # large a and the direct log would lose the whole surviving term
     value = a * math.log1p((1.0 - k) / (a + k)) + 2.0 * (k - math.log(x) - 1.0)
@@ -92,27 +87,26 @@ def rate_max_left(alpha, x: float) -> RateEval:
     """
     if not x > 0.0:
         raise ValueError("x must be > 0")
-    regime = _regime(alpha)
+    a = check_alpha(alpha)
     if x >= 1.0:
         return RateEval(0.0, "zero_region", None)
-    if regime.is_zero:
+    if a == 0.0:
         value = -math.log(x) - (x * x - 4.0 * x + 3.0) / 2.0
-        return RateEval(value, "zero_alpha", float(kappa(regime, x)))
-    if regime.is_infinity:
+        return RateEval(value, "zero_alpha", float(kappa(a, x)))
+    if math.isinf(a):
         x2 = x * x
         value = -math.log(x) - (x2 * x2 - 4.0 * x2 + 3.0) / 2.0
         return RateEval(
             value,
             "infinite_alpha_display",
-            float(kappa(regime, x)),
+            float(kappa(a, x)),
             warning=(
                 "published infinite-alpha display; not the pointwise limit of the "
                 "finite-alpha rate and negative on most of (0,1) - see "
                 "rate_max_left_infinity_consistent"
             ),
         )
-    a = regime.value
-    k = float(kappa(regime, x))
+    k = float(kappa(a, x))
     # same log1p rewrite as in rate_max_right, and more load-bearing here:
     # the log carries a factor a^2/2, so eps-level error in it would swamp
     # the O(1) value long before a reaches the infinity regime
@@ -149,15 +143,14 @@ def rate_min_right(alpha, x: float) -> RateEval:
     """
     if not x > 0.0:
         raise ValueError("x must be > 0")
-    regime = _regime(alpha)
-    k = float(kappa(regime, x))
+    a = check_alpha(alpha)
+    k = float(kappa(a, x))
     if x >= 1.0:
-        if regime.is_zero:
+        if a == 0.0:
             value = 2.0 * x - 1.5 - math.log(x)
-        elif regime.is_infinity:
+        elif math.isinf(a):
             value = x * x - math.log(x) - 0.75
         else:
-            a = regime.value
             value = (
                 a * ((a + 2.0) / 2.0 * math.log1p(1.0 / a) - math.log1p(k / a))
                 + 2.0 * k
@@ -165,12 +158,11 @@ def rate_min_right(alpha, x: float) -> RateEval:
                 - math.log(x)
             )
         return RateEval(value, "above_one", k)
-    if regime.is_zero:
+    if a == 0.0:
         value = x * x / 2.0
-    elif regime.is_infinity:
+    elif math.isinf(a):
         value = x * x * x * x / 4.0
     else:
-        a = regime.value
         value = a * a / 2.0 * math.log1p(k / a) - (a * k - k * k) / 2.0
     return RateEval(value, "below_one", k)
 
@@ -178,25 +170,24 @@ def rate_min_right(alpha, x: float) -> RateEval:
 def mdp_max_right_const(alpha) -> float:
     """Coefficient of x^2 in the max upper moderate tail (speed n l^2):
     2(1+alpha)/(2+alpha); 1 at alpha=0, 2 at infinity."""
-    regime = _regime(alpha)
-    if regime.is_zero:
+    a = check_alpha(alpha)
+    if a == 0.0:
         return 1.0
-    if regime.is_infinity:
+    if math.isinf(a):
         return 2.0
-    a = regime.value
     return 2.0 * (1.0 + a) / (2.0 + a)
 
 
 def mdp_max_left_const(alpha) -> float:
     """Coefficient of x^3 in the max lower moderate tail (speed n^2 l^3):
-    4(1+alpha)^2/(3(2+alpha)^2); 1/3 at alpha=0, 4/3 at infinity."""
-    regime = _regime(alpha)
-    if regime.is_zero:
+    4(1+alpha)^2/(3(2+alpha)^2); 1/3 at alpha=0, 4/3 at infinity.  Evaluated
+    as 4/3 ((1+alpha)/(2+alpha))^2, which does not overflow for huge alpha."""
+    a = check_alpha(alpha)
+    if a == 0.0:
         return 1.0 / 3.0
-    if regime.is_infinity:
+    if math.isinf(a):
         return 4.0 / 3.0
-    a = regime.value
-    return 4.0 * (1.0 + a) ** 2 / (3.0 * (2.0 + a) ** 2)
+    return 4.0 / 3.0 * ((1.0 + a) / (2.0 + a)) ** 2
 
 
 class MdpMinRegime(enum.Enum):
@@ -260,11 +251,11 @@ def mdp_min_rate(regime: MdpMinRegime, x: float, alpha=None) -> float:
     if regime is MdpMinRegime.V_SCALE:
         return vscale_rate(x)
     if regime is MdpMinRegime.ALPHA_POSITIVE:
-        reg = _regime(alpha)
-        if reg.is_zero:
+        a = check_alpha(alpha)
+        if a == 0.0:
             raise ValueError("alpha-positive regime needs alpha > 0")
-        if reg.is_infinity:
+        if math.isinf(a):
             return x * x * x * x / 4.0
-        a = reg.value
-        return (1.0 + a) ** 2 / (4.0 * a * a) * x ** 4
+        # ((1+a)/(2a))^2 rather than (1+a)^2/(4a^2): no overflow for huge a
+        return ((1.0 + a) / (2.0 * a)) ** 2 * x**4
     raise ValueError(f"unknown regime {regime!r}")

@@ -40,10 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_types import EnsembleParams, derived_scales
+from .core_types import EnsembleParams, check_index, derived_scales
 from .exact_dist import (
     _CHUNK_ELEMENTS,
-    IndexDistribution,
     IndexTails,
     _checked,
     _tails_at,
@@ -173,8 +172,7 @@ def sample_yj(
     Stream ``j`` of ``seed``; extending ``count`` preserves earlier values.
     Uniforms are drawn in blocks of ``_SAMPLE_BLOCK_ROWS`` rows.
     """
-    if not 1 <= j <= params.n:
-        raise ValueError("index j must lie in [1, n]")
+    check_index(params, j)
     if count < 1:
         raise ValueError("count must be positive")
     gen = _uniform_stream(seed, j)
@@ -331,7 +329,7 @@ def _blocked_log_cdf(
 
 def _ks_index(params: EnsembleParams, j: int, y_values: np.ndarray) -> tuple[float, _Tally]:
     """:func:`ks_statistic` and a tally of the ladder it was computed from."""
-    top = IndexDistribution(params, j).j
+    top = check_index(params, j)
     t = _sorted_sample("y_values", y_values) * (2.0 * params.n)
     log_cdf, tally = _blocked_log_cdf(t, params.v, top, lambda tails: tails.log_cdf[:, -1])
     return _checked(_ks_distance(np.exp(log_cdf)), tally), tally

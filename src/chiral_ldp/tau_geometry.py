@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_types import AlphaRegime, classify_alpha
+from .core_types import check_alpha
 
 __all__ = [
     "TauParams",
@@ -157,18 +157,17 @@ def kappa(alpha, x):
 
     Evaluated as 2(1+a)x^2 / (a + sqrt(a^2 + 4(1+a)x^2)) for finite a (no
     cancellation); the limits are kappa_0 = x and kappa_inf = x^2.
-    Accepts an AlphaRegime, a float, or the strings "0"/"inf"; vectorized
-    in x.
+    ``alpha`` is a float in [0, inf] (0.0 and math.inf select the limits);
+    vectorized in x.
     """
-    regime = alpha if isinstance(alpha, AlphaRegime) else classify_alpha(alpha)
+    a = check_alpha(alpha)
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("kappa needs x > 0")
-    if regime.is_zero:
+    if a == 0.0:
         out = x.copy()
-    elif regime.is_infinity:
+    elif math.isinf(a):
         out = x * x
     else:
-        a = regime.value
         out = 2.0 * (1.0 + a) * x * x / (a + np.sqrt(a * a + 4.0 * (1.0 + a) * x * x))
     return float(out) if out.ndim == 0 else out

@@ -124,6 +124,16 @@ class TestRateCommand:
         assert float(rows[0]["value"]) < 0.0
         assert "# warning:" in err
 
+    @pytest.mark.parametrize(
+        "which, expected", [("mdp-max-left", 4.0 / 3.0 * 0.7**3), ("mdp-min-alpha", 0.7**4 / 4.0)]
+    )
+    def test_huge_finite_alpha_reaches_the_limit(self, which, expected):
+        # (1+alpha)^2 overflowed above alpha ~ 1.3e154 and crashed the command
+        code, out, _ = run_cli(["rate", "--which", which, "--alpha", "1e300", "--x", "0.7"])
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert float(rows[0]["value"]) == pytest.approx(expected, rel=1e-15)
+
     def test_diagnostics_go_to_stderr_prefixed(self):
         _, out, err = run_cli(["rate", "--which", "max-right", "--alpha", "0", "--x", "1.5"])
         assert "#" not in out

@@ -5,24 +5,30 @@ import math
 import numpy as np
 import pytest
 
+from chiral_ldp.asymptotics_lab import (
+    predict_log_cdf_bounded_v,
+    predict_log_cdf_large_v,
+    predict_log_sf_bounded_v,
+    predict_log_sf_large_v,
+)
 from chiral_ldp.core_types import (
     LOG_ZERO,
-    AlphaRegime,
     Direction,
     EnsembleParams,
     Statistic,
     TailQuery,
-    alpha_of,
     centering_a,
     centering_a_consistent,
-    classify_alpha,
+    check_alpha,
+    check_index,
     derived_scales,
     gumbel_cdf,
     gumbel_sf,
     log1mexp,
-    log_add,
-    log_sum,
 )
+from chiral_ldp.exact_dist import index_tails, log_cdf_index, log_sf_index
+from chiral_ldp.rate_functions import rate_max_right
+from chiral_ldp.sampler import ks_statistic, sample_yj
 
 
 class TestEnsembleParams:
@@ -61,7 +67,8 @@ class TestDerivedScales:
     def test_centering_undefined_below_one(self):
         s = derived_scales(EnsembleParams(1, 0))
         assert s.s == 0.5
-        assert not s.centering_defined
+        with pytest.raises(ValueError):
+            centering_a(s.s)
 
     def test_scale_consistency_grid(self):
         """modulus_scale^2 (n+v) = n and c^2 = 4 n (n+v), to a few ulp.
@@ -78,32 +85,54 @@ class TestDerivedScales:
             assert abs(s.modulus_scale**2 * (n + v) - n) <= 4.0 * math.ulp(float(n))
             assert abs(s.c**2 - 4.0 * n * (n + v)) <= 4.0 * math.ulp(4.0 * n * (n + v))
             assert 0.0 < s.modulus_scale <= 1.0
-            assert s.centering_defined == (s.s > 1.0)
 
 
 class TestAlphaClassification:
+    """alpha = lim v/n is a plain float; 0.0 and math.inf are the limits."""
+
     def test_finite_ratio(self):
-        assert alpha_of(EnsembleParams(100, 0)) == 0.0
-        assert alpha_of(EnsembleParams(100, 100)) == 1.0
-        assert classify_alpha(alpha_of(EnsembleParams(100, 0))).is_zero
-        r = classify_alpha(alpha_of(EnsembleParams(100, 100)))
-        assert r.is_finite and r.value == 1.0
+        for n, v in ((100, 0), (100, 100), (3, 7)):
+            assert check_alpha(v / n) == v / n
+        assert check_alpha(0) == 0.0 and type(check_alpha(0)) is float
 
     def test_limit_tags(self):
-        assert classify_alpha(math.inf).is_infinity
-        assert classify_alpha("inf").is_infinity
-        assert classify_alpha("0").is_zero
-        assert classify_alpha("2.5").value == 2.5
+        assert check_alpha(math.inf) == math.inf
+        assert check_alpha("inf") == math.inf
+        assert rate_max_right(0.0, 1.5).branch == "zero_alpha"
+        assert rate_max_right(2.5, 1.5).branch == "finite_alpha"
+        assert rate_max_right(math.inf, 1.5).branch == "infinite_alpha"
 
     def test_rejections(self):
-        with pytest.raises(ValueError):
-            classify_alpha(-1.0)
-        with pytest.raises(ValueError):
-            classify_alpha(float("nan"))
-        with pytest.raises(ValueError):
-            AlphaRegime.finite(0.0)
-        with pytest.raises(ValueError):
-            AlphaRegime.finite(math.inf)
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            check_alpha(-1.0)
+        with pytest.raises(ValueError, match="alpha must not be NaN"):
+            check_alpha(float("nan"))
+
+
+# Every public entry point that takes an index j, called with that j.
+_INDEXED = {
+    "log_sf_index": lambda p, j: log_sf_index(p, j, 1.0),
+    "log_cdf_index": lambda p, j: log_cdf_index(p, j, 1.0),
+    "index_tails": lambda p, j: index_tails(p, 1.0, top=j),
+    "sample_yj": lambda p, j: sample_yj(p, j, seed=0, count=1),
+    "ks_statistic": lambda p, j: ks_statistic(p, j, np.array([0.5, 1.0])),
+    "predict_log_sf_bounded_v": lambda p, j: predict_log_sf_bounded_v(p, j, 1.0),
+    "predict_log_cdf_bounded_v": lambda p, j: predict_log_cdf_bounded_v(p, j, 1.0),
+    "predict_log_sf_large_v": lambda p, j: predict_log_sf_large_v(p, j, 1.0),
+    "predict_log_cdf_large_v": lambda p, j: predict_log_cdf_large_v(p, j, 1.0),
+}
+
+
+class TestCheckIndex:
+    def test_in_range_index_returned(self):
+        params = EnsembleParams(6, 3)
+        assert [check_index(params, j) for j in (1, 6)] == [1, 6]
+
+    @pytest.mark.parametrize("j", [-1, 0, 7])
+    @pytest.mark.parametrize("entry", sorted(_INDEXED))
+    def test_out_of_range_rejected_everywhere(self, entry, j):
+        with pytest.raises(ValueError, match=r"index j must lie in \[1, n\]"):
+            _INDEXED[entry](EnsembleParams(6, 40), j)
 
 
 class TestTailQuery:
@@ -158,19 +187,6 @@ class TestLogSpaceHelpers:
         assert log1mexp(5e-13) == LOG_ZERO  # tiny positive round-off tolerated
         with pytest.raises(ValueError):
             log1mexp(0.1)
-
-    def test_log_add_and_sum(self):
-        rng = np.random.default_rng(42)
-        terms = rng.uniform(-700, 10, size=200)
-        expected = float(np.logaddexp.reduce(terms))
-        assert log_sum(list(terms)) == pytest.approx(expected, rel=1e-13)
-        assert log_add(LOG_ZERO, -3.0) == -3.0
-        assert log_add(-3.0, LOG_ZERO) == -3.0
-        assert log_sum([]) == LOG_ZERO
-
-    def test_log_add_extreme_spread(self):
-        # the small term is below resolution; result must be the big one
-        assert log_add(0.0, -800.0) == 0.0
 
 
 class TestCenteringSequences:

@@ -28,7 +28,6 @@ from chiral_ldp.core_types import (
     derived_scales,
 )
 from chiral_ldp.exact_dist import (
-    IndexDistribution,
     _bessel_ratios,
     _ladder_sums,
     _prefix,
@@ -72,12 +71,7 @@ CDF_ORACLE_PINS = {
 }
 
 
-class TestIndexDistribution:
-    @pytest.mark.parametrize("j", [0, -1, 7])
-    def test_index_out_of_range(self, j):
-        with pytest.raises(ValueError):
-            IndexDistribution(EnsembleParams(6, 3), j)
-
+class TestLevelGuard:
     @pytest.mark.parametrize("x", [0.0, -0.5, math.inf, math.nan])
     def test_bad_level_rejected(self, x):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from chiral_ldp.core_types import AlphaRegime
 from chiral_ldp.rate_functions import (
     MdpMinRegime,
     mdp_max_left_const,
@@ -18,14 +17,9 @@ from chiral_ldp.rate_functions import (
     vscale_rate,
     vscale_rate_statement_form,
 )
+from chiral_ldp.tau_geometry import kappa
 
-ALPHAS = (
-    AlphaRegime.zero(),
-    AlphaRegime.finite(0.1),
-    AlphaRegime.finite(1.0),
-    AlphaRegime.finite(10.0),
-    AlphaRegime.infinity(),
-)
+ALPHAS = (0.0, 0.1, 1.0, 10.0, math.inf)
 
 
 def min_rate_at_one(a: float) -> float:
@@ -50,18 +44,18 @@ class TestBoundaryZeros:
 
 class TestMaxRight:
     def test_zero_branch_pinned(self):
-        ev = rate_max_right(AlphaRegime.zero(), 1.5)
+        ev = rate_max_right(0.0, 1.5)
         assert ev.value == pytest.approx(0.18906978378367123604, rel=1e-14)
         assert ev.branch == "zero_alpha"
 
     def test_finite_branch_pinned(self):
-        ev = rate_max_right(AlphaRegime.finite(1.0), 1.5)
+        ev = rate_max_right(1.0, 1.5)
         assert ev.value == pytest.approx(0.25550455544452205195, rel=1e-13)
         assert ev.kappa_used == pytest.approx(1.6794494717703367761, rel=1e-13)
         assert ev.branch == "finite_alpha"
 
     def test_infinity_branch_pinned(self):
-        ev = rate_max_right(AlphaRegime.infinity(), 2.0)
+        ev = rate_max_right(math.inf, 2.0)
         assert ev.value == pytest.approx(3.0 - 2.0 * math.log(2.0), rel=1e-14)
 
     def test_strictly_increasing_beyond_one(self):
@@ -79,7 +73,7 @@ class TestMaxRight:
 
 class TestMaxLeft:
     def test_zero_branch_pinned(self):
-        ev = rate_max_left(AlphaRegime.zero(), 0.5)
+        ev = rate_max_left(0.0, 0.5)
         assert ev.value == pytest.approx(0.068147180559945309417, rel=1e-13)
 
     def test_positive_on_deviation_side_except_infinity(self):
@@ -91,7 +85,7 @@ class TestMaxLeft:
                 assert rate_max_left(alpha, float(x)).value > 0.0
 
     def test_infinity_display_flagged(self):
-        ev = rate_max_left(AlphaRegime.infinity(), 0.5)
+        ev = rate_max_left(math.inf, 0.5)
         want = -math.log(0.5) - (0.0625 - 1.0 + 3.0) / 2.0
         assert ev.value == pytest.approx(want, rel=1e-13)
         assert ev.value < 0.0
@@ -105,17 +99,17 @@ class TestMaxLeft:
         for x in xs:
             lim = rate_max_left_infinity_consistent(float(x))
             assert lim > 0.0
-            big = rate_max_left(AlphaRegime.finite(1e8), float(x)).value
+            big = rate_max_left(1e8, float(x)).value
             assert big == pytest.approx(lim, abs=1e-6)
         assert rate_max_left_infinity_consistent(1.0) == 0.0
 
 
 class TestMinRight:
     def test_zero_branch_pinned(self):
-        assert rate_min_right(AlphaRegime.zero(), 2.0).value == pytest.approx(
+        assert rate_min_right(0.0, 2.0).value == pytest.approx(
             1.8068528194400546906, rel=1e-14
         )
-        assert rate_min_right(AlphaRegime.zero(), 0.5).value == pytest.approx(
+        assert rate_min_right(0.0, 0.5).value == pytest.approx(
             0.125, rel=1e-14
         )
 
@@ -128,16 +122,16 @@ class TestMinRight:
         """Both branch formulas at x=1 collapse to the same closed form."""
         for a in (0.1, 1.0, 10.0):
             want = min_rate_at_one(a)
-            above = rate_min_right(AlphaRegime.finite(a), 1.0).value
-            below_limit = rate_min_right(AlphaRegime.finite(a), 1.0 - 1e-12).value
+            above = rate_min_right(a, 1.0).value
+            below_limit = rate_min_right(a, 1.0 - 1e-12).value
             assert above == pytest.approx(want, abs=1e-10)
             assert below_limit == pytest.approx(want, abs=1e-10)
 
     def test_infinity_branches(self):
-        assert rate_min_right(AlphaRegime.infinity(), 2.0).value == pytest.approx(
+        assert rate_min_right(math.inf, 2.0).value == pytest.approx(
             4.0 - math.log(2.0) - 0.75, rel=1e-14
         )
-        assert rate_min_right(AlphaRegime.infinity(), 0.5).value == pytest.approx(
+        assert rate_min_right(math.inf, 0.5).value == pytest.approx(
             0.5**4 / 4.0, rel=1e-14
         )
 
@@ -162,8 +156,8 @@ class TestLimitCoherence:
 
     def test_small_alpha_tracks_zero_branch(self):
         for x in (0.3, 0.8, 1.5, 3.0):
-            near = AlphaRegime.finite(1e-7)
-            zero = AlphaRegime.zero()
+            near = 1e-7
+            zero = 0.0
             assert rate_max_right(near, x).value == pytest.approx(
                 rate_max_right(zero, x).value, abs=1e-5
             )
@@ -178,8 +172,8 @@ class TestLimitCoherence:
         """Max-left is excluded: its published infinity display is not the
         limit of the finite-alpha formula (tested separately above)."""
         for x in (0.3, 0.8, 1.5, 3.0):
-            near = AlphaRegime.finite(1e7)
-            inf = AlphaRegime.infinity()
+            near = 1e7
+            inf = math.inf
             assert rate_max_right(near, x).value == pytest.approx(
                 rate_max_right(inf, x).value, abs=1e-5
             )
@@ -190,18 +184,26 @@ class TestLimitCoherence:
 
 class TestMdpConstants:
     def test_pinned_values(self):
-        assert mdp_max_right_const(AlphaRegime.zero()) == 1.0
-        assert mdp_max_left_const(AlphaRegime.zero()) == pytest.approx(1.0 / 3.0)
+        assert mdp_max_right_const(0.0) == 1.0
+        assert mdp_max_left_const(0.0) == pytest.approx(1.0 / 3.0)
         assert mdp_max_right_const(2.0) == pytest.approx(1.5, rel=1e-15)
         assert mdp_max_left_const(2.0) == pytest.approx(0.75, rel=1e-15)
-        assert mdp_max_right_const(AlphaRegime.infinity()) == 2.0
-        assert mdp_max_left_const(AlphaRegime.infinity()) == pytest.approx(4.0 / 3.0)
+        assert mdp_max_right_const(math.inf) == 2.0
+        assert mdp_max_left_const(math.inf) == pytest.approx(4.0 / 3.0)
 
     def test_limits_are_limits(self):
         assert mdp_max_right_const(1e-9) == pytest.approx(1.0, abs=1e-8)
         assert mdp_max_right_const(1e9) == pytest.approx(2.0, abs=1e-8)
         assert mdp_max_left_const(1e-9) == pytest.approx(1.0 / 3.0, abs=1e-8)
         assert mdp_max_left_const(1e9) == pytest.approx(4.0 / 3.0, abs=1e-8)
+
+    def test_huge_finite_alpha_reaches_the_limits(self):
+        # (1+a)^2 overflows above a ~ 1.3e154; the ratio forms do not
+        assert mdp_max_left_const(1e300) == 4.0 / 3.0
+        for x in (0.3, 0.7, 2.0):
+            want = x**4 / 4.0
+            got = mdp_min_rate(MdpMinRegime.ALPHA_POSITIVE, x, alpha=1e300)
+            assert got == pytest.approx(want, rel=1e-15)
 
 
 class TestMdpMinRate:
@@ -210,9 +212,7 @@ class TestMdpMinRate:
         assert mdp_min_rate(MdpMinRegime.SMALL_V, 2.0) == pytest.approx(2.0)
         assert mdp_min_rate(MdpMinRegime.ALPHA_POSITIVE, 1.0, alpha=1.0) == pytest.approx(1.0)
         assert mdp_min_rate(MdpMinRegime.INTERMEDIATE, 2.0) == pytest.approx(2.0)
-        assert mdp_min_rate(
-            MdpMinRegime.ALPHA_POSITIVE, 1.0, alpha=AlphaRegime.infinity()
-        ) == pytest.approx(0.25)
+        assert mdp_min_rate(MdpMinRegime.ALPHA_POSITIVE, 1.0, alpha=math.inf) == pytest.approx(0.25)
 
     def test_vscale_pinned_one(self):
         # (1/2) log((1+sqrt 5)/2) + 1 - sqrt(5)/2, frozen at 30 digits
@@ -244,3 +244,35 @@ class TestMdpMinRate:
             mdp_min_rate(MdpMinRegime.SMALL_V, -1.0)
         with pytest.raises(ValueError):
             vscale_rate(-0.5)
+
+
+# Every function that takes alpha, called with it at a valid level.
+_ALPHA_TAKERS = {
+    "rate_max_right": lambda a: rate_max_right(a, 1.5),
+    "rate_max_left": lambda a: rate_max_left(a, 0.5),
+    "rate_min_right": lambda a: rate_min_right(a, 0.5),
+    "mdp_max_right_const": mdp_max_right_const,
+    "mdp_max_left_const": mdp_max_left_const,
+    "kappa": lambda a: kappa(a, 1.5),
+}
+# The alpha-positive min rate also rejects alpha = 0, so it is in the
+# rejection test only.
+_ALPHA_CHECKERS = {
+    **_ALPHA_TAKERS,
+    "mdp_min_rate": lambda a: mdp_min_rate(MdpMinRegime.ALPHA_POSITIVE, 0.5, alpha=a),
+}
+
+
+class TestAlphaGuard:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, math.inf])
+    @pytest.mark.parametrize("entry", sorted(_ALPHA_TAKERS))
+    def test_regimes_accepted(self, entry, alpha):
+        _ALPHA_TAKERS[entry](alpha)
+
+    @pytest.mark.parametrize(
+        "alpha, message", [(math.nan, "alpha must not be NaN"), (-0.5, "alpha must be >= 0")]
+    )
+    @pytest.mark.parametrize("entry", sorted(_ALPHA_CHECKERS))
+    def test_nan_and_negative_rejected(self, entry, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            _ALPHA_CHECKERS[entry](alpha)

@@ -29,7 +29,7 @@ from chiral_ldp.sampler import (
     sample_yj,
 )
 
-from oracles import eager_sample_yj, index_cdf_oracle, ks_critical
+from oracles import eager_sample_yj, gamma_product_tail_oracle, ks_critical
 
 # E[2n Y_j] = 2 Gamma(j+1/2) Gamma(j+v+1/2) / (Gamma(j) Gamma(j+v)), and
 # E[(2n Y_j)^2] = 4 j (j+v) from the gamma product representation.
@@ -199,22 +199,25 @@ class TestExactKs:
         with pytest.raises(ValueError):
             ks_statistic(EnsembleParams(3, 1), j, np.array([0.5, 1.0]))
 
-    def test_cdf_at_sample_points_matches_density_oracle(self):
+    def test_cdf_at_sample_points_matches_gamma_product_oracle(self):
         n, v, j = 5, 2, 3
         params = EnsembleParams(n, v)
         t = 2.0 * n * sample_yj(params, j, seed=4, count=3).values
         cdf = np.exp(_tails_at(t, v, j).log_cdf[:, j - 1])
         c = derived_scales(params).c
         for ti, got in zip(t, cdf):
-            assert got == pytest.approx(index_cdf_oracle(n, v, j, ti / c), rel=1e-11)
+            want = gamma_product_tail_oracle(n, v, j, ti / c, upper=False)
+            assert got == pytest.approx(want, rel=1e-11)
 
-    def test_max_cdf_at_sample_points_matches_density_oracle(self):
+    def test_max_cdf_at_sample_points_matches_gamma_product_oracle(self):
         n, v = 3, 1
         params = EnsembleParams(n, v)
         x = matrix_probe_extremes(MatrixProbeConfig(params), seed=2, count=2)["max"]
         cdf = np.exp(np.sum(_tails_at(x * derived_scales(params).c, v, n).log_cdf, axis=1))
         for xi, got in zip(x, cdf):
-            want = math.prod(index_cdf_oracle(n, v, j, xi) for j in range(1, n + 1))
+            want = math.prod(
+                gamma_product_tail_oracle(n, v, j, xi, upper=False) for j in range(1, n + 1)
+            )
             assert got == pytest.approx(want, rel=1e-11)
 
     def test_ks_equals_per_point_ladder(self):

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from chiral_ldp.core_types import AlphaRegime
 from chiral_ldp.tau_geometry import (
     TauParams,
     bracket_xj,
@@ -127,12 +126,12 @@ class TestKappa:
     def test_unit_fixed_point(self):
         for alpha in (0.3, 1.0, 7.0, 123.4):
             assert kappa(alpha, 1.0) == pytest.approx(1.0, rel=1e-14)
-        assert kappa(AlphaRegime.zero(), 1.0) == 1.0
-        assert kappa(AlphaRegime.infinity(), 1.0) == 1.0
+        assert kappa(0.0, 1.0) == 1.0
+        assert kappa(math.inf, 1.0) == 1.0
 
     def test_limit_branches(self):
-        assert kappa(AlphaRegime.zero(), 1.5) == 1.5
-        assert kappa(AlphaRegime.infinity(), 1.5) == pytest.approx(2.25, rel=1e-15)
+        assert kappa(0.0, 1.5) == 1.5
+        assert kappa(math.inf, 1.5) == pytest.approx(2.25, rel=1e-15)
 
     def test_pinned_finite_value(self):
         # 9/(1 + sqrt(19)), frozen at 30 digits
