@@ -9,7 +9,7 @@ class QuadratureError(RuntimeError):
     """Raised when an exact value cannot be certified.
 
     The gamma-shape ladder (:mod:`.exact_dist`) raises it for a non-finite
-    ``kve`` or ladder value, or for a reverse sum that did not converge
+    Bessel or ladder value, or for a reverse sum that did not converge
     within its cap; ``verify``'s tau-integral rule raises it when its two
     orders disagree.  ``partial`` carries the best partial value (log
     scale, NaN when non-finite) and ``rel_err`` its relative error bound

@@ -21,10 +21,11 @@ and the same with a and b swapped.  From S(1, 0) = 0:
     sf_{j+1} = sf_j + delta_j,      delta_j = D(j, j+v) + D(j+v+1, j)
     cdf_j    = sum_{i >= j} delta_i.
 
-Only K_0 .. K_{v+1} at the one argument t appear.  They come from
-scipy.special.kve(0|1, t) and the forward recurrence
-K_{k+1} = K_{k-1} + (2k/t) K_k (DLMF §10.29), which is stable for K
-(DLMF §3.6).  Every sum runs in log space over positive terms, so nothing
+Only K_0 .. K_{v+1} at the one argument t appear.  K_0 and K_1 come from
+the trapezoid rule on e^t K_nu(t) = int_0^inf exp(-2t sinh^2(u/2))
+cosh(nu u) du (DLMF 10.32.9, see :func:`_kve01`), the rest from the forward
+recurrence K_{k+1} = K_{k-1} + (2k/t) K_k (DLMF §10.29), which is stable for
+K (DLMF §3.6).  Every sum runs in log space over positive terms, so nothing
 cancels.  For each index the smaller of sf and cdf comes from its own sum
 and the other through log1p(-exp(.)).  The increments are evaluated as
 products of kve and Poisson weights (see :func:`_ladder_sums`), which keeps
@@ -53,7 +54,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, kve, logsumexp
 
 from ._quad import QuadratureError
 from .core_types import (
@@ -92,6 +92,25 @@ _CHUNK_ELEMENTS = 1_000_000
 # as vectors; below it a float loop per row is faster (at v = 1e4 the two
 # cost the same near 32 rows).
 _VECTOR_ROWS = 32
+# The trapezoid rule for kve(0|1, t) (see _kve01) runs its nodes past the
+# reach where 2 t sinh^2(u/2) = _K_NATS, in at most _K_MAX_GROUPS groups of
+# _K_NODES (more would overflow the cosh weights of the last nodes), at a
+# step of at most _K_MAX_STEP; rows run in blocks of about _K_BLOCK nodes.
+_K_NATS = 45.0
+_K_NODES = 32
+_K_MAX_GROUPS = 88
+_K_MAX_STEP = 0.25
+_K_BLOCK = 1 << 13
+_K_HALF_NODES = np.arange(1, _K_NODES * _K_MAX_GROUPS + 1) / 2.0  # u / (2 step)
+# Stirling errors for m = 1 .. 15 (see _stirling_error), from 40-digit
+# mpmath and correctly rounded; the direct formula cancels up to 4e-15 here.
+_STIRLING_ERROR = np.array([
+    math.nan, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
 
 
 class _Sums(NamedTuple):
@@ -161,6 +180,54 @@ def _take(rows: _Rows, sel: np.ndarray) -> _Rows:
     return _Rows(*(field[sel] for field in rows))
 
 
+def _kve01(t: np.ndarray) -> np.ndarray:
+    """kve(0, t) and kve(1, t), where kve(nu, t) = e^t K_nu(t), as the two
+    rows of one array, at each threshold of the 1-d array t; NaN where t is
+    NaN, infinite or below about 2e-304.
+
+    The trapezoid rule on e^t K_nu(t) = int_0^inf exp(-2t sinh^2(u/2))
+    cosh(nu u) du (DLMF 10.32.9), with cosh u = 1 + 2 sinh^2(u/2): one sinh
+    and one exp per node.  The integrand is even, entire and decays double
+    exponentially, so the rule converges geometrically in the step
+    (Trefethen & Weideman, SIAM Rev. 56(3), 2014).  Per row:
+
+    - the nodes run past the reach where 2t sinh^2(u/2) = _K_NATS, beyond
+      which the integrand is below e^-45 of the integral;
+    - the step is a power of two, so every node k*step is exact; it is at
+      most 1/4, where the strip |Im u| < pi/2 in which the integrand stays
+      bounded caps the error near e^(-pi^2 / step), and at most reach/16,
+      which resolves the Gaussian of width 1/sqrt(t) the integrand becomes
+      for large t;
+    - the node count is a multiple of _K_NODES: _K_NODES itself for
+      t above about 1.7, growing as log(1/t) below.
+
+    Rows are grouped by node count and run in blocks that keep the node
+    array in cache; each row is summed on its own, so its value does not
+    depend on the other rows.  Within 4.4e-16 relative of 40-digit mpmath
+    over [1e-300, 1e300].
+    """
+    k = np.full((2, t.size), np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = 2.0 * np.arcsinh(math.sqrt(0.5 * _K_NATS) / np.sqrt(t))
+        step = np.minimum(np.exp2(np.ceil(np.log2(reach / _K_NODES))), _K_MAX_STEP)
+        count = np.ceil(reach / (_K_NODES * step))
+    count[~(count <= _K_MAX_GROUPS)] = 0.0  # also t <= 0, t = inf and NaN
+    for groups in range(1, int(count.max(initial=0.0)) + 1):
+        rows = np.flatnonzero(count == groups)
+        half = _K_HALF_NODES[: _K_NODES * groups]
+        per_block = max(1, _K_BLOCK // half.size)
+        for start in range(0, rows.size, per_block):
+            at = rows[start : start + per_block]
+            h = step[at]
+            s = np.sinh(h[:, None] * half)
+            s = 2.0 * s * s  # cosh u - 1
+            a = np.exp(-t[at, None] * s)
+            a_sum = a.sum(axis=1)
+            k[0, at] = h * (a_sum + 0.5)
+            k[1, at] = h * (a_sum + (a * s).sum(axis=1) + 0.5)
+    return k
+
+
 def _bessel_ratios(t: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """log kve(0, t), log kve(1, t) and r_k = K_{k+1}(t) / K_k(t) for
     k = 1 .. order-1, one row per threshold, by the forward recurrence
@@ -169,10 +236,10 @@ def _bessel_ratios(t: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, n
     Many rows step through k as vectors; a few rows run a float loop each,
     which is faster than a numpy step per k.
     """
+    k0, k1 = _kve01(t)
+    r = k1 / k0
     with np.errstate(divide="ignore", invalid="ignore"):
-        lk0, lk1 = np.broadcast_to(np.log(kve(np.arange(2)[:, None], t)), (2, t.size))
-        gap = lk1 - lk0
-        r = np.where(np.isfinite(gap), np.exp(gap), np.nan)
+        lk0, lk1 = np.log(k0), np.log(k1)
         ratios = np.empty((t.size, order - 1))
         if t.size > _VECTOR_ROWS:
             for k in range(1, order):
@@ -213,12 +280,19 @@ def _prefix(first: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 
 def _stirling_error(m: np.ndarray) -> np.ndarray:
-    """log m! - (m + 1/2) log m + m - log sqrt(2 pi) for m >= 1 (Loader 2000)."""
+    """log m! - (m + 1/2) log m + m - log sqrt(2 pi) for m >= 1 (Loader 2000):
+    tabulated up to 15, its asymptotic series above."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        direct = gammaln(m + 1.0) - (m + 0.5) * np.log(m) + m - _HALF_LOG_2PI
         r = 1.0 / (m * m)
         series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r / 1188) * r) * r) * r) / m
-    return np.where(m > 15.0, series, direct)
+    return np.where(m > 15.0, series, _STIRLING_ERROR[np.minimum(m, 15.0).astype(int)])
+
+
+def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis, each row shifted by its peak."""
+    peak = np.max(terms, axis=-1, keepdims=True)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    return np.log(np.sum(np.exp(terms - peak), axis=-1)) + peak[..., 0]
 
 
 def _deviance(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -360,10 +434,7 @@ def _ladder_rows(
         if not paired:
             base = log_kve[:, :v] + log_p[:, 1 : v + 1]
         # sf_1 = D(1, 0) + D(1, 1) + ... + D(1, v)
-        terms = np.concatenate(((lk1 - mu)[:, None], base), axis=1)
-        peak = np.max(terms, axis=1, keepdims=True)
-        peak = np.where(np.isfinite(peak), peak, 0.0)
-        log_sf1 = log_t - mu + (np.log(np.sum(np.exp(terms - peak), axis=1)) + peak[:, 0])
+        log_sf1 = log_t - mu + _log_sum_exp(np.concatenate(((lk1 - mu)[:, None], base), axis=1))
         rows = _Rows(
             *(col[:, None] for col in (mu, log_t, log_mu, log_a, log_b)),
             np.zeros((t.size, 1)),
@@ -512,7 +583,7 @@ def _max_ge(tails: IndexTails) -> float:
     total = float(np.sum(tails.log_cdf))
     if total <= -1e-250:
         return _checked(log1mexp(total), tails)
-    return _checked(float(logsumexp(tails.log_sf)), tails)
+    return _checked(float(_log_sum_exp(tails.log_sf)), tails)
 
 
 def _min_ge(tails: IndexTails) -> float:
@@ -523,7 +594,7 @@ def _min_le(tails: IndexTails) -> float:
     total = float(np.sum(tails.log_sf))
     if total <= -1e-250:
         return _checked(log1mexp(total), tails)
-    return _checked(float(logsumexp(tails.log_cdf)), tails)
+    return _checked(float(_log_sum_exp(tails.log_cdf)), tails)
 
 
 def log_prob_max_le(params: EnsembleParams, x: float) -> float:

@@ -53,6 +53,24 @@ class RateEval:
     warning: str | None = None
 
 
+def _log1p_excess(y: float) -> float:
+    """(log1p(y) - y + y^2/2) / y^2 for y > 0, which rises from y/3 near 0
+    to 1/2 at infinity.
+
+    The finite-alpha rates below write each a^2-weighted log1p through it, so
+    that the O(a) and O(a^2) parts cancel in closed form rather than in
+    rounding.  For y < 1/4 its series y/3 - y^2/4 + y^3/5 - ... reaches
+    double precision in 28 terms; above, the direct form cancels at most
+    two digits.
+    """
+    if y >= 0.25:
+        return (math.log1p(y) - y) / y / y + 0.5
+    acc = 0.0
+    for n in range(30, 2, -1):
+        acc = 1.0 / n - y * acc
+    return y * acc
+
+
 def rate_max_right(alpha, x: float) -> RateEval:
     """Decay rate (speed n) of P(max X >= x); zero on x <= 1.
 
@@ -107,14 +125,14 @@ def rate_max_left(alpha, x: float) -> RateEval:
             ),
         )
     k = float(kappa(a, x))
-    # same log1p rewrite as in rate_max_right, and more load-bearing here:
-    # the log carries a factor a^2/2, so eps-level error in it would swamp
-    # the O(1) value long before a reaches the infinity regime
-    value = (
-        (a + a * a / 2.0) * math.log1p((1.0 - k) / (k + a))
-        - math.log(x)
-        - (a + 3.0 - k) * (1.0 - k) / 2.0
-    )
+    # With d = 1 - k and w = d/(k+a), (a + a^2/2) log1p(w) is O(a) and the
+    # polynomial term O(a) too; taking log1p(w) = w - w^2/2 + w^2 E(w)
+    # (E = _log1p_excess) and cancelling the O(a) parts in closed form
+    # leaves terms that stay O(1) for every a, with g = (a + a^2/2) w^2.
+    d = 1.0 - k
+    w = d / (k + a)
+    g = a / (k + a) * (1.0 + a / 2.0) / (k + a) * d * d
+    value = -math.log(x) - d / 2.0 * (k * (a + 2.0) / (a + k) + d) + g * (_log1p_excess(w) - 0.5)
     return RateEval(value, "finite_alpha", k)
 
 
@@ -151,10 +169,14 @@ def rate_min_right(alpha, x: float) -> RateEval:
         elif math.isinf(a):
             value = x * x - math.log(x) - 0.75
         else:
+            # a ((a+2)/2 log1p(1/a) - log1p(k/a)) - a/2 in O(1) terms:
+            # (a^2/2) (log1p(1/a) - 1/a + 1/(2a^2)) - 1/4 + a log1p((1-k)/(a+k))
             value = (
-                a * ((a + 2.0) / 2.0 * math.log1p(1.0 / a) - math.log1p(k / a))
+                0.5 * _log1p_excess(1.0 / a)
+                - 0.25
+                + a * math.log1p((1.0 - k) / (a + k))
                 + 2.0 * k
-                - (3.0 + a) / 2.0
+                - 1.5
                 - math.log(x)
             )
         return RateEval(value, "above_one", k)
@@ -163,7 +185,8 @@ def rate_min_right(alpha, x: float) -> RateEval:
     elif math.isinf(a):
         value = x * x * x * x / 4.0
     else:
-        value = a * a / 2.0 * math.log1p(k / a) - (a * k - k * k) / 2.0
+        # a^2/2 log1p(k/a) - (a k - k^2)/2 = k^2/4 + (k^2/2) E(k/a)
+        value = k * k * (0.25 + 0.5 * _log1p_excess(k / a))
     return RateEval(value, "below_one", k)
 
 

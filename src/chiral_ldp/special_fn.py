@@ -1,7 +1,8 @@
 """The per-index normalizing constant log Z_j, in log space.
 
-Bessel K values are not computed here: the exact layer takes K_0 .. K_{v+1}
-from ``scipy.special.kve`` and a ratio recurrence (:mod:`.exact_dist`).
+Bessel K values are not computed here: the exact layer takes K_0 and K_1
+from a trapezoid rule and the higher orders from a ratio recurrence
+(:mod:`.exact_dist`).
 """
 
 from __future__ import annotations
@@ -9,11 +10,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = ["log_Zj"]
 
 _LOG2 = math.log(2.0)
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 def log_Zj(j, v: float) -> np.ndarray | float:
@@ -28,5 +29,5 @@ def log_Zj(j, v: float) -> np.ndarray | float:
         raise ValueError("index j must be >= 1")
     if v < 0.0:
         raise ValueError("order must be >= 0")
-    out = (2.0 * j_arr + v - 2.0) * _LOG2 + gammaln(j_arr) + gammaln(j_arr + v)
+    out = (2.0 * j_arr + v - 2.0) * _LOG2 + _lgamma(j_arr) + _lgamma(j_arr + v)
     return float(out) if out.ndim == 0 else out

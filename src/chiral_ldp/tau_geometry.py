@@ -169,5 +169,9 @@ def kappa(alpha, x):
     elif math.isinf(a):
         out = x * x
     else:
-        out = 2.0 * (1.0 + a) * x * x / (a + np.sqrt(a * a + 4.0 * (1.0 + a) * x * x))
+        # a^2 overflows above a ~ 1.3e154; scaled by the power of two m just
+        # above a (1 for a < 1), which is exact, it cannot
+        m = math.ldexp(1.0, max(0, math.frexp(a)[1]))
+        b = a / m
+        out = 2.0 * (1.0 + a) * x * x / (a + m * np.sqrt(b * b + 4.0 * (1.0 + a) / m * x * x / m))
     return float(out) if out.ndim == 0 else out

@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the package's own code paths: Bessel
 values come from a high-precision saddle-window quadrature of the integral
-representation (mpmath), incomplete-gamma tails and the Bessel-free
-gamma-product law from mpmath's gammainc,
-minimizers from interval bisection, and matrix spectra from companion
-matrices with chosen roots.  Headline constants frozen into the test files
+representation or from mpmath.besselk, incomplete-gamma tails and the
+Bessel-free gamma-product law from mpmath's gammainc, minimizers from
+interval bisection, matrix spectra from companion matrices with chosen
+roots, and the finite-alpha rate displays from mpmath at as many digits as
+their cancellation needs.  Headline constants frozen into the test files
 were produced by these routines at >= 30 significant digits.
 
 The eager surrogate sampler at the end is the sampler's byte-identity
@@ -16,7 +17,11 @@ Validation of the Bessel oracle (one-off, recorded here): it matches
 mpmath.besselk to full working precision on a 14-point matrix spanning
 v in [0, 1000], x in [1e-3, 1e5], matches scipy.special.kve at
 (v, x) = (10000, 1e5) where kve does not overflow, and matches the two-term
-small-argument closed form at (10000, 1e-3) to 3e-11.
+small-argument closed form at (10000, 1e-3) to 3e-11.  With its first
+window step capped at 1 it also matches mpmath.besselk exactly at
+v in {0, 1, 5, 30}, x in [1e-8, 100]; uncapped, the v = 0 window at x = 1e-8
+spanned [0, 1e4] and missed the integrand's fall near t = 20 (log K_0 off by
+3.7e-7).
 """
 
 from __future__ import annotations
@@ -43,7 +48,9 @@ def log_kv_oracle(v: float, x: float, dps: int = 30) -> float:
         def drop(t):
             return -(-x_ * mp.cosh(t) + v_ * t - c)
 
-        step = mp.mpf(1) / mp.sqrt(mp.sqrt(x_ * x_ + v_ * v_))
+        # the peak width, at most 1: at v = 0 and x << 1 the integrand stays
+        # flat up to t ~ log(2/x) and the window must resolve its fall there
+        step = min(mp.mpf(1), 1 / mp.sqrt(mp.sqrt(x_ * x_ + v_ * v_)))
         hi = t0 + step
         while drop(hi) < 130:
             hi = t0 + 2 * (hi - t0)
@@ -57,6 +64,12 @@ def log_kv_oracle(v: float, x: float, dps: int = 30) -> float:
 
         val = mp.quad(g, [lo, (lo + t0) / 2, t0, (t0 + hi) / 2, hi])
         return float(c + mp.log(val))
+
+
+def kve_oracle(v: float, x: float, dps: int = 30) -> float:
+    """e^x K_v(x) from mpmath.besselk, rounded once."""
+    with mp.workdps(dps):
+        return float(mp.besselk(v, mp.mpf(x)) * mp.exp(mp.mpf(x)))
 
 
 def log_zj_oracle(j: int, v: int, dps: int = 30) -> float:
@@ -130,6 +143,22 @@ def gamma_tail_log(a: float, b: float, upper: bool, dps: int = 30) -> float:
         else:
             val = mp.gammainc(mp.mpf(b) + 1, 0, mp.mpf(a))
         return float(mp.log(val))
+
+
+def finite_alpha_rate_oracle(which: str, alpha: float, x: float) -> float:
+    """The published finite-alpha display of ``which`` ("max-left" or
+    "min-right"), evaluated as written at enough digits that its O(alpha^2)
+    terms cancel exactly (40 plus twice the decades of alpha)."""
+    with mp.workdps(40 + 2 * max(0, math.ceil(math.log10(alpha)))):
+        a, x_ = mp.mpf(alpha), mp.mpf(x)
+        k = 2 * (1 + a) * x_ * x_ / (a + mp.sqrt(a * a + 4 * (1 + a) * x_ * x_))
+        if which == "max-left":
+            value = (a + a * a / 2) * mp.log1p((1 - k) / (k + a)) - mp.log(x_) - (a + 3 - k) * (1 - k) / 2
+        elif x_ >= 1:
+            value = a * ((a + 2) / 2 * mp.log1p(1 / a) - mp.log1p(k / a)) + 2 * k - (3 + a) / 2 - mp.log(x_)
+        else:
+            value = a * a / 2 * mp.log1p(k / a) - (a * k - k * k) / 2
+        return float(value)
 
 
 def bisect_minimizer(j: int, v: float, tol: float = 1e-14) -> float:

@@ -184,10 +184,9 @@ class TestProbCommand:
         assert "partial estimate" in err
 
     def test_non_finite_bessel_exits_3_with_partial(self, monkeypatch):
-        # a NaN from kve must end as a numeric failure, never as a number
-        monkeypatch.setattr(
-            exact_dist, "kve", lambda order, t: np.full(np.shape(order), np.nan)
-        )
+        # a NaN from the Bessel values must end as a numeric failure, never
+        # as a number
+        monkeypatch.setattr(exact_dist, "_kve01", lambda t: (np.full(t.shape, np.nan),) * 2)
         code, out, err = run_cli(
             ["prob", "--n", "5", "--v", "2", "--x", "0.9", "--stat", "max", "--side", "le"]
         )
@@ -196,6 +195,15 @@ class TestProbCommand:
         assert rows[0]["probability"] == ""
         assert "numeric failure: non-finite ladder value" in err
         assert "partial estimate nan with relative error inf" in err
+
+    def test_threshold_below_the_bessel_range_exits_3(self):
+        # t = 2x = 1e-305 lies below the trapezoid rule's range, which ends
+        # near 2e-304
+        code, out, err = run_cli(
+            ["prob", "--n", "1", "--v", "0", "--x", "5e-306", "--stat", "max", "--side", "le"]
+        )
+        assert code == 3
+        assert "numeric failure: non-finite ladder value at t=1e-305" in err
 
 
 class TestExitCodes:
@@ -481,19 +489,54 @@ class TestDeterminism:
 
 
 class TestImportCost:
-    """Importing the library and the CLI stays cheap."""
+    """Importing the library and the CLI stays cheap: scipy loads only for
+    ``verify``."""
 
-    def test_scipy_integrate_is_not_imported(self):
-        # scipy.integrate alone adds about a third of a second to every start
+    @staticmethod
+    def _fresh(args):
         src = str(Path(cli_module.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        code = (
-            "import sys, chiral_ldp, chiral_ldp.cli\n"
-            "print('scipy.integrate' in sys.modules)"
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-        )
+
+    def test_scipy_integrate_is_not_imported(self):
+        # scipy.integrate alone adds about a third of a second to every start
+        result = self._fresh([
+            "-c", "import sys, chiral_ldp, chiral_ldp.cli\n"
+            "print('scipy.integrate' in sys.modules)",
+        ])
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_scipy_special_is_not_imported(self):
+        # scipy.special takes about 0.25 s to import; every command but
+        # verify runs without it
+        commands = [
+            ["prob", "--n", "5", "--v", "2", "--x", "0.9", "--stat", "max", "--side", "ge"],
+            ["rate", "--which", "min-right", "--alpha", "2.5", "--x", "1.5"],
+            ["converge", "--theorem", "t1-right", "--grid", "20:0,40:0"],
+            ["converge", "--theorem", "clt", "--n", "200"],
+            ["sample", "--n", "5", "--v", "2", "--j", "3", "--count", "200", "--ks"],
+            ["matrix", "--n", "3", "--v", "1", "--count", "50", "--ks"],
+        ]
+        code = (
+            "import contextlib, io, sys, numpy as np\n"
+            "import chiral_ldp, chiral_ldp.cli\n"
+            "from chiral_ldp import Direction, EnsembleParams, Statistic, TailQuery\n"
+            "params = EnsembleParams(5, 2)\n"
+            "chiral_ldp.log_prob(params, TailQuery(Statistic.MAX_SQ, Direction.GE, 1.5))\n"
+            "chiral_ldp.ks_statistic(params, 3, np.linspace(0.05, 2.0, 40))\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert chiral_ldp.cli.main(argv) == 0, argv\n"
+            "print('scipy.special' in sys.modules)"
+        )
+        result = self._fresh(["-c", code])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+    def test_verify_quick_runs_in_a_fresh_process(self):
+        result = self._fresh(["-m", "chiral_ldp.cli", "verify", "--quick"])
+        assert result.returncode == 0, result.stdout + result.stderr

@@ -18,6 +18,7 @@ from chiral_ldp.rate_functions import (
     vscale_rate_statement_form,
 )
 from chiral_ldp.tau_geometry import kappa
+from oracles import finite_alpha_rate_oracle
 
 ALPHAS = (0.0, 0.1, 1.0, 10.0, math.inf)
 
@@ -180,6 +181,29 @@ class TestLimitCoherence:
             assert rate_min_right(near, x).value == pytest.approx(
                 rate_min_right(inf, x).value, abs=1e-5
             )
+
+    @pytest.mark.parametrize("alpha", [1e8, 1e12, 1e16, 1e18, 1e300])
+    def test_huge_finite_alpha_reaches_the_limits(self, alpha):
+        # the finite-alpha displays cancel O(alpha^2) terms down to O(1)
+        for x in (0.3, 0.5, 0.8):
+            got = rate_max_left(alpha, x).value
+            assert got > 0.0
+            assert got == pytest.approx(rate_max_left_infinity_consistent(x), abs=1e-6)
+        for x in (0.3, 0.5, 0.8, 1.5, 3.0):
+            got = rate_min_right(alpha, x).value
+            assert got > 0.0
+            assert got == pytest.approx(rate_min_right(math.inf, x).value, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-3, 0.1, 1.0, 2.5, 100.0, 1e4, 1e8, 1e16])
+    def test_finite_alpha_matches_high_precision_display(self, alpha):
+        # levels away from 1, where max-left vanishes like (1-x)^3 and every
+        # form of it loses digits to that cancellation
+        for x in (0.05, 0.2, 0.5, 0.7):
+            want = finite_alpha_rate_oracle("max-left", alpha, x)
+            assert rate_max_left(alpha, x).value == pytest.approx(want, rel=1e-13)
+        for x in (0.05, 0.2, 0.5, 0.7, 1.5, 2.0, 5.0):
+            want = finite_alpha_rate_oracle("min-right", alpha, x)
+            assert rate_min_right(alpha, x).value == pytest.approx(want, rel=1e-13)
 
 
 class TestMdpConstants:
