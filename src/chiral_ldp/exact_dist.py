@@ -15,21 +15,21 @@ all-positive increments
 
     S(a, b+1) - S(a, b) = D(a, b) = 2 s^{(a+b)/2} K_{|a-b|}(t) / (Gamma(a) Gamma(b+1)),
 
-and the same with a and b swapped.  From S(1, 0) = 0:
+and the same with a and b swapped.  Then
 
-    sf_1     = t K_1(t) + sum_{b=1..v} D(1, b)
+    sf_1     = P(G_1 G_{v+1} >= s) = E[e^{-s/G_{v+1}}] = 2 s^{(v+1)/2} K_{v+1}(t) / v!
     sf_{j+1} = sf_j + delta_j,      delta_j = D(j, j+v) + D(j+v+1, j)
-    cdf_j    = sum_{i >= j} delta_i.
+    cdf_j    = sum_{i >= j} delta_i,
 
-Only K_0 .. K_{v+1} at the one argument t appear.  K_0 and K_1 come from
-the trapezoid rule on e^t K_nu(t) = int_0^inf exp(-2t sinh^2(u/2))
-cosh(nu u) du (DLMF 10.32.9, see :func:`_kve01`), the rest from the forward
-recurrence K_{k+1} = K_{k-1} + (2k/t) K_k (DLMF §10.29), which is stable for
-K (DLMF §3.6).  Every sum runs in log space over positive terms, so nothing
+sf_1 by the same integral (DLMF 10.32.10).  Only K_v and K_{v+1} at the one
+argument t appear, both from a trapezoid rule centred at the peak of their
+integral representation (see :func:`_kve_sums`), at a cost that does not
+grow with v.  Every sum runs in log space over positive terms, so nothing
 cancels.  For each index the smaller of sf and cdf comes from its own sum
 and the other through log1p(-exp(.)).  The increments are evaluated as
-products of kve and Poisson weights (see :func:`_ladder_sums`), which keeps
-the rounding of each log-term near double precision.
+products of kve and Poisson weights (see :func:`_ladder_sums`), and the
+large factors of these products meet in closed form (see :func:`_bessel`),
+which keeps the rounding of each log-term near double precision.
 
 Truncation rule.  The forward sums are finite.  The reverse sum is needed
 only when some sf_j exceeds 1/2, and stops at the first index L >= top with
@@ -88,20 +88,14 @@ _TRUNCATION_NATS = 40.0
 _FIRST_WINDOW = 32
 # Rows run in chunks that keep each temporary near this many elements.
 _CHUNK_ELEMENTS = 1_000_000
-# Above this many rows the Bessel recurrence and its exact sums step all rows
-# as vectors; below it a float loop per row is faster (at v = 1e4 the two
-# cost the same near 32 rows).
-_VECTOR_ROWS = 32
-# The trapezoid rule for kve(0|1, t) (see _kve01) runs its nodes past the
-# reach where 2 t sinh^2(u/2) = _K_NATS, in at most _K_MAX_GROUPS groups of
-# _K_NODES (more would overflow the cosh weights of the last nodes), at a
-# step of at most _K_MAX_STEP; rows run in blocks of about _K_BLOCK nodes.
+# The trapezoid rule (see _kve_sums) runs to where its integrands are
+# e^-_K_NATS below their peak, in at most _K_MAX_GROUPS * _K_NODES nodes
+# (more overflow the cosh weights at v = 0); rows run in blocks of _K_BLOCK.
 _K_NATS = 45.0
 _K_NODES = 32
 _K_MAX_GROUPS = 88
-_K_MAX_STEP = 0.25
 _K_BLOCK = 1 << 13
-_K_HALF_NODES = np.arange(1, _K_NODES * _K_MAX_GROUPS + 1) / 2.0  # u / (2 step)
+_K_HALF_NODES = np.arange(_K_NODES * _K_MAX_GROUPS) / 2.0  # node index over 2, from the first
 # Stirling errors for m = 1 .. 15 (see _stirling_error), from 40-digit
 # mpmath and correctly rounded; the direct formula cancels up to 4e-15 here.
 _STIRLING_ERROR = np.array([
@@ -180,106 +174,117 @@ def _take(rows: _Rows, sel: np.ndarray) -> _Rows:
     return _Rows(*(field[sel] for field in rows))
 
 
-def _kve01(t: np.ndarray) -> np.ndarray:
-    """kve(0, t) and kve(1, t), where kve(nu, t) = e^t K_nu(t), as the two
-    rows of one array, at each threshold of the 1-d array t; NaN where t is
-    NaN, infinite or below about 2e-304.
+def _kve_sums(t: np.ndarray, v: int) -> np.ndarray:
+    """kve(v, t) and kve(v+1, t), kve(nu, t) = e^t K_nu(t), each over its
+    integrand at u* below (see :func:`_bessel`; 1 at v = 0), as the two rows
+    of one array, at each threshold of the 1-d array t; NaN where t is NaN,
+    infinite or negative, and at v = 0 below about 2e-304.
 
-    The trapezoid rule on e^t K_nu(t) = int_0^inf exp(-2t sinh^2(u/2))
-    cosh(nu u) du (DLMF 10.32.9), with cosh u = 1 + 2 sinh^2(u/2): one sinh
-    and one exp per node.  The integrand is even, entire and decays double
-    exponentially, so the rule converges geometrically in the step
-    (Trefethen & Weideman, SIAM Rev. 56(3), 2014).  Per row:
+    The trapezoid rule on e^t K_nu(t) = 1/2 int exp(nu u - t (cosh u - 1)) du
+    (DLMF 10.32.9), geometrically convergent in the step for this entire,
+    doubly exponentially decaying integrand (Trefethen & Weideman, SIAM Rev.
+    56(3), 2014).  The grid is centred at the peak u* = asinh(v/t); with
+    H = sqrt(v^2 + t^2) and d = u - u*, the exponent less its peak is
+    -v (e^d - 1 - d) - (H - v) (cosh d - 1), two terms of one sign, and
+    order v+1 has the extra weight e^d.  Per row the nodes run past where
+    both integrands are e^-_K_NATS below the peak, at a step of f peak widths
+    H^(-1/2), f = min(0.6, 0.2 + max(0.1 log v, 0.14 log t)): the integrand
+    is nearly Gaussian for t >> v, and for t << v its exponential left tail
+    lets the strip |Im u| < pi/2 decide, so f keeps the strip bound on the
+    relative error, 2 e^(-2 pi y / step) K_v(t cos y) / K_v(t) at the best y,
+    below 1e-17.  That takes 32 to about 220 nodes.
 
-    - the nodes run past the reach where 2t sinh^2(u/2) = _K_NATS, beyond
-      which the integrand is below e^-45 of the integral;
-    - the step is a power of two, so every node k*step is exact; it is at
-      most 1/4, where the strip |Im u| < pi/2 in which the integrand stays
-      bounded caps the error near e^(-pi^2 / step), and at most reach/16,
-      which resolves the Gaussian of width 1/sqrt(t) the integrand becomes
-      for large t;
-    - the node count is a multiple of _K_NODES: _K_NODES itself for
-      t above about 1.7, growing as log(1/t) below.
-
-    Rows are grouped by node count and run in blocks that keep the node
-    array in cache; each row is summed on its own, so its value does not
-    depend on the other rows.  Within 4.4e-16 relative of 40-digit mpmath
-    over [1e-300, 1e300].
+    At v = 0 the grid folds onto u = k step, k >= 1, with
+    cosh u = 1 + 2 sinh^2(u/2) as the order-1 weight and a power-of-two step
+    of at most 1/4 and 1/16 of the reach; within 4.4e-16 of 40-digit mpmath
+    over [1e-300, 1e300].  Rows are grouped by node count and run in blocks
+    that keep the node array in cache; each row is summed on its own, so its
+    value does not depend on the other rows.
     """
-    k = np.full((2, t.size), np.nan)
+    out = np.full((2, t.size), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        reach = 2.0 * np.arcsinh(math.sqrt(0.5 * _K_NATS) / np.sqrt(t))
-        step = np.minimum(np.exp2(np.ceil(np.log2(reach / _K_NODES))), _K_MAX_STEP)
-        count = np.ceil(reach / (_K_NODES * step))
-    count[~(count <= _K_MAX_GROUPS)] = 0.0  # also t <= 0, t = inf and NaN
-    for groups in range(1, int(count.max(initial=0.0)) + 1):
-        rows = np.flatnonzero(count == groups)
-        half = _K_HALF_NODES[: _K_NODES * groups]
-        per_block = max(1, _K_BLOCK // half.size)
-        for start in range(0, rows.size, per_block):
-            at = rows[start : start + per_block]
-            h = step[at]
-            s = np.sinh(h[:, None] * half)
-            s = 2.0 * s * s  # cosh u - 1
-            a = np.exp(-t[at, None] * s)
-            a_sum = a.sum(axis=1)
-            k[0, at] = h * (a_sum + 0.5)
-            k[1, at] = h * (a_sum + (a * s).sum(axis=1) + 0.5)
-    return k
-
-
-def _bessel_ratios(t: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """log kve(0, t), log kve(1, t) and r_k = K_{k+1}(t) / K_k(t) for
-    k = 1 .. order-1, one row per threshold, by the forward recurrence
-    r_k = 1/r_{k-1} + 2k/t, stable for K and a sum of positive terms.
-
-    Many rows step through k as vectors; a few rows run a float loop each,
-    which is faster than a numpy step per k.
-    """
-    k0, k1 = _kve01(t)
-    r = k1 / k0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lk0, lk1 = np.log(k0), np.log(k1)
-        ratios = np.empty((t.size, order - 1))
-        if t.size > _VECTOR_ROWS:
-            for k in range(1, order):
-                r = 1.0 / r + 2.0 * k / t
-                ratios[:, k - 1] = r
+        if v == 0:
+            reach = 2.0 * np.arcsinh(math.sqrt(0.5 * _K_NATS) / np.sqrt(t))
+            step = np.minimum(np.exp2(np.ceil(np.log2(reach / _K_NODES))), 0.25)
+            count = _K_NODES * np.ceil(reach / (_K_NODES * step))
+            first = np.ones_like(t)  # the first node, in steps from the peak
         else:
-            for row, (r_row, t_row) in enumerate(zip(r.tolist(), t.tolist())):
-                steps = []
-                for k in range(1, order):
-                    r_row = 1.0 / r_row + 2.0 * k / t_row
-                    steps.append(r_row)
-                ratios[row] = steps
-    return lk0, lk1, ratios
-
-
-def _prefix(first: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """first, first + steps[:, 0], ... per row; the last two, which every
-    increment uses, summed exactly: math.fsum for a few rows, compensated
-    (Neumaier) summation over many, which rounds the same but in rare ties."""
-    out = np.concatenate((first[:, None], first[:, None] + np.cumsum(steps, axis=1)), axis=1)
-    count = steps.shape[1]
-    if count and first.size > _VECTOR_ROWS:
-        total, comp = first.copy(), np.zeros_like(first)
-        for k in range(count):
-            if k == count - 1:
-                out[:, -2] = np.where(np.isfinite(comp), total + comp, total)
-            step = steps[:, k]
-            new = total + step
-            comp += np.where(np.abs(total) >= np.abs(step), (total - new) + step, (step - new) + total)
-            total = new
-        out[:, -1] = np.where(np.isfinite(comp), total + comp, total)
-    elif count:
-        for row, (head, rest) in enumerate(zip(first.tolist(), steps.tolist())):
-            out[row, -1] = math.fsum([head, *rest])
-            if count > 1:
-                out[row, -2] = math.fsum([head, *rest[:-1]])
+            big = np.hypot(v, t)
+            gap = t * (t / (big + v))  # H - v
+            width = np.minimum(0.6, 0.2 + np.maximum(0.1 * math.log(v), 0.14 * np.log(t)))
+            step = width / np.sqrt(big)
+            # exponent bounds: -H d^2 / (2 + d) and the cosh term on the left,
+            # d - H d^2 / 2 for order v+1 on the right
+            c = _K_NATS / big
+            left = np.minimum(
+                0.5 * (c + np.sqrt(c * (c + 8.0))), 2.0 * np.arcsinh(np.sqrt(0.5 * _K_NATS / gap))
+            )
+            right = (1.0 + np.sqrt(1.0 + 2.0 * _K_NATS * big)) / big
+            first = -np.ceil(left / step)
+            count = np.ceil(right / step) - first + 1.0
+        count[~(count <= _K_NODES * _K_MAX_GROUPS)] = 0.0  # also t = inf and NaN
+        for nodes in sorted(set(count.tolist()) - {0.0}):
+            rows = np.flatnonzero(count == nodes)
+            half = _K_HALF_NODES[: int(nodes)]
+            per_block = max(1, _K_BLOCK // half.size)
+            for start in range(0, rows.size, per_block):
+                at = rows[start : start + per_block]
+                h = step[at]
+                x = h[:, None] * (half + 0.5 * first[at, None])  # (u - u*) / 2
+                s = np.sinh(x)
+                s = 2.0 * s * s  # cosh(u - u*) - 1
+                if v == 0:
+                    a = np.exp(-t[at, None] * s)
+                    a_sum = a.sum(axis=1)
+                    out[0, at] = h * (a_sum + 0.5)
+                    out[1, at] = h * (a_sum + (a * s).sum(axis=1) + 0.5)
+                else:
+                    e = np.expm1(x + x)
+                    a = np.exp(v * (x + x - e) - gap[at, None] * s)
+                    a_sum = a.sum(axis=1)
+                    out[0, at] = 0.5 * h * a_sum
+                    out[1, at] = 0.5 * h * (a_sum + (a * e).sum(axis=1))
     return out
 
 
-def _stirling_error(m: np.ndarray) -> np.ndarray:
+def _bessel(t: np.ndarray, v: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The ladder's Bessel constants at each threshold of the 1-d array t:
+    log kve(v, t) and log kve(v+1, t), and the paired form's
+    log(kve(v) p(v+1)), log(kve(v+1) p(v+2)) and log(kve(v+1) p(v)), with
+    p(m) = mu^m e^-mu / m! and mu = t/2.
+
+    log kve is the log of the rule's sum plus that of its integrand's peak,
+    P = v u* - (H - t) for order v and P + u* for order v+1.  P and log p(v)
+    are large where the paired form is used and nearly cancel, so their sum
+    comes in closed form, every term at most about mu: with q = t / (v + H)
+    and Loader's deviance D(v, mu) = v log(v/mu) + mu - v,
+    P + log p(v) = P - D(v, mu) - stirling(v) - log sqrt(2 pi v)
+                 = v log1p(mu q / v) - t q + mu - stirling(v) - log sqrt(2 pi v).
+    """
+    log_s0, log_s1 = np.log(_kve_sums(t, v))
+    mu = 0.5 * t
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_mu = np.log(mu)
+        if v == 0:
+            peak = lift = 0.0
+            base = -mu  # log p(0)
+        else:
+            big = np.hypot(v, t)
+            q = t / (v + big)
+            lift = np.arcsinh(v / t)  # u*
+            peak = v * (lift - v / (big + t))  # v u* - (H - t)
+            mode = float(_stirling_error(float(v))) + 0.5 * math.log(2.0 * math.pi * v)
+            base = v * np.log1p(mu * q / v) + (mu - t * q) - mode  # peak + log p(v)
+        log_k = (peak + log_s0, (peak + lift) + log_s1)
+        log_kp = (
+            ((log_s0 + log_mu) - math.log(v + 1)) + base,
+            ((log_s1 + 2.0 * log_mu) - math.log((v + 1) * (v + 2))) + (base + lift),
+            (base + lift) + log_s1,
+        )
+    return log_k, log_kp
+
+
+def _stirling_error(m: np.ndarray | float) -> np.ndarray:
     """log m! - (m + 1/2) log m + m - log sqrt(2 pi) for m >= 1 (Loader 2000):
     tabulated up to 15, its asymptotic series above."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -358,15 +363,15 @@ def _ladder_sums(t: np.ndarray, v: int, top: int, force_reverse: bool = False) -
 
     Each increment is written D(a, b) = t kve(|a-b|, t) p(a-1) p(b) with the
     Poisson weights p(m) = mu^m e^-mu / m!, mu = t/2, so that large powers
-    and factorials meet inside one well-conditioned log p(m).  When
-    log kve(v, t) exceeds 2 mu, the orders lie far above the Poisson mode and
-    log kve(k, t), log p(k) are both large; there each kve(k, t) is carried
-    paired with p(k+1), by its own recurrence, and p(i+v) as a ratio to
-    p(v+1), which leaves terms of size about mu instead.  The form is chosen
-    per row.  The reverse sum is taken in the rows where sf_top > 1/2, the
-    one case where some cdf is the smaller side, or in all rows when
-    ``force_reverse`` asks for it.  Rows run in chunks that keep every
-    temporary near ``_CHUNK_ELEMENTS`` elements.
+    and factorials meet inside one well-conditioned log p(m).  When log
+    kve(v, t) exceeds 2 mu, the orders lie far above the Poisson mode and
+    log kve(k, t), log p(k) are both large; there kve(v) and kve(v+1) are
+    carried paired with p(v+1) and p(v+2) (see :func:`_bessel`), and p(i+v)
+    as a ratio to p(v+1), which leaves terms of size about mu instead.  The
+    form is chosen per row.  The reverse sum is taken in the rows where
+    sf_top > 1/2, the one case where some cdf is the smaller side, or in all
+    rows when ``force_reverse`` asks for it.  Rows run in chunks that keep
+    every temporary near ``_CHUNK_ELEMENTS`` elements.
     """
     t = np.asarray(t, dtype=float)
     cap = top + math.ceil(40.0 * math.sqrt(top + v)) + 100
@@ -380,16 +385,14 @@ def _ladder_sums(t: np.ndarray, v: int, top: int, force_reverse: bool = False) -
     chunk = max(1, _CHUNK_ELEMENTS // (cap + v + 2))
     for start in range(0, t.size, chunk):
         where = np.arange(start, min(start + chunk, t.size))
-        lk0, lk1, ratios = _bessel_ratios(t[where], v + 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_kve = np.concatenate((lk0[:, None], _prefix(lk1, np.log(ratios))), axis=1)
-        paired = log_kve[:, v] > t[where]  # 2 mu = t
+        log_k, log_kp = _bessel(t[where], v)
+        paired = log_k[0] > t[where]  # 2 mu = t
         for form in (False, True):
             sel = np.flatnonzero(paired == form)
             if sel.size:
                 _ladder_rows(
                     sums, where[sel], t[where[sel]], v, top, cap, form, force_reverse,
-                    (lk0[sel], lk1[sel], ratios[sel], log_kve[sel]),
+                    tuple(col[sel] for col in (log_kp if form else log_k)),
                 )
     return sums
 
@@ -403,38 +406,27 @@ def _ladder_rows(
     cap: int,
     paired: bool,
     force_reverse: bool,
-    bessel: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    bessel: tuple[np.ndarray, ...],
 ) -> None:
     """Fill rows ``where`` of ``sums``, all of one increment form.
 
-    ``bessel`` holds log kve(0), log kve(1), the ratios r_k and log kve(k)
-    for k = 0 .. v+1 at these thresholds.
+    ``bessel`` holds the rows' constants from :func:`_bessel` for that form:
+    log kve(v) and log kve(v+1), or the paired form's three.
     """
-    lk0, lk1, ratios, log_kve = bessel
     mu = 0.5 * t
     with np.errstate(divide="ignore", invalid="ignore"):
         log_t, log_mu = np.log(t), np.log(mu)
-        if paired:
-            # log(kve(k) p(k+1)) for k = 0 .. v+1
-            kp = np.concatenate((
-                (lk0 + log_mu - mu)[:, None],
-                _prefix(
-                    lk1 + 2.0 * log_mu - _LOG2 - mu,
-                    np.log(ratios * (mu[:, None] / np.arange(3, v + 3))),
-                ),
-            ), axis=1)
-            log_a, log_b = kp[:, v], kp[:, v + 1]
-            base = kp[:, :v]  # log(kve(b-1) p(b)), b = 1 .. v
-        else:
-            log_a, log_b = log_kve[:, v], log_kve[:, v + 1]
-        # the Poisson weights of sf_1, delta_1 .. delta_{top-1} and the
-        # reverse sum's first window
+        # the Poisson weights of delta_1 .. delta_{top-1} and the reverse
+        # sum's first window
         count = top + _FIRST_WINDOW + (0 if paired else v)
         log_p = _log_poisson(mu[:, None], np.arange(count))
-        if not paired:
-            base = log_kve[:, :v] + log_p[:, 1 : v + 1]
-        # sf_1 = D(1, 0) + D(1, 1) + ... + D(1, v)
-        log_sf1 = log_t - mu + _log_sum_exp(np.concatenate(((lk1 - mu)[:, None], base), axis=1))
+        if paired:
+            log_a, log_b, log_c = bessel
+        else:
+            log_a, log_b = bessel
+            log_c = log_b + log_p[:, v]
+        # sf_1 = P(G_1 G_{v+1} >= s) = t kve(v+1) p(0) p(v), log_c = log(kve(v+1) p(v))
+        log_sf1 = log_t - mu + log_c
         rows = _Rows(
             *(col[:, None] for col in (mu, log_t, log_mu, log_a, log_b)),
             np.zeros((t.size, 1)),

@@ -1,8 +1,7 @@
 """The per-index normalizing constant log Z_j, in log space.
 
-Bessel K values are not computed here: the exact layer takes K_0 and K_1
-from a trapezoid rule and the higher orders from a ratio recurrence
-(:mod:`.exact_dist`).
+Bessel K values are not computed here: the exact layer takes the two orders
+it needs, K_v and K_{v+1}, from a trapezoid rule (:mod:`.exact_dist`).
 """
 
 from __future__ import annotations

@@ -99,21 +99,28 @@ def _check_kappa_identity() -> tuple[bool, str]:
 
 
 def _check_closed_form_tail() -> tuple[bool, str]:
-    # n=1, v=0: P(2Y_1 >= t) = t K_1(t), against scipy's K_1, which shares
+    # n=1: P(X_1 >= x) = P(G_1 G_{v+1} >= s) = 2 s^{(v+1)/2} K_{v+1}(t) / v!
+    # with s = t^2/4 (DLMF 10.32.10), against scipy's K_{v+1}, which shares
     # no code with the ladder's trapezoid rule
     from scipy.special import kve
 
-    params = EnsembleParams(1, 0)
     worst = 0.0
-    for t in (1e-6, 0.5, 1.0, 2.0, 5.0, 30.0):
-        got = math.exp(log_sf_index(params, 1, t / 2.0))
-        want = t * float(kve(1, t)) * math.exp(-t)
-        worst = max(worst, abs(got - want) / want)
-    return worst <= 1e-12, f"max rel error vs t*K_1(t): {worst:.3e} (tol 1e-12)"
+    for v in (0, 1, 5, 30):
+        params = EnsembleParams(1, v)
+        c = derived_scales(params).c
+        for t in (1e-6, 0.5, 1.0, 2.0, 5.0, 30.0):
+            got = math.exp(log_sf_index(params, 1, t / c))
+            log_want = (v + 1) * math.log(0.5 * t) + math.log(2.0 * kve(v + 1, t)) - t
+            want = math.exp(log_want - math.lgamma(v + 1))
+            worst = max(worst, abs(got - want) / want)
+    return worst <= 1e-12, f"max rel error vs 2 s^((v+1)/2) K_(v+1)(t)/v!: {worst:.3e} (tol 1e-12)"
 
 
 def _check_tail_complement() -> tuple[bool, str]:
+    # the last two run the closed-form sf_1 at large v against the reverse
+    # sum of the increments
     cases = ((7, 2, 4, 0.9), (20, 3, 11, 1.1), (50, 0, 50, 1.02))
+    cases += ((3, 1000, 2, 1.0), (2, 10000, 1, 0.5))
     worst = 0.0
     for n, v, j, x in cases:
         # both sides summed directly: forward for sf, reverse for cdf

@@ -264,11 +264,11 @@ class TestKsMaxBlocks:
         x = self._probe_maxima(params, 400)
         t = np.sort(x) * derived_scales(params).c
         bad = t[[120, 330]]  # in the third and the seventh block
-        real = exact_dist._kve01
+        real = exact_dist._kve_sums
         monkeypatch.setattr(
             exact_dist,
-            "_kve01",
-            lambda s: tuple(np.where(np.isin(s, bad), np.nan, k) for k in real(s)),
+            "_kve_sums",
+            lambda s, v: np.where(np.isin(s, bad), np.nan, real(s, v)),
         )
         monkeypatch.setattr(sampler, "_CHUNK_ELEMENTS", 50 * params.n)
         with pytest.raises(QuadratureError) as info:
