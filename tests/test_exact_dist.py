@@ -218,10 +218,18 @@ class TestBesselValues:
         ks = {k for v in self.ORDERS for k in (v, v + 1)}
         return {(k, t): log_kv_oracle(k, t) for k in ks for t in self.TS}
 
-    def test_log_k_matches_oracle(self, reference):
-        t = np.array(self.TS)
+    # "float-path" takes each threshold alone, as the scalar entry points
+    # do; "vector-path" takes six tiled copies in one call, so each row
+    # shares its node-count group and block with others
+    @pytest.mark.parametrize("tiles", [0, 6], ids=["float-path", "vector-path"])
+    def test_log_k_matches_oracle(self, tiles, reference):
+        t = np.tile(self.TS, tiles) if tiles else np.array(self.TS)
         for v in self.ORDERS:
-            log_k, _ = _bessel(t, v)
+            if tiles:
+                log_k, _ = _bessel(t, v)
+            else:
+                alone = [_bessel(t[i : i + 1], v)[0] for i in range(t.size)]
+                log_k = tuple(np.concatenate([row[j] for row in alone]) for j in (0, 1))
             for k, got in zip((v, v + 1), log_k):
                 want = np.array([reference[k, ti] for ti in t])
                 err = np.abs(got - t - want)
