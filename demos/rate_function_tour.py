@@ -83,8 +83,8 @@ for alpha in (0.0, 1.0, 10.0, math.inf):
     label = "inf" if math.isinf(alpha) else f"{alpha:.1f}"
     print(f"  alpha={label:>4}: right {r:.6f}  left {l:.6f}")
 print()
-print("At alpha=0 these are 1 and 4/27:", mdp_max_right_const(0.0),
-      mdp_max_left_const(0.0), "=", 4 / 27)
+print("At alpha=0 these are 1 and 1/3:", mdp_max_right_const(0.0),
+      mdp_max_left_const(0.0))
 print()
 print("Every number above came from closed-form evaluation; the convergence")
 print("demo checks them against exact finite-n probabilities.")

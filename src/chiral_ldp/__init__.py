@@ -51,11 +51,10 @@ from .exact_dist import (
     log_sf_index,
 )
 from .rate_functions import (
-    MdpMinRegime,
     RateEval,
     mdp_max_left_const,
     mdp_max_right_const,
-    mdp_min_rate,
+    mdp_min_alpha_const,
     rate_max_left,
     rate_max_left_infinity_consistent,
     rate_max_right,
@@ -99,7 +98,6 @@ __all__ = [
     "LOG_ZERO",
     "MaSums",
     "MatrixProbeConfig",
-    "MdpMinRegime",
     "QuadratureError",
     "RateEval",
     "RegimeError",
@@ -136,7 +134,7 @@ __all__ = [
     "matrix_probe_extremes",
     "mdp_max_left_const",
     "mdp_max_right_const",
-    "mdp_min_rate",
+    "mdp_min_alpha_const",
     "minimizer_xj",
     "predict_log_cdf_bounded_v",
     "predict_log_cdf_large_v",

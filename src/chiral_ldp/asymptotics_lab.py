@@ -8,13 +8,15 @@ exact values always come from :mod:`chiral_ldp.exact_dist`.
 
 The convergence harness turns each limit theorem into a table: exact decay
 exponents at finite (n, v) against the limiting rate, with the gap scaled
-by the theorem's speed so rows are comparable across n.
+by the theorem's speed so rows are comparable across n.  Each theorem is
+one record of :data:`THEOREMS`, which the ``rate`` command reads too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,13 +33,14 @@ from .core_types import (
 )
 from .exact_dist import log_prob
 from .rate_functions import (
-    MdpMinRegime,
+    RateEval,
     mdp_max_left_const,
     mdp_max_right_const,
-    mdp_min_rate,
+    mdp_min_alpha_const,
     rate_max_left,
     rate_max_right,
     rate_min_right,
+    vscale_rate,
     vscale_rate_statement_form,
 )
 from .tau_geometry import TauParams, minimizer_xj, u
@@ -47,7 +50,9 @@ __all__ = [
     "ConvergenceRow",
     "CltRow",
     "MaSums",
+    "LimitTheorem",
     "RegimeError",
+    "THEOREMS",
     "THEOREM_TAGS",
     "predict_log_sf_bounded_v",
     "predict_log_cdf_bounded_v",
@@ -286,151 +291,155 @@ def lemma_ma_sums(n: int, v: int) -> MaSums:
     return MaSums(exact_1=exact_1, asym_1=asym_1, exact_2=exact_2, asym_2=asym_2)
 
 
-THEOREM_TAGS = (
-    "t1-right",
-    "t1-left",
-    "t2",
-    "t3-right",
-    "t3-left",
-    "t4-item1",
-    "t4-item2",
-    "t4-item3",
-)
+def _v_over_n(n: int, v: int) -> float:
+    if v <= 0:
+        raise ValueError("t4-item2 needs v >= 1 (deviation scale v/n)")
+    return v / n
 
-_DEFAULT_GRIDS: dict[str, tuple[tuple[int, int], ...]] = {
-    "t1-right": ((25, 0), (50, 0), (100, 0), (200, 0)),
-    "t1-left": ((25, 0), (50, 0), (100, 0)),
-    "t2": ((25, 0), (50, 0), (100, 0)),
-    "t3-right": ((1000, 0), (10000, 0)),
-    "t3-left": ((300, 0), (1000, 0), (3000, 0)),
-    "t4-item1": ((1000, 0), (10000, 0)),
-    "t4-item2": ((1000, 80), (2000, 160), (4000, 320)),
-    "t4-item3": ((200, 200), (500, 500), (1000, 1000)),
+
+def _alpha_scale(n: int, v: int) -> float:
+    if v <= 0:
+        raise ValueError("t4-item3 needs v growing like n (alpha > 0)")
+    return float(n) ** -(1.0 / 5.0)
+
+
+def _power_window(s: int) -> Callable[[int, float], str | None]:
+    """The moderate-deviation window log n/n < l^s < 1."""
+
+    def note(n: int, l: float) -> str | None:
+        if math.log(n) / n < l**s < 1.0:
+            return None
+        return f"window violated: need log n/n < l^{s} < 1, l^{s} = {l**s:.3g}"
+
+    return note
+
+
+def _quartic_root_window(n: int, l: float) -> str | None:
+    bound = (math.log(n) / n) ** 0.25
+    if bound < l < 1.0:
+        return None
+    return f"window violated: need (log n/n)^(1/4) < l < 1, l = {l:.3g}, bound = {bound:.3g}"
+
+
+def _mdp_min_small_v(alpha: float, x: float) -> RateEval:
+    if not x >= 0.0:
+        raise ValueError("x must be >= 0")
+    return RateEval(x * x / 2.0, "mdp_speed_n2_l2")
+
+
+def _mdp_min_alpha(alpha: float, x: float) -> RateEval:
+    if not x >= 0.0:
+        raise ValueError("x must be >= 0")
+    c = mdp_min_alpha_const(alpha)
+    # x^4/4 at alpha = inf bit for bit as rate_min_right(inf, x) gives it below one
+    x4 = x**4 if math.isfinite(alpha) else x * x * x * x
+    return RateEval(c * x4, "mdp_speed_n2_l4")
+
+
+@dataclass(frozen=True)
+class LimitTheorem:
+    """One limit statement: which tail of which statistic, at which scale.
+
+    At finite (n, v) the deviation scale is ``l = scale(n, v)`` (None for
+    the large deviations), the statistic's threshold is ``level(l, x)``, and
+    the exact decay exponent per unit of ``speed(n, v, l)`` tends to
+    ``rate(v/n, x)``.  ``kind`` names the rate for ``chiral-ldp rate
+    --which``; ``window`` reports a row outside the deviation-scale window;
+    ``alt_rate`` is a published alternative display of the rate; ``grid``
+    and ``x`` are the default experiment.
+    """
+
+    kind: str
+    statistic: Statistic
+    direction: Direction
+    level: Callable[[float | None, float], float]
+    scale: Callable[[int, int], float | None]
+    speed: Callable[[int, int, float | None], float]
+    rate: Callable[[float, float], RateEval]
+    grid: tuple[tuple[int, int], ...]
+    x: float
+    window: Callable[[int, float], str | None] | None = None
+    alt_rate: Callable[[float], float] | None = None
+
+    def rate_at(self, alpha: float, x: float) -> RateEval:
+        """``rate(alpha, x)`` at a level from outside the program, which must
+        be finite and >= 0; the rate's own guards run first."""
+        ev = self.rate(alpha, x)
+        if not 0.0 <= x < math.inf:
+            raise ValueError(f"x must be finite and >= 0, got {x}")
+        return ev
+
+
+# The moderate-deviation scales n^-e keep each window comfortably
+# satisfied at n <= 1e4.
+THEOREMS: dict[str, LimitTheorem] = {
+    "t1-right": LimitTheorem(
+        "max-right", Statistic.MAX_SQ, Direction.GE, level=lambda l, x: x,
+        scale=lambda n, v: None, speed=lambda n, v, l: float(n), rate=rate_max_right,
+        grid=((25, 0), (50, 0), (100, 0), (200, 0)), x=1.5,
+    ),
+    "t1-left": LimitTheorem(
+        "max-left", Statistic.MAX_SQ, Direction.LE, level=lambda l, x: x,
+        scale=lambda n, v: None, speed=lambda n, v, l: float(n) ** 2, rate=rate_max_left,
+        grid=((25, 0), (50, 0), (100, 0)), x=0.5,
+    ),
+    "t2": LimitTheorem(
+        "min-right", Statistic.MIN_SQ, Direction.GE, level=lambda l, x: x,
+        scale=lambda n, v: None, speed=lambda n, v, l: float(n) ** 2, rate=rate_min_right,
+        grid=((25, 0), (50, 0), (100, 0)), x=2.0,
+    ),
+    "t3-right": LimitTheorem(
+        "mdp-max-right", Statistic.MAX_SQ, Direction.GE, level=lambda l, x: 1.0 + l * x,
+        scale=lambda n, v: float(n) ** -(1.0 / 3.0), speed=lambda n, v, l: n * l**2,
+        rate=lambda a, x: RateEval(mdp_max_right_const(a) * x * x, "mdp_speed_n_l2"),
+        grid=((1000, 0), (10000, 0)), x=1.0, window=_power_window(2),
+    ),
+    "t3-left": LimitTheorem(
+        "mdp-max-left", Statistic.MAX_SQ, Direction.LE, level=lambda l, x: 1.0 - l * x,
+        scale=lambda n, v: float(n) ** -(1.0 / 4.0), speed=lambda n, v, l: n**2 * l**3,
+        rate=lambda a, x: RateEval(mdp_max_left_const(a) * x**3, "mdp_speed_n2_l3"),
+        grid=((300, 0), (1000, 0), (3000, 0)), x=1.0, window=_power_window(3),
+    ),
+    "t4-item1": LimitTheorem(
+        "mdp-min-small-v", Statistic.MIN_SQ, Direction.GE, level=lambda l, x: l * x,
+        scale=lambda n, v: float(n) ** -(1.0 / 3.0), speed=lambda n, v, l: n**2 * l**2,
+        rate=_mdp_min_small_v, grid=((1000, 0), (10000, 0)), x=1.0,
+        window=_power_window(2),
+    ),
+    "t4-item2": LimitTheorem(
+        "mdp-min-vscale", Statistic.MIN_SQ, Direction.GE, level=lambda l, x: l * x,
+        scale=_v_over_n, speed=lambda n, v, l: float(v) ** 2,
+        rate=lambda a, x: RateEval(vscale_rate(x), "mdp_speed_v2_proof_form"),
+        grid=((1000, 80), (2000, 160), (4000, 320)), x=1.0,
+        window=lambda n, l: (
+            None if 0.0 < l < 1.0 else f"window violated: need 0 < v/n < 1, l = {l:.3g}"
+        ),
+        alt_rate=vscale_rate_statement_form,
+    ),
+    "t4-item3": LimitTheorem(
+        "mdp-min-alpha", Statistic.MIN_SQ, Direction.GE, level=lambda l, x: l * x,
+        scale=_alpha_scale, speed=lambda n, v, l: n**2 * l**4, rate=_mdp_min_alpha,
+        grid=((200, 200), (500, 500), (1000, 1000)), x=1.0, window=_quartic_root_window,
+    ),
 }
 
-_DEFAULT_X: dict[str, float] = {
-    "t1-right": 1.5,
-    "t1-left": 0.5,
-    "t2": 2.0,
-    "t3-right": 1.0,
-    "t3-left": 1.0,
-    "t4-item1": 1.0,
-    "t4-item2": 1.0,
-    "t4-item3": 1.0,
-}
-
-# Deviation-scale sequences keeping each moderate-deviation window
-# (log n / n << l^s << 1 or its analogue) comfortably satisfied at n <= 1e4.
-_DEFAULT_L_EXPONENT: dict[str, float] = {
-    "t3-right": 1.0 / 3.0,
-    "t3-left": 1.0 / 4.0,
-    "t4-item1": 1.0 / 3.0,
-    "t4-item3": 1.0 / 5.0,
-}
+THEOREM_TAGS = tuple(THEOREMS)
 
 
-def _mdp_window_note(tag: str, n: int, v: int, l: float) -> str | None:
-    """Report a per-row violation of the theorem's deviation-scale window."""
-    logn_n = math.log(n) / n
-    if tag == "t3-right" and not (logn_n < l**2 < 1.0):
-        return f"window violated: need log n/n < l^2 < 1, l^2 = {l**2:.3g}"
-    if tag == "t3-left" and not (logn_n < l**3 < 1.0):
-        return f"window violated: need log n/n < l^3 < 1, l^3 = {l**3:.3g}"
-    if tag == "t4-item1" and not (logn_n < l**2 < 1.0):
-        return f"window violated: need log n/n < l^2 < 1, l^2 = {l**2:.3g}"
-    if tag == "t4-item2" and not (0.0 < l < 1.0):
-        return f"window violated: need 0 < v/n < 1, l = {l:.3g}"
-    if tag == "t4-item3" and not (logn_n ** 0.25 < l < 1.0):
-        return (
-            "window violated: need (log n/n)^(1/4) < l < 1, "
-            f"l = {l:.3g}, bound = {logn_n ** 0.25:.3g}"
-        )
-    return None
-
-
-def _row_for(
-    tag: str,
-    n: int,
-    v: int,
-    x: float,
-) -> ConvergenceRow:
+def _row(theorem: LimitTheorem, n: int, v: int, x: float) -> ConvergenceRow:
     params = EnsembleParams(n=n, v=v)
-    alpha = v / n
-    l: float | None = None
-    note: str | None = None
-    alt_rate: float | None = None
-
-    if tag == "t1-right":
-        threshold = x
-        scaling = float(n)
-        rate = rate_max_right(alpha, x).value
-        query = TailQuery(Statistic.MAX_SQ, Direction.GE, threshold)
-    elif tag == "t1-left":
-        threshold = x
-        scaling = float(n) ** 2
-        rate = rate_max_left(alpha, x).value
-        query = TailQuery(Statistic.MAX_SQ, Direction.LE, threshold)
-    elif tag == "t2":
-        threshold = x
-        scaling = float(n) ** 2
-        rate = rate_min_right(alpha, x).value
-        query = TailQuery(Statistic.MIN_SQ, Direction.GE, threshold)
-    elif tag == "t3-right":
-        l = float(n) ** -_DEFAULT_L_EXPONENT[tag]
-        threshold = 1.0 + l * x
-        scaling = n * l**2
-        rate = mdp_max_right_const(alpha) * x**2
-        query = TailQuery(Statistic.MAX_SQ, Direction.GE, threshold)
-    elif tag == "t3-left":
-        l = float(n) ** -_DEFAULT_L_EXPONENT[tag]
-        threshold = 1.0 - l * x
-        scaling = n**2 * l**3
-        rate = mdp_max_left_const(alpha) * x**3
-        query = TailQuery(Statistic.MAX_SQ, Direction.LE, threshold)
-    elif tag == "t4-item1":
-        l = float(n) ** -_DEFAULT_L_EXPONENT[tag]
-        threshold = l * x
-        scaling = n**2 * l**2
-        rate = mdp_min_rate(MdpMinRegime.SMALL_V, x)
-        query = TailQuery(Statistic.MIN_SQ, Direction.GE, threshold)
-    elif tag == "t4-item2":
-        if v <= 0:
-            raise ValueError("t4-item2 needs v >= 1 (deviation scale v/n)")
-        l = v / n
-        threshold = l * x
-        scaling = float(v) ** 2
-        rate = mdp_min_rate(MdpMinRegime.V_SCALE, x)
-        alt_rate = vscale_rate_statement_form(x)
-        query = TailQuery(Statistic.MIN_SQ, Direction.GE, threshold)
-    elif tag == "t4-item3":
-        if v <= 0:
-            raise ValueError("t4-item3 needs v growing like n (alpha > 0)")
-        l = float(n) ** -_DEFAULT_L_EXPONENT[tag]
-        threshold = l * x
-        scaling = n**2 * l**4
-        rate = mdp_min_rate(MdpMinRegime.ALPHA_POSITIVE, x, alpha=alpha)
-        query = TailQuery(Statistic.MIN_SQ, Direction.GE, threshold)
-    else:
-        raise ValueError(f"unknown theorem tag {tag!r}; expected one of {THEOREM_TAGS}")
-
-    if l is not None:
-        note = _mdp_window_note(tag, n, v, l)
+    l = theorem.scale(n, v)
+    scaling = theorem.speed(n, v, l)
+    rate = theorem.rate(v / n, x).value
+    alt_rate = theorem.alt_rate(x) if theorem.alt_rate is not None else None
+    query = TailQuery(theorem.statistic, theorem.direction, theorem.level(l, x))
+    note = theorem.window(n, l) if theorem.window is not None else None
     exact = -log_prob(params, query)
-    gap = abs(exact / scaling - rate)
     alt_gap = abs(exact / scaling - alt_rate) if alt_rate is not None else None
     return ConvergenceRow(
-        n=n,
-        v=v,
-        x=x,
-        l=l,
-        scaling=scaling,
-        exact=exact,
-        predicted=scaling * rate,
-        rate_target=rate,
-        scaled_gap=gap,
-        alt_rate_target=alt_rate,
-        alt_scaled_gap=alt_gap,
-        note=note,
+        n=n, v=v, x=x, l=l, scaling=scaling, exact=exact, predicted=scaling * rate,
+        rate_target=rate, scaled_gap=abs(exact / scaling - rate),
+        alt_rate_target=alt_rate, alt_scaled_gap=alt_gap, note=note,
     )
 
 
@@ -445,13 +454,14 @@ def converge_table(
     pairs (a regime-appropriate default per theorem when omitted); ``x`` is
     the deviation level in the theorem's own parametrization.
     """
-    if theorem not in THEOREM_TAGS:
+    if theorem not in THEOREMS:
         raise ValueError(
             f"unknown theorem tag {theorem!r}; expected one of {THEOREM_TAGS}"
         )
-    pairs = tuple(grid) if grid is not None else _DEFAULT_GRIDS[theorem]
-    level = float(x) if x is not None else _DEFAULT_X[theorem]
-    return [_row_for(theorem, nn, vv, level) for nn, vv in pairs]
+    record = THEOREMS[theorem]
+    pairs = tuple(grid) if grid is not None else record.grid
+    level = float(x) if x is not None else record.x
+    return [_row(record, nn, vv, level) for nn, vv in pairs]
 
 
 def clt_default_levels(

@@ -25,33 +25,16 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from ._quad import QuadratureError
-from .asymptotics_lab import THEOREM_TAGS, clt_check, converge_table
+from .asymptotics_lab import THEOREM_TAGS, THEOREMS, clt_check, converge_table
 from .core_types import Direction, EnsembleParams, Statistic, TailQuery, check_alpha
 from .exact_dist import _tally, _Tally, index_tails, log_prob_from_tails
-from .rate_functions import (
-    MdpMinRegime,
-    mdp_max_left_const,
-    mdp_max_right_const,
-    mdp_min_rate,
-    rate_max_left,
-    rate_max_right,
-    rate_min_right,
-)
 from .sampler import MatrixProbeConfig, _ks_index, _ks_max, matrix_probe_extremes, sample_yj
 from .verification import all_passed, run_checks
 
 SCHEMA_VERSION = "1"
 
-_RATE_KINDS = (
-    "max-right",
-    "max-left",
-    "min-right",
-    "mdp-max-right",
-    "mdp-max-left",
-    "mdp-min-small-v",
-    "mdp-min-vscale",
-    "mdp-min-alpha",
-)
+# the `rate --which` kinds, one per limit theorem
+_RATES = {t.kind: t for t in THEOREMS.values()}
 
 
 @dataclass
@@ -136,51 +119,19 @@ def _parse_alpha(text: str) -> float:
 
 def _cmd_rate(args) -> tuple[OutputRecord, int]:
     alpha = _parse_alpha(args.alpha)
-    x = args.x
-    params = {"alpha": args.alpha, "x": x, "which": args.which}
-    if args.which == "max-right":
-        ev = rate_max_right(alpha, x)
-    elif args.which == "max-left":
-        ev = rate_max_left(alpha, x)
-    elif args.which == "min-right":
-        ev = rate_min_right(alpha, x)
-    else:
-        ev = None
-    if ev is not None:
-        row = {
-            "which": args.which,
-            "alpha": args.alpha,
-            "x": x,
-            "value": ev.value,
-            "branch": ev.branch,
-            "kappa": ev.kappa_used,
-            "warning": ev.warning,
-        }
-        diags = [f"warning: {ev.warning}"] if ev.warning else []
-        return OutputRecord("rate", params, [row], diags), 0
-    if args.which == "mdp-max-right":
-        value, branch = mdp_max_right_const(alpha) * x * x, "mdp_speed_n_l2"
-    elif args.which == "mdp-max-left":
-        value, branch = mdp_max_left_const(alpha) * x**3, "mdp_speed_n2_l3"
-    elif args.which == "mdp-min-small-v":
-        value, branch = mdp_min_rate(MdpMinRegime.SMALL_V, x), "mdp_speed_n2_l2"
-    elif args.which == "mdp-min-vscale":
-        value, branch = mdp_min_rate(MdpMinRegime.V_SCALE, x), "mdp_speed_v2_proof_form"
-    else:  # mdp-min-alpha
-        value, branch = (
-            mdp_min_rate(MdpMinRegime.ALPHA_POSITIVE, x, alpha),
-            "mdp_speed_n2_l4",
-        )
+    ev = _RATES[args.which].rate_at(alpha, args.x)
+    params = {"alpha": args.alpha, "x": args.x, "which": args.which}
     row = {
         "which": args.which,
         "alpha": args.alpha,
-        "x": x,
-        "value": value,
-        "branch": branch,
-        "kappa": None,
-        "warning": None,
+        "x": args.x,
+        "value": ev.value,
+        "branch": ev.branch,
+        "kappa": ev.kappa_used,
+        "warning": ev.warning,
     }
-    return OutputRecord("rate", params, [row]), 0
+    diags = [f"warning: {ev.warning}"] if ev.warning else []
+    return OutputRecord("rate", params, [row], diags), 0
 
 
 def _ladder_note(tally: _Tally) -> str:
@@ -334,6 +285,8 @@ def _cmd_matrix(args) -> tuple[OutputRecord, int]:
 def _parse_grid(args) -> tuple[tuple[int, int], ...] | None:
     if args.grid is not None and args.n is not None:
         raise ValueError("pass either --grid or --n, not both")
+    if args.v is not None and args.n is None:
+        raise ValueError("--v needs --n (a --grid entry n:v carries its own v)")
     if args.grid is not None:
         pairs = []
         for chunk in args.grid.split(","):
@@ -427,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rate = sub.add_parser("rate", help="evaluate a rate function")
     p_rate.add_argument("--alpha", required=True, help="v/n limit: a number, 0, or inf")
     p_rate.add_argument("--x", type=float, required=True, help="deviation level")
-    p_rate.add_argument("--which", choices=_RATE_KINDS, required=True)
+    p_rate.add_argument("--which", choices=tuple(_RATES), required=True)
     add_format(p_rate)
     p_rate.set_defaults(handler=_cmd_rate)
 

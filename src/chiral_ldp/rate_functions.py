@@ -13,13 +13,13 @@ pointwise limit of the finite-alpha formula and goes negative on most of
 available as :func:`rate_max_left_infinity_consistent`.
 
 Speeds: the max upper tail decays at speed n, the max lower tail at n^2, the
-min upper tail at n^2.  The moderate-deviation constants and the small-level
-min rates (speed n^2 l^2 through n^2 l^4 depending on regime) live here too.
+min upper tail at n^2.  The moderate-deviation constants and the v-scale min
+rate live here too; :data:`chiral_ldp.asymptotics_lab.THEOREMS` pairs each
+rate with its speed and deviation scale.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -34,8 +34,7 @@ __all__ = [
     "rate_min_right",
     "mdp_max_right_const",
     "mdp_max_left_const",
-    "MdpMinRegime",
-    "mdp_min_rate",
+    "mdp_min_alpha_const",
     "vscale_rate",
     "vscale_rate_statement_form",
 ]
@@ -213,21 +212,17 @@ def mdp_max_left_const(alpha) -> float:
     return 4.0 / 3.0 * ((1.0 + a) / (2.0 + a)) ** 2
 
 
-class MdpMinRegime(enum.Enum):
-    """Which v-growth regime a small-level min query falls in.
-
-    SMALL_V:       v = O(sqrt(n log n)); level l x, speed n^2 l^2.
-    V_SCALE:       sqrt(n log n) << v << n; level (v/n) x, speed v^2.
-    INTERMEDIATE:  sqrt(n log n) << v << n; level l x with v/n << l << 1,
-                   speed n^2 l^2.
-    ALPHA_POSITIVE: v ~ alpha n with alpha in (0, inf]; level l x,
-                   speed n^2 l^4.
-    """
-
-    SMALL_V = "small-v"
-    V_SCALE = "v-scale"
-    INTERMEDIATE = "intermediate"
-    ALPHA_POSITIVE = "alpha-positive"
+def mdp_min_alpha_const(alpha) -> float:
+    """Coefficient of x^4 in the min moderate tail for v ~ alpha n with
+    alpha in (0, inf] (speed n^2 l^4): (1+alpha)^2/(4 alpha^2); 1/4 at
+    infinity.  Evaluated as ((1+alpha)/(2 alpha))^2, which does not overflow
+    for huge alpha."""
+    a = check_alpha(alpha)
+    if a == 0.0:
+        raise ValueError("alpha-positive regime needs alpha > 0")
+    if math.isinf(a):
+        return 0.25
+    return ((1.0 + a) / (2.0 * a)) ** 2
 
 
 def vscale_rate(x: float) -> float:
@@ -257,28 +252,3 @@ def vscale_rate_statement_form(x: float) -> float:
         raise ValueError("x must be >= 0")
     r = math.sqrt(1.0 + 4.0 * x * x)
     return 0.5 * math.log((1.0 + r) / 2.0 + 1.0 + x * x - r)
-
-
-def mdp_min_rate(regime: MdpMinRegime, x: float, alpha=None) -> float:
-    """Moderate-deviation rate for the min at small levels.
-
-    SMALL_V and INTERMEDIATE: x^2/2.  V_SCALE: the proof-form
-    :func:`vscale_rate`.  ALPHA_POSITIVE: (1+alpha)^2/(4 alpha^2) x^4
-    (requires alpha in (0, inf]; x^4/4 at infinity).  All regimes accept
-    x = 0 and return 0.
-    """
-    if not x >= 0.0:
-        raise ValueError("x must be >= 0")
-    if regime in (MdpMinRegime.SMALL_V, MdpMinRegime.INTERMEDIATE):
-        return x * x / 2.0
-    if regime is MdpMinRegime.V_SCALE:
-        return vscale_rate(x)
-    if regime is MdpMinRegime.ALPHA_POSITIVE:
-        a = check_alpha(alpha)
-        if a == 0.0:
-            raise ValueError("alpha-positive regime needs alpha > 0")
-        if math.isinf(a):
-            return x * x * x * x / 4.0
-        # ((1+a)/(2a))^2 rather than (1+a)^2/(4a^2): no overflow for huge a
-        return ((1.0 + a) / (2.0 * a)) ** 2 * x**4
-    raise ValueError(f"unknown regime {regime!r}")

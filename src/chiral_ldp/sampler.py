@@ -195,6 +195,8 @@ def sample_extremes_independent(
     ``X_j = sqrt(n/(n+v)) Y_j``.  Streams are per index, so the result for
     a given replicate is independent of n in the shared low indices.
     """
+    if count < 1:
+        raise ValueError("count must be positive")
     scales = derived_scales(params)
     running_max = np.full(count, -np.inf)
     running_min = np.full(count, np.inf)
@@ -247,6 +249,8 @@ def matrix_probe_extremes(
     Replicates are drawn and solved in blocks of about
     ``_CHUNK_ELEMENTS`` uniforms, so memory does not grow with ``count``.
     """
+    if count < 1:
+        raise ValueError("count must be positive")
     params = config.params
     n, v = params.n, params.v
     scales = derived_scales(params)

@@ -8,6 +8,7 @@ see the same code path as the console script: CSV/JSON row schemas, the
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
@@ -25,6 +26,7 @@ import chiral_ldp.cli as cli_module
 import chiral_ldp.exact_dist as exact_dist
 import chiral_ldp.sampler as sampler
 from chiral_ldp._quad import QuadratureError
+from chiral_ldp.asymptotics_lab import THEOREMS, converge_table
 from chiral_ldp.cli import main
 from oracles import ks_critical
 
@@ -224,6 +226,30 @@ class TestExitCodes:
              "pass either --grid or --n, not both"),
             (["converge", "--theorem", "t1-right", "--grid", "25-0"],
              "grid entries are n:v"),
+            (["converge", "--theorem", "t1-right", "--v", "5"], "--v needs --n"),
+            (["converge", "--theorem", "t4-item2", "--grid", "1000:80", "--v", "5"],
+             "--v needs --n"),
+            (["matrix", "--n", "3", "--count", "0", "--summary"], "count must be positive"),
+            (["matrix", "--n", "3", "--count", "-2"], "count must be positive"),
+            (["rate", "--which", "max-right", "--alpha", "0", "--x", "inf"],
+             "x must be finite and >= 0, got inf"),
+            (["rate", "--which", "max-left", "--alpha", "2", "--x", "inf"],
+             "x must be finite and >= 0, got inf"),
+            (["rate", "--which", "mdp-min-vscale", "--alpha", "0", "--x", "inf"],
+             "x must be finite and >= 0, got inf"),
+            (["rate", "--which", "mdp-max-right", "--alpha", "0", "--x", "nan"],
+             "x must be finite and >= 0, got nan"),
+            (["rate", "--which", "mdp-max-right", "--alpha", "0", "--x", "-1"],
+             "x must be finite and >= 0, got -1.0"),
+            (["rate", "--which", "mdp-max-left", "--alpha", "2", "--x", "-1"],
+             "x must be finite and >= 0, got -1.0"),
+            # the rates' own guards keep their messages and their order
+            (["rate", "--which", "max-right", "--alpha", "0", "--x", "nan"],
+             "x must be > 0"),
+            (["rate", "--which", "mdp-min-alpha", "--alpha", "0", "--x", "-1"],
+             "x must be >= 0"),
+            (["rate", "--which", "mdp-min-alpha", "--alpha", "0", "--x", "inf"],
+             "alpha-positive regime needs alpha > 0"),
         ],
     )
     def test_guard_failures(self, argv, fragment):
@@ -423,6 +449,31 @@ class TestConvergeCommand:
             assert float(row["rate_target"]) == pytest.approx(target, rel=1e-15)
         gaps = [float(r["scaled_gap"]) for r in rows]
         assert gaps[1] < gaps[0]
+
+    def test_rate_and_converge_read_one_table(self):
+        """Every theorem's ``rate`` kind gives the converge row's target bit
+        for bit, and both commands offer exactly the table's entries."""
+        n, v = 40, 12
+        for tag, theorem in THEOREMS.items():
+            for x in (f * theorem.x for f in (0.3, 0.63, 1.1, 1.3, 2.3)):
+                code, out, _ = run_cli(
+                    ["rate", "--which", theorem.kind, "--alpha", repr(v / n), "--x", repr(x)]
+                )
+                assert code == 0, (tag, x)
+                (row,) = csv_rows(out)[1]
+                (conv,) = converge_table(tag, grid=((n, v),), x=x)
+                assert float(row["value"]) == conv.rate_target, (tag, x)
+        sub = next(
+            a for a in cli_module._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+
+        def choices(command, dest):
+            action = next(a for a in sub.choices[command]._actions if a.dest == dest)
+            return tuple(action.choices)
+
+        assert choices("rate", "which") == tuple(t.kind for t in THEOREMS.values())
+        assert choices("converge", "theorem") == tuple(THEOREMS) + ("clt",)
 
     def test_clt_rows_and_ignored_x_diagnostic(self):
         code, out, err = run_cli(

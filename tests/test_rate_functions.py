@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from chiral_ldp.asymptotics_lab import THEOREMS
 from chiral_ldp.rate_functions import (
-    MdpMinRegime,
     mdp_max_left_const,
     mdp_max_right_const,
-    mdp_min_rate,
+    mdp_min_alpha_const,
     rate_max_left,
     rate_max_left_infinity_consistent,
     rate_max_right,
@@ -226,17 +226,19 @@ class TestMdpConstants:
         assert mdp_max_left_const(1e300) == 4.0 / 3.0
         for x in (0.3, 0.7, 2.0):
             want = x**4 / 4.0
-            got = mdp_min_rate(MdpMinRegime.ALPHA_POSITIVE, x, alpha=1e300)
+            got = THEOREMS["t4-item3"].rate(1e300, x).value
             assert got == pytest.approx(want, rel=1e-15)
 
 
 class TestMdpMinRate:
     def test_pinned_values(self):
-        assert mdp_min_rate(MdpMinRegime.V_SCALE, 0.0) == 0.0
-        assert mdp_min_rate(MdpMinRegime.SMALL_V, 2.0) == pytest.approx(2.0)
-        assert mdp_min_rate(MdpMinRegime.ALPHA_POSITIVE, 1.0, alpha=1.0) == pytest.approx(1.0)
-        assert mdp_min_rate(MdpMinRegime.INTERMEDIATE, 2.0) == pytest.approx(2.0)
-        assert mdp_min_rate(MdpMinRegime.ALPHA_POSITIVE, 1.0, alpha=math.inf) == pytest.approx(0.25)
+        assert vscale_rate(0.0) == 0.0
+        assert THEOREMS["t4-item2"].rate(0.08, 0.0).value == 0.0
+        assert THEOREMS["t4-item1"].rate(0.0, 2.0).value == pytest.approx(2.0)
+        assert mdp_min_alpha_const(1.0) == pytest.approx(1.0)
+        assert THEOREMS["t4-item3"].rate(1.0, 1.0).value == pytest.approx(1.0)
+        assert mdp_min_alpha_const(math.inf) == pytest.approx(0.25)
+        assert THEOREMS["t4-item3"].rate(math.inf, 1.0).value == pytest.approx(0.25)
 
     def test_vscale_pinned_one(self):
         # (1/2) log((1+sqrt 5)/2) + 1 - sqrt(5)/2, frozen at 30 digits
@@ -261,11 +263,14 @@ class TestMdpMinRate:
 
     def test_alpha_positive_needs_positive_alpha(self):
         with pytest.raises(ValueError):
-            mdp_min_rate(MdpMinRegime.ALPHA_POSITIVE, 1.0, alpha=0.0)
+            mdp_min_alpha_const(0.0)
+        with pytest.raises(ValueError):
+            THEOREMS["t4-item3"].rate(0.0, 1.0)
 
     def test_negative_x_rejected(self):
-        with pytest.raises(ValueError):
-            mdp_min_rate(MdpMinRegime.SMALL_V, -1.0)
+        for tag in ("t4-item1", "t4-item2", "t4-item3"):
+            with pytest.raises(ValueError, match="x must be >= 0"):
+                THEOREMS[tag].rate(1.0, -1.0)
         with pytest.raises(ValueError):
             vscale_rate(-0.5)
 
@@ -279,12 +284,9 @@ _ALPHA_TAKERS = {
     "mdp_max_left_const": mdp_max_left_const,
     "kappa": lambda a: kappa(a, 1.5),
 }
-# The alpha-positive min rate also rejects alpha = 0, so it is in the
+# The alpha-positive min constant also rejects alpha = 0, so it is in the
 # rejection test only.
-_ALPHA_CHECKERS = {
-    **_ALPHA_TAKERS,
-    "mdp_min_rate": lambda a: mdp_min_rate(MdpMinRegime.ALPHA_POSITIVE, 0.5, alpha=a),
-}
+_ALPHA_CHECKERS = {**_ALPHA_TAKERS, "mdp_min_alpha_const": mdp_min_alpha_const}
 
 
 class TestAlphaGuard:

@@ -338,6 +338,11 @@ class TestExtremesIndependent:
         se = math.sqrt(p_exact * (1.0 - p_exact) / 100000)
         assert abs(p_hat - p_exact) <= 4.0 * se
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_count_must_be_positive(self, count):
+        with pytest.raises(ValueError, match="count must be positive"):
+            sample_extremes_independent(EnsembleParams(3, 1), seed=3, count=count)
+
     def test_large_n_max_concentrates_near_one(self):
         ext = sample_extremes_independent(EnsembleParams(200, 0), seed=9, count=1500)
         med = float(np.median(ext["max"]))
@@ -348,6 +353,12 @@ class TestMatrixProbe:
     def test_config_guards(self):
         with pytest.raises(ValueError):
             MatrixProbeConfig(EnsembleParams(65, 0))
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_count_must_be_positive(self, count):
+        cfg = MatrixProbeConfig(EnsembleParams(3, 1))
+        with pytest.raises(ValueError, match="count must be positive"):
+            matrix_probe_extremes(cfg, seed=7, count=count)
 
     def test_reproducible(self):
         cfg = MatrixProbeConfig(EnsembleParams(3, 1))
