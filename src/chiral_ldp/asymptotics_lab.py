@@ -363,11 +363,13 @@ class LimitTheorem:
 
     def rate_at(self, alpha: float, x: float) -> RateEval:
         """``rate(alpha, x)`` at a level from outside the program, which must
-        be finite and >= 0; the rate's own guards run first."""
-        ev = self.rate(alpha, x)
-        if not 0.0 <= x < math.inf:
-            raise ValueError(f"x must be finite and >= 0, got {x}")
-        return ev
+        be finite and >= 0; the rate's own guards run first, and a level
+        refused here leaves no numpy warning behind."""
+        if 0.0 <= x < math.inf:
+            return self.rate(alpha, x)
+        with np.errstate(all="ignore"):
+            self.rate(alpha, x)
+        raise ValueError(f"x must be finite and >= 0, got {x}")
 
 
 # The moderate-deviation scales n^-e keep each window comfortably
@@ -430,7 +432,7 @@ def _row(theorem: LimitTheorem, n: int, v: int, x: float) -> ConvergenceRow:
     params = EnsembleParams(n=n, v=v)
     l = theorem.scale(n, v)
     scaling = theorem.speed(n, v, l)
-    rate = theorem.rate(v / n, x).value
+    rate = theorem.rate_at(v / n, x).value
     alt_rate = theorem.alt_rate(x) if theorem.alt_rate is not None else None
     query = TailQuery(theorem.statistic, theorem.direction, theorem.level(l, x))
     note = theorem.window(n, l) if theorem.window is not None else None

@@ -27,7 +27,7 @@ import numpy as np
 from ._quad import QuadratureError
 from .asymptotics_lab import THEOREM_TAGS, THEOREMS, clt_check, converge_table
 from .core_types import Direction, EnsembleParams, Statistic, TailQuery, check_alpha
-from .exact_dist import _tally, _Tally, index_tails, log_prob_from_tails
+from .exact_dist import _tally, _Tally, _window_tails, log_prob_from_tails
 from .sampler import MatrixProbeConfig, _ks_index, _ks_max, matrix_probe_extremes, sample_yj
 from .verification import all_passed, run_checks
 
@@ -135,20 +135,22 @@ def _cmd_rate(args) -> tuple[OutputRecord, int]:
 
 
 def _ladder_note(tally: _Tally) -> str:
-    """Which tail side each index summed directly, and where the ladder
-    stopped; over a batch of sample points, counts over all (point, index)
-    pairs, the furthest stop and the largest bound."""
+    """Which indices the ladder evaluated, which tail side each summed
+    directly, and where it stopped; over a batch of sample points, counts
+    over all (point, index) pairs, the furthest stop and the largest bound."""
     batch = tally.rows is not None
     points = f" at {tally.rows} sample points" if batch else ""
-    pairs = tally.top * (tally.rows or 1)
+    pairs = (tally.top - tally.first + 1) * (tally.rows or 1)
     note = (
-        f"gamma-shape ladder over indices 1..{tally.top}{points}: "
+        f"gamma-shape ladder over indices {tally.first}..{tally.top}{points}: "
         f"cdf summed directly for {tally.cdf_direct}, sf for {pairs - tally.cdf_direct}"
     )
     if tally.stop:
+        note += f"; reverse {'sums stopped by' if batch else 'sum stopped at'} index {tally.stop}"
+    if tally.stop or tally.truncation_bound:
         note += (
-            f"; reverse {'sums stopped by' if batch else 'sum stopped at'} index {tally.stop} "
-            f"with dropped tail below {tally.truncation_bound:.1e} relative"
+            f"{' with' if tally.stop else ';'} dropped tail below "
+            f"{tally.truncation_bound:.1e} relative"
         )
     return note
 
@@ -165,7 +167,7 @@ def _cmd_prob(args) -> tuple[OutputRecord, int]:
         "stat": args.stat,
         "side": args.side,
     }
-    tails = index_tails(params_obj, args.x)
+    tails = _window_tails(params_obj, args.x, stat)
     diags = [_ladder_note(_tally(tails))]
     try:
         lp = log_prob_from_tails(tails, query)

@@ -31,21 +31,39 @@ products of kve and Poisson weights (see :func:`_ladder_sums`), and the
 large factors of these products meet in closed form (see :func:`_bessel`),
 which keeps the rounding of each log-term near double precision.
 
-Truncation rule.  The forward sums are finite.  The reverse sum is needed
-only when some sf_j exceeds 1/2, and stops at the first index L >= top with
-rho_L = s / (L (L+v+1)) < 1 and delta_L rho_L / (1 - rho_L) <= e^-40 times
-delta_top + ... + delta_L.  Both parts of delta shrink by at least rho_i from
-one index to the next and rho decreases in i, so the dropped tail is below
-e^-40 of every cdf it feeds.  The ladder never runs past
+Truncation rule.  Everything the sums drop stays below e^-40 relative, half
+of it in the reverse sum's tail and half in the index window below.  The
+forward sums are finite.  The reverse sum is needed only when some sf_j
+exceeds 1/2, and stops at the first index L >= top with
+rho_L = s / (L (L+v+1)) < 1 and delta_L rho_L / (1 - rho_L) <= e^-40 / 2
+times delta_top + ... + delta_L.  Both parts of delta shrink by at least
+rho_i from one index to the next and rho decreases in i, so the dropped tail
+is below e^-40 / 2 of every cdf it feeds.  The ladder never runs past
 top + 40 sqrt(top+v) + 100 indices.  A reverse sum that has not converged
 there, or a non-finite value anywhere, raises :class:`QuadratureError`
 carrying the partial result.
 
+Index window.  Going down, both parts of delta_{i-1} are at most
+lambda_i = i(i+v)/s times those of delta_i, and sf_1 is at most
+lambda_1 delta_1, so sf_{j-1} <= lambda_{j-1} sf_j; going up,
+cdf_{j+1} <= rho_j cdf_j.  So a product over the max needs only indices
+first..top: each index below first, and the head sf_{first-1} that the
+forward sums leave out of each kept index, is at most
+prod_{l=first-1}^{k-1} lambda_l sf_k, against sum_j -log cdf_j >=
+(top-k+1) sf_k, with k where lambda crosses 1.  The min needs only 1..last,
+its reverse sum starting at last: each index above last has
+cdf_j <= prod_{l=k}^{last} rho_l cdf_k, against sum_j -log sf_j >= k cdf_k.
+A single index j is the max's case with top = j.  The window is the
+shortest whose bound, times 2 top (for the count, and -log(1-p) <= 2p), is
+e^-40 / 2 (see :func:`_window`).  At n = 1e6 and x = 1 a max query keeps
+about 7400 indices, a tail far from the bulk a few hundred.
+
 Batches.  The ladder runs over a 1-d array of thresholds at once, one row
 per threshold, with every choice above (increment form, reverse sum, stop)
-made per row; a single query is a batch of one.  Each row gets the same
-values as its threshold run alone, which is how the sampler's KS statistics
-evaluate the exact cdf at every sample point.
+made per row and the index window shared; a single query is a batch of
+one.  Each row gets the same values as its threshold run alone, which is how
+the sampler's KS statistics evaluate the exact cdf at every sample point
+(over every index, as :func:`index_tails` does).
 """
 
 from __future__ import annotations
@@ -82,7 +100,8 @@ __all__ = [
 
 _LOG2 = math.log(2.0)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-# The reverse sum stops once its dropped tail is this many nats below it.
+# Everything the sums drop is this many nats below what they keep; the
+# reverse sum's tail and the index window each get half (see _window).
 _TRUNCATION_NATS = 40.0
 # The reverse sum first looks this many indices past top, then doubles.
 _FIRST_WINDOW = 32
@@ -108,9 +127,9 @@ _STIRLING_ERROR = np.array([
 
 
 class _Sums(NamedTuple):
-    """Raw ladder sums for indices 1..top, one row per threshold (log scale)."""
+    """Raw ladder sums for indices first..top, one row per threshold (log scale)."""
 
-    log_sf: np.ndarray  # forward sums, shape (rows, top)
+    log_sf: np.ndarray  # forward sums, shape (rows, top - first + 1)
     log_cdf: np.ndarray  # reverse sums, NaN in rows that did not take them
     stop: np.ndarray  # last increment of each reverse sum (0 when not taken)
     log_bound: np.ndarray  # log relative bound on each reverse sum's dropped tail
@@ -120,29 +139,33 @@ class _Sums(NamedTuple):
 class IndexTails(NamedTuple):
     """Per-index tails at one threshold, with how they were obtained.
 
-    From :func:`index_tails` the arrays have one entry per index and ``stop``
-    and ``truncation_bound`` are scalars; a batch of thresholds has one row
-    per threshold and one ``stop`` and bound per row.
+    The arrays hold the indices first, first+1, ...: all of 1..top from
+    :func:`index_tails`, the window a query needs (see :func:`_window`)
+    elsewhere.  From a single threshold ``stop`` and ``truncation_bound``
+    are scalars; a batch of thresholds has one row per threshold and one
+    ``stop`` and bound per row.
     """
 
-    log_sf: np.ndarray  # log P(X_j >= x), j = 1..top
+    log_sf: np.ndarray  # log P(X_j >= x), j = first, first+1, ...
     log_cdf: np.ndarray  # log P(X_j <= x)
     cdf_direct: np.ndarray  # True where cdf came from its own sum, sf by complement
     stop: int | np.ndarray  # last index of the reverse sum, 0 when it was not needed
-    truncation_bound: float | np.ndarray  # relative bound on the reverse sum's dropped tail
+    truncation_bound: float | np.ndarray  # relative bound on everything the sums dropped
     failure: str | None  # why the values cannot be trusted, None when they can
+    first: int = 1  # the index of the first entry
 
 
 class _Tally(NamedTuple):
     """An :class:`IndexTails` reduced to what its diagnostic reports, summed
     over its (threshold, index) pairs; ``rows`` is None for a single
-    threshold from :func:`index_tails`."""
+    threshold."""
 
     rows: int | None
-    top: int
+    first: int
+    top: int  # the last index
     cdf_direct: int  # pairs whose cdf came from its own sum
     stop: int  # furthest reverse-sum stop, 0 when none was taken
-    truncation_bound: float  # largest bound on a reverse sum's dropped tail
+    truncation_bound: float  # largest bound on what the sums dropped
     failure: str | None
 
 
@@ -150,7 +173,8 @@ def _tally(tails: IndexTails) -> _Tally:
     batch = tails.log_sf.ndim == 2
     return _Tally(
         tails.log_sf.shape[0] if batch else None,
-        tails.log_sf.shape[-1],
+        tails.first,
+        tails.first + tails.log_sf.shape[-1] - 1,
         int(np.count_nonzero(tails.cdf_direct)),
         int(np.max(tails.stop)),
         float(np.max(tails.truncation_bound)),
@@ -167,7 +191,6 @@ class _Rows(NamedTuple):
     log_a: np.ndarray  # log kve(v), times p(v+1) in the paired form
     log_b: np.ndarray  # log kve(v+1), times p(v+2) in the paired form
     carry: np.ndarray  # paired form: log(p(i+v) / p(v+1)) at the last index done
-    log_p: np.ndarray  # log p(m), m = 0, 1, ..., as far as computed
 
 
 def _take(rows: _Rows, sel: np.ndarray) -> _Rows:
@@ -306,14 +329,21 @@ def _deviance(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = m * np.log(m / mu) + mu - m
         near = np.abs(m - mu) < 0.1 * (m + mu)
-        m, mu = np.broadcast_to(m, near.shape)[near], np.broadcast_to(mu, near.shape)[near]
+        if not near.any():
+            return out
+        m, mu = (a[near] for a in np.broadcast_arrays(m, mu))
         w = (m - mu) / (m + mu)
         w2 = w * w
-        term = 2.0 * m * w
-        series = (m - mu) * w
-        for k in range(1, 12):  # |w| < 0.1: twelve terms reach double precision
-            term = term * w2
-            series = series + term / (2 * k + 1)
+        # w ((m - mu) + 2 m sum_{k=1}^{8} w^(2k) / (2k+1)), the sum by Horner
+        # in w2, in place; |w| < 0.1 leaves the terms from k = 9 on below
+        # 1e-18 of the whole
+        series = w2 / 17.0
+        for k in range(7, 0, -1):
+            series += 1.0 / (2 * k + 1)
+            series *= w2
+        series *= 2.0 * m
+        series += m - mu
+        series *= w
     out[near] = series
     return out
 
@@ -327,21 +357,14 @@ def _log_poisson(mu: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.where(m == 0.0, -mu, out)
 
 
-def _with_poisson(rows: _Rows, count: int) -> _Rows:
-    """``rows`` with log p(m) computed for m = 0 .. count-1 at least."""
-    have = rows.log_p.shape[1]
-    if have >= count:
-        return rows
-    more = _log_poisson(rows.mu, np.arange(have, count))
-    return rows._replace(log_p=np.concatenate((rows.log_p, more), axis=1))
-
-
 def _log_delta(rows: _Rows, v: int, paired: bool, lo: int, hi: int) -> tuple[np.ndarray, _Rows]:
     """log delta_i = log(D(i, i+v) + D(i+v+1, i)) for i = lo .. hi-1, and the
     rows with the paired form's running ratio advanced past hi-1.  Calls
     over consecutive ranges give the same values as one call over all."""
-    rows = _with_poisson(rows, hi if paired else hi + v)
-    log_p = rows.log_p
+    if hi <= lo:
+        return np.empty((rows.mu.shape[0], 0)), rows
+    m = np.arange(lo - 1, hi)  # p(i-1) and p(i), then p(i+v) in the unpaired form
+    log_p = _log_poisson(rows.mu, m if paired else np.concatenate((m, m[1:] + v)))
     if paired:
         # log(p(i+v) / p(v+1)), a running sum carried from call to call
         i = np.arange(lo, hi)
@@ -351,15 +374,19 @@ def _log_delta(rows: _Rows, v: int, paired: bool, lo: int, hi: int) -> tuple[np.
         kv_a = rows.log_a + run[:, 1:]  # log(kve(v) p(i+v))
         kv_b = rows.log_b + run[:, 1:] + np.log((v + 2) / rows.mu)  # log(kve(v+1) p(i+v))
     else:
-        kv_a = rows.log_a + log_p[:, lo + v : hi + v]
-        kv_b = rows.log_b + log_p[:, lo + v : hi + v]
-    pair = np.logaddexp(kv_a + log_p[:, lo - 1 : hi - 1], kv_b + log_p[:, lo:hi])
+        log_p, high = log_p[:, : m.size], log_p[:, m.size :]
+        kv_a = rows.log_a + high
+        kv_b = rows.log_b + high
+    pair = np.logaddexp(kv_a + log_p[:, :-1], kv_b + log_p[:, 1:])
     return rows.log_t + pair, rows
 
 
-def _ladder_sums(t: np.ndarray, v: int, top: int, force_reverse: bool = False) -> _Sums:
-    """Forward (sf) and, when asked or needed, reverse (cdf) ladder sums at
-    each threshold of the 1-d array ``t``, one row per threshold.
+def _ladder_sums(
+    t: np.ndarray, v: int, top: int, force_reverse: bool = False, first: int = 1
+) -> _Sums:
+    """Forward (sf) and, when asked or needed, reverse (cdf) ladder sums for
+    the indices first..top at each threshold of the 1-d array ``t``, one row
+    per threshold.
 
     Each increment is written D(a, b) = t kve(|a-b|, t) p(a-1) p(b) with the
     Poisson weights p(m) = mu^m e^-mu / m!, mu = t/2, so that large powers
@@ -368,21 +395,26 @@ def _ladder_sums(t: np.ndarray, v: int, top: int, force_reverse: bool = False) -
     log kve(k, t), log p(k) are both large; there kve(v) and kve(v+1) are
     carried paired with p(v+1) and p(v+2) (see :func:`_bessel`), and p(i+v)
     as a ratio to p(v+1), which leaves terms of size about mu instead.  The
-    form is chosen per row.  The reverse sum is taken in the rows where
-    sf_top > 1/2, the one case where some cdf is the smaller side, or in all
-    rows when ``force_reverse`` asks for it.  Rows run in chunks that keep
-    every temporary near ``_CHUNK_ELEMENTS`` elements.
+    form is chosen per row.  Past first = 1 the forward sums start at
+    delta_{first-1} and leave out sf_{first-1} (see :func:`_window`).  The
+    reverse sum is taken in the rows where sf_top > 1/2, the one case where
+    some cdf is the smaller side, or in all rows when ``force_reverse`` asks
+    for it.  Rows run in chunks that keep every temporary near
+    ``_CHUNK_ELEMENTS`` elements.
     """
     t = np.asarray(t, dtype=float)
     cap = top + math.ceil(40.0 * math.sqrt(top + v)) + 100
+    width = top - first + 1
     sums = _Sums(
-        np.empty((t.size, top)),
-        np.full((t.size, top), np.nan),
+        np.empty((t.size, width)),
+        np.full((t.size, width), np.nan),
         np.zeros(t.size, dtype=int),
         np.full(t.size, -math.inf),
         np.ones(t.size, dtype=bool),
     )
-    chunk = max(1, _CHUNK_ELEMENTS // (cap + v + 2))
+    # the unpaired form's Poisson weights take 2 (top - first) + 1 counts per
+    # row forward, and each step of the reverse sum fewer than cap - first
+    chunk = max(1, _CHUNK_ELEMENTS // (max(2 * (top - first), cap - first) + 3))
     for start in range(0, t.size, chunk):
         where = np.arange(start, min(start + chunk, t.size))
         log_k, log_kp = _bessel(t[where], v)
@@ -390,9 +422,10 @@ def _ladder_sums(t: np.ndarray, v: int, top: int, force_reverse: bool = False) -
         for form in (False, True):
             sel = np.flatnonzero(paired == form)
             if sel.size:
+                consts = log_kp if form else (*log_k, log_kp[2])
                 _ladder_rows(
-                    sums, where[sel], t[where[sel]], v, top, cap, form, force_reverse,
-                    tuple(col[sel] for col in (log_kp if form else log_k)),
+                    sums, where[sel], t[where[sel]], v, first, top, cap, form, force_reverse,
+                    tuple(col[sel] for col in consts),
                 )
     return sums
 
@@ -402,6 +435,7 @@ def _ladder_rows(
     where: np.ndarray,
     t: np.ndarray,
     v: int,
+    first: int,
     top: int,
     cap: int,
     paired: bool,
@@ -411,32 +445,39 @@ def _ladder_rows(
     """Fill rows ``where`` of ``sums``, all of one increment form.
 
     ``bessel`` holds the rows' constants from :func:`_bessel` for that form:
-    log kve(v) and log kve(v+1), or the paired form's three.
+    log kve(v) and log kve(v+1), or the paired form's first two, and then
+    log(kve(v+1) p(v)).
     """
     mu = 0.5 * t
+    lo = max(first - 1, 1)  # the first increment summed
     with np.errstate(divide="ignore", invalid="ignore"):
         log_t, log_mu = np.log(t), np.log(mu)
-        # the Poisson weights of delta_1 .. delta_{top-1} and the reverse
-        # sum's first window
-        count = top + _FIRST_WINDOW + (0 if paired else v)
-        log_p = _log_poisson(mu[:, None], np.arange(count))
-        if paired:
-            log_a, log_b, log_c = bessel
+        log_a, log_b, log_c = bessel
+        carry = np.zeros((t.size, 1))
+        if paired and lo > 1:
+            # log(p(a) / p(b)), a = b + d = lo-1+v, b = v+1, in closed form:
+            # the difference of the two Stirling errors and Loader deviances,
+            # d (log(a/mu) - 1) + b log(a/b), and of log sqrt(2 pi m)
+            d, b = lo - 2, v + 1
+            carry = (
+                (_stirling_error(float(b)) - _stirling_error(float(b + d)))
+                - d * (np.log((b + d) / mu[:, None]) - 1.0)
+                - (b + 0.5) * math.log1p(d / b)
+            )
+        rows = _Rows(*(col[:, None] for col in (mu, log_t, log_mu, log_a, log_b)), carry)
+        steps, rows = _log_delta(rows, v, paired, lo, top)  # delta_lo .. delta_{top-1}
+        if first == 1:
+            # sf_1 = P(G_1 G_{v+1} >= s) = t kve(v+1) p(0) p(v), log_c = log(kve(v+1) p(v))
+            lead, head = (log_t - mu + log_c)[:, None], steps
         else:
-            log_a, log_b = bessel
-            log_c = log_b + log_p[:, v]
-        # sf_1 = P(G_1 G_{v+1} >= s) = t kve(v+1) p(0) p(v), log_c = log(kve(v+1) p(v))
-        log_sf1 = log_t - mu + log_c
-        rows = _Rows(
-            *(col[:, None] for col in (mu, log_t, log_mu, log_a, log_b)),
-            np.zeros((t.size, 1)),
-            log_p,
-        )
-        head, rows = _log_delta(rows, v, paired, 1, top)  # delta_1 .. delta_{top-1}
-        log_sf = np.logaddexp.accumulate(np.concatenate((log_sf1[:, None], head), axis=1), axis=1)
+            lead, head = steps[:, :1], steps[:, 1:]
+        log_sf = np.logaddexp.accumulate(np.concatenate((lead, head), axis=1), axis=1)
     sums.log_sf[where] = log_sf
     pending = np.flatnonzero(force_reverse | (log_sf[:, -1] > -_LOG2))
-    _reverse_sums(sums, where[pending], _take(rows, pending), head[pending], v, top, cap, paired)
+    if pending.size:
+        _reverse_sums(
+            sums, where[pending], _take(rows, pending), head[pending], v, top, cap, paired
+        )
 
 
 def _reverse_sums(
@@ -450,7 +491,8 @@ def _reverse_sums(
     paired: bool,
 ) -> None:
     """Fill the reverse sums of rows ``where`` of ``sums``, given their
-    constants and delta_1 .. delta_{top-1} (``head``).
+    constants and the increments from the window's first index to top-1
+    (``head``).
 
     The sum first looks _FIRST_WINDOW indices past top and then doubles the
     window in the rows not yet certified, computing only the new increments;
@@ -474,7 +516,7 @@ def _reverse_sums(
             )
             running = np.logaddexp.accumulate(np.concatenate((acc, ext), axis=1), axis=1)[:, 1:]
             gap = log_tail - running
-        hits = gap <= -_TRUNCATION_NATS
+        hits = gap <= -(_TRUNCATION_NATS + _LOG2)
         found = hits.any(axis=1)
         done = found if hi <= cap else np.ones_like(found)
         if done.any():
@@ -498,12 +540,13 @@ def _reverse_sums(
         lo, width = hi, 2 * width
 
 
-def _tails_at(t: np.ndarray, v: int, top: int) -> IndexTails:
-    """Per-index tails of T_1..T_top at each threshold of the 1-d array t on
-    the t scale, one row per threshold.  ``failure`` names the first row
+def _tails_at(t: np.ndarray, v: int, top: int, first: int = 1) -> IndexTails:
+    """Per-index tails of T_first..T_top at each threshold of the 1-d array t
+    on the t scale, one row per threshold; past first = 1 without
+    sf_{first-1} (see :func:`_window`).  ``failure`` names the first row
     whose values cannot be trusted."""
     t = np.asarray(t, dtype=float)
-    sums = _ladder_sums(t, v, top)
+    sums = _ladder_sums(t, v, top, first=first)
     cdf_direct = sums.log_sf > -_LOG2  # never in rows without a reverse sum
     with np.errstate(divide="ignore", invalid="ignore"):
         log_sf = np.where(cdf_direct, np.log1p(-np.exp(sums.log_cdf)), sums.log_sf)
@@ -522,7 +565,7 @@ def _tails_at(t: np.ndarray, v: int, top: int) -> IndexTails:
     if bad.size > 1:
         failure += f" (and at {bad.size - 1} more thresholds)"
     return IndexTails(
-        log_sf, log_cdf, cdf_direct, sums.stop, np.exp(sums.log_bound), failure
+        log_sf, log_cdf, cdf_direct, sums.stop, np.exp(sums.log_bound), failure, first
     )
 
 
@@ -540,30 +583,95 @@ def _threshold(params: EnsembleParams, x: float) -> float:
     return derived_scales(params).c * x
 
 
-def index_tails(params: EnsembleParams, x: float, top: int | None = None) -> IndexTails:
-    """Tails of X_1 .. X_top at level x (top defaults to n), unchecked:
-    ``failure`` says whether they can be trusted."""
-    top = params.n if top is None else check_index(params, top)
-    tails = _tails_at(np.array([_threshold(params, x)]), params.v, top)
+def _root(a: float, b: float, c: float) -> float:
+    """The positive root of a m^2 + b m + c, for a > 0 > c."""
+    r = math.sqrt(b * b - 4.0 * a * c)
+    return -2.0 * c / (b + r) if b > 0.0 else (r - b) / (2.0 * a)
+
+
+def _window(t: float, v: int, top: int, stat: Statistic) -> tuple[int, int, float]:
+    """The indices first..last of 1..top that a product over ``stat``'s side
+    needs at threshold t, and the relative bound on what the rest change in
+    it (see "Index window" above); (1, top, 0.0) when nothing is dropped.
+    Over m indices the tangent at l = k-1 bounds log lambda on the max side;
+    on the min side the slope of log rho is at least 2/(k+m+v) and 1/(k+m).
+    """
+    mu = 0.5 * t
+    if not 0.0 < mu < math.inf:
+        return 1, top, 0.0
+    log_s = 2.0 * math.log(mu)
+    nats = _TRUNCATION_NATS + _LOG2
+    high = stat is Statistic.MAX_SQ
+    half = 0.5 * (v + (not high))
+    cross = mu * (mu / (math.hypot(half, mu) + half))  # l (l+v) = s, or l (l+1+v) = s
+    if high:
+        k = top if cross >= top - 1 else int(cross) + 1
+        if k < 2:
+            return 1, top, 0.0
+        g = log_s - math.log(k - 1) - math.log(k - 1 + v)  # -log lambda_{k-1}
+        d = 1.0 / (k - 1) + 1.0 / (k - 1 + v)
+        a = nats + math.log(2.0 * top / (top - k + 1))
+        m = math.ceil(_root(0.5 * d, g - 0.5 * d, -a))
+        if k - m + 1 < 2:
+            return 1, top, 0.0
+        return k - m + 1, top, math.exp(a - nats - m * g - 0.5 * d * m * (m - 1))
+    if cross >= top - 1:
+        return 1, top, 0.0
+    k = max(1, math.ceil(cross))
+    g = math.log(k) + math.log(k + 1 + v) - log_s  # -log r_k
+    a = nats + math.log(2.0 * top / k)
+    m = math.ceil(min(
+        _root(g + 1.0, g * (k + v) - 1.0 - a, -a * (k + v)),
+        _root(2.0 * g + 1.0, 2.0 * g * k - 1.0 - 2.0 * a, -2.0 * a * k),
+    ))
+    if k + m - 1 >= top:
+        return 1, top, 0.0
+    e = 1.0 / (k + m - 1) + 1.0 / (k + m + v)
+    return 1, k + m - 1, math.exp(a - nats - m * g - 0.5 * e * m * (m - 1))
+
+
+def _one(tails: IndexTails, bound: float = 0.0) -> IndexTails:
+    """The single row of a one-threshold :class:`IndexTails`, ``bound``
+    added to its truncation bound."""
     return IndexTails(
         tails.log_sf[0],
         tails.log_cdf[0],
         tails.cdf_direct[0],
         int(tails.stop[0]),
-        float(tails.truncation_bound[0]),
+        float(tails.truncation_bound[0]) + bound,
         tails.failure,
+        tails.first,
     )
+
+
+def index_tails(params: EnsembleParams, x: float, top: int | None = None) -> IndexTails:
+    """Tails of X_1 .. X_top at level x (top defaults to n), unchecked:
+    ``failure`` says whether they can be trusted."""
+    top = params.n if top is None else check_index(params, top)
+    return _one(_tails_at(np.array([_threshold(params, x)]), params.v, top))
+
+
+def _window_tails(
+    params: EnsembleParams, x: float, stat: Statistic, top: int | None = None
+) -> IndexTails:
+    """Tails at level x over the window of 1..top (top defaults to n) that
+    a product over ``stat``'s side needs, unchecked, with the window's bound
+    in ``truncation_bound``."""
+    top = params.n if top is None else top
+    t = _threshold(params, x)
+    first, last, bound = _window(t, params.v, top, stat)
+    return _one(_tails_at(np.array([t]), params.v, last, first), bound)
 
 
 def log_sf_index(params: EnsembleParams, j: int, x: float) -> float:
     """log P(X_j >= x) for one index."""
-    tails = index_tails(params, x, check_index(params, j))
+    tails = _window_tails(params, x, Statistic.MAX_SQ, check_index(params, j))
     return _checked(float(tails.log_sf[-1]), tails)
 
 
 def log_cdf_index(params: EnsembleParams, j: int, x: float) -> float:
     """log P(X_j <= x) for one index."""
-    tails = index_tails(params, x, check_index(params, j))
+    tails = _window_tails(params, x, Statistic.MAX_SQ, check_index(params, j))
     return _checked(float(tails.log_cdf[-1]), tails)
 
 
@@ -591,7 +699,7 @@ def _min_le(tails: IndexTails) -> float:
 
 def log_prob_max_le(params: EnsembleParams, x: float) -> float:
     """log P(max_j X_j <= x) = sum_j log P(X_j <= x)."""
-    return _max_le(index_tails(params, x))
+    return _max_le(_window_tails(params, x, Statistic.MAX_SQ))
 
 
 def log_prob_max_ge(params: EnsembleParams, x: float) -> float:
@@ -601,18 +709,18 @@ def log_prob_max_ge(params: EnsembleParams, x: float) -> float:
     first-order inclusion-exclusion bound (error below (sum sf)^2 / 2, far
     under double precision there) takes over.
     """
-    return _max_ge(index_tails(params, x))
+    return _max_ge(_window_tails(params, x, Statistic.MAX_SQ))
 
 
 def log_prob_min_ge(params: EnsembleParams, x: float) -> float:
     """log P(min_j X_j >= x) = sum_j log P(X_j >= x)."""
-    return _min_ge(index_tails(params, x))
+    return _min_ge(_window_tails(params, x, Statistic.MIN_SQ))
 
 
 def log_prob_min_le(params: EnsembleParams, x: float) -> float:
     """log P(min_j X_j <= x) = log(1 - prod_j P(X_j >= x)); deep-tail branch
     as in :func:`log_prob_max_ge`."""
-    return _min_le(index_tails(params, x))
+    return _min_le(_window_tails(params, x, Statistic.MIN_SQ))
 
 
 _REDUCTIONS = {
@@ -625,10 +733,11 @@ _REDUCTIONS = {
 
 def log_prob_from_tails(tails: IndexTails, query: TailQuery) -> float:
     """log probability of ``query`` from :func:`index_tails` at its level,
-    raising as :func:`log_prob` does when the tails cannot be trusted."""
+    or from the window of them that the query needs, raising as
+    :func:`log_prob` does when the tails cannot be trusted."""
     return _REDUCTIONS[query.statistic, query.direction](tails)
 
 
 def log_prob(params: EnsembleParams, query: TailQuery) -> float:
     """log probability of a tail query on the X scale."""
-    return log_prob_from_tails(index_tails(params, query.x), query)
+    return log_prob_from_tails(_window_tails(params, query.x, query.statistic), query)

@@ -322,6 +322,7 @@ def _blocked_log_cdf(
         tallies.append(_tally(tails))
     tally = _Tally(
         t.size,
+        1,
         top,
         sum(part.cdf_direct for part in tallies),
         max(part.stop for part in tallies),

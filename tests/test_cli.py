@@ -158,6 +158,23 @@ class TestProbCommand:
         assert float(rows[0]["probability"]) == pytest.approx(math.exp(lp), rel=1e-15)
         assert "gamma-shape ladder over indices 1..1" in err
 
+    @pytest.mark.parametrize(
+        "stat, x, window",
+        [("max", "1.2", lambda first, last: 1 < first and last == 10**6),
+         ("min", "0.01", lambda first, last: first == 1 and last < 2 * 10**4)],
+    )
+    def test_diagnostic_names_the_index_window(self, stat, x, window):
+        # at n = 1e6 the max's upper tail lives in the top indices and the
+        # min's in about x n low ones
+        code, out, err = run_cli(
+            ["prob", "--n", "1000000", "--v", "0", "--x", x, "--stat", stat, "--side", "ge"]
+        )
+        assert code == 0
+        note = next(line for line in err.splitlines() if "gamma-shape ladder" in line)
+        first, last = map(int, note.split("over indices ")[1].split(":")[0].split(".."))
+        assert window(first, last)
+        assert float(note.split("dropped tail below ")[1].split()[0]) <= math.exp(-40.0)
+
     def test_underflow_reports_zero_with_diagnostic(self):
         # P(max <= 0.2) at n=60 is around e^-1907: far below double range
         code, out, err = run_cli(
@@ -250,6 +267,11 @@ class TestExitCodes:
              "x must be >= 0"),
             (["rate", "--which", "mdp-min-alpha", "--alpha", "0", "--x", "inf"],
              "alpha-positive regime needs alpha > 0"),
+            # converge refuses the levels that rate refuses, with its message
+            (["converge", "--theorem", "t3-left", "--n", "300", "--x", "-1"],
+             "x must be finite and >= 0, got -1.0"),
+            (["converge", "--theorem", "t3-right", "--n", "300", "--x", "-1"],
+             "x must be finite and >= 0, got -1.0"),
         ],
     )
     def test_guard_failures(self, argv, fragment):
@@ -257,6 +279,16 @@ class TestExitCodes:
         assert code == 2
         assert fragment in err
         assert "error:" in err
+
+    @pytest.mark.parametrize("which", ["max-right", "min-right"])
+    def test_refused_level_leaves_only_the_error_line(self, which):
+        # the rate still runs before the level check, so that its own guards
+        # speak first, but its numpy warnings at x = inf do not reach stderr
+        result = TestImportCost._fresh(
+            ["-m", "chiral_ldp.cli", "rate", "--which", which, "--alpha", "2", "--x", "inf"]
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: x must be finite and >= 0, got inf\n"
 
     def test_argparse_rejects_unknown_choice(self):
         with pytest.raises(SystemExit) as exc_info:

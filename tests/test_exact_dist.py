@@ -38,6 +38,7 @@ from chiral_ldp.exact_dist import (
     log_prob,
     log_prob_max_ge,
     log_prob_max_le,
+    log_prob_from_tails,
     log_prob_min_ge,
     log_prob_min_le,
     log_sf_index,
@@ -309,6 +310,21 @@ class TestLadderProperties:
         assert math.isfinite(got)
         assert peak < 2 * 2**20
 
+    def test_unpaired_query_memory_does_not_grow_with_v(self):
+        # the unpaired form computes the Poisson weights its increments read,
+        # m < top and m = v .. v + top, not every m below v + top
+        params = EnsembleParams(10, 10**5)
+        t = derived_scales(params).c * 100.0
+        assert _bessel(np.array([t]), params.v)[0][0][0] <= t  # unpaired
+        tracemalloc.start()
+        try:
+            got = log_prob_max_ge(params, 100.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(got)
+        assert peak < 2**19
+
     @pytest.mark.parametrize(
         "n, v, x", [(10**4, 0, 1e-3), (10**4, 100, 1e-6), (10, 10**4, 0.5), (10**6, 20, 0.01)]
     )
@@ -317,6 +333,92 @@ class TestLadderProperties:
         assert tails.failure is None and tails.cdf_direct[-1]
         assert n <= tails.stop <= n + 40.0 * math.sqrt(n + v) + 100
         assert tails.truncation_bound <= math.exp(-40.0)
+
+
+PAIRS = [(stat, side) for stat in Statistic for side in Direction]
+
+
+class TestIndexWindow:
+    """Products and single indices evaluate only their certified window of
+    indices; the full ladder of :func:`index_tails` is the oracle."""
+
+    @staticmethod
+    def _check(params, x, stat, side, j, full):
+        # the windowed query against the full ladder, and the window's
+        # certificate against what the full ladder says it dropped
+        query = TailQuery(stat, side, x)
+        want = log_prob_from_tails(full, query)
+        assert abs(log_prob(params, query) - want) <= 1e-12 * abs(want)
+        tails = exact_dist._window_tails(params, x, stat)
+        assert tails.failure is None and tails.truncation_bound <= math.exp(-40.0)
+        first, last = tails.first, tails.first + tails.log_sf.size - 1
+        # (the kept sum of sf or cdf is at most the kept sum of -log cdf or -log sf)
+        log_bound = math.log(tails.truncation_bound) if tails.truncation_bound else -math.inf
+        if stat is Statistic.MAX_SQ and first > 1:
+            # every index below first, and sf_{first-1} left out of each kept one
+            head = np.append(full.log_sf[: first - 1], math.log(params.n) + full.log_sf[first - 2])
+            assert logsumexp(head) <= log_bound + logsumexp(full.log_sf[first - 1 :])
+        if stat is Statistic.MIN_SQ and last < params.n:
+            kept = logsumexp(full.log_cdf[:last])
+            assert logsumexp(full.log_cdf[last:]) <= log_bound + kept
+        for got, want in (
+            (log_sf_index(params, j, x), full.log_sf[j - 1]),
+            (log_cdf_index(params, j, x), full.log_cdf[j - 1]),
+        ):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(1, 10**6),
+        v=st.integers(0, 10**4),
+        x=st.floats(1e-6, 10.0),
+        pair=st.sampled_from(PAIRS),
+        j_share=st.floats(0.0, 1.0),
+    )
+    def test_window_matches_full_ladder(self, n, v, x, pair, j_share):
+        params = EnsembleParams(n, v)
+        self._check(params, x, *pair, 1 + int(j_share * (n - 1)), index_tails(params, x))
+
+    @pytest.mark.parametrize(
+        "n, v, x, pair",
+        [
+            (10**6, 0, 1.0, 1), (10**6, 0, 1.2, 0), (10**6, 0, 0.01, 2), (10**5, 0, 0.5, 1),
+            # the paired form, whose running ratio starts in closed form
+            (100, 10**4, 2.0, 0), (2000, 10**4, 0.3, 1), (3000, 10**4, 0.05, 2),
+            (10**4, 10**4, 0.2, 3),
+        ],
+    )
+    def test_windows_that_drop_indices(self, n, v, x, pair):
+        params = EnsembleParams(n, v)
+        stat, side = PAIRS[pair]
+        tails = exact_dist._window_tails(params, x, stat)
+        assert tails.log_sf.size < n
+        self._check(params, x, stat, side, n // 2, index_tails(params, x))
+
+    @pytest.mark.parametrize(
+        "n, stat, side, x",
+        [
+            (10**6, Statistic.MAX_SQ, Direction.LE, 1.0),
+            (10**6, Statistic.MAX_SQ, Direction.GE, 1.2),
+            (10**6, Statistic.MIN_SQ, Direction.GE, 0.01),
+            (10**8, Statistic.MAX_SQ, Direction.GE, 1.2),
+            (10**8, Statistic.MAX_SQ, Direction.LE, 1.0),
+            # the min's window reaches about x n indices
+            (10**8, Statistic.MIN_SQ, Direction.GE, 1e-4),
+        ],
+    )
+    def test_large_n_query_is_certified_in_bounded_memory(self, n, stat, side, x):
+        params = EnsembleParams(n, 0)
+        tracemalloc.start()
+        try:
+            got = log_prob(params, TailQuery(stat, side, x))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tails = exact_dist._window_tails(params, x, stat)
+        assert math.isfinite(got) and got < 0.0
+        assert tails.failure is None and tails.truncation_bound <= math.exp(-40.0)
+        assert peak < 16 * 2**20
 
 
 class TestLadderFailures:
@@ -375,6 +477,27 @@ class TestBatchedLadder:
             assert alone.stop[0] == batch.stop[row]
             assert alone.truncation_bound[0] == batch.truncation_bound[row]
             np.testing.assert_array_equal(alone.cdf_direct[0], batch.cdf_direct[row])
+            np.testing.assert_array_equal(alone.log_sf[0], batch.log_sf[row])
+            np.testing.assert_array_equal(alone.log_cdf[0], batch.log_cdf[row])
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        n=st.integers(2, 10**4),
+        v=st.integers(0, 10**4),
+        xs=st.lists(st.floats(1e-6, 10.0), min_size=1, max_size=20),
+        first_share=st.floats(0.0, 1.0),
+    )
+    def test_windowed_rows_equal_single_threshold_runs(self, n, v, xs, first_share):
+        # rows that share a window start, in either increment form
+        first = 2 + int(first_share * (n - 2))
+        c = derived_scales(EnsembleParams(n, v)).c
+        switch = self._paired_switch(v)
+        t = np.array([c * x for x in xs] + [switch * 0.999, switch * 1.001])
+        batch = _tails_at(t, v, n, first)
+        assert batch.first == first and batch.log_sf.shape == (t.size, n - first + 1)
+        for row, threshold in enumerate(t):
+            alone = _tails_at(np.array([threshold]), v, n, first)
+            assert alone.stop[0] == batch.stop[row]
             np.testing.assert_array_equal(alone.log_sf[0], batch.log_sf[row])
             np.testing.assert_array_equal(alone.log_cdf[0], batch.log_cdf[row])
 
