@@ -52,7 +52,7 @@ show(
 
 show(
     "Moderate deviations, max left (speed n^2 l^3), l = n^(-1/4)",
-    converge_table("t3-left", grid=((300, 0), (1000, 0), (3000, 0))),
+    converge_table("t3-left", grid=((10_000, 0), (100_000, 0), (1_000_000, 0))),
 )
 
 show(

@@ -372,8 +372,9 @@ class LimitTheorem:
         raise ValueError(f"x must be finite and >= 0, got {x}")
 
 
-# The moderate-deviation scales n^-e keep each window comfortably
-# satisfied at n <= 1e4.
+# Each default grid is a limit sequence inside its theorem's window, which
+# holds from n = 1000 for t3-right and t4-item1, above n = 5500 for t3-left
+# and above n = 3.3e5 for t4-item3.
 THEOREMS: dict[str, LimitTheorem] = {
     "t1-right": LimitTheorem(
         "max-right", Statistic.MAX_SQ, Direction.GE, level=lambda l, x: x,
@@ -400,7 +401,7 @@ THEOREMS: dict[str, LimitTheorem] = {
         "mdp-max-left", Statistic.MAX_SQ, Direction.LE, level=lambda l, x: 1.0 - l * x,
         scale=lambda n, v: float(n) ** -(1.0 / 4.0), speed=lambda n, v, l: n**2 * l**3,
         rate=lambda a, x: RateEval(mdp_max_left_const(a) * x**3, "mdp_speed_n2_l3"),
-        grid=((300, 0), (1000, 0), (3000, 0)), x=1.0, window=_power_window(3),
+        grid=((10**4, 0), (10**5, 0), (10**6, 0)), x=1.0, window=_power_window(3),
     ),
     "t4-item1": LimitTheorem(
         "mdp-min-small-v", Statistic.MIN_SQ, Direction.GE, level=lambda l, x: l * x,
@@ -421,7 +422,8 @@ THEOREMS: dict[str, LimitTheorem] = {
     "t4-item3": LimitTheorem(
         "mdp-min-alpha", Statistic.MIN_SQ, Direction.GE, level=lambda l, x: l * x,
         scale=_alpha_scale, speed=lambda n, v, l: n**2 * l**4, rate=_mdp_min_alpha,
-        grid=((200, 200), (500, 500), (1000, 1000)), x=1.0, window=_quartic_root_window,
+        grid=((10**6, 10**6), (3 * 10**6, 3 * 10**6), (10**7, 10**7)), x=1.0,
+        window=_quartic_root_window,
     ),
 }
 

@@ -34,14 +34,14 @@ which keeps the rounding of each log-term near double precision.
 Truncation rule.  Everything the sums drop stays below e^-40 relative, half
 of it in the reverse sum's tail and half in the index window below.  The
 forward sums are finite.  The reverse sum is needed only when some sf_j
-exceeds 1/2, and stops at the first index L >= top with
-rho_L = s / (L (L+v+1)) < 1 and delta_L rho_L / (1 - rho_L) <= e^-40 / 2
-times delta_top + ... + delta_L.  Both parts of delta shrink by at least
-rho_i from one index to the next and rho decreases in i, so the dropped tail
-is below e^-40 / 2 of every cdf it feeds.  The ladder never runs past
-top + 40 sqrt(top+v) + 100 indices.  A reverse sum that has not converged
-there, or a non-finite value anywhere, raises :class:`QuadratureError`
-carrying the partial result.
+exceeds 1/2.  Both parts of delta shrink by at least rho_i = s / (i (i+v+1))
+from one index to the next and rho decreases in i, so cdf_{j+1} <= rho_j
+cdf_j.  The sum stops at the first L with rho_k ... rho_L <= e^-40 / 2,
+k = max(top, ceil(c)) and rho_c = 1, found before any increment is summed
+(see :func:`_reach`); what it drops, cdf_{L+1}, is at most that product
+times every cdf it feeds.  The ladder never runs past top + 40 sqrt(top+v)
++ 100 indices.  A reverse sum that stops there unconverged, or a non-finite
+value anywhere, raises :class:`QuadratureError` carrying the partial result.
 
 Index window.  Going down, both parts of delta_{i-1} are at most
 lambda_i = i(i+v)/s times those of delta_i, and sf_1 is at most
@@ -103,8 +103,6 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # Everything the sums drop is this many nats below what they keep; the
 # reverse sum's tail and the index window each get half (see _window).
 _TRUNCATION_NATS = 40.0
-# The reverse sum first looks this many indices past top, then doubles.
-_FIRST_WINDOW = 32
 # Rows run in chunks that keep each temporary near this many elements.
 _CHUNK_ELEMENTS = 1_000_000
 # The trapezoid rule (see _kve_sums) runs to where its integrands are
@@ -225,48 +223,48 @@ def _kve_sums(t: np.ndarray, v: int) -> np.ndarray:
     value does not depend on the other rows.
     """
     out = np.full((2, t.size), np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if v == 0:
-            reach = 2.0 * np.arcsinh(math.sqrt(0.5 * _K_NATS) / np.sqrt(t))
-            step = np.minimum(np.exp2(np.ceil(np.log2(reach / _K_NODES))), 0.25)
-            count = _K_NODES * np.ceil(reach / (_K_NODES * step))
-            first = np.ones_like(t)  # the first node, in steps from the peak
-        else:
-            big = np.hypot(v, t)
-            gap = t * (t / (big + v))  # H - v
-            width = np.minimum(0.6, 0.2 + np.maximum(0.1 * math.log(v), 0.14 * np.log(t)))
-            step = width / np.sqrt(big)
-            # exponent bounds: -H d^2 / (2 + d) and the cosh term on the left,
-            # d - H d^2 / 2 for order v+1 on the right
-            c = _K_NATS / big
-            left = np.minimum(
-                0.5 * (c + np.sqrt(c * (c + 8.0))), 2.0 * np.arcsinh(np.sqrt(0.5 * _K_NATS / gap))
-            )
-            right = (1.0 + np.sqrt(1.0 + 2.0 * _K_NATS * big)) / big
-            first = -np.ceil(left / step)
-            count = np.ceil(right / step) - first + 1.0
-        count[~(count <= _K_NODES * _K_MAX_GROUPS)] = 0.0  # also t = inf and NaN
-        for nodes in sorted(set(count.tolist()) - {0.0}):
-            rows = np.flatnonzero(count == nodes)
-            half = _K_HALF_NODES[: int(nodes)]
-            per_block = max(1, _K_BLOCK // half.size)
-            for start in range(0, rows.size, per_block):
-                at = rows[start : start + per_block]
-                h = step[at]
-                x = h[:, None] * (half + 0.5 * first[at, None])  # (u - u*) / 2
-                s = np.sinh(x)
-                s = 2.0 * s * s  # cosh(u - u*) - 1
-                if v == 0:
-                    a = np.exp(-t[at, None] * s)
-                    a_sum = a.sum(axis=1)
-                    out[0, at] = h * (a_sum + 0.5)
-                    out[1, at] = h * (a_sum + (a * s).sum(axis=1) + 0.5)
-                else:
-                    e = np.expm1(x + x)
-                    a = np.exp(v * (x + x - e) - gap[at, None] * s)
-                    a_sum = a.sum(axis=1)
-                    out[0, at] = 0.5 * h * a_sum
-                    out[1, at] = 0.5 * h * (a_sum + (a * e).sum(axis=1))
+    if v == 0:
+        reach = 2.0 * np.arcsinh(math.sqrt(0.5 * _K_NATS) / np.sqrt(t))
+        step = np.minimum(np.exp2(np.ceil(np.log2(reach / _K_NODES))), 0.25)
+        count = _K_NODES * np.ceil(reach / (_K_NODES * step))
+        first = np.ones_like(t)  # the first node, in steps from the peak
+    else:
+        big = np.hypot(v, t)
+        gap = t * (t / (big + v))  # H - v
+        width = np.minimum(0.6, 0.2 + np.maximum(0.1 * math.log(v), 0.14 * np.log(t)))
+        step = width / np.sqrt(big)
+        # exponent bounds: -H d^2 / (2 + d) and the cosh term on the left,
+        # d - H d^2 / 2 for order v+1 on the right
+        c = _K_NATS / big
+        left = np.minimum(
+            0.5 * (c + np.sqrt(c * (c + 8.0))), 2.0 * np.arcsinh(np.sqrt(0.5 * _K_NATS / gap))
+        )
+        right = (1.0 + np.sqrt(1.0 + 2.0 * _K_NATS * big)) / big
+        first = -np.ceil(left / step)
+        count = np.ceil(right / step) - first + 1.0
+    count[~(count <= _K_NODES * _K_MAX_GROUPS)] = 0.0  # also t = inf and NaN
+    groups = set(count.tolist())
+    for nodes in sorted(groups - {0.0}):
+        rows = None if len(groups) == 1 else np.flatnonzero(count == nodes)  # None: all
+        half = _K_HALF_NODES[: int(nodes)]
+        per_block = max(1, _K_BLOCK // half.size)
+        for start in range(0, t.size if rows is None else rows.size, per_block):
+            at = slice(start, start + per_block) if rows is None else rows[start : start + per_block]
+            h = step[at]
+            x = h[:, None] * (half + 0.5 * first[at, None])  # (u - u*) / 2
+            s = np.sinh(x)
+            s = 2.0 * s * s  # cosh(u - u*) - 1
+            if v == 0:
+                a = np.exp(-t[at, None] * s)
+                a_sum = a.sum(axis=1)
+                out[0, at] = h * (a_sum + 0.5)
+                out[1, at] = h * (a_sum + (a * s).sum(axis=1) + 0.5)
+            else:
+                e = np.expm1(x + x)
+                a = np.exp(v * (x + x - e) - gap[at, None] * s)
+                a_sum = a.sum(axis=1)
+                out[0, at] = 0.5 * h * a_sum
+                out[1, at] = 0.5 * h * (a_sum + (a * e).sum(axis=1))
     return out
 
 
@@ -286,33 +284,33 @@ def _bessel(t: np.ndarray, v: int) -> tuple[tuple[np.ndarray, ...], tuple[np.nda
     """
     log_s0, log_s1 = np.log(_kve_sums(t, v))
     mu = 0.5 * t
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_mu = np.log(mu)
-        if v == 0:
-            peak = lift = 0.0
-            base = -mu  # log p(0)
-        else:
-            big = np.hypot(v, t)
-            q = t / (v + big)
-            lift = np.arcsinh(v / t)  # u*
-            peak = v * (lift - v / (big + t))  # v u* - (H - t)
-            mode = float(_stirling_error(float(v))) + 0.5 * math.log(2.0 * math.pi * v)
-            base = v * np.log1p(mu * q / v) + (mu - t * q) - mode  # peak + log p(v)
-        log_k = (peak + log_s0, (peak + lift) + log_s1)
-        log_kp = (
-            ((log_s0 + log_mu) - math.log(v + 1)) + base,
-            ((log_s1 + 2.0 * log_mu) - math.log((v + 1) * (v + 2))) + (base + lift),
-            (base + lift) + log_s1,
-        )
+    log_mu = np.log(mu)
+    if v == 0:
+        peak = lift = 0.0
+        base = -mu  # log p(0)
+    else:
+        big = np.hypot(v, t)
+        q = t / (v + big)
+        lift = np.arcsinh(v / t)  # u*
+        peak = v * (lift - v / (big + t))  # v u* - (H - t)
+        mode = _stirling_error(float(v)) + 0.5 * math.log(2.0 * math.pi * v)
+        base = v * np.log1p(mu * q / v) + (mu - t * q) - mode  # peak + log p(v)
+    log_k = (peak + log_s0, (peak + lift) + log_s1)
+    log_kp = (
+        ((log_s0 + log_mu) - math.log(v + 1)) + base,
+        ((log_s1 + 2.0 * log_mu) - math.log((v + 1) * (v + 2))) + (base + lift),
+        (base + lift) + log_s1,
+    )
     return log_k, log_kp
 
 
-def _stirling_error(m: np.ndarray | float) -> np.ndarray:
+def _stirling_error(m: np.ndarray | float) -> np.ndarray | float:
     """log m! - (m + 1/2) log m + m - log sqrt(2 pi) for m >= 1 (Loader 2000):
-    tabulated up to 15, its asymptotic series above."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = 1.0 / (m * m)
-        series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r / 1188) * r) * r) * r) / m
+    tabulated up to 15, its asymptotic series above; a float for a float."""
+    r = 1.0 / (m * m)
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r / 1188) * r) * r) * r) / m
+    if isinstance(m, float):
+        return series if m > 15.0 else float(_STIRLING_ERROR[int(m)])
     return np.where(m > 15.0, series, _STIRLING_ERROR[np.minimum(m, 15.0).astype(int)])
 
 
@@ -324,26 +322,27 @@ def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
 
 
 def _deviance(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """m log(m/mu) + mu - m, by its series in w = (m-mu)/(m+mu) near m = mu
-    so that nothing cancels (Loader 2000)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = m * np.log(m / mu) + mu - m
-        near = np.abs(m - mu) < 0.1 * (m + mu)
-        if not near.any():
-            return out
-        m, mu = (a[near] for a in np.broadcast_arrays(m, mu))
-        w = (m - mu) / (m + mu)
-        w2 = w * w
-        # w ((m - mu) + 2 m sum_{k=1}^{8} w^(2k) / (2k+1)), the sum by Horner
-        # in w2, in place; |w| < 0.1 leaves the terms from k = 9 on below
-        # 1e-18 of the whole
-        series = w2 / 17.0
-        for k in range(7, 0, -1):
-            series += 1.0 / (2 * k + 1)
-            series *= w2
-        series *= 2.0 * m
-        series += m - mu
-        series *= w
+    """m log(m/mu) + mu - m for a 1-d array of counts and a column of means,
+    by its series in w = (m-mu)/(m+mu) near m = mu so that nothing cancels
+    (Loader 2000)."""
+    out = m * np.log(m / mu) + mu - m
+    near = np.abs(m - mu) < 0.1 * (m + mu)
+    if not near.any():
+        return out
+    row, col = np.nonzero(near)
+    m, mu = m[col], mu[row, 0]
+    w = (m - mu) / (m + mu)
+    w2 = w * w
+    # w ((m - mu) + 2 m sum_{k=1}^{8} w^(2k) / (2k+1)), the sum by Horner
+    # in w2, in place; |w| < 0.1 leaves the terms from k = 9 on below
+    # 1e-18 of the whole
+    series = w2 / 17.0
+    for k in range(7, 0, -1):
+        series += 1.0 / (2 * k + 1)
+        series *= w2
+    series *= 2.0 * m
+    series += m - mu
+    series *= w
     out[near] = series
     return out
 
@@ -352,8 +351,7 @@ def _log_poisson(mu: np.ndarray, m: np.ndarray) -> np.ndarray:
     """log(mu^m e^-mu / m!) for a column of means and counts m >= 0,
     accurate around the mode."""
     m = m.astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = -_stirling_error(m) - _deviance(m, mu) - _HALF_LOG_2PI - 0.5 * np.log(m)
+    out = -_stirling_error(m) - _deviance(m, mu) - _HALF_LOG_2PI - 0.5 * np.log(m)
     return np.where(m == 0.0, -mu, out)
 
 
@@ -400,9 +398,15 @@ def _ladder_sums(
     reverse sum is taken in the rows where sf_top > 1/2, the one case where
     some cdf is the smaller side, or in all rows when ``force_reverse`` asks
     for it.  Rows run in chunks that keep every temporary near
-    ``_CHUNK_ELEMENTS`` elements.
+    ``_CHUNK_ELEMENTS`` elements.  Numpy's floating-point warnings are off
+    inside: a non-finite sum is reported by its caller, not by a warning.
     """
-    t = np.asarray(t, dtype=float)
+    with np.errstate(all="ignore"):
+        return _sums(np.asarray(t, dtype=float), v, top, force_reverse, first)
+
+
+def _sums(t: np.ndarray, v: int, top: int, force_reverse: bool, first: int) -> _Sums:
+    """:func:`_ladder_sums` under the caller's error state."""
     cap = top + math.ceil(40.0 * math.sqrt(top + v)) + 100
     width = top - first + 1
     sums = _Sums(
@@ -413,20 +417,22 @@ def _ladder_sums(
         np.ones(t.size, dtype=bool),
     )
     # the unpaired form's Poisson weights take 2 (top - first) + 1 counts per
-    # row forward, and each step of the reverse sum fewer than cap - first
-    chunk = max(1, _CHUNK_ELEMENTS // (max(2 * (top - first), cap - first) + 3))
+    # row forward and 2 (stop - top) + 3 in the reverse sum, stop <= cap
+    chunk = max(1, _CHUNK_ELEMENTS // (2 * max(top - first, cap - top) + 3))
     for start in range(0, t.size, chunk):
-        where = np.arange(start, min(start + chunk, t.size))
-        log_k, log_kp = _bessel(t[where], v)
-        paired = log_k[0] > t[where]  # 2 mu = t
-        for form in (False, True):
-            sel = np.flatnonzero(paired == form)
-            if sel.size:
-                consts = log_kp if form else (*log_k, log_kp[2])
-                _ladder_rows(
-                    sums, where[sel], t[where[sel]], v, first, top, cap, form, force_reverse,
-                    tuple(col[sel] for col in consts),
-                )
+        part = t[start : start + chunk]
+        where = np.arange(start, start + part.size)
+        log_k, log_kp = _bessel(part, v)
+        paired = log_k[0] > part  # 2 mu = t
+        split = paired.any() and not paired.all()
+        for form in (False, True) if split else (bool(paired[0]),):
+            # a chunk of one form is taken whole, as views
+            sel = np.flatnonzero(paired == form) if split else slice(None)
+            consts = log_kp if form else (*log_k, log_kp[2])
+            _ladder_rows(
+                sums, where[sel], part[sel], v, first, top, cap, form, force_reverse,
+                tuple(col[sel] for col in consts),
+            )
     return sums
 
 
@@ -450,34 +456,32 @@ def _ladder_rows(
     """
     mu = 0.5 * t
     lo = max(first - 1, 1)  # the first increment summed
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_t, log_mu = np.log(t), np.log(mu)
-        log_a, log_b, log_c = bessel
-        carry = np.zeros((t.size, 1))
-        if paired and lo > 1:
-            # log(p(a) / p(b)), a = b + d = lo-1+v, b = v+1, in closed form:
-            # the difference of the two Stirling errors and Loader deviances,
-            # d (log(a/mu) - 1) + b log(a/b), and of log sqrt(2 pi m)
-            d, b = lo - 2, v + 1
-            carry = (
-                (_stirling_error(float(b)) - _stirling_error(float(b + d)))
-                - d * (np.log((b + d) / mu[:, None]) - 1.0)
-                - (b + 0.5) * math.log1p(d / b)
-            )
-        rows = _Rows(*(col[:, None] for col in (mu, log_t, log_mu, log_a, log_b)), carry)
-        steps, rows = _log_delta(rows, v, paired, lo, top)  # delta_lo .. delta_{top-1}
-        if first == 1:
-            # sf_1 = P(G_1 G_{v+1} >= s) = t kve(v+1) p(0) p(v), log_c = log(kve(v+1) p(v))
-            lead, head = (log_t - mu + log_c)[:, None], steps
-        else:
-            lead, head = steps[:, :1], steps[:, 1:]
-        log_sf = np.logaddexp.accumulate(np.concatenate((lead, head), axis=1), axis=1)
-    sums.log_sf[where] = log_sf
-    pending = np.flatnonzero(force_reverse | (log_sf[:, -1] > -_LOG2))
-    if pending.size:
-        _reverse_sums(
-            sums, where[pending], _take(rows, pending), head[pending], v, top, cap, paired
+    log_t, log_mu = np.log(t), np.log(mu)
+    log_a, log_b, log_c = bessel
+    carry = np.zeros((t.size, 1))
+    if paired and lo > 1:
+        # log(p(a) / p(b)), a = b + d = lo-1+v, b = v+1, in closed form:
+        # the difference of the two Stirling errors and Loader deviances,
+        # d (log(a/mu) - 1) + b log(a/b), and of log sqrt(2 pi m)
+        d, b = lo - 2, v + 1
+        carry = (
+            (_stirling_error(float(b)) - _stirling_error(float(b + d)))
+            - d * (np.log((b + d) / mu[:, None]) - 1.0)
+            - (b + 0.5) * math.log1p(d / b)
         )
+    rows = _Rows(*(col[:, None] for col in (mu, log_t, log_mu, log_a, log_b)), carry)
+    steps, rows = _log_delta(rows, v, paired, lo, top)  # delta_lo .. delta_{top-1}
+    if first == 1:
+        # sf_1 = P(G_1 G_{v+1} >= s) = t kve(v+1) p(0) p(v), log_c = log(kve(v+1) p(v))
+        lead, head = (log_t - mu + log_c)[:, None], steps
+    else:
+        lead, head = steps[:, :1], steps[:, 1:]
+    log_sf = np.logaddexp.accumulate(np.concatenate((lead, head), axis=1), axis=1)
+    sums.log_sf[where] = log_sf
+    pending = force_reverse | (log_sf[:, -1] > -_LOG2)
+    if pending.any():
+        sel = slice(None) if pending.all() else np.flatnonzero(pending)
+        _reverse_sums(sums, where[sel], _take(rows, sel), head[sel], v, top, cap, paired)
 
 
 def _reverse_sums(
@@ -494,50 +498,32 @@ def _reverse_sums(
     constants and the increments from the window's first index to top-1
     (``head``).
 
-    The sum first looks _FIRST_WINDOW indices past top and then doubles the
-    window in the rows not yet certified, computing only the new increments;
-    where it stops and its bound do not depend on the window.
+    Each row's stop comes first (see "Truncation rule" above): the running
+    product of min(1, rho_l) from l = top falls to e^-40 / 2 within
+    :func:`_reach` indices of k, where rho_l falls to 1, and the first index
+    where it does is the stop L.  Then one call evaluates delta_top .. delta_L
+    for the furthest L, each row's increments past its own L are masked out,
+    and one reverse accumulation gives every cdf.
     """
-    pending = np.arange(where.size)
-    tail = np.empty((pending.size, 0))  # delta_top onwards
-    acc = np.full((pending.size, 1), -math.inf)  # log(delta_top + ...) so far
-    lo, width = top, _FIRST_WINDOW
-    while pending.size:
-        hi = min(top + width, cap + 1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ext, rows = _log_delta(rows, v, paired, lo, hi)
-            tail = np.concatenate((tail, ext), axis=1)
-            last = np.arange(lo, hi, dtype=float)
-            log_rho = 2.0 * rows.log_mu - np.log(last) - np.log(last + v + 1.0)
-            log_tail = np.where(
-                log_rho < 0.0,
-                ext + log_rho - np.log(-np.expm1(np.minimum(log_rho, 0.0))),
-                np.inf,
-            )
-            running = np.logaddexp.accumulate(np.concatenate((acc, ext), axis=1), axis=1)[:, 1:]
-            gap = log_tail - running
-        hits = gap <= -(_TRUNCATION_NATS + _LOG2)
-        found = hits.any(axis=1)
-        done = found if hi <= cap else np.ones_like(found)
-        if done.any():
-            fin = np.flatnonzero(done)
-            k = np.where(found[fin], np.argmax(hits[fin], axis=1), hi - 1 - lo)
-            stop = lo + k  # last index summed
-            out = where[pending[fin]]
-            sums.stop[out] = stop
-            sums.log_bound[out] = gap[fin, k]
-            sums.converged[out] = found[fin]
-            kept = np.where(np.arange(top, hi) <= stop[:, None], tail[fin], -math.inf)
-            with np.errstate(invalid="ignore"):
-                rev = np.logaddexp.accumulate(kept[:, ::-1], axis=1)[:, -1:]
-                sums.log_cdf[out] = np.logaddexp.accumulate(
-                    np.concatenate((rev, head[pending[fin], ::-1]), axis=1), axis=1
-                )[:, ::-1]
-            stay = ~done
-            pending, rows, tail = pending[stay], _take(rows, stay), tail[stay]
-            running = running[stay]
-        acc = running[:, -1:]
-        lo, width = hi, 2 * width
+    nats = _TRUNCATION_NATS + _LOG2
+    mu, log_s, half = rows.mu, 2.0 * rows.log_mu, 0.5 * (v + 1)
+    k = np.maximum(top, np.ceil(mu * (mu / (np.hypot(half, mu) + half))))  # l (l+1+v) >= s
+    g = np.log(k) + np.log(k + 1.0 + v) - log_s  # -log rho_k
+    # one index spare against rounding; NaN rows run to the cap
+    far = np.max(k + _reach(k, v, g, nats))
+    l = np.arange(top, int(far) + 1 if far <= cap else cap + 1, dtype=float)
+    gain = np.cumsum(np.maximum(np.log(l) + np.log(l + 1.0 + v) - log_s, 0.0), axis=1)
+    hits = gain >= nats
+    converged = hits[:, -1]
+    at = np.where(converged, np.argmax(hits, axis=1), l.size - 1)
+    stop = top + at  # the last increment summed
+    tail, _ = _log_delta(rows, v, paired, top, int(stop.max()) + 1)  # delta_top onwards
+    kept = np.where(np.arange(top, top + tail.shape[1]) <= stop[:, None], tail, -math.inf)
+    cdf = np.logaddexp.accumulate(np.concatenate((head, kept), axis=1)[:, ::-1], axis=1)
+    sums.log_cdf[where] = cdf[:, kept.shape[1] - 1 :][:, ::-1]
+    sums.stop[where] = stop
+    sums.log_bound[where] = -gain[np.arange(at.size), at]
+    sums.converged[where] = converged
 
 
 def _tails_at(t: np.ndarray, v: int, top: int, first: int = 1) -> IndexTails:
@@ -546,27 +532,26 @@ def _tails_at(t: np.ndarray, v: int, top: int, first: int = 1) -> IndexTails:
     sf_{first-1} (see :func:`_window`).  ``failure`` names the first row
     whose values cannot be trusted."""
     t = np.asarray(t, dtype=float)
-    sums = _ladder_sums(t, v, top, first=first)
-    cdf_direct = sums.log_sf > -_LOG2  # never in rows without a reverse sum
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        sums = _sums(t, v, top, False, first)
+        cdf_direct = sums.log_sf > -_LOG2  # never in rows without a reverse sum
         log_sf = np.where(cdf_direct, np.log1p(-np.exp(sums.log_cdf)), sums.log_sf)
         log_cdf = np.where(cdf_direct, sums.log_cdf, np.log1p(-np.exp(sums.log_sf)))
-    failure = None
-    bad = np.flatnonzero(~(np.isfinite(log_sf).all(axis=1) & np.isfinite(log_cdf).all(axis=1)))
-    if bad.size:
+        truncation_bound = np.exp(sums.log_bound)
+    failure, bad = None, ()
+    finite = np.isfinite(log_sf).all(axis=1) & np.isfinite(log_cdf).all(axis=1)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
         failure = f"non-finite ladder value at t={float(t[bad[0]])!r}, v={v}"
-    else:
+    elif not sums.converged.all():
         bad = np.flatnonzero(~sums.converged)
-        if bad.size:
-            failure = (
-                f"reverse ladder sum at t={float(t[bad[0]])!r} did not converge "
-                f"by index {int(sums.stop[bad[0]])}"
-            )
-    if bad.size > 1:
+        failure = (
+            f"reverse ladder sum at t={float(t[bad[0]])!r} did not converge "
+            f"by index {int(sums.stop[bad[0]])}"
+        )
+    if len(bad) > 1:
         failure += f" (and at {bad.size - 1} more thresholds)"
-    return IndexTails(
-        log_sf, log_cdf, cdf_direct, sums.stop, np.exp(sums.log_bound), failure, first
-    )
+    return IndexTails(log_sf, log_cdf, cdf_direct, sums.stop, truncation_bound, failure, first)
 
 
 def _checked(value: float, tails: IndexTails | _Tally) -> float:
@@ -583,10 +568,23 @@ def _threshold(params: EnsembleParams, x: float) -> float:
     return derived_scales(params).c * x
 
 
-def _root(a: float, b: float, c: float) -> float:
-    """The positive root of a m^2 + b m + c, for a > 0 > c."""
-    r = math.sqrt(b * b - 4.0 * a * c)
-    return -2.0 * c / (b + r) if b > 0.0 else (r - b) / (2.0 * a)
+def _root(a, b, c):
+    """The positive root of a m^2 + b m + c, for a > 0 > c; floats or arrays."""
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+    return np.maximum(q / a, c / q)
+
+
+def _reach(k, v: int, g, a: float):
+    """At most how many indices k, k+1, ... the sum of
+    -log rho_l = log(l (l+1+v) / s) takes to reach a > 0, given
+    g = -log rho_k >= 0; floats or arrays.  Over m indices the slope of
+    -log rho is at least 2/(k+m+v) and 1/(k+m), so the sum is at least
+    m g + m (m-1) / (k+m+v) and m g + m (m-1) / (2 (k+m)).
+    """
+    return np.ceil(np.minimum(
+        _root(g + 1.0, g * (k + v) - 1.0 - a, -a * (k + v)),
+        _root(2.0 * g + 1.0, 2.0 * g * k - 1.0 - 2.0 * a, -2.0 * a * k),
+    ))
 
 
 def _window(t: float, v: int, top: int, stat: Statistic) -> tuple[int, int, float]:
@@ -594,7 +592,7 @@ def _window(t: float, v: int, top: int, stat: Statistic) -> tuple[int, int, floa
     needs at threshold t, and the relative bound on what the rest change in
     it (see "Index window" above); (1, top, 0.0) when nothing is dropped.
     Over m indices the tangent at l = k-1 bounds log lambda on the max side;
-    on the min side the slope of log rho is at least 2/(k+m+v) and 1/(k+m).
+    the min side takes m from :func:`_reach`.
     """
     mu = 0.5 * t
     if not 0.0 < mu < math.inf:
@@ -620,10 +618,7 @@ def _window(t: float, v: int, top: int, stat: Statistic) -> tuple[int, int, floa
     k = max(1, math.ceil(cross))
     g = math.log(k) + math.log(k + 1 + v) - log_s  # -log r_k
     a = nats + math.log(2.0 * top / k)
-    m = math.ceil(min(
-        _root(g + 1.0, g * (k + v) - 1.0 - a, -a * (k + v)),
-        _root(2.0 * g + 1.0, 2.0 * g * k - 1.0 - 2.0 * a, -2.0 * a * k),
-    ))
+    m = int(_reach(k, v, g, a))
     if k + m - 1 >= top:
         return 1, top, 0.0
     e = 1.0 / (k + m - 1) + 1.0 / (k + m + v)

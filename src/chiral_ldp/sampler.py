@@ -129,9 +129,9 @@ def _gamma_from_uniforms(shape_a: float, uniforms: np.ndarray) -> np.ndarray:
     """Marsaglia-Tsang Gamma(shape_a) draws, one per row of uniforms.
 
     ``uniforms`` has shape (count, _GAMMA_ROUNDS, 3); the first accepted
-    round per row wins.  Rounds are evaluated lazily: round r runs only on
-    the rows that rounds 0 .. r-1 rejected, and accepted rows leave the
-    pending set.  Every test is element-wise, so each row's draw is the one
+    round per row wins.  Rounds are evaluated lazily: round 0 on every row
+    (read as a view), round r only on the rows that rounds 0 .. r-1
+    rejected.  Every test is element-wise, so each row's draw is the one
     an evaluation of all rounds for all rows would pick.  Raises
     ``RuntimeError`` when a row rejects all rounds.  Requires shape_a >= 1
     (always true here: shapes are j and j + v with j >= 1, v >= 0).
@@ -141,11 +141,11 @@ def _gamma_from_uniforms(shape_a: float, uniforms: np.ndarray) -> np.ndarray:
     d = shape_a - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
 
-    out = np.empty(uniforms.shape[0])
-    pending = np.arange(uniforms.shape[0])
+    pending = slice(None)  # round 0 reads every row, as a view
     for r in range(_GAMMA_ROUNDS):
         u1, u2, u3 = uniforms[pending, r].T
-        z, _ = _box_muller(u1, u2)
+        # the cosine half of _box_muller: 1 - u1 lies in (0, 1]
+        z = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
 
         base = 1.0 + c * z
         valid = base > 0.0
@@ -157,8 +157,11 @@ def _gamma_from_uniforms(shape_a: float, uniforms: np.ndarray) -> np.ndarray:
         full = logu < 0.5 * z**2 + d - d * vcube + d * np.log(vcube)
         accept = valid & (u3 > 0.0) & (squeeze | full)
 
-        out[pending[accept]] = d * vcube[accept]
-        pending = pending[~accept]
+        if r == 0:  # every row takes round 0's draw; later rounds overwrite the rejected
+            out, pending = d * vcube, np.flatnonzero(~accept)
+        else:
+            out[pending[accept]] = d * vcube[accept]
+            pending = pending[~accept]
         if pending.size == 0:
             return out
     raise RuntimeError("gamma rejection budget exhausted")

@@ -171,6 +171,12 @@ class TestConvergeTable:
         assert rows[0].note is not None and "window" in rows[0].note
         assert rows[1].note is None
 
+    @pytest.mark.parametrize("tag", THEOREM_TAGS)
+    def test_default_rows_are_inside_their_windows(self, tag):
+        # a default grid is a limit sequence inside its theorem's window
+        for row in converge_table(tag):
+            assert row.note is None, (row.n, row.v, row.note)
+
     def test_order_proportional_row_carries_both_rates(self):
         rows = converge_table("t4-item2", grid=((1000, 80),))
         row = rows[0]

@@ -11,6 +11,7 @@ sandwiches that the asymptotic machinery leans on.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -192,7 +193,9 @@ class TestTrapezoidK:
         # below about 2e-304 the cosh weights overflow; no value beats a
         # wrong one
         t = np.array([1e-305, 0.0, -1.0, math.inf, math.nan, 1.0])
-        for got in _kve_sums(t, 0):
+        with np.errstate(all="ignore"):  # the ladder's, around every call it makes
+            values = _kve_sums(t, 0)
+        for got in values:
             assert np.isnan(got[:-1]).all() and np.isfinite(got[-1])
         with pytest.raises(QuadratureError, match="non-finite"):
             log_prob_max_le(EnsembleParams(1, 0), 5e-306)
@@ -432,6 +435,30 @@ class TestLadderFailures:
         assert info.value.partial is not None and math.isnan(info.value.partial)
         assert info.value.rel_err == math.inf
 
+    @pytest.mark.parametrize("n", [1, 10**6])
+    @pytest.mark.parametrize("v", [0, 10**4])
+    @pytest.mark.parametrize("x", [1e-6, 10.0])
+    def test_no_runtime_warning_leaves_the_ladder(self, n, v, x):
+        params = EnsembleParams(n, v)
+        c = derived_scales(params).c
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for stat in Statistic:
+                for side in Direction:
+                    log_prob(params, TailQuery(stat, side, x))
+            log_sf_index(params, n, x)
+            log_cdf_index(params, n, x)
+            top = min(n, 50)
+            _tails_at(c * np.array([1e-6, x, 10.0]), v, top)
+            _ladder_sums(np.array([c * x]), v, top, force_reverse=True)
+
+    def test_non_finite_bessel_value_raises_without_warning(self, monkeypatch):
+        monkeypatch.setattr(exact_dist, "_kve_sums", lambda t, v: np.full((2, t.size), np.nan))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="non-finite"):
+                log_prob_max_le(EnsembleParams(5, 2), 0.9)
+
     def test_unconverged_reverse_sum_raises_with_partial(self, monkeypatch):
         # demand more than the cap can give: the truncation test never passes
         monkeypatch.setattr(exact_dist, "_TRUNCATION_NATS", 1e6)
@@ -501,17 +528,43 @@ class TestBatchedLadder:
             np.testing.assert_array_equal(alone.log_sf[0], batch.log_sf[row])
             np.testing.assert_array_equal(alone.log_cdf[0], batch.log_cdf[row])
 
-    @pytest.mark.parametrize("n, v", [(1000, 0), (100, 50), (10, 10**4)])
-    def test_growing_window_matches_one_window_to_the_cap(self, n, v, monkeypatch):
-        # levels below 1 stop up to 120 indices past top, so the window grows
-        # once or twice; above 1 no reverse sum is taken
-        t = derived_scales(EnsembleParams(n, v)).c * np.linspace(0.5, 1.2, 8)
-        grown = _ladder_sums(t, v, n)
-        assert np.max(grown.stop) > n + exact_dist._FIRST_WINDOW
-        monkeypatch.setattr(exact_dist, "_FIRST_WINDOW", 10**4)
-        whole = _ladder_sums(t, v, n)
-        for got, want in zip(grown, whole):
-            np.testing.assert_array_equal(got, want)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 10**4),
+        v=st.integers(0, 10**4),
+        x=st.floats(1e-6, 10.0),
+        top_share=st.floats(0.0, 1.0),
+    )
+    def test_reverse_sum_stops_within_its_bound(self, n, v, x, top_share):
+        # the stop is fixed before any increment is summed: no increment past
+        # it is evaluated, and the increments a sum forced on to the cap adds
+        # past it stay within the bound (truncation_bound = e^log_bound) of
+        # the ones it kept
+        top = 1 + int(top_share * (n - 1))
+        t = np.array([derived_scales(EnsembleParams(n, v)).c * x])
+        cap = top + math.ceil(40.0 * math.sqrt(top + v)) + 100
+        real, calls = exact_dist._log_delta, []
+
+        def counted(rows, v, paired, lo, hi):
+            out = real(rows, v, paired, lo, hi)
+            calls.append((lo, hi, out[0][0]))
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact_dist, "_log_delta", counted)
+            sums = _ladder_sums(t, v, top, force_reverse=True)
+            stop = int(sums.stop[0])
+            assert top <= stop <= cap and (sums.converged[0] or stop == cap)
+            assert max(hi for _, hi, _ in calls) == stop + 1
+            assert sum(hi - lo for lo, hi, _ in calls) == stop
+            calls.clear()
+            patch.setattr(exact_dist, "_TRUNCATION_NATS", 1e6)
+            whole = _ladder_sums(t, v, top, force_reverse=True)
+        lo, hi, tail = calls[-1]
+        assert (lo, hi, int(whole.stop[0])) == (top, cap + 1, cap)
+        kept, dropped = tail[: stop - top + 1], tail[stop - top + 1 :]
+        if dropped.size:
+            assert logsumexp(dropped) - logsumexp(kept) <= sums.log_bound[0] + 1e-9
 
     def test_one_nan_row_fails_the_batch(self, monkeypatch):
         from chiral_ldp.sampler import ks_statistic

@@ -1,0 +1,170 @@
+"""Benchmark a change against its parent in alternating pairs of runs.
+
+    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_12.json
+
+Each side is a git revision, exported with ``git archive`` into a fresh
+temporary directory, or an existing directory holding a source tree, used
+as it is.  Every run is the side's own unmodified
+``perfbench/run.py --workload <w> --seed <s> --seconds <n> --trace 0``,
+started from the root of that side's tree, one run at a time, for every
+workload and with the run length that ``BENCHMARK.json`` declares.  Seeds
+run from 1 to ``--pairs``; on odd seeds the parent runs first, on even
+seeds the change.  The output holds every run's ``#`` lines and metrics,
+and per workload and end-to-end metric:
+
+* ``summary``: each side's median and quartiles (``statistics.quantiles``,
+  n=4) over its runs;
+* ``pairs``: on how many seeds the change read better than the parent, and
+  the median of the per-seed ratios change / parent.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def _tree(source: str, scratch: Path, name: str) -> tuple[Path, str]:
+    """The directory to run ``source`` from, and how it is named in the output."""
+    if Path(source).is_dir():
+        return Path(source).resolve(), str(Path(source).resolve())
+    rev = _git("rev-parse", "--short", source)
+    where = scratch / name
+    where.mkdir()
+    archive = subprocess.run(
+        ["git", "archive", rev], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(where)], input=archive, check=True)
+    return where, rev
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--trace", "0",
+    ]
+    start = time.perf_counter()
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    record = {
+        "returncode": done.returncode,
+        "elapsed_s": round(time.perf_counter() - start, 1),
+        "comments": [line for line in lines if line.startswith("#")],
+    }
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        record["stderr"] = done.stderr[-2000:]
+        return record
+    record["correct"] = result["correct"]
+    record["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
+    return record
+
+
+def _summary(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": len(values)}
+
+
+def _report(runs: list[dict], workloads: list[str], metrics: dict[str, str]) -> tuple[dict, dict]:
+    summary, pairs = {}, {}
+    for workload in workloads:
+        mine = [r for r in runs if r["workload"] == workload and "metrics" in r]
+        summary[workload], pairs[workload] = {}, {}
+        for side in ("parent", "change"):
+            summary[workload][side] = {
+                name: _summary([r["metrics"][name] for r in mine if r["side"] == side])
+                for name in metrics
+                if any(r["side"] == side for r in mine)
+            }
+        by_seed = {}
+        for r in mine:
+            by_seed.setdefault(r["seed"], {})[r["side"]] = r["metrics"]
+        both = [pair for pair in by_seed.values() if len(pair) == 2]
+        for name, better in metrics.items():
+            ratios = [p["change"][name] / p["parent"][name] for p in both if p["parent"][name]]
+            wins = sum(
+                (p["change"][name] < p["parent"][name])
+                if better == "lower"
+                else (p["change"][name] > p["parent"][name])
+                for p in both
+            )
+            pairs[workload][name] = {
+                "change_better": wins,
+                "pairs": len(both),
+                "median_ratio": statistics.median(ratios) if ratios else None,
+            }
+    return summary, pairs
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision or source directory")
+    parser.add_argument("--change", required=True, help="git revision or source directory")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
+    metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+
+    runs: list[dict] = []
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
+        trees = {}
+        for side in ("parent", "change"):
+            trees[side] = _tree(getattr(args, side), Path(scratch), side)
+        for workload in workloads:
+            for seed in range(1, args.pairs + 1):
+                order = ("parent", "change") if seed % 2 else ("change", "parent")
+                for side in order:
+                    record = _run(trees[side][0], workload, seed, seconds)
+                    runs.append({"workload": workload, "seed": seed, "side": side, **record})
+                    wall = record.get("metrics", {}).get("wall_s")
+                    print(f"{workload} seed {seed} {side}: wall_s {wall}", flush=True)
+
+    summary, pairs = _report(runs, workloads, metrics)
+    out = {
+        "description": (
+            f"Parent and change runs of `python3 perfbench/run.py --workload <w> --seed <s> "
+            f"--seconds {seconds:g} --trace 0` from tools/bench_pairs.py: each side from "
+            f"its own copy of its source tree, one run at a time, seeds 1-{args.pairs} per "
+            "workload, odd seeds parent first. summary holds per-side medians and quartiles "
+            "(statistics.quantiles, n=4); pairs counts the seeds on which the change read "
+            "better, with the median per-seed ratio change / parent."
+        ),
+        "host": {
+            "cpus": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+        },
+        "parent": trees["parent"][1],
+        "change": trees["change"][1],
+        "summary": summary,
+        "pairs": pairs,
+        "runs": runs,
+    }
+    args.out.write_text(json.dumps(out, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
