@@ -188,7 +188,6 @@ class _Rows(NamedTuple):
     log_mu: np.ndarray
     log_a: np.ndarray  # log kve(v), times p(v+1) in the paired form
     log_b: np.ndarray  # log kve(v+1), times p(v+2) in the paired form
-    carry: np.ndarray  # paired form: log(p(i+v) / p(v+1)) at the last index done
 
 
 def _take(rows: _Rows, sel: np.ndarray) -> _Rows:
@@ -355,28 +354,33 @@ def _log_poisson(mu: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.where(m == 0.0, -mu, out)
 
 
-def _log_delta(rows: _Rows, v: int, paired: bool, lo: int, hi: int) -> tuple[np.ndarray, _Rows]:
-    """log delta_i = log(D(i, i+v) + D(i+v+1, i)) for i = lo .. hi-1, and the
-    rows with the paired form's running ratio advanced past hi-1.  Calls
-    over consecutive ranges give the same values as one call over all."""
+def _log_delta(rows: _Rows, v: int, paired: bool, lo: int, hi: int) -> np.ndarray:
+    """log delta_i = log(D(i, i+v) + D(i+v+1, i)) for i = lo .. hi-1.  Each
+    value depends on its index alone, so every range of indices gets the
+    same values as one call over all."""
     if hi <= lo:
-        return np.empty((rows.mu.shape[0], 0)), rows
+        return np.empty((rows.mu.shape[0], 0))
     m = np.arange(lo - 1, hi)  # p(i-1) and p(i), then p(i+v) in the unpaired form
     log_p = _log_poisson(rows.mu, m if paired else np.concatenate((m, m[1:] + v)))
     if paired:
-        # log(p(i+v) / p(v+1)), a running sum carried from call to call
-        i = np.arange(lo, hi)
-        steps = np.where(i > 1, rows.log_mu - np.log(i + v), 0.0)
-        run = np.cumsum(np.concatenate((rows.carry, steps), axis=1), axis=1)
-        rows = rows._replace(carry=run[:, -1:])
-        kv_a = rows.log_a + run[:, 1:]  # log(kve(v) p(i+v))
-        kv_b = rows.log_b + run[:, 1:] + np.log((v + 2) / rows.mu)  # log(kve(v+1) p(i+v))
+        # log(p(a) / p(b)), a = b + d = i+v, b = v+1, in closed form at each
+        # index: the difference of the two Stirling errors and Loader
+        # deviances, d (log(a/mu) - 1) + b log(a/b), and of log sqrt(2 pi m)
+        d = m[1:] - 1.0
+        b = v + 1.0
+        run = (
+            (_stirling_error(b) - _stirling_error(b + d))
+            - d * (np.log((b + d) / rows.mu) - 1.0)
+            - (b + 0.5) * np.log1p(d / b)
+        )
+        kv_a = rows.log_a + run  # log(kve(v) p(i+v))
+        kv_b = rows.log_b + run + np.log((v + 2) / rows.mu)  # log(kve(v+1) p(i+v))
     else:
         log_p, high = log_p[:, : m.size], log_p[:, m.size :]
         kv_a = rows.log_a + high
         kv_b = rows.log_b + high
     pair = np.logaddexp(kv_a + log_p[:, :-1], kv_b + log_p[:, 1:])
-    return rows.log_t + pair, rows
+    return rows.log_t + pair
 
 
 def _ladder_sums(
@@ -458,19 +462,8 @@ def _ladder_rows(
     lo = max(first - 1, 1)  # the first increment summed
     log_t, log_mu = np.log(t), np.log(mu)
     log_a, log_b, log_c = bessel
-    carry = np.zeros((t.size, 1))
-    if paired and lo > 1:
-        # log(p(a) / p(b)), a = b + d = lo-1+v, b = v+1, in closed form:
-        # the difference of the two Stirling errors and Loader deviances,
-        # d (log(a/mu) - 1) + b log(a/b), and of log sqrt(2 pi m)
-        d, b = lo - 2, v + 1
-        carry = (
-            (_stirling_error(float(b)) - _stirling_error(float(b + d)))
-            - d * (np.log((b + d) / mu[:, None]) - 1.0)
-            - (b + 0.5) * math.log1p(d / b)
-        )
-    rows = _Rows(*(col[:, None] for col in (mu, log_t, log_mu, log_a, log_b)), carry)
-    steps, rows = _log_delta(rows, v, paired, lo, top)  # delta_lo .. delta_{top-1}
+    rows = _Rows(*(col[:, None] for col in (mu, log_t, log_mu, log_a, log_b)))
+    steps = _log_delta(rows, v, paired, lo, top)  # delta_lo .. delta_{top-1}
     if first == 1:
         # sf_1 = P(G_1 G_{v+1} >= s) = t kve(v+1) p(0) p(v), log_c = log(kve(v+1) p(v))
         lead, head = (log_t - mu + log_c)[:, None], steps
@@ -517,7 +510,7 @@ def _reverse_sums(
     converged = hits[:, -1]
     at = np.where(converged, np.argmax(hits, axis=1), l.size - 1)
     stop = top + at  # the last increment summed
-    tail, _ = _log_delta(rows, v, paired, top, int(stop.max()) + 1)  # delta_top onwards
+    tail = _log_delta(rows, v, paired, top, int(stop.max()) + 1)  # delta_top onwards
     kept = np.where(np.arange(top, top + tail.shape[1]) <= stop[:, None], tail, -math.inf)
     cdf = np.logaddexp.accumulate(np.concatenate((head, kept), axis=1)[:, ::-1], axis=1)
     sums.log_cdf[where] = cdf[:, kept.shape[1] - 1 :][:, ::-1]

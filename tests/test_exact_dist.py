@@ -386,7 +386,7 @@ class TestIndexWindow:
         "n, v, x, pair",
         [
             (10**6, 0, 1.0, 1), (10**6, 0, 1.2, 0), (10**6, 0, 0.01, 2), (10**5, 0, 0.5, 1),
-            # the paired form, whose running ratio starts in closed form
+            # the paired form, whose ratio p(i+v) / p(v+1) is in closed form
             (100, 10**4, 2.0, 0), (2000, 10**4, 0.3, 1), (3000, 10**4, 0.05, 2),
             (10**4, 10**4, 0.2, 3),
         ],
@@ -547,7 +547,7 @@ class TestBatchedLadder:
 
         def counted(rows, v, paired, lo, hi):
             out = real(rows, v, paired, lo, hi)
-            calls.append((lo, hi, out[0][0]))
+            calls.append((lo, hi, out[0]))
             return out
 
         with pytest.MonkeyPatch.context() as patch:
