@@ -374,7 +374,8 @@ class LimitTheorem:
 
 # Each default grid is a limit sequence inside its theorem's window, which
 # holds from n = 1000 for t3-right and t4-item1, above n = 5500 for t3-left
-# and above n = 3.3e5 for t4-item3.
+# and above n = 3.3e5 for t4-item3; t4-item2 runs along v = sqrt(n), so that
+# v grows while v/n falls.
 THEOREMS: dict[str, LimitTheorem] = {
     "t1-right": LimitTheorem(
         "max-right", Statistic.MAX_SQ, Direction.GE, level=lambda l, x: x,
@@ -413,7 +414,7 @@ THEOREMS: dict[str, LimitTheorem] = {
         "mdp-min-vscale", Statistic.MIN_SQ, Direction.GE, level=lambda l, x: l * x,
         scale=_v_over_n, speed=lambda n, v, l: float(v) ** 2,
         rate=lambda a, x: RateEval(vscale_rate(x), "mdp_speed_v2_proof_form"),
-        grid=((1000, 80), (2000, 160), (4000, 320)), x=1.0,
+        grid=((10**4, 100), (10**5, 316), (10**6, 1000), (10**7, 3162)), x=1.0,
         window=lambda n, l: (
             None if 0.0 < l < 1.0 else f"window violated: need 0 < v/n < 1, l = {l:.3g}"
         ),

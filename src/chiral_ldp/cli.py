@@ -169,43 +169,26 @@ def _cmd_prob(args) -> tuple[OutputRecord, int]:
     }
     tails = _window_tails(params_obj, args.x, stat)
     diags = [_ladder_note(_tally(tails))]
+    code, probability = 0, None
     try:
         lp = log_prob_from_tails(tails, query)
     except QuadratureError as exc:
         diags.append(f"numeric failure: {exc}")
-        row = {
-            "n": args.n,
-            "v": args.v,
-            "x": args.x,
-            "stat": args.stat,
-            "side": args.side,
-            "log_probability": exc.partial,
-            "probability": None,
-        }
+        code, lp = 3, exc.partial
         if exc.partial is not None and exc.rel_err is not None:
             diags.append(
                 f"partial estimate {exc.partial:.17g} with relative error {exc.rel_err:.3e}"
             )
-        return OutputRecord("prob", params, [row], diags), 3
-    if lp == -math.inf:
-        diags.append(
-            "log-probability is -inf (event probability underflows double precision)"
-        )
-        probability = 0.0
     else:
         probability = math.exp(lp) if lp > -745.0 else 0.0
-        if lp <= -745.0:
+        if lp == -math.inf:
+            diags.append(
+                "log-probability is -inf (event probability underflows double precision)"
+            )
+        elif lp <= -745.0:
             diags.append("probability underflows; only the log value is meaningful")
-    row = {
-        "n": args.n,
-        "v": args.v,
-        "x": args.x,
-        "stat": args.stat,
-        "side": args.side,
-        "log_probability": lp,
-        "probability": probability,
-    }
-    return OutputRecord("prob", params, [row], diags), 0
+    row = {**params, "log_probability": lp, "probability": probability}
+    return OutputRecord("prob", params, [row], diags), code
 
 
 def _cmd_sample(args) -> tuple[OutputRecord, int]:

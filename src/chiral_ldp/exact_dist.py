@@ -61,14 +61,18 @@ about 7400 indices, a tail far from the bulk a few hundred.
 Batches.  The ladder runs over a 1-d array of thresholds at once, one row
 per threshold, with every choice above (increment form, reverse sum, stop)
 made per row and the index window shared; a single query is a batch of
-one.  Each row gets the same values as its threshold run alone, which is how
-the sampler's KS statistics evaluate the exact cdf at every sample point
-(over every index, as :func:`index_tails` does).
+one.  Each row gets the same values as its threshold run alone.  A large
+batch, such as the sampler's KS statistics evaluating the exact cdf at every
+sample point (over every index, as :func:`index_tails` does), goes through
+one loop, :func:`_reduce_rows`: it cuts the thresholds into chunks of rows
+sized by the ladder's footprint per row and reduces each chunk to one value
+per threshold, so memory does not grow with the batch.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -233,12 +237,15 @@ def _kve_sums(t: np.ndarray, v: int) -> np.ndarray:
         width = np.minimum(0.6, 0.2 + np.maximum(0.1 * math.log(v), 0.14 * np.log(t)))
         step = width / np.sqrt(big)
         # exponent bounds: -H d^2 / (2 + d) and the cosh term on the left,
-        # d - H d^2 / 2 for order v+1 on the right
+        # d - H d^2 / 2 for order v+1 on the right, whose root is
+        # sqrt(2 c) to double precision where 2 _K_NATS H would overflow
         c = _K_NATS / big
         left = np.minimum(
             0.5 * (c + np.sqrt(c * (c + 8.0))), 2.0 * np.arcsinh(np.sqrt(0.5 * _K_NATS / gap))
         )
-        right = (1.0 + np.sqrt(1.0 + 2.0 * _K_NATS * big)) / big
+        right = np.where(
+            big < 1e300, (1.0 + np.sqrt(1.0 + 2.0 * _K_NATS * big)) / big, np.sqrt(2.0 * c)
+        )
         first = -np.ceil(left / step)
         count = np.ceil(right / step) - first + 1.0
     count[~(count <= _K_NODES * _K_MAX_GROUPS)] = 0.0  # also t = inf and NaN
@@ -383,6 +390,11 @@ def _log_delta(rows: _Rows, v: int, paired: bool, lo: int, hi: int) -> np.ndarra
     return rows.log_t + pair
 
 
+def _cap(top: int, v: int) -> int:
+    """The index past which no reverse sum from top runs (see "Truncation rule")."""
+    return top + math.ceil(40.0 * math.sqrt(top + v)) + 100
+
+
 def _ladder_sums(
     t: np.ndarray, v: int, top: int, force_reverse: bool = False, first: int = 1
 ) -> _Sums:
@@ -401,17 +413,12 @@ def _ladder_sums(
     delta_{first-1} and leave out sf_{first-1} (see :func:`_window`).  The
     reverse sum is taken in the rows where sf_top > 1/2, the one case where
     some cdf is the smaller side, or in all rows when ``force_reverse`` asks
-    for it.  Rows run in chunks that keep every temporary near
-    ``_CHUNK_ELEMENTS`` elements.  Numpy's floating-point warnings are off
-    inside: a non-finite sum is reported by its caller, not by a warning.
+    for it.  All rows run at once: a caller with many thresholds passes them
+    in chunks through :func:`_reduce_rows`.  Numpy's floating-point warnings
+    are off inside: a non-finite sum is reported by its caller, not by a
+    warning.
     """
-    with np.errstate(all="ignore"):
-        return _sums(np.asarray(t, dtype=float), v, top, force_reverse, first)
-
-
-def _sums(t: np.ndarray, v: int, top: int, force_reverse: bool, first: int) -> _Sums:
-    """:func:`_ladder_sums` under the caller's error state."""
-    cap = top + math.ceil(40.0 * math.sqrt(top + v)) + 100
+    t = np.asarray(t, dtype=float)
     width = top - first + 1
     sums = _Sums(
         np.empty((t.size, width)),
@@ -420,21 +427,17 @@ def _sums(t: np.ndarray, v: int, top: int, force_reverse: bool, first: int) -> _
         np.full(t.size, -math.inf),
         np.ones(t.size, dtype=bool),
     )
-    # the unpaired form's Poisson weights take 2 (top - first) + 1 counts per
-    # row forward and 2 (stop - top) + 3 in the reverse sum, stop <= cap
-    chunk = max(1, _CHUNK_ELEMENTS // (2 * max(top - first, cap - top) + 3))
-    for start in range(0, t.size, chunk):
-        part = t[start : start + chunk]
-        where = np.arange(start, start + part.size)
-        log_k, log_kp = _bessel(part, v)
-        paired = log_k[0] > part  # 2 mu = t
+    where = np.arange(t.size)
+    with np.errstate(all="ignore"):
+        log_k, log_kp = _bessel(t, v)
+        paired = log_k[0] > t  # 2 mu = t
         split = paired.any() and not paired.all()
-        for form in (False, True) if split else (bool(paired[0]),):
-            # a chunk of one form is taken whole, as views
+        for form in (False, True) if split else (bool(paired.all()),):
+            # a batch of one form is taken whole, as views
             sel = np.flatnonzero(paired == form) if split else slice(None)
             consts = log_kp if form else (*log_k, log_kp[2])
             _ladder_rows(
-                sums, where[sel], part[sel], v, first, top, cap, form, force_reverse,
+                sums, where[sel], t[sel], v, first, top, form, force_reverse,
                 tuple(col[sel] for col in consts),
             )
     return sums
@@ -447,7 +450,6 @@ def _ladder_rows(
     v: int,
     first: int,
     top: int,
-    cap: int,
     paired: bool,
     force_reverse: bool,
     bessel: tuple[np.ndarray, ...],
@@ -474,7 +476,7 @@ def _ladder_rows(
     pending = force_reverse | (log_sf[:, -1] > -_LOG2)
     if pending.any():
         sel = slice(None) if pending.all() else np.flatnonzero(pending)
-        _reverse_sums(sums, where[sel], _take(rows, sel), head[sel], v, top, cap, paired)
+        _reverse_sums(sums, where[sel], _take(rows, sel), head[sel], v, top, paired)
 
 
 def _reverse_sums(
@@ -484,7 +486,6 @@ def _reverse_sums(
     head: np.ndarray,
     v: int,
     top: int,
-    cap: int,
     paired: bool,
 ) -> None:
     """Fill the reverse sums of rows ``where`` of ``sums``, given their
@@ -498,7 +499,7 @@ def _reverse_sums(
     for the furthest L, each row's increments past its own L are masked out,
     and one reverse accumulation gives every cdf.
     """
-    nats = _TRUNCATION_NATS + _LOG2
+    nats, cap = _TRUNCATION_NATS + _LOG2, _cap(top, v)
     mu, log_s, half = rows.mu, 2.0 * rows.log_mu, 0.5 * (v + 1)
     k = np.maximum(top, np.ceil(mu * (mu / (np.hypot(half, mu) + half))))  # l (l+1+v) >= s
     g = np.log(k) + np.log(k + 1.0 + v) - log_s  # -log rho_k
@@ -526,7 +527,7 @@ def _tails_at(t: np.ndarray, v: int, top: int, first: int = 1) -> IndexTails:
     whose values cannot be trusted."""
     t = np.asarray(t, dtype=float)
     with np.errstate(all="ignore"):
-        sums = _sums(t, v, top, False, first)
+        sums = _ladder_sums(t, v, top, first=first)
         cdf_direct = sums.log_sf > -_LOG2  # never in rows without a reverse sum
         log_sf = np.where(cdf_direct, np.log1p(-np.exp(sums.log_cdf)), sums.log_sf)
         log_cdf = np.where(cdf_direct, sums.log_cdf, np.log1p(-np.exp(sums.log_sf)))
@@ -545,6 +546,34 @@ def _tails_at(t: np.ndarray, v: int, top: int, first: int = 1) -> IndexTails:
     if len(bad) > 1:
         failure += f" (and at {bad.size - 1} more thresholds)"
     return IndexTails(log_sf, log_cdf, cdf_direct, sums.stop, truncation_bound, failure, first)
+
+
+def _reduce_rows(
+    t: np.ndarray, v: int, top: int, keep: Callable[[IndexTails], np.ndarray]
+) -> tuple[np.ndarray, _Tally]:
+    """``keep`` of the tails of T_1..T_top at each threshold of the 1-d array
+    t, and a tally of the ladder they came from.
+
+    This is the one loop that cuts a batch of thresholds into rows: the
+    ladder runs over chunks of thresholds sized by its own footprint per
+    row, 2 (top - 1) + 1 Poisson counts forward and up to 2 (cap - top) + 3
+    in the reverse sum, so every temporary stays near ``_CHUNK_ELEMENTS``
+    elements.  ``keep`` reduces each chunk's (threshold, index) log tails to
+    one value per threshold, so memory does not grow with thresholds times
+    top.  A failure names the first failing threshold; the count of further
+    failing thresholds in its message covers that threshold's chunk.
+    """
+    chunk = max(1, _CHUNK_ELEMENTS // (2 * max(top - 1, _cap(top, v) - top) + 3))
+    kept = np.empty(t.size)
+    direct, stop, bound, failure = 0, 0, 0.0, None
+    for start in range(0, t.size, chunk):
+        tails = _tails_at(t[start : start + chunk], v, top)
+        kept[start : start + chunk] = keep(tails)
+        part = _tally(tails)
+        direct += part.cdf_direct
+        stop, bound = max(stop, part.stop), max(bound, part.truncation_bound)
+        failure = failure or part.failure
+    return kept, _Tally(t.size, 1, top, direct, stop, bound, failure)
 
 
 def _checked(value: float, tails: IndexTails | _Tally) -> float:
@@ -663,67 +692,49 @@ def log_cdf_index(params: EnsembleParams, j: int, x: float) -> float:
     return _checked(float(tails.log_cdf[-1]), tails)
 
 
-def _max_le(tails: IndexTails) -> float:
-    return _checked(float(np.sum(tails.log_cdf)), tails)
-
-
-def _max_ge(tails: IndexTails) -> float:
-    total = float(np.sum(tails.log_cdf))
-    if total <= -1e-250:
-        return _checked(log1mexp(total), tails)
-    return _checked(float(_log_sum_exp(tails.log_sf)), tails)
-
-
-def _min_ge(tails: IndexTails) -> float:
-    return _checked(float(np.sum(tails.log_sf)), tails)
-
-
-def _min_le(tails: IndexTails) -> float:
-    total = float(np.sum(tails.log_sf))
-    if total <= -1e-250:
-        return _checked(log1mexp(total), tails)
-    return _checked(float(_log_sum_exp(tails.log_cdf)), tails)
-
-
 def log_prob_max_le(params: EnsembleParams, x: float) -> float:
     """log P(max_j X_j <= x) = sum_j log P(X_j <= x)."""
-    return _max_le(_window_tails(params, x, Statistic.MAX_SQ))
+    return log_prob(params, TailQuery(Statistic.MAX_SQ, Direction.LE, x))
 
 
 def log_prob_max_ge(params: EnsembleParams, x: float) -> float:
-    """log P(max_j X_j >= x) = log(1 - prod_j P(X_j <= x)).
-
-    When the product is so close to 1 that its log underflows, the
-    first-order inclusion-exclusion bound (error below (sum sf)^2 / 2, far
-    under double precision there) takes over.
-    """
-    return _max_ge(_window_tails(params, x, Statistic.MAX_SQ))
+    """log P(max_j X_j >= x) = log(1 - prod_j P(X_j <= x)), in the deep tail
+    from the first-order bound (see :func:`log_prob_from_tails`)."""
+    return log_prob(params, TailQuery(Statistic.MAX_SQ, Direction.GE, x))
 
 
 def log_prob_min_ge(params: EnsembleParams, x: float) -> float:
     """log P(min_j X_j >= x) = sum_j log P(X_j >= x)."""
-    return _min_ge(_window_tails(params, x, Statistic.MIN_SQ))
+    return log_prob(params, TailQuery(Statistic.MIN_SQ, Direction.GE, x))
 
 
 def log_prob_min_le(params: EnsembleParams, x: float) -> float:
-    """log P(min_j X_j <= x) = log(1 - prod_j P(X_j >= x)); deep-tail branch
-    as in :func:`log_prob_max_ge`."""
-    return _min_le(_window_tails(params, x, Statistic.MIN_SQ))
-
-
-_REDUCTIONS = {
-    (Statistic.MAX_SQ, Direction.GE): _max_ge,
-    (Statistic.MAX_SQ, Direction.LE): _max_le,
-    (Statistic.MIN_SQ, Direction.GE): _min_ge,
-    (Statistic.MIN_SQ, Direction.LE): _min_le,
-}
+    """log P(min_j X_j <= x) = log(1 - prod_j P(X_j >= x)); deep tail as in
+    :func:`log_prob_max_ge`."""
+    return log_prob(params, TailQuery(Statistic.MIN_SQ, Direction.LE, x))
 
 
 def log_prob_from_tails(tails: IndexTails, query: TailQuery) -> float:
     """log probability of ``query`` from :func:`index_tails` at its level,
     or from the window of them that the query needs, raising as
-    :func:`log_prob` does when the tails cannot be trusted."""
-    return _REDUCTIONS[query.statistic, query.direction](tails)
+    :func:`log_prob` does when the tails cannot be trusted.
+
+    The statistic's own side, cdf for the max and sf for the min, gives the
+    product over indices, log P(max <= x) or log P(min >= x).  The other two
+    events are its complement; when the product is so close to 1 that its
+    log underflows, the first-order inclusion-exclusion bound on the other
+    side (error below (sum)^2 / 2, far under double precision there) takes
+    over.
+    """
+    high = query.statistic is Statistic.MAX_SQ
+    own, other = (tails.log_cdf, tails.log_sf) if high else (tails.log_sf, tails.log_cdf)
+    with np.errstate(over="ignore"):  # a product that underflows sums to -inf
+        total = float(np.sum(own))
+    if (query.direction is Direction.LE) == high:
+        return _checked(total, tails)
+    if total <= -1e-250:
+        return _checked(log1mexp(total), tails)
+    return _checked(float(_log_sum_exp(other)), tails)
 
 
 def log_prob(params: EnsembleParams, query: TailQuery) -> float:

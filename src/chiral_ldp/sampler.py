@@ -27,28 +27,21 @@ probe draws its replicates in row blocks the same way.
 :func:`ks_statistic`, :func:`ks_statistic_max` and :func:`ks_statistic_min`
 compare a sample with its exact law.  They evaluate the exact cdf at every
 sample point by the gamma-shape ladder (:mod:`chiral_ldp.exact_dist`), so
-the distance is exact, not interpolated from a grid.  The ladder runs over
-blocks of points, so memory does not grow with the sample size times the
-number of indices.
+the distance is exact, not interpolated from a grid.  The points pass
+through the exact layer's one chunk loop (:func:`exact_dist._reduce_rows`),
+which runs the ladder over chunks of points and keeps one value per point,
+so memory does not grow with the sample size times the number of indices.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core_types import EnsembleParams, check_index, derived_scales
-from .exact_dist import (
-    _CHUNK_ELEMENTS,
-    IndexTails,
-    _checked,
-    _tails_at,
-    _Tally,
-    _tally,
-)
+from .exact_dist import _CHUNK_ELEMENTS, _checked, _reduce_rows, _Tally
 
 __all__ = [
     "SampleBatch",
@@ -303,50 +296,18 @@ def _ks_distance(cdf: np.ndarray) -> float:
     return float(max(d_plus, d_minus))
 
 
-def _blocked_log_cdf(
-    t: np.ndarray, v: int, top: int, keep: Callable[[IndexTails], np.ndarray]
-) -> tuple[np.ndarray, _Tally]:
-    """``keep`` of the ladder's tails at each threshold of ``t``, and a
-    tally of the ladder they came from.
-
-    The ladder runs over blocks of about _CHUNK_ELEMENTS // top thresholds,
-    and ``keep`` reduces each block's (threshold, index) log tails, of the
-    side it chooses, to one log value per threshold, so memory does not grow
-    with thresholds times top.
-    A failure names the first failing threshold; the count of further
-    failing thresholds in its message covers that threshold's block.
-    """
-    block = max(1, _CHUNK_ELEMENTS // top)
-    kept = np.empty(t.size)
-    tallies = []
-    for start in range(0, t.size, block):
-        tails = _tails_at(t[start : start + block], v, top)
-        kept[start : start + block] = keep(tails)
-        tallies.append(_tally(tails))
-    tally = _Tally(
-        t.size,
-        1,
-        top,
-        sum(part.cdf_direct for part in tallies),
-        max(part.stop for part in tallies),
-        max(part.truncation_bound for part in tallies),
-        next((part.failure for part in tallies if part.failure is not None), None),
-    )
-    return kept, tally
-
-
 def _ks_index(params: EnsembleParams, j: int, y_values: np.ndarray) -> tuple[float, _Tally]:
     """:func:`ks_statistic` and a tally of the ladder it was computed from."""
     top = check_index(params, j)
     t = _sorted_sample("y_values", y_values) * (2.0 * params.n)
-    log_cdf, tally = _blocked_log_cdf(t, params.v, top, lambda tails: tails.log_cdf[:, -1])
+    log_cdf, tally = _reduce_rows(t, params.v, top, lambda tails: tails.log_cdf[:, -1])
     return _checked(_ks_distance(np.exp(log_cdf)), tally), tally
 
 
 def _ks_max(params: EnsembleParams, x_values: np.ndarray) -> tuple[float, _Tally]:
     """:func:`ks_statistic_max` and a tally of the ladder it was computed from."""
     t = _sorted_sample("x_values", x_values) * derived_scales(params).c
-    log_cdf, tally = _blocked_log_cdf(
+    log_cdf, tally = _reduce_rows(
         t, params.v, params.n, lambda tails: np.sum(tails.log_cdf, axis=1)
     )
     return _checked(_ks_distance(np.exp(log_cdf)), tally), tally
@@ -355,7 +316,7 @@ def _ks_max(params: EnsembleParams, x_values: np.ndarray) -> tuple[float, _Tally
 def _ks_min(params: EnsembleParams, x_values: np.ndarray) -> tuple[float, _Tally]:
     """:func:`ks_statistic_min` and a tally of the ladder it was computed from."""
     t = _sorted_sample("x_values", x_values) * derived_scales(params).c
-    log_sf, tally = _blocked_log_cdf(
+    log_sf, tally = _reduce_rows(
         t, params.v, params.n, lambda tails: np.sum(tails.log_sf, axis=1)
     )
     return _checked(_ks_distance(-np.expm1(log_sf)), tally), tally

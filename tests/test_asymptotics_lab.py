@@ -177,6 +177,16 @@ class TestConvergeTable:
         for row in converge_table(tag):
             assert row.note is None, (row.n, row.v, row.note)
 
+    def test_vscale_default_grid_is_a_limit_sequence(self):
+        # v grows while v/n falls, and the exponent closes in on the
+        # proof-form constant Phi(1) row by row
+        rows = converge_table("t4-item2")
+        assert len(rows) >= 3
+        for prev, row in zip(rows, rows[1:]):
+            assert row.v > prev.v and row.l < prev.l
+            assert row.scaled_gap < prev.scaled_gap
+        assert rows[-1].scaled_gap < 0.001
+
     def test_order_proportional_row_carries_both_rates(self):
         rows = converge_table("t4-item2", grid=((1000, 80),))
         row = rows[0]

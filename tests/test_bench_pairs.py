@@ -1,0 +1,59 @@
+"""The paired-run report of tools/bench_pairs.py, on synthetic runs."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+METRICS = {"wall_s": ("lower", 0.25), "ok_share": ("higher", 0.001)}
+
+
+def _run(seed, side, wall, correct=True, returncode=0):
+    return {
+        "workload": "w", "seed": seed, "side": side, "returncode": returncode,
+        "correct": correct, "metrics": {"wall_s": wall, "ok_share": 1.0},
+    }
+
+
+def test_bad_runs_stay_out_and_one_run_per_side_still_reports():
+    runs = [
+        _run(1, "parent", 1.0),
+        _run(1, "change", 9.0, correct=False),
+        _run(2, "parent", 5.0, returncode=1),
+        _run(2, "change", 1.5),
+        {"workload": "w", "seed": 3, "side": "change", "returncode": 1},  # no result line
+    ]
+    summary, pairs, bounds = bench_pairs._report(runs, ["w"], METRICS)
+    assert summary["w"]["parent"]["wall_s"] == {"median": 1.0, "q1": None, "q3": None, "runs": 1}
+    assert summary["w"]["change"]["wall_s"]["median"] == 1.5
+    assert pairs["w"]["wall_s"]["pairs"] == 0
+    verdict = bounds["w"]["wall_s"]
+    assert verdict["relative"] == pytest.approx(0.5) and verdict["worse_beyond_bound"]
+    assert bounds["w"]["ok_share"]["worse_beyond_bound"] is False
+
+
+def test_no_good_run_on_a_side_gives_no_verdict():
+    runs = [_run(1, "parent", 1.0), _run(1, "change", 1.0, correct=False)]
+    summary, _, bounds = bench_pairs._report(runs, ["w"], METRICS)
+    assert summary["w"]["change"]["wall_s"]["runs"] == 0
+    assert bounds["w"]["wall_s"]["worse_beyond_bound"] is None
+
+
+def test_within_bound_is_not_worse():
+    runs = [
+        _run(seed, side, 1.1 if side == "change" else 1.0)
+        for seed in (1, 2, 3)
+        for side in ("parent", "change")
+    ]
+    summary, pairs, bounds = bench_pairs._report(runs, ["w"], METRICS)
+    assert summary["w"]["parent"]["wall_s"]["q1"] == 1.0
+    assert pairs["w"]["wall_s"]["change_better"] == 0 and pairs["w"]["wall_s"]["pairs"] == 3
+    assert pairs["w"]["wall_s"]["median_ratio"] == pytest.approx(1.1)
+    assert bounds["w"]["wall_s"]["worse_beyond_bound"] is False

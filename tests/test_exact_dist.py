@@ -437,7 +437,7 @@ class TestLadderFailures:
 
     @pytest.mark.parametrize("n", [1, 10**6])
     @pytest.mark.parametrize("v", [0, 10**4])
-    @pytest.mark.parametrize("x", [1e-6, 10.0])
+    @pytest.mark.parametrize("x", [1e-6, 10.0, 1e300])
     def test_no_runtime_warning_leaves_the_ladder(self, n, v, x):
         params = EnsembleParams(n, v)
         c = derived_scales(params).c
@@ -542,7 +542,7 @@ class TestBatchedLadder:
         # the ones it kept
         top = 1 + int(top_share * (n - 1))
         t = np.array([derived_scales(EnsembleParams(n, v)).c * x])
-        cap = top + math.ceil(40.0 * math.sqrt(top + v)) + 100
+        cap = exact_dist._cap(top, v)
         real, calls = exact_dist._log_delta, []
 
         def counted(rows, v, paired, lo, hi):

@@ -239,46 +239,78 @@ class TestExactKs:
         )
         assert ks_statistic_max(params, x) == pytest.approx(_brute_ks(cdf), rel=1e-14, abs=0)
 
+    def test_ks_min_equals_per_point_ladder(self):
+        n, v = 3, 1
+        params = EnsembleParams(n, v)
+        x = matrix_probe_extremes(MatrixProbeConfig(params), seed=9, count=200)["min"]
+        t = np.sort(x) * derived_scales(params).c
+        cdf = np.array(
+            [-math.expm1(float(np.sum(_tails_at(np.array([ti]), v, n).log_sf))) for ti in t]
+        )
+        assert ks_statistic_min(params, x) == pytest.approx(_brute_ks(cdf), rel=1e-14, abs=0)
+
 
 class TestKsMaxBlocks:
-    """ks_statistic_max runs the ladder over blocks of sample points."""
+    """The KS statistics run the ladder over chunks of sample points."""
 
     @staticmethod
-    def _probe_maxima(params, count):
-        return matrix_probe_extremes(MatrixProbeConfig(params), seed=7, count=count)["max"]
+    def _probe(params, count):
+        return matrix_probe_extremes(MatrixProbeConfig(params), seed=7, count=count)
+
+    @staticmethod
+    def _fifty_point_chunks(monkeypatch, params):
+        # 50 rows of 2 (cap - top) + 3 Poisson counts (363 at (3, 1)), so
+        # 400 points run as eight chunks; returns the list of chunk sizes
+        top, v = params.n, params.v
+        per_row = 2 * max(top - 1, exact_dist._cap(top, v) - top) + 3
+        monkeypatch.setattr(exact_dist, "_CHUNK_ELEMENTS", 50 * per_row)
+        real, chunks = exact_dist._tails_at, []
+
+        def counted(t, v, top, first=1):
+            chunks.append(t.size)
+            return real(t, v, top, first)
+
+        monkeypatch.setattr(exact_dist, "_tails_at", counted)
+        return chunks
 
     def test_blocks_match_one_block(self, monkeypatch):
         params = EnsembleParams(3, 1)
-        x = self._probe_maxima(params, 400)
+        probe = self._probe(params, 400)
         y = sample_yj(params, params.n, seed=7, count=400).values
-        whole_max = sampler._ks_max(params, x)
-        whole_index = sampler._ks_index(params, params.n, y)
-        # eight blocks of 50 points, each above the float-loop row count
-        monkeypatch.setattr(sampler, "_CHUNK_ELEMENTS", 50 * params.n)
+        whole = (
+            sampler._ks_max(params, probe["max"]),
+            sampler._ks_min(params, probe["min"]),
+            sampler._ks_index(params, params.n, y),
+        )
+        chunks = self._fifty_point_chunks(monkeypatch, params)
         # statistic and tally, bit for bit
-        assert sampler._ks_max(params, x) == whole_max
-        assert sampler._ks_index(params, params.n, y) == whole_index
+        assert sampler._ks_max(params, probe["max"]) == whole[0]
+        assert sampler._ks_min(params, probe["min"]) == whole[1]
+        assert sampler._ks_index(params, params.n, y) == whole[2]
+        assert chunks == [50] * 24
 
     def test_failure_names_the_first_failing_point(self, monkeypatch):
         params = EnsembleParams(3, 1)
-        x = self._probe_maxima(params, 400)
+        x = self._probe(params, 400)["max"]
         t = np.sort(x) * derived_scales(params).c
-        bad = t[[120, 330]]  # in the third and the seventh block
+        bad = t[[120, 330]]  # in the third and the seventh chunk
         real = exact_dist._kve_sums
         monkeypatch.setattr(
             exact_dist,
             "_kve_sums",
             lambda s, v: np.where(np.isin(s, bad), np.nan, real(s, v)),
         )
-        monkeypatch.setattr(sampler, "_CHUNK_ELEMENTS", 50 * params.n)
+        chunks = self._fifty_point_chunks(monkeypatch, params)
         with pytest.raises(QuadratureError) as info:
             ks_statistic_max(params, x)
         assert f"non-finite ladder value at t={float(bad[0])!r}" in str(info.value)
         assert math.isnan(info.value.partial) and info.value.rel_err == math.inf
+        assert chunks == [50] * 8
 
     def test_memory_does_not_grow_with_points_times_n(self):
-        # 2e4 points at n=200 (and j=200) are four blocks; one array over all
-        # of them would take 32 MB, and the unblocked ladder peaked at 165 MB
+        # 2e4 points at n=200 (and j=200) are 27 chunks of 749; one array
+        # over all of them would take 32 MB, and the unchunked ladder peaked
+        # at 165 MB
         params = EnsembleParams(200, 0)
         x = np.random.default_rng(1).uniform(0.9, 1.3, 20_000)
         y = sample_yj(params, params.n, seed=1, count=20_000).values

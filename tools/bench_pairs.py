@@ -13,9 +13,16 @@ seeds the change.  The output holds every run's ``#`` lines and metrics,
 and per workload and end-to-end metric:
 
 * ``summary``: each side's median and quartiles (``statistics.quantiles``,
-  n=4) over its runs;
-* ``pairs``: on how many seeds the change read better than the parent, and
-  the median of the per-seed ratios change / parent.
+  n=4; null with fewer than two runs) over its good runs;
+* ``pairs``: on how many seeds both sides ran well and the change read
+  better than the parent, and the median of the per-seed ratios change /
+  parent;
+* ``bounds``: the change's median relative to the parent's, and whether it
+  is worse by more than the metric's ``BENCHMARK.json`` bound.
+
+A good run exits 0 and reports ``correct: true``.  Other runs stay out of
+every statistic and are listed under ``failed``; the file is written
+whatever the number of good runs.
 """
 
 from __future__ import annotations
@@ -77,27 +84,44 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return record
 
 
+def _good(run: dict) -> bool:
+    return run["returncode"] == 0 and run.get("correct") is True
+
+
 def _summary(values: list[float]) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4)
+    if not values:
+        return {"median": None, "q1": None, "q3": None, "runs": 0}
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (None, None, None)
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": len(values)}
 
 
-def _report(runs: list[dict], workloads: list[str], metrics: dict[str, str]) -> tuple[dict, dict]:
-    summary, pairs = {}, {}
+def _beyond(parent: float | None, change: float | None, better: str, bound: float) -> dict:
+    """The change's median against the parent's: relative difference (absolute
+    when the parent's is 0) and whether it is worse by more than ``bound``."""
+    if parent is None or change is None:
+        return {"bound": bound, "relative": None, "worse_beyond_bound": None}
+    relative = (change - parent) / abs(parent) if parent else change - parent
+    worse = relative if better == "lower" else -relative
+    return {"bound": bound, "relative": relative, "worse_beyond_bound": worse > bound}
+
+
+def _report(
+    runs: list[dict], workloads: list[str], metrics: dict[str, tuple[str, float]]
+) -> tuple[dict, dict, dict]:
+    summary, pairs, bounds = {}, {}, {}
     for workload in workloads:
-        mine = [r for r in runs if r["workload"] == workload and "metrics" in r]
-        summary[workload], pairs[workload] = {}, {}
+        mine = [r for r in runs if r["workload"] == workload and _good(r)]
+        summary[workload], pairs[workload], bounds[workload] = {}, {}, {}
         for side in ("parent", "change"):
             summary[workload][side] = {
                 name: _summary([r["metrics"][name] for r in mine if r["side"] == side])
                 for name in metrics
-                if any(r["side"] == side for r in mine)
             }
         by_seed = {}
         for r in mine:
             by_seed.setdefault(r["seed"], {})[r["side"]] = r["metrics"]
         both = [pair for pair in by_seed.values() if len(pair) == 2]
-        for name, better in metrics.items():
+        for name, (better, bound) in metrics.items():
             ratios = [p["change"][name] / p["parent"][name] for p in both if p["parent"][name]]
             wins = sum(
                 (p["change"][name] < p["parent"][name])
@@ -110,7 +134,13 @@ def _report(runs: list[dict], workloads: list[str], metrics: dict[str, str]) -> 
                 "pairs": len(both),
                 "median_ratio": statistics.median(ratios) if ratios else None,
             }
-    return summary, pairs
+            bounds[workload][name] = _beyond(
+                summary[workload]["parent"][name]["median"],
+                summary[workload]["change"][name]["median"],
+                better,
+                bound,
+            )
+    return summary, pairs, bounds
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -120,12 +150,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in benchmark["workloads"]]
     seconds = benchmark["run_seconds"]
-    metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
 
     runs: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
@@ -141,15 +171,18 @@ def main(argv: list[str] | None = None) -> int:
                     wall = record.get("metrics", {}).get("wall_s")
                     print(f"{workload} seed {seed} {side}: wall_s {wall}", flush=True)
 
-    summary, pairs = _report(runs, workloads, metrics)
+    summary, pairs, bounds = _report(runs, workloads, metrics)
     out = {
         "description": (
             f"Parent and change runs of `python3 perfbench/run.py --workload <w> --seed <s> "
             f"--seconds {seconds:g} --trace 0` from tools/bench_pairs.py: each side from "
             f"its own copy of its source tree, one run at a time, seeds 1-{args.pairs} per "
-            "workload, odd seeds parent first. summary holds per-side medians and quartiles "
-            "(statistics.quantiles, n=4); pairs counts the seeds on which the change read "
-            "better, with the median per-seed ratio change / parent."
+            "workload, odd seeds parent first. Only runs that exit 0 with correct: true "
+            "count; the others are listed in failed. summary holds per-side medians and "
+            "quartiles (statistics.quantiles, n=4); pairs counts the seeds on which the "
+            "change read better, with the median per-seed ratio change / parent; bounds "
+            "says whether the change's median is worse than the parent's by more than the "
+            "BENCHMARK.json bound, relative to the parent's median."
         ),
         "host": {
             "cpus": os.cpu_count(),
@@ -160,9 +193,20 @@ def main(argv: list[str] | None = None) -> int:
         "change": trees["change"][1],
         "summary": summary,
         "pairs": pairs,
+        "bounds": bounds,
+        "failed": [
+            {key: r.get(key) for key in ("workload", "seed", "side", "returncode", "correct")}
+            for r in runs
+            if not _good(r)
+        ],
         "runs": runs,
     }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
+    for workload, names in bounds.items():
+        for name, verdict in names.items():
+            if verdict["worse_beyond_bound"]:
+                print(f"{workload} {name}: change median {verdict['relative']:+.1%}, "
+                      f"worse than the bound {verdict['bound']}", flush=True)
     return 0
 
 
