@@ -4,13 +4,15 @@ Subcommands: ``rate`` (rate-function evaluation), ``prob`` (exact tail
 log-probabilities), ``sample`` / ``matrix`` (the two sampling routes),
 ``converge`` (limit-theorem experiments), ``verify`` (invariant suites).
 
-Default output is CSV on stdout with diagnostics on stderr; ``--format
-json`` emits one structured record instead (schema shipped at
-``data/output_schema.json``).  Floats are printed with 17 significant
-digits so every value round-trips losslessly.  Exit codes: 0 success,
-1 verification failure, 2 usage or guard violation, 3 numeric failure:
-a non-finite Bessel or ladder value, or a reverse ladder sum that did not
-converge, reported with the partial estimate on stderr.
+Handlers return rows, notes and an exit code; :func:`main` builds the
+record, echoing the parser's options as its parameters.  Default output
+is CSV on stdout with diagnostics on stderr; ``--format json`` emits one
+structured record instead (schema shipped at ``data/output_schema.json``).
+Floats are printed with 17 significant digits so every value round-trips
+losslessly.  Exit codes: 0 success, 1 verification failure, 2 usage or
+guard violation, 3 numeric failure: a non-finite Bessel or ladder value,
+or a reverse ladder sum that did not converge, reported with the partial
+estimate on stderr.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ SCHEMA_VERSION = "1"
 
 # the `rate --which` kinds, one per limit theorem
 _RATES = {t.kind: t for t in THEOREMS.values()}
+
+# parsed entries that say what runs and how it prints, not what it runs on
+_NOT_PARAMETERS = ("subcommand", "handler", "format", "summary", "ks")
+
+_Result = tuple[list[dict], list[str], int]  # rows, diagnostics, exit code
 
 
 @dataclass
@@ -73,12 +80,10 @@ def _emit_csv(record: OutputRecord, out: TextIO, err: TextIO) -> None:
 def _json_scalar(value) -> str:
     if value is None:
         return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.17g}" if math.isfinite(value) else f'"{value}"'
+    if isinstance(value, (bool, int, np.integer)) or (
+        isinstance(value, float) and math.isfinite(value)
+    ):
+        return _fmt(value)
     text = str(value).replace("\\", "\\\\").replace('"', '\\"')
     return f'"{text}"'
 
@@ -109,6 +114,11 @@ def _emit(record: OutputRecord, fmt: str, out: TextIO, err: TextIO) -> None:
         _emit_csv(record, out, err)
 
 
+def _echo(args: argparse.Namespace) -> dict:
+    """The parsed options, in the parser's order, less ``_NOT_PARAMETERS``."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+
+
 def _parse_alpha(text: str) -> float:
     try:
         value = float(text)
@@ -117,10 +127,9 @@ def _parse_alpha(text: str) -> float:
     return check_alpha(value)
 
 
-def _cmd_rate(args) -> tuple[OutputRecord, int]:
+def _cmd_rate(args) -> _Result:
     alpha = _parse_alpha(args.alpha)
     ev = _RATES[args.which].rate_at(alpha, args.x)
-    params = {"alpha": args.alpha, "x": args.x, "which": args.which}
     row = {
         "which": args.which,
         "alpha": args.alpha,
@@ -131,7 +140,7 @@ def _cmd_rate(args) -> tuple[OutputRecord, int]:
         "warning": ev.warning,
     }
     diags = [f"warning: {ev.warning}"] if ev.warning else []
-    return OutputRecord("rate", params, [row], diags), 0
+    return [row], diags, 0
 
 
 def _ladder_note(tally: _Tally) -> str:
@@ -155,19 +164,9 @@ def _ladder_note(tally: _Tally) -> str:
     return note
 
 
-def _cmd_prob(args) -> tuple[OutputRecord, int]:
-    params_obj = EnsembleParams(args.n, args.v)
-    stat = Statistic.MAX_SQ if args.stat == "max" else Statistic.MIN_SQ
-    side = Direction.GE if args.side == "ge" else Direction.LE
-    query = TailQuery(stat, side, args.x)
-    params = {
-        "n": args.n,
-        "v": args.v,
-        "x": args.x,
-        "stat": args.stat,
-        "side": args.side,
-    }
-    tails = _window_tails(params_obj, args.x, stat)
+def _cmd_prob(args) -> _Result:
+    query = TailQuery(Statistic(args.stat), Direction(args.side), args.x)
+    tails = _window_tails(EnsembleParams(args.n, args.v), args.x, query.statistic)
     diags = [_ladder_note(_tally(tails))]
     code, probability = 0, None
     try:
@@ -187,20 +186,13 @@ def _cmd_prob(args) -> tuple[OutputRecord, int]:
             )
         elif lp <= -745.0:
             diags.append("probability underflows; only the log value is meaningful")
-    row = {**params, "log_probability": lp, "probability": probability}
-    return OutputRecord("prob", params, [row], diags), code
+    row = {**_echo(args), "log_probability": lp, "probability": probability}
+    return [row], diags, code
 
 
-def _cmd_sample(args) -> tuple[OutputRecord, int]:
+def _cmd_sample(args) -> _Result:
     params_obj = EnsembleParams(args.n, args.v)
     batch = sample_yj(params_obj, args.j, args.seed, args.count)
-    params = {
-        "n": args.n,
-        "v": args.v,
-        "j": args.j,
-        "seed": args.seed,
-        "count": args.count,
-    }
     diags: list[str] = []
     if args.summary:
         t = 2.0 * args.n * batch.values
@@ -224,14 +216,12 @@ def _cmd_sample(args) -> tuple[OutputRecord, int]:
         rows = [
             {"replicate": i, "y": float(y)} for i, y in enumerate(batch.values)
         ]
-    return OutputRecord("sample", params, rows, diags), 0
+    return rows, diags, 0
 
 
-def _cmd_matrix(args) -> tuple[OutputRecord, int]:
+def _cmd_matrix(args) -> _Result:
     params_obj = EnsembleParams(args.n, args.v)
-    config = MatrixProbeConfig(params_obj)
-    out = matrix_probe_extremes(config, args.seed, args.count)
-    params = {"n": args.n, "v": args.v, "seed": args.seed, "count": args.count}
+    out = matrix_probe_extremes(MatrixProbeConfig(params_obj), args.seed, args.count)
     resample_count = int(out["resample"].sum())
     diags = []
     if resample_count:
@@ -264,7 +254,7 @@ def _cmd_matrix(args) -> tuple[OutputRecord, int]:
                 zip(out["max"], out["min"], out["resample"])
             )
         ]
-    return OutputRecord("matrix", params, rows, diags), 0
+    return rows, diags, 0
 
 
 def _parse_grid(args) -> tuple[tuple[int, int], ...] | None:
@@ -294,15 +284,8 @@ def _parse_grid(args) -> tuple[tuple[int, int], ...] | None:
     return None
 
 
-def _cmd_converge(args) -> tuple[OutputRecord, int]:
+def _cmd_converge(args) -> _Result:
     grid = _parse_grid(args)
-    params = {
-        "theorem": args.theorem,
-        "x": args.x,
-        "grid": args.grid,
-        "n": args.n,
-        "v": args.v,
-    }
     diags: list[str] = []
     if args.theorem == "clt":
         pairs = grid if grid is not None else ((2000, 0),)
@@ -314,10 +297,10 @@ def _cmd_converge(args) -> tuple[OutputRecord, int]:
         diags += [f"(n={r.n}, v={r.v}): {r.note}" for r in table if r.note]
     # the field order of CltRow and ConvergenceRow is the column order
     rows = [{"theorem": args.theorem, **asdict(r)} for r in table]
-    return OutputRecord("converge", params, rows, diags), 0
+    return rows, diags, 0
 
 
-def _cmd_verify(args) -> tuple[OutputRecord, int]:
+def _cmd_verify(args) -> _Result:
     results = run_checks(quick=args.quick)
     rows = [
         {
@@ -330,12 +313,11 @@ def _cmd_verify(args) -> tuple[OutputRecord, int]:
     ]
     failures = [r.name for r in results if not r.passed]
     diags = [f"FAILED: {name}" for name in failures]
-    ok = all_passed(results)
     diags.append(
         f"{len(results) - len(failures)}/{len(results)} checks passed "
         f"({'quick' if args.quick else 'full'} suite)"
     )
-    return OutputRecord("verify", {"quick": args.quick}, rows, diags), (0 if ok else 1)
+    return rows, diags, 0 if all_passed(results) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -362,6 +344,11 @@ def _build_parser() -> argparse.ArgumentParser:
             help="output format (default csv)",
         )
 
+    def add_modes(p: argparse.ArgumentParser, ks_help: str) -> None:
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--summary", action="store_true", help="moments instead of draws")
+        group.add_argument("--ks", action="store_true", help=ks_help)
+
     p_rate = sub.add_parser("rate", help="evaluate a rate function")
     p_rate.add_argument("--alpha", required=True, help="v/n limit: a number, 0, or inf")
     p_rate.add_argument("--x", type=float, required=True, help="deviation level")
@@ -384,11 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--j", type=int, required=True, help="index in [1, n]")
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--count", type=int, required=True)
-    group = p_sample.add_mutually_exclusive_group()
-    group.add_argument("--summary", action="store_true", help="moments instead of draws")
-    group.add_argument(
-        "--ks", action="store_true", help="KS distance against the exact law"
-    )
+    add_modes(p_sample, "KS distance against the exact law")
     add_format(p_sample)
     p_sample.set_defaults(handler=_cmd_sample)
 
@@ -397,11 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_matrix.add_argument("--v", type=int, default=0)
     p_matrix.add_argument("--seed", type=int, default=0)
     p_matrix.add_argument("--count", type=int, required=True)
-    group = p_matrix.add_mutually_exclusive_group()
-    group.add_argument("--summary", action="store_true", help="moments instead of draws")
-    group.add_argument(
-        "--ks", action="store_true", help="KS distance of the max against the product law"
-    )
+    add_modes(p_matrix, "KS distance of the max against the product law")
     add_format(p_matrix)
     p_matrix.set_defaults(handler=_cmd_matrix)
 
@@ -434,13 +413,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        record, code = args.handler(args)
+        rows, diags, code = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    record = OutputRecord(args.subcommand, _echo(args), rows, diags)
     _emit(record, args.format, sys.stdout, sys.stderr)
     return code
 

@@ -42,6 +42,8 @@ k = max(top, ceil(c)) and rho_c = 1, found before any increment is summed
 times every cdf it feeds.  The ladder never runs past top + 40 sqrt(top+v)
 + 100 indices.  A reverse sum that stops there unconverged, or a non-finite
 value anywhere, raises :class:`QuadratureError` carrying the partial result.
+A threshold that overflows to t = inf is not a failure: there every tail
+takes its exact limit, sf = 0 and cdf = 1.
 
 Index window.  Going down, both parts of delta_{i-1} are at most
 lambda_i = i(i+v)/s times those of delta_i, and sf_1 is at most
@@ -321,10 +323,12 @@ def _stirling_error(m: np.ndarray | float) -> np.ndarray | float:
 
 
 def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
-    """log sum exp over the last axis, each row shifted by its peak."""
+    """log sum exp over the last axis, each row shifted by its peak; -inf,
+    without a warning, for a row of -inf."""
     peak = np.max(terms, axis=-1, keepdims=True)
     peak = np.where(np.isfinite(peak), peak, 0.0)
-    return np.log(np.sum(np.exp(terms - peak), axis=-1)) + peak[..., 0]
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(terms - peak), axis=-1)) + peak[..., 0]
 
 
 def _deviance(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -523,7 +527,9 @@ def _reverse_sums(
 def _tails_at(t: np.ndarray, v: int, top: int, first: int = 1) -> IndexTails:
     """Per-index tails of T_first..T_top at each threshold of the 1-d array t
     on the t scale, one row per threshold; past first = 1 without
-    sf_{first-1} (see :func:`_window`).  ``failure`` names the first row
+    sf_{first-1} (see :func:`_window`).  At t = inf, where a level's
+    threshold overflows, the ladder's sums are NaN and each row holds the
+    exact limits sf = 0, cdf = 1 instead.  ``failure`` names the first row
     whose values cannot be trusted."""
     t = np.asarray(t, dtype=float)
     with np.errstate(all="ignore"):
@@ -532,8 +538,10 @@ def _tails_at(t: np.ndarray, v: int, top: int, first: int = 1) -> IndexTails:
         log_sf = np.where(cdf_direct, np.log1p(-np.exp(sums.log_cdf)), sums.log_sf)
         log_cdf = np.where(cdf_direct, sums.log_cdf, np.log1p(-np.exp(sums.log_sf)))
         truncation_bound = np.exp(sums.log_bound)
+    beyond = t == math.inf
+    log_sf[beyond], log_cdf[beyond] = -math.inf, 0.0
     failure, bad = None, ()
-    finite = np.isfinite(log_sf).all(axis=1) & np.isfinite(log_cdf).all(axis=1)
+    finite = beyond | np.isfinite(log_sf).all(axis=1) & np.isfinite(log_cdf).all(axis=1)
     if not finite.all():
         bad = np.flatnonzero(~finite)
         failure = f"non-finite ladder value at t={float(t[bad[0]])!r}, v={v}"

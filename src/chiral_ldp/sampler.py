@@ -58,11 +58,10 @@ __all__ = [
 # exceeds 0.95 for shape >= 1, so 24 rounds leave a failure probability below
 # 1e-30 per draw.  Every round keeps its uniforms in the layout, but only the
 # rows still pending evaluate it, so nearly all rows stop after round 0.
+# sample_yj draws the 2 * 24 * 3 = 144 uniforms of each row in blocks of
+# _CHUNK_ELEMENTS // 144 rows (6944 rows, 8 MB), as the probe and the ladder
+# size theirs, so memory stays flat in the draw count.
 _GAMMA_ROUNDS = 24
-
-# Rows of uniforms sample_yj draws per block: 2^14 rows of 144 doubles are
-# 18.9 MB, so memory stays flat in the draw count.
-_SAMPLE_BLOCK_ROWS = 2**14
 
 # Stream id offset for the matrix probe, disjoint from index streams 1..n.
 _MATRIX_STREAM = 2**32
@@ -166,15 +165,17 @@ def sample_yj(
     """Draw ``count`` replicates of the surrogate variable ``Y_j``.
 
     Stream ``j`` of ``seed``; extending ``count`` preserves earlier values.
-    Uniforms are drawn in blocks of ``_SAMPLE_BLOCK_ROWS`` rows.
+    Uniforms are drawn in blocks of about ``_CHUNK_ELEMENTS`` uniforms, so
+    memory does not grow with ``count``.
     """
     check_index(params, j)
     if count < 1:
         raise ValueError("count must be positive")
     gen = _uniform_stream(seed, j)
+    block = _CHUNK_ELEMENTS // (2 * _GAMMA_ROUNDS * 3)
     t = np.empty(count)
-    for start in range(0, count, _SAMPLE_BLOCK_ROWS):
-        rows = min(_SAMPLE_BLOCK_ROWS, count - start)
+    for start in range(0, count, block):
+        rows = min(block, count - start)
         u = gen.random((rows, 2, _GAMMA_ROUNDS, 3))
         ga = _gamma_from_uniforms(float(j), u[:, 0])
         gb = _gamma_from_uniforms(float(j + params.v), u[:, 1])
@@ -273,9 +274,10 @@ def matrix_probe_extremes(
     }
 
 
-def _sorted_sample(name: str, values: np.ndarray) -> np.ndarray:
-    """``values`` sorted, once checked to be a nonempty 1-d array of finite
-    values > 0."""
+def _sorted_thresholds(name: str, values: np.ndarray, scale: float) -> np.ndarray:
+    """``values`` sorted and times ``scale``, once checked to be a nonempty
+    1-d array of finite values > 0; a product that overflows is inf, a
+    threshold the ladder meets with its exact limits."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d array, got shape {arr.shape}")
@@ -284,7 +286,8 @@ def _sorted_sample(name: str, values: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"{name} must be finite and > 0, got {name}[{bad[0]}] = {float(arr[bad[0]])!r}"
         )
-    return np.sort(arr)
+    with np.errstate(over="ignore"):
+        return np.sort(arr) * scale
 
 
 def _ks_distance(cdf: np.ndarray) -> float:
@@ -299,14 +302,14 @@ def _ks_distance(cdf: np.ndarray) -> float:
 def _ks_index(params: EnsembleParams, j: int, y_values: np.ndarray) -> tuple[float, _Tally]:
     """:func:`ks_statistic` and a tally of the ladder it was computed from."""
     top = check_index(params, j)
-    t = _sorted_sample("y_values", y_values) * (2.0 * params.n)
+    t = _sorted_thresholds("y_values", y_values, 2.0 * params.n)
     log_cdf, tally = _reduce_rows(t, params.v, top, lambda tails: tails.log_cdf[:, -1])
     return _checked(_ks_distance(np.exp(log_cdf)), tally), tally
 
 
 def _ks_max(params: EnsembleParams, x_values: np.ndarray) -> tuple[float, _Tally]:
     """:func:`ks_statistic_max` and a tally of the ladder it was computed from."""
-    t = _sorted_sample("x_values", x_values) * derived_scales(params).c
+    t = _sorted_thresholds("x_values", x_values, derived_scales(params).c)
     log_cdf, tally = _reduce_rows(
         t, params.v, params.n, lambda tails: np.sum(tails.log_cdf, axis=1)
     )
@@ -315,7 +318,7 @@ def _ks_max(params: EnsembleParams, x_values: np.ndarray) -> tuple[float, _Tally
 
 def _ks_min(params: EnsembleParams, x_values: np.ndarray) -> tuple[float, _Tally]:
     """:func:`ks_statistic_min` and a tally of the ladder it was computed from."""
-    t = _sorted_sample("x_values", x_values) * derived_scales(params).c
+    t = _sorted_thresholds("x_values", x_values, derived_scales(params).c)
     log_sf, tally = _reduce_rows(
         t, params.v, params.n, lambda tails: np.sum(tails.log_sf, axis=1)
     )

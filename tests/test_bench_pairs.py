@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,18 @@ def test_within_bound_is_not_worse():
     assert pairs["w"]["wall_s"]["change_better"] == 0 and pairs["w"]["wall_s"]["pairs"] == 3
     assert pairs["w"]["wall_s"]["median_ratio"] == pytest.approx(1.1)
     assert bounds["w"]["wall_s"]["worse_beyond_bound"] is False
+
+
+def test_a_run_that_times_out_is_a_failed_run(monkeypatch, tmp_path):
+    def hang(cmd, **kwargs):
+        assert kwargs["timeout"] == bench_pairs.RUN_TIMEOUT_S == 600
+        raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", hang)
+    record = bench_pairs._run(tmp_path, "w", 1, 1.0)
+    assert record["returncode"] is None and "timed out after 600 s" in record["stderr"]
+    assert not bench_pairs._good(record)
+    runs = [_run(1, "parent", 1.0), {"workload": "w", "seed": 1, "side": "change", **record}]
+    summary, pairs, _ = bench_pairs._report(runs, ["w"], METRICS)
+    assert summary["w"]["change"]["wall_s"]["runs"] == 0
+    assert pairs["w"]["wall_s"]["pairs"] == 0

@@ -215,6 +215,25 @@ class TestProbCommand:
         assert "numeric failure: non-finite ladder value" in err
         assert "partial estimate nan with relative error inf" in err
 
+    @pytest.mark.parametrize(
+        "stat, side, log_probability, probability",
+        [("max", "ge", -math.inf, 0.0), ("max", "le", 0.0, 1.0),
+         ("min", "ge", -math.inf, 0.0), ("min", "le", 0.0, 1.0)],
+    )
+    def test_overflowing_threshold_gives_the_exact_limit(
+        self, stat, side, log_probability, probability
+    ):
+        # t = 2x = inf: every sf is exactly 0 and every cdf 1
+        code, out, err = run_cli(
+            ["prob", "--n", "1", "--v", "0", "--x", "1e308", "--stat", stat, "--side", side]
+        )
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert float(rows[0]["log_probability"]) == log_probability
+        assert float(rows[0]["probability"]) == probability
+        assert "numeric failure" not in err
+        assert ("log-probability is -inf" in err) == (log_probability == -math.inf)
+
     def test_threshold_below_the_bessel_range_exits_3(self):
         # t = 2x = 1e-305 lies below the trapezoid rule's range, which ends
         # near 2e-304
@@ -350,6 +369,48 @@ class TestJsonOutput:
             RATE_PINS[("max-right", "inf", "2")], rel=1e-15
         )
         assert record["results"][0]["branch"] == "infinite_alpha"
+
+
+class TestParameterEcho:
+    """Each command echoes its parameters, and only those, in the order its
+    parser declares them, whatever the order on the command line: on the
+    CSV stderr line and as the JSON record's parameters.  Mode flags
+    (--summary, --ks) and --format are not echoed."""
+
+    @pytest.mark.parametrize(
+        "argv, echo",
+        [
+            (["rate", "--which", "max-right", "--x", "1.5", "--alpha", "0"],
+             "rate alpha=0 x=1.5 which=max-right"),
+            (["prob", "--side", "le", "--stat", "min", "--x", "0.5", "--n", "3"],
+             "prob n=3 v=0 x=0.5 stat=min side=le"),
+            (["sample", "--n", "2", "--j", "2", "--count", "3"],
+             "sample n=2 v=0 j=2 seed=0 count=3"),
+            (["sample", "--ks", "--seed", "3", "--count", "50", "--j", "3", "--v", "2",
+              "--n", "5"],
+             "sample n=5 v=2 j=3 seed=3 count=50"),
+            (["matrix", "--summary", "--count", "30", "--n", "3"],
+             "matrix n=3 v=0 seed=0 count=30"),
+            (["converge", "--theorem", "clt", "--grid", "500:0"],
+             "converge theorem=clt x= grid=500:0 n= v="),
+            (["converge", "--v", "0", "--n", "500,600", "--theorem", "clt"],
+             "converge theorem=clt x= grid= n=500,600 v=0"),
+            (["verify", "--quick"], "verify quick=true"),
+        ],
+    )
+    def test_echo_in_parser_order(self, argv, echo, monkeypatch):
+        import types
+
+        # the echo does not depend on the checks: skip running them
+        fake = [types.SimpleNamespace(name="synthetic", passed=True, detail="", elapsed=0.0)]
+        monkeypatch.setattr(cli_module, "run_checks", lambda quick: fake)
+        code, _, err = run_cli(argv)
+        assert code == 0
+        assert err.splitlines()[0] == f"# {echo}"
+        code, out, _ = run_cli(argv + ["--format", "json"])
+        assert code == 0
+        keys = [pair.split("=")[0] for pair in echo.split()[1:]]
+        assert list(json.loads(out)["parameters"]) == keys
 
 
 class TestSampleCommand:

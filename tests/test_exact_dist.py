@@ -437,7 +437,8 @@ class TestLadderFailures:
 
     @pytest.mark.parametrize("n", [1, 10**6])
     @pytest.mark.parametrize("v", [0, 10**4])
-    @pytest.mark.parametrize("x", [1e-6, 10.0, 1e300])
+    # at x = 1e308 the threshold c x overflows to inf at every (n, v) here
+    @pytest.mark.parametrize("x", [1e-6, 10.0, 1e300, 1e308])
     def test_no_runtime_warning_leaves_the_ladder(self, n, v, x):
         params = EnsembleParams(n, v)
         c = derived_scales(params).c
@@ -449,8 +450,22 @@ class TestLadderFailures:
             log_sf_index(params, n, x)
             log_cdf_index(params, n, x)
             top = min(n, 50)
-            _tails_at(c * np.array([1e-6, x, 10.0]), v, top)
+            _tails_at(np.array([c * 1e-6, c * x, c * 10.0]), v, top)
             _ladder_sums(np.array([c * x]), v, top, force_reverse=True)
+
+    @pytest.mark.parametrize("n, v", [(1, 0), (7, 3)])
+    def test_overflowing_threshold_gives_the_exact_limits(self, n, v):
+        # t = c x = inf: every sf is 0 and every cdf 1, with nothing dropped
+        params = EnsembleParams(n, v)
+        tails = index_tails(params, 1e308)
+        assert np.all(tails.log_sf == -math.inf) and np.all(tails.log_cdf == 0.0)
+        assert tails.failure is None and tails.stop == 0 and tails.truncation_bound == 0.0
+        assert log_prob_max_ge(params, 1e308) == -math.inf
+        assert log_prob_max_le(params, 1e308) == 0.0
+        assert log_prob_min_ge(params, 1e308) == -math.inf
+        assert log_prob_min_le(params, 1e308) == 0.0
+        assert log_sf_index(params, n, 1e308) == -math.inf
+        assert log_cdf_index(params, n, 1e308) == 0.0
 
     def test_non_finite_bessel_value_raises_without_warning(self, monkeypatch):
         monkeypatch.setattr(exact_dist, "_kve_sums", lambda t, v: np.full((2, t.size), np.nan))

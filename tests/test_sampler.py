@@ -9,6 +9,7 @@ errors.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ class TestLazyRounds:
     """The lazy, row-blocked sampler draws what the eager one drew, byte for
     byte: every uniform from one array, every round for every row."""
 
-    BLOCK = sampler._SAMPLE_BLOCK_ROWS
+    BLOCK = sampler._CHUNK_ELEMENTS // (2 * sampler._GAMMA_ROUNDS * 3)
 
     # gamma shapes (j, j + v) of 1, 3 and 5, 10, 1000, and 3 with 1000
     @pytest.mark.parametrize(
@@ -193,6 +194,20 @@ class TestExactKs:
             ks_statistic(params, 2, values)
         with pytest.raises(ValueError, match=message.format(name="x_values")):
             ks_statistic_max(params, values)
+
+    def test_overflowing_threshold_has_cdf_one(self):
+        # 2 x 1e308 overflows to t = inf, where the exact cdf is 1: no
+        # failure and no warning
+        params = EnsembleParams(1, 0)
+        values = np.array([0.5, 1e308])
+        at_one = _tails_at(np.array([1.0]), 0, 1)  # t = 2 x 0.5
+        cdf_max = np.array([math.exp(at_one.log_cdf[0, 0]), 1.0])
+        cdf_min = np.array([-math.expm1(at_one.log_sf[0, 0]), 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ks_statistic_max(params, values) == _brute_ks(cdf_max)
+            assert ks_statistic_min(params, values) == _brute_ks(cdf_min)
+            assert ks_statistic(params, 1, values) == _brute_ks(cdf_max)
 
     @pytest.mark.parametrize("j", [0, 4])
     def test_index_out_of_range(self, j):

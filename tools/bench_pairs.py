@@ -20,9 +20,10 @@ and per workload and end-to-end metric:
 * ``bounds``: the change's median relative to the parent's, and whether it
   is worse by more than the metric's ``BENCHMARK.json`` bound.
 
-A good run exits 0 and reports ``correct: true``.  Other runs stay out of
-every statistic and are listed under ``failed``; the file is written
-whatever the number of good runs.
+A good run exits 0 and reports ``correct: true``.  Other runs, and runs
+stopped after ``RUN_TIMEOUT_S`` seconds (recorded with a null return code),
+stay out of every statistic and are listed under ``failed``; the file is
+written whatever the number of good runs.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+RUN_TIMEOUT_S = 600  # as perfbench/baseline.py
 
 
 def _git(*args: str) -> str:
@@ -67,7 +69,15 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "--seconds", str(seconds), "--trace", "0",
     ]
     start = time.perf_counter()
-    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    try:
+        done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {
+            "returncode": None,
+            "elapsed_s": round(time.perf_counter() - start, 1),
+            "comments": [],
+            "stderr": f"timed out after {RUN_TIMEOUT_S} s",
+        }
     lines = done.stdout.strip().splitlines()
     record = {
         "returncode": done.returncode,
