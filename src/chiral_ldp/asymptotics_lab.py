@@ -146,21 +146,52 @@ class MaSums:
         return self.exact_2 - self.asym_2
 
 
-def _guard_bounded(params: EnsembleParams, a: float) -> float:
+def _bounded_v(
+    params: EnsembleParams, j: int, a: float, cut: float, upper: bool
+) -> AsymptoticPrediction:
+    # 0 when the index cutoff 2j + v - cut lies above c*a for the upper tail
+    # (below it for the lower one), else the bulk cost -2j log(j/(na)) + 2j - 2na
+    check_index(params, j)
     if a <= 0:
         raise ValueError("threshold a must be positive")
+    n = params.n
     ca = derived_scales(params).c * a
     if ca < _BOUNDED_V_MIN_CA or a > _BOUNDED_V_MAX_A:
         raise RegimeError(
             f"bounded-v predictor needs c*a >= {_BOUNDED_V_MIN_CA} and "
             f"a <= {_BOUNDED_V_MAX_A}; got c*a = {ca:.3g}, a = {a:.3g}"
         )
-    return ca
+    if (2 * j + params.v - cut > ca) == upper:
+        return AsymptoticPrediction(value=0.0, correction_class=CLASS_LOG_N)
+    value = -2.0 * j * math.log(j / (n * a)) + 2.0 * j - 2.0 * n * a
+    return AsymptoticPrediction(value=value, correction_class=CLASS_LOG_N)
 
 
-def _bulk_term(n: int, j: int, a: float) -> float:
-    # -2j log(j/(na)) + 2j - 2na
-    return -2.0 * j * math.log(j / (n * a)) + 2.0 * j - 2.0 * n * a
+def _large_v(
+    params: EnsembleParams, j: int, a: float, upper: bool
+) -> AsymptoticPrediction:
+    # the saddle value when z = c*a/v lies above x_j for the upper tail (below
+    # it for the lower one), else 0
+    check_index(params, j)
+    if a <= 0:
+        raise ValueError("threshold a must be positive")
+    v = params.v
+    if v < _LARGE_V_MIN:
+        raise RegimeError(
+            f"large-v predictor needs v >= {_LARGE_V_MIN}; got v = {v}"
+        )
+    z = derived_scales(params).c * a / v
+    if (z > minimizer_xj(TauParams(j=j, v=float(v)))) != upper:
+        return AsymptoticPrediction(value=0.0, correction_class=CLASS_LOG_N)
+    value = (
+        (2 * j + v - 1) * math.log(v)
+        + (2 * j + v) * (1.0 - math.log(2.0))
+        - (j + v - 0.5) * math.log(j + v)
+        - (j - 0.5) * math.log(j)
+        - v * u(z)
+        + (2 * j - 1) * math.log(z)
+    )
+    return AsymptoticPrediction(value=value, correction_class=CLASS_LOG_N)
 
 
 def predict_log_sf_bounded_v(
@@ -172,13 +203,7 @@ def predict_log_sf_bounded_v(
     their mass above it, so the prediction is 0; below it the tail costs
     -2j log(j/(na)) + 2j - 2na.
     """
-    check_index(params, j)
-    ca = _guard_bounded(params, a)
-    if 2 * j + params.v - 0.5 > ca:
-        return AsymptoticPrediction(value=0.0, correction_class=CLASS_LOG_N)
-    return AsymptoticPrediction(
-        value=_bulk_term(params.n, j, a), correction_class=CLASS_LOG_N
-    )
+    return _bounded_v(params, j, a, cut=0.5, upper=True)
 
 
 def predict_log_cdf_bounded_v(
@@ -189,36 +214,7 @@ def predict_log_cdf_bounded_v(
     Mirror of the survival predictor with the branches swapped and the
     index cutoff shifted to 2j + v - 5/2.
     """
-    check_index(params, j)
-    ca = _guard_bounded(params, a)
-    if 2 * j + params.v - 2.5 > ca:
-        return AsymptoticPrediction(
-            value=_bulk_term(params.n, j, a), correction_class=CLASS_LOG_N
-        )
-    return AsymptoticPrediction(value=0.0, correction_class=CLASS_LOG_N)
-
-
-def _large_v_term(params: EnsembleParams, j: int, a: float) -> float:
-    n, v = params.n, params.v
-    z = derived_scales(params).c * a / v
-    return (
-        (2 * j + v - 1) * math.log(v)
-        + (2 * j + v) * (1.0 - math.log(2.0))
-        - (j + v - 0.5) * math.log(j + v)
-        - (j - 0.5) * math.log(j)
-        - v * u(z)
-        + (2 * j - 1) * math.log(z)
-    )
-
-
-def _guard_large(params: EnsembleParams, a: float) -> float:
-    if a <= 0:
-        raise ValueError("threshold a must be positive")
-    if params.v < _LARGE_V_MIN:
-        raise RegimeError(
-            f"large-v predictor needs v >= {_LARGE_V_MIN}; got v = {params.v}"
-        )
-    return derived_scales(params).c * a / params.v
+    return _bounded_v(params, j, a, cut=2.5, upper=False)
 
 
 def predict_log_sf_large_v(
@@ -230,26 +226,14 @@ def predict_log_sf_large_v(
     threshold below it leaves the mode in the tail (prediction 0), one
     above it costs the saddle value.
     """
-    check_index(params, j)
-    z = _guard_large(params, a)
-    if z > minimizer_xj(TauParams(j=j, v=float(params.v))):
-        return AsymptoticPrediction(
-            value=_large_v_term(params, j, a), correction_class=CLASS_LOG_N
-        )
-    return AsymptoticPrediction(value=0.0, correction_class=CLASS_LOG_N)
+    return _large_v(params, j, a, upper=True)
 
 
 def predict_log_cdf_large_v(
     params: EnsembleParams, j: int, a: float
 ) -> AsymptoticPrediction:
     """Predicted log P(X_j <= a) in the large-v regime (branches swapped)."""
-    check_index(params, j)
-    z = _guard_large(params, a)
-    if z > minimizer_xj(TauParams(j=j, v=float(params.v))):
-        return AsymptoticPrediction(value=0.0, correction_class=CLASS_LOG_N)
-    return AsymptoticPrediction(
-        value=_large_v_term(params, j, a), correction_class=CLASS_LOG_N
-    )
+    return _large_v(params, j, a, upper=False)
 
 
 def lemma_ma_sums(n: int, v: int) -> MaSums:

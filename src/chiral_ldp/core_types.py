@@ -150,7 +150,8 @@ def log1mexp(log_p: float) -> float:
         return LOG_ZERO
     if log_p > -math.log(2.0):
         return math.log(-math.expm1(log_p))
-    return math.log1p(-math.exp(log_p))
+    # + 0.0 turns the -0.0 of log1p(-0.0), where exp(log_p) underflows, into 0.0
+    return math.log1p(-math.exp(log_p)) + 0.0
 
 
 def centering_a(y: float) -> float:

@@ -43,7 +43,9 @@ times every cdf it feeds.  The ladder never runs past top + 40 sqrt(top+v)
 + 100 indices.  A reverse sum that stops there unconverged, or a non-finite
 value anywhere, raises :class:`QuadratureError` carrying the partial result.
 A threshold that overflows to t = inf is not a failure: there every tail
-takes its exact limit, sf = 0 and cdf = 1.
+takes its exact limit, sf = 0 and cdf = 1, so a product query evaluates one
+index (the top one for the max, index 1 for the min), which alone gives the
+exact product.
 
 Index window.  Going down, both parts of delta_{i-1} are at most
 lambda_i = i(i+v)/s times those of delta_i, and sf_1 is at most
@@ -621,15 +623,19 @@ def _window(t: float, v: int, top: int, stat: Statistic) -> tuple[int, int, floa
     """The indices first..last of 1..top that a product over ``stat``'s side
     needs at threshold t, and the relative bound on what the rest change in
     it (see "Index window" above); (1, top, 0.0) when nothing is dropped.
+    At t = inf, where every sf = 0 and every cdf = 1, one index gives the
+    exact product: (top, top, 0.0) for the max and (1, 1, 0.0) for the min.
     Over m indices the tangent at l = k-1 bounds log lambda on the max side;
     the min side takes m from :func:`_reach`.
     """
+    high = stat is Statistic.MAX_SQ
     mu = 0.5 * t
-    if not 0.0 < mu < math.inf:
+    if mu == math.inf:
+        return (top, top, 0.0) if high else (1, 1, 0.0)
+    if not 0.0 < mu:
         return 1, top, 0.0
     log_s = 2.0 * math.log(mu)
     nats = _TRUNCATION_NATS + _LOG2
-    high = stat is Statistic.MAX_SQ
     half = 0.5 * (v + (not high))
     cross = mu * (mu / (math.hypot(half, mu) + half))  # l (l+v) = s, or l (l+1+v) = s
     if high:

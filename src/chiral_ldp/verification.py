@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -156,40 +157,27 @@ def _log_gamma_tail(a: float, b: float, upper: bool) -> float:
 
 
 def _check_gamma_tail_sandwich() -> tuple[bool, str]:
+    # (name, tail side, points a, lower bound, upper bound) at each shape b
+    sandwiches = (
+        ("upper tail", True, lambda b: (b + 1.0, b + 2.0, 2.0 * b + 2.0),
+         lambda a, b: b * math.log(a) - a, lambda a, b: (b + 1.0) * math.log(a) - a),
+        ("upper head", True, lambda b: (max(b - 1.0, 0.1), b / 2.0 + 0.05),
+         lambda a, b: b * math.log(b) - (b + 1.0),
+         lambda a, b: math.log(2.0 * (b + 1.0)) + b * math.log(b) - b),
+        ("lower range", False, lambda b: (b + 0.5, 2.0 * b + 1.0),
+         lambda a, b: (b + 1.0) * math.log(b) - b - math.log(b + 1.0),
+         lambda a, b: math.log(a) + b * math.log(b) - b),
+        ("lower head", False, lambda b: (b - 1.2, b / 2.0) if b > 1.2 else (),
+         lambda a, b: (b + 1.0) * math.log(a) - a - math.log(b + 1.0),
+         lambda a, b: (b + 1.0) * math.log(a) - a),
+    )
     checks = 0
     for b in (0.5, 3.0, 20.0):
-        # upper tail, a >= b+1
-        for a in (b + 1.0, b + 2.0, 2.0 * b + 2.0):
-            val = _log_gamma_tail(a, b, upper=True)
-            lo = b * math.log(a) - a
-            hi = (b + 1.0) * math.log(a) - a
-            if not (lo - 1e-9 <= val <= hi + 1e-9):
-                return False, f"upper tail bound broken at a={a}, b={b}"
-            checks += 1
-        # upper tail, a < b+1
-        for a in (max(b - 1.0, 0.1), b / 2.0 + 0.05):
-            val = _log_gamma_tail(a, b, upper=True)
-            lo = b * math.log(b) - (b + 1.0)
-            hi = math.log(2.0 * (b + 1.0)) + b * math.log(b) - b
-            if not (lo - 1e-9 <= val <= hi + 1e-9):
-                return False, f"upper head bound broken at a={a}, b={b}"
-            checks += 1
-        # lower range, a > b
-        for a in (b + 0.5, 2.0 * b + 1.0):
-            val = _log_gamma_tail(a, b, upper=False)
-            lo = (b + 1.0) * math.log(b) - b - math.log(b + 1.0)
-            hi = math.log(a) + b * math.log(b) - b
-            if not (lo - 1e-9 <= val <= hi + 1e-9):
-                return False, f"lower range bound broken at a={a}, b={b}"
-            checks += 1
-        # lower range, a < b-1
-        if b > 1.2:
-            for a in (b - 1.2, b / 2.0):
-                val = _log_gamma_tail(a, b, upper=False)
-                lo = (b + 1.0) * math.log(a) - a - math.log(b + 1.0)
-                hi = (b + 1.0) * math.log(a) - a
-                if not (lo - 1e-9 <= val <= hi + 1e-9):
-                    return False, f"lower head bound broken at a={a}, b={b}"
+        for name, upper, points, lower_bound, upper_bound in sandwiches:
+            for a in points(b):
+                val = _log_gamma_tail(a, b, upper)
+                if not (lower_bound(a, b) - 1e-9 <= val <= upper_bound(a, b) + 1e-9):
+                    return False, f"{name} bound broken at a={a}, b={b}"
                 checks += 1
     return True, f"{checks} sandwich inequalities hold"
 
@@ -230,28 +218,22 @@ def _check_exponent_tail_sandwich() -> tuple[bool, str]:
     for j, v in ((2, 10.0), (5, 50.0)):
         p = TauParams(j, v)
         xj = minimizer_xj(p)
-        # right tail from a > x_j, any M > a
-        a, big_m = 1.5 * xj, 3.0 * xj
-        val = _log_tau_integral(p, a, max(10.0 * xj, a + 50.0 / v))
-        ta, tm = float(tau(p, a)), float(tau(p, big_m))
-        hi = -v * ta - math.log(v * float(tau_prime(p, a)))
-        lo = -v * ta - math.log(v * float(tau_prime(p, big_m))) + math.log1p(
-            -math.exp(v * (ta - tm))
-        )
-        if not (lo - 1e-9 <= val <= hi + 1e-9):
-            return False, f"right-tail bound broken at j={j}, v={v}"
-        checks += 1
-        # head up to a < x_j, with a_1 in (0, a)
-        a, a1 = 0.6 * xj, 0.3 * xj
-        val = _log_tau_integral(p, 1e-12, a)
-        ta, t1 = float(tau(p, a)), float(tau(p, a1))
-        hi = -v * ta - math.log(-v * float(tau_prime(p, a)))
-        lo = -v * ta - math.log(-v * float(tau_prime(p, a1))) + math.log1p(
-            -math.exp(v * (ta - t1))
-        )
-        if not (lo - 1e-9 <= val <= hi + 1e-9):
-            return False, f"head bound broken at j={j}, v={v}"
-        checks += 1
+        # right tail over [a, .) with a > x_j and far point M > a, and head
+        # over (0, a] with a < x_j and far point a_1 in (0, a)
+        a_right = 1.5 * xj
+        for name, a, far, lo_x, hi_x in (
+            ("right-tail", a_right, 3.0 * xj, a_right, max(10.0 * xj, a_right + 50.0 / v)),
+            ("head", 0.6 * xj, 0.3 * xj, 1e-12, 0.6 * xj),
+        ):
+            val = _log_tau_integral(p, lo_x, hi_x)
+            ta, tf = float(tau(p, a)), float(tau(p, far))
+            hi = -v * ta - math.log(abs(v * float(tau_prime(p, a))))
+            lo = -v * ta - math.log(abs(v * float(tau_prime(p, far)))) + math.log1p(
+                -math.exp(v * (ta - tf))
+            )
+            if not (lo - 1e-9 <= val <= hi + 1e-9):
+                return False, f"{name} bound broken at j={j}, v={v}"
+            checks += 1
     return True, f"{checks} exponent-integral sandwiches hold"
 
 
@@ -324,21 +306,12 @@ def _trend(rows) -> tuple[bool, float]:
     return all(b < a for a, b in zip(gaps, gaps[1:])), gaps[-1]
 
 
-def _check_max_right_rate_trend() -> tuple[bool, str]:
-    rows = converge_table("t1-right", x=1.5)
+def _rate_trend(theorem: str, x: float, tol: float) -> tuple[bool, str]:
+    rows = converge_table(theorem, x=x)
     decreasing, last = _trend(rows)
     rel = last / rows[-1].rate_target
-    return decreasing and rel <= 0.25, (
-        f"gaps decreasing={decreasing}, final rel gap {rel:.3f} (tol 0.25)"
-    )
-
-
-def _check_max_left_rate_trend() -> tuple[bool, str]:
-    rows = converge_table("t1-left", x=0.5)
-    decreasing, last = _trend(rows)
-    rel = last / rows[-1].rate_target
-    return decreasing and rel <= 0.20, (
-        f"gaps decreasing={decreasing}, final rel gap {rel:.3f} (tol 0.20)"
+    return decreasing and rel <= tol, (
+        f"gaps decreasing={decreasing}, final rel gap {rel:.3f} (tol {tol:.2f})"
     )
 
 
@@ -398,25 +371,27 @@ _FULL_EXTRA: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
     ("sampler-mean", _check_sampler_mean),
     ("sampler-vs-product-law", _check_sampler_vs_product_law),
     ("gumbel-tail-gap", _check_gumbel_tail_gap),
-    ("max-right-rate-trend", _check_max_right_rate_trend),
-    ("max-left-rate-trend", _check_max_left_rate_trend),
+    ("max-right-rate-trend", partial(_rate_trend, "t1-right", 1.5, 0.25)),
+    ("max-left-rate-trend", partial(_rate_trend, "t1-left", 0.5, 0.20)),
     ("min-rate-trend", _check_min_rate_trend),
     ("mdp-max-trend", _check_mdp_max_trend),
     ("vscale-rate-gap", _check_vscale_rate_gap),
 )
 
 
+def _suite(quick: bool) -> tuple[tuple[str, Callable[[], tuple[bool, str]]], ...]:
+    return _QUICK if quick else _QUICK + _FULL_EXTRA
+
+
 def check_names(quick: bool = False) -> list[str]:
     """Names of the checks a suite runs, in execution order."""
-    table = _QUICK if quick else _QUICK + _FULL_EXTRA
-    return [name for name, _ in table]
+    return [name for name, _ in _suite(quick)]
 
 
 def run_checks(quick: bool = False) -> list[CheckResult]:
     """Run a suite and collect one CheckResult per invariant."""
-    table = _QUICK if quick else _QUICK + _FULL_EXTRA
     results = []
-    for name, fn in table:
+    for name, fn in _suite(quick):
         start = time.perf_counter()
         try:
             passed, detail = fn()

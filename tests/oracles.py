@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own code paths: Bessel
 values come from a high-precision saddle-window quadrature of the integral
 representation or from mpmath.besselk, incomplete-gamma tails and the
 Bessel-free gamma-product law from mpmath's gammainc, minimizers from
-interval bisection, matrix spectra from companion matrices with chosen
+interval bisection (in double precision, and at 40 digits of tau_j'
+itself), matrix spectra from companion matrices with chosen
 roots, and the finite-alpha rate displays from mpmath at as many digits as
 their cancellation needs.  Headline constants frozen into the test files
 were produced by these routines at >= 30 significant digits.
@@ -181,6 +182,27 @@ def bisect_minimizer(j: int, v: float, tol: float = 1e-14) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def minimizer_oracle(j: float, v: float, dps: int = 40) -> float:
+    """Root x_j of tau_j' by bisection of tau_j' itself at dps digits, from
+    the analytic bracket (not from the cubic that the package solves)."""
+    with mp.workdps(dps):
+        j_, v_ = mp.mpf(j), mp.mpf(v)
+        lo = 2 * mp.sqrt((j_ - mp.mpf(0.75)) * (j_ + v_ - mp.mpf(0.75))) / v_
+        hi = 2 * mp.sqrt((j_ - mp.mpf(0.5)) * (j_ + v_ - mp.mpf(0.5))) / v_
+
+        def fprime(x):
+            s = mp.sqrt(1 + x * x)
+            return x / (1 + s) + x / (2 * v_ * (1 + x * x)) - (2 * j_ - 1) / (v_ * x)
+
+        while hi - lo > lo * mp.mpf(10) ** (8 - dps):
+            mid = (lo + hi) / 2
+            if fprime(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        return float((lo + hi) / 2)
 
 
 def tau_integral_log(

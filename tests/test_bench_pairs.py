@@ -73,3 +73,24 @@ def test_a_run_that_times_out_is_a_failed_run(monkeypatch, tmp_path):
     summary, pairs, _ = bench_pairs._report(runs, ["w"], METRICS)
     assert summary["w"]["change"]["wall_s"]["runs"] == 0
     assert pairs["w"]["wall_s"]["pairs"] == 0
+
+
+@pytest.mark.parametrize(
+    "last_line",
+    ["1.5", "[1, 2]", '{"metrics": {"wall_s": {"value": 1.0}}}',
+     '{"correct": true, "metrics": {"wall_s": 1.0}}'],
+    ids=["number", "list", "no-correct", "metric-not-an-object"],
+)
+def test_a_last_line_that_is_not_a_result_is_a_failed_run(monkeypatch, tmp_path, last_line):
+    def malformed(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"# a comment\n{last_line}\n", stderr="boom")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", malformed)
+    record = bench_pairs._run(tmp_path, "w", 1, 1.0)
+    assert record["stderr"] == "boom" and "not a result" in record["note"]
+    assert record["comments"] == ["# a comment"] and "metrics" not in record
+    assert not bench_pairs._good(record)
+    runs = [_run(1, "parent", 1.0), {"workload": "w", "seed": 1, "side": "change", **record}]
+    summary, pairs, _ = bench_pairs._report(runs, ["w"], METRICS)
+    assert summary["w"]["change"]["wall_s"]["runs"] == 0
+    assert pairs["w"]["wall_s"]["pairs"] == 0

@@ -183,6 +183,9 @@ class TestLogSpaceHelpers:
 
     def test_log1mexp_sentinels(self):
         assert log1mexp(LOG_ZERO) == 0.0
+        # exp(log_p) underflows to 0 there: the zero is +0.0, not -0.0
+        for log_p in (LOG_ZERO, -800.0):
+            assert math.copysign(1.0, log1mexp(log_p)) == 1.0
         assert log1mexp(0.0) == LOG_ZERO
         assert log1mexp(5e-13) == LOG_ZERO  # tiny positive round-off tolerated
         with pytest.raises(ValueError):

@@ -34,6 +34,7 @@ from chiral_ldp.exact_dist import (
     _kve_sums,
     _ladder_sums,
     _tails_at,
+    _window_tails,
     index_tails,
     log_cdf_index,
     log_prob,
@@ -453,10 +454,15 @@ class TestLadderFailures:
             _tails_at(np.array([c * 1e-6, c * x, c * 10.0]), v, top)
             _ladder_sums(np.array([c * x]), v, top, force_reverse=True)
 
-    @pytest.mark.parametrize("n, v", [(1, 0), (7, 3)])
+    @pytest.mark.parametrize("n, v", [(1, 0), (7, 3), (10**6, 0)])
     def test_overflowing_threshold_gives_the_exact_limits(self, n, v):
-        # t = c x = inf: every sf is 0 and every cdf 1, with nothing dropped
+        # t = c x = inf: every sf is 0 and every cdf 1, with nothing dropped;
+        # a product query evaluates the one index that gives it exactly
         params = EnsembleParams(n, v)
+        for stat, index in ((Statistic.MAX_SQ, n), (Statistic.MIN_SQ, 1)):
+            window = _window_tails(params, 1e308, stat)
+            assert window.first == index and window.log_sf.shape == (1,)
+            assert window.truncation_bound == 0.0 and window.failure is None
         tails = index_tails(params, 1e308)
         assert np.all(tails.log_sf == -math.inf) and np.all(tails.log_cdf == 0.0)
         assert tails.failure is None and tails.stop == 0 and tails.truncation_bound == 0.0

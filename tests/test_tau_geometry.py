@@ -16,7 +16,7 @@ from chiral_ldp.tau_geometry import (
     tau_second,
     u,
 )
-from oracles import bisect_minimizer
+from oracles import bisect_minimizer, minimizer_oracle
 
 
 class TestU:
@@ -98,6 +98,16 @@ class TestMinimizer:
             got = minimizer_xj(TauParams(j=j, v=v))
             ref = bisect_minimizer(j, v)
             assert got == pytest.approx(ref, rel=1e-10)
+
+    def test_closed_form_matches_the_high_precision_oracle(self):
+        """The cubic's closed-form root against a 40-digit bisection of
+        tau_j', over j from 1 to 1e12 and v from 1e-6 to 1e100."""
+        worst = 0.0
+        for j in (1, 2, 5, 50, 10**3, 10**6, 10**9, 10**12):
+            for v in (1e-6, 1e-3, 1.0, 30.0, 1e4, 1e9, 1e15, 1e100):
+                ref = minimizer_oracle(j, v)
+                worst = max(worst, abs(minimizer_xj(TauParams(j=j, v=v)) - ref) / ref)
+        assert worst <= 1e-15
 
     def test_bracket_invariant_grid(self):
         """The analytic enclosure holds for every j <= 200, v in {1,10,100,1000}."""

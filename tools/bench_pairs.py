@@ -20,10 +20,11 @@ and per workload and end-to-end metric:
 * ``bounds``: the change's median relative to the parent's, and whether it
   is worse by more than the metric's ``BENCHMARK.json`` bound.
 
-A good run exits 0 and reports ``correct: true``.  Other runs, and runs
-stopped after ``RUN_TIMEOUT_S`` seconds (recorded with a null return code),
-stay out of every statistic and are listed under ``failed``; the file is
-written whatever the number of good runs.
+A good run exits 0 and reports ``correct: true``.  Other runs, runs whose
+last stdout line is not a result (recorded with the tail of their stderr
+and a note), and runs stopped after ``RUN_TIMEOUT_S`` seconds (recorded
+with a null return code), stay out of every statistic and are listed under
+``failed``; the file is written whatever the number of good runs.
 """
 
 from __future__ import annotations
@@ -89,8 +90,15 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     except (IndexError, json.JSONDecodeError):
         record["stderr"] = done.stderr[-2000:]
         return record
-    record["correct"] = result["correct"]
-    record["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
+    try:
+        metrics = {name: m["value"] for name, m in result["metrics"].items()}
+        correct = result["correct"]
+    except (TypeError, KeyError, AttributeError):
+        record["stderr"] = done.stderr[-2000:]
+        record["note"] = "the last stdout line is JSON but not a result"
+        return record
+    record["correct"] = correct
+    record["metrics"] = metrics
     return record
 
 
