@@ -30,7 +30,7 @@ from ._quad import QuadratureError
 from .asymptotics_lab import THEOREM_TAGS, THEOREMS, clt_check, converge_table
 from .core_types import Direction, EnsembleParams, Statistic, TailQuery, check_alpha
 from .exact_dist import _tally, _Tally, _window_tails, log_prob_from_tails
-from .sampler import MatrixProbeConfig, _ks_index, _ks_max, matrix_probe_extremes, sample_yj
+from .sampler import MatrixProbeConfig, _ks, matrix_probe_extremes, sample_yj
 from .verification import all_passed, run_checks
 
 SCHEMA_VERSION = "1"
@@ -209,7 +209,7 @@ def _cmd_sample(args) -> _Result:
         ]
         diags.append("t denotes 2nY_j")
     elif args.ks:
-        ks, tails = _ks_index(params_obj, args.j, batch.values)
+        ks, tails = _ks(params_obj, batch.values, args.j)
         rows = [{"count": args.count, "ks": ks}]
         diags.append(_ladder_note(tails))
     else:
@@ -239,7 +239,7 @@ def _cmd_matrix(args) -> _Result:
             }
         ]
     elif args.ks:
-        ks, tails = _ks_max(params_obj, out["max"])
+        ks, tails = _ks(params_obj, out["max"], Statistic.MAX_SQ)
         rows = [{"count": args.count, "ks": ks, "resample_count": resample_count}]
         diags.append(_ladder_note(tails))
     else:

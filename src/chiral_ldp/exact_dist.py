@@ -64,13 +64,14 @@ about 7400 indices, a tail far from the bulk a few hundred.
 
 Batches.  The ladder runs over a 1-d array of thresholds at once, one row
 per threshold, with every choice above (increment form, reverse sum, stop)
-made per row and the index window shared; a single query is a batch of
-one.  Each row gets the same values as its threshold run alone.  A large
-batch, such as the sampler's KS statistics evaluating the exact cdf at every
-sample point (over every index, as :func:`index_tails` does), goes through
-one loop, :func:`_reduce_rows`: it cuts the thresholds into chunks of rows
-sized by the ladder's footprint per row and reduces each chunk to one value
-per threshold, so memory does not grow with the batch.
+made per row and the index window shared; each row gets the same values as
+its threshold run alone.  A single query is a batch of one threshold over
+its window (see :func:`_window_tails`, which :func:`index_tails` shares
+with the window 1..top).  A large batch, such as the sampler's KS
+statistics evaluating the exact cdf at every sample point over every index,
+goes through one loop, :func:`_reduce_rows`: it cuts the thresholds into
+chunks of rows sized by the ladder's footprint per row and reduces each
+chunk to one value per threshold, so memory does not grow with the batch.
 """
 
 from __future__ import annotations
@@ -147,9 +148,10 @@ class IndexTails(NamedTuple):
 
     The arrays hold the indices first, first+1, ...: all of 1..top from
     :func:`index_tails`, the window a query needs (see :func:`_window`)
-    elsewhere.  From a single threshold ``stop`` and ``truncation_bound``
-    are scalars; a batch of thresholds has one row per threshold and one
-    ``stop`` and bound per row.
+    elsewhere.  :func:`_window_tails`, behind :func:`index_tails` and every
+    single query, returns one threshold's tails, 1-d arrays with a scalar
+    ``stop`` and ``truncation_bound``; :func:`_tails_at` returns a batch,
+    one row per threshold and one ``stop`` and bound per row.
     """
 
     log_sf: np.ndarray  # log P(X_j >= x), j = first, first+1, ...
@@ -196,10 +198,6 @@ class _Rows(NamedTuple):
     log_mu: np.ndarray
     log_a: np.ndarray  # log kve(v), times p(v+1) in the paired form
     log_b: np.ndarray  # log kve(v+1), times p(v+2) in the paired form
-
-
-def _take(rows: _Rows, sel: np.ndarray) -> _Rows:
-    return _Rows(*(field[sel] for field in rows))
 
 
 def _kve_sums(t: np.ndarray, v: int) -> np.ndarray:
@@ -415,7 +413,8 @@ def _ladder_sums(
     log kve(k, t), log p(k) are both large; there kve(v) and kve(v+1) are
     carried paired with p(v+1) and p(v+2) (see :func:`_bessel`), and p(i+v)
     as a ratio to p(v+1), which leaves terms of size about mu instead.  The
-    form is chosen per row.  Past first = 1 the forward sums start at
+    form is chosen per row: the rows of each form run together, a batch of
+    one form whole, as views.  Past first = 1 the forward sums start at
     delta_{first-1} and leave out sf_{first-1} (see :func:`_window`).  The
     reverse sum is taken in the rows where sf_top > 1/2, the one case where
     some cdf is the smaller side, or in all rows when ``force_reverse`` asks
@@ -434,65 +433,37 @@ def _ladder_sums(
         np.ones(t.size, dtype=bool),
     )
     where = np.arange(t.size)
+    lo = max(first - 1, 1)  # the first increment summed
     with np.errstate(all="ignore"):
         log_k, log_kp = _bessel(t, v)
         paired = log_k[0] > t  # 2 mu = t
         split = paired.any() and not paired.all()
         for form in (False, True) if split else (bool(paired.all()),):
-            # a batch of one form is taken whole, as views
             sel = np.flatnonzero(paired == form) if split else slice(None)
-            consts = log_kp if form else (*log_k, log_kp[2])
-            _ladder_rows(
-                sums, where[sel], t[sel], v, first, top, form, force_reverse,
-                tuple(col[sel] for col in consts),
-            )
+            # log kve(v) and log kve(v+1), or the paired form's first two,
+            # and then log(kve(v+1) p(v))
+            log_a, log_b, log_c = (col[sel] for col in (log_kp if form else (*log_k, log_kp[2])))
+            mu = 0.5 * t[sel]
+            log_t, log_mu = np.log(t[sel]), np.log(mu)
+            rows = _Rows(*(col[:, None] for col in (mu, log_t, log_mu, log_a, log_b)))
+            steps = _log_delta(rows, v, form, lo, top)  # delta_lo .. delta_{top-1}
+            if first == 1:
+                # sf_1 = P(G_1 G_{v+1} >= s) = t kve(v+1) p(0) p(v)
+                lead, head = (log_t - mu + log_c)[:, None], steps
+            else:
+                lead, head = steps[:, :1], steps[:, 1:]
+            log_sf = np.logaddexp.accumulate(np.concatenate((lead, head), axis=1), axis=1)
+            sums.log_sf[sel] = log_sf
+            pending = force_reverse | (log_sf[:, -1] > -_LOG2)
+            if pending.any():
+                rev = slice(None) if pending.all() else np.flatnonzero(pending)
+                rows = _Rows(*(col[rev] for col in rows))
+                _reverse_sums(sums, where[sel][rev], rows, head[rev], v, top, form)
     return sums
 
 
-def _ladder_rows(
-    sums: _Sums,
-    where: np.ndarray,
-    t: np.ndarray,
-    v: int,
-    first: int,
-    top: int,
-    paired: bool,
-    force_reverse: bool,
-    bessel: tuple[np.ndarray, ...],
-) -> None:
-    """Fill rows ``where`` of ``sums``, all of one increment form.
-
-    ``bessel`` holds the rows' constants from :func:`_bessel` for that form:
-    log kve(v) and log kve(v+1), or the paired form's first two, and then
-    log(kve(v+1) p(v)).
-    """
-    mu = 0.5 * t
-    lo = max(first - 1, 1)  # the first increment summed
-    log_t, log_mu = np.log(t), np.log(mu)
-    log_a, log_b, log_c = bessel
-    rows = _Rows(*(col[:, None] for col in (mu, log_t, log_mu, log_a, log_b)))
-    steps = _log_delta(rows, v, paired, lo, top)  # delta_lo .. delta_{top-1}
-    if first == 1:
-        # sf_1 = P(G_1 G_{v+1} >= s) = t kve(v+1) p(0) p(v), log_c = log(kve(v+1) p(v))
-        lead, head = (log_t - mu + log_c)[:, None], steps
-    else:
-        lead, head = steps[:, :1], steps[:, 1:]
-    log_sf = np.logaddexp.accumulate(np.concatenate((lead, head), axis=1), axis=1)
-    sums.log_sf[where] = log_sf
-    pending = force_reverse | (log_sf[:, -1] > -_LOG2)
-    if pending.any():
-        sel = slice(None) if pending.all() else np.flatnonzero(pending)
-        _reverse_sums(sums, where[sel], _take(rows, sel), head[sel], v, top, paired)
-
-
 def _reverse_sums(
-    sums: _Sums,
-    where: np.ndarray,
-    rows: _Rows,
-    head: np.ndarray,
-    v: int,
-    top: int,
-    paired: bool,
+    sums: _Sums, where: np.ndarray, rows: _Rows, head: np.ndarray, v: int, top: int, paired: bool
 ) -> None:
     """Fill the reverse sums of rows ``where`` of ``sums``, given their
     constants and the increments from the window's first index to top-1
@@ -661,37 +632,27 @@ def _window(t: float, v: int, top: int, stat: Statistic) -> tuple[int, int, floa
     return 1, k + m - 1, math.exp(a - nats - m * g - 0.5 * e * m * (m - 1))
 
 
-def _one(tails: IndexTails, bound: float = 0.0) -> IndexTails:
-    """The single row of a one-threshold :class:`IndexTails`, ``bound``
-    added to its truncation bound."""
-    return IndexTails(
-        tails.log_sf[0],
-        tails.log_cdf[0],
-        tails.cdf_direct[0],
-        int(tails.stop[0]),
-        float(tails.truncation_bound[0]) + bound,
-        tails.failure,
-        tails.first,
-    )
-
-
 def index_tails(params: EnsembleParams, x: float, top: int | None = None) -> IndexTails:
     """Tails of X_1 .. X_top at level x (top defaults to n), unchecked:
     ``failure`` says whether they can be trusted."""
     top = params.n if top is None else check_index(params, top)
-    return _one(_tails_at(np.array([_threshold(params, x)]), params.v, top))
+    return _window_tails(params, x, None, top)
 
 
 def _window_tails(
-    params: EnsembleParams, x: float, stat: Statistic, top: int | None = None
+    params: EnsembleParams, x: float, stat: Statistic | None, top: int | None = None
 ) -> IndexTails:
     """Tails at level x over the window of 1..top (top defaults to n) that
-    a product over ``stat``'s side needs, unchecked, with the window's bound
-    in ``truncation_bound``."""
+    a product over ``stat``'s side needs, all of 1..top when ``stat`` is
+    None, unchecked, with the window's bound added to ``truncation_bound``."""
     top = params.n if top is None else top
     t = _threshold(params, x)
-    first, last, bound = _window(t, params.v, top, stat)
-    return _one(_tails_at(np.array([t]), params.v, last, first), bound)
+    first, last, bound = (1, top, 0.0) if stat is None else _window(t, params.v, top, stat)
+    tails = _tails_at(np.array([t]), params.v, last, first)
+    return tails._replace(
+        log_sf=tails.log_sf[0], log_cdf=tails.log_cdf[0], cdf_direct=tails.cdf_direct[0],
+        stop=int(tails.stop[0]), truncation_bound=float(tails.truncation_bound[0]) + bound,
+    )
 
 
 def log_sf_index(params: EnsembleParams, j: int, x: float) -> float:

@@ -25,7 +25,9 @@ no earlier round accepted, so a draw costs about one round, not 24.  The
 probe draws its replicates in row blocks the same way.
 
 :func:`ks_statistic`, :func:`ks_statistic_max` and :func:`ks_statistic_min`
-compare a sample with its exact law.  They evaluate the exact cdf at every
+compare a sample with its exact law through one helper, :func:`_ks`, which
+the command line's ``sample --ks`` and ``matrix --ks`` call too.  It
+evaluates the exact cdf (cdf_j, prod_j cdf_j or 1 - prod_j sf_j) at every
 sample point by the gamma-shape ladder (:mod:`chiral_ldp.exact_dist`), so
 the distance is exact, not interpolated from a grid.  The points pass
 through the exact layer's one chunk loop (:func:`exact_dist._reduce_rows`),
@@ -40,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_types import EnsembleParams, check_index, derived_scales
-from .exact_dist import _CHUNK_ELEMENTS, _checked, _reduce_rows, _Tally
+from .core_types import EnsembleParams, Statistic, check_index, derived_scales
+from .exact_dist import _CHUNK_ELEMENTS, IndexTails, _checked, _reduce_rows, _Tally
 
 __all__ = [
     "SampleBatch",
@@ -274,10 +276,21 @@ def matrix_probe_extremes(
     }
 
 
-def _sorted_thresholds(name: str, values: np.ndarray, scale: float) -> np.ndarray:
-    """``values`` sorted and times ``scale``, once checked to be a nonempty
-    1-d array of finite values > 0; a product that overflows is inf, a
-    threshold the ladder meets with its exact limits."""
+def _ks(params: EnsembleParams, values: np.ndarray, law: int | Statistic) -> tuple[float, _Tally]:
+    """Kolmogorov-Smirnov distance of a sample from its exact law, and a
+    tally of the ladder it was computed from.
+
+    ``law`` is an index j for a ``Y_j`` sample, whose cdf is cdf_j, or the
+    statistic of a sample of scaled maxima, prod_j cdf_j, or minima,
+    1 - prod_j sf_j.  The values, once checked to be a nonempty 1-d array
+    of finite values > 0, are sorted and scaled to the t scale; a product
+    that overflows is inf, a threshold the ladder meets with its exact
+    limits.
+    """
+    if isinstance(law, Statistic):
+        name, top, scale = "x_values", params.n, derived_scales(params).c
+    else:
+        name, top, scale = "y_values", check_index(params, law), 2.0 * params.n
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d array, got shape {arr.shape}")
@@ -287,42 +300,20 @@ def _sorted_thresholds(name: str, values: np.ndarray, scale: float) -> np.ndarra
             f"{name} must be finite and > 0, got {name}[{bad[0]}] = {float(arr[bad[0]])!r}"
         )
     with np.errstate(over="ignore"):
-        return np.sort(arr) * scale
+        t = np.sort(arr) * scale
 
+    def keep(tails: IndexTails) -> np.ndarray:  # the log of cdf_j, prod_j cdf_j or prod_j sf_j
+        if law is Statistic.MIN_SQ:
+            return np.sum(tails.log_sf, axis=1)
+        if law is Statistic.MAX_SQ:
+            return np.sum(tails.log_cdf, axis=1)
+        return tails.log_cdf[:, -1]
 
-def _ks_distance(cdf: np.ndarray) -> float:
-    """Kolmogorov-Smirnov distance of a sorted sample whose exact cdf values
-    at the sample points are ``cdf``."""
+    kept, tally = _reduce_rows(t, params.v, top, keep)
+    cdf = -np.expm1(kept) if law is Statistic.MIN_SQ else np.exp(kept)
     k = np.arange(1, cdf.size + 1)
-    d_plus = np.max(k / cdf.size - cdf)
-    d_minus = np.max(cdf - (k - 1) / cdf.size)
-    return float(max(d_plus, d_minus))
-
-
-def _ks_index(params: EnsembleParams, j: int, y_values: np.ndarray) -> tuple[float, _Tally]:
-    """:func:`ks_statistic` and a tally of the ladder it was computed from."""
-    top = check_index(params, j)
-    t = _sorted_thresholds("y_values", y_values, 2.0 * params.n)
-    log_cdf, tally = _reduce_rows(t, params.v, top, lambda tails: tails.log_cdf[:, -1])
-    return _checked(_ks_distance(np.exp(log_cdf)), tally), tally
-
-
-def _ks_max(params: EnsembleParams, x_values: np.ndarray) -> tuple[float, _Tally]:
-    """:func:`ks_statistic_max` and a tally of the ladder it was computed from."""
-    t = _sorted_thresholds("x_values", x_values, derived_scales(params).c)
-    log_cdf, tally = _reduce_rows(
-        t, params.v, params.n, lambda tails: np.sum(tails.log_cdf, axis=1)
-    )
-    return _checked(_ks_distance(np.exp(log_cdf)), tally), tally
-
-
-def _ks_min(params: EnsembleParams, x_values: np.ndarray) -> tuple[float, _Tally]:
-    """:func:`ks_statistic_min` and a tally of the ladder it was computed from."""
-    t = _sorted_thresholds("x_values", x_values, derived_scales(params).c)
-    log_sf, tally = _reduce_rows(
-        t, params.v, params.n, lambda tails: np.sum(tails.log_sf, axis=1)
-    )
-    return _checked(_ks_distance(-np.expm1(log_sf)), tally), tally
+    distance = max(np.max(k / cdf.size - cdf), np.max(cdf - (k - 1) / cdf.size))
+    return _checked(float(distance), tally), tally
 
 
 def ks_statistic(
@@ -338,7 +329,7 @@ def ks_statistic(
     1-d array of finite values > 0, and :class:`QuadratureError` when the
     ladder fails at some point.
     """
-    return _ks_index(params, j, y_values)[0]
+    return _ks(params, y_values, j)[0]
 
 
 def ks_statistic_max(
@@ -352,7 +343,7 @@ def ks_statistic_max(
     the gamma-shape ladder, so the distance is exact, not interpolated.
     Input checks and failures as in :func:`ks_statistic`.
     """
-    return _ks_max(params, x_values)[0]
+    return _ks(params, x_values, Statistic.MAX_SQ)[0]
 
 
 def ks_statistic_min(
@@ -366,4 +357,4 @@ def ks_statistic_min(
     ``-expm1(sum_j log P(X_j >= x))``, is taken at every sample point by the
     gamma-shape ladder.  Input checks and failures as in :func:`ks_statistic`.
     """
-    return _ks_min(params, x_values)[0]
+    return _ks(params, x_values, Statistic.MIN_SQ)[0]

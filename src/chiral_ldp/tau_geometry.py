@@ -117,7 +117,8 @@ def minimizer_xj_array(j, v: float) -> np.ndarray:
     s = b (1 + q + 1/q) with b = (v+2j-3/2)/(3v), r = 1/(4 v b^3) and
     q = cbrt(1 + r + sqrt(r (2+r))), has only positive terms (b^3 overflowing
     just sends r to 0).  Then s - 1 = (2j-3/2)/v + 1/(2 v s^2) and
-    x_j = sqrt((s-1)(s+1)) follow without cancellation.
+    x_j = sqrt(s-1) sqrt(s+1) follow without cancellation, and without the
+    product (s-1)(s+1) overflowing at tiny v.
     """
     j = np.atleast_1d(np.asarray(j, dtype=float))
     if np.any(j < 1.0):
@@ -130,7 +131,7 @@ def minimizer_xj_array(j, v: float) -> np.ndarray:
     q = np.cbrt(1.0 + r + np.sqrt(r * (2.0 + r)))
     s = b * (1.0 + q + 1.0 / q)
     s_m1 = (2.0 * j - 1.5) / v + 1.0 / (2.0 * v * s * s)
-    return np.sqrt(s_m1 * (s + 1.0))
+    return np.sqrt(s_m1) * np.sqrt(s + 1.0)
 
 
 def minimizer_xj(params: TauParams) -> float:

@@ -33,6 +33,18 @@ import mpmath as mp
 import numpy as np
 
 
+def _quad(f, points):
+    """mp.quad of f over the breakpoints ``points``, at the working
+    precision; raises when mpmath's own error estimate exceeds 1e-12 of the
+    value, so an oracle that has not converged cannot pin a test value."""
+    value, error = mp.quad(f, points, error=True)
+    if not error <= 1e-12 * abs(value):
+        raise ArithmeticError(
+            f"quadrature error estimate {mp.nstr(error, 3)} against value {mp.nstr(value, 3)}"
+        )
+    return value
+
+
 def log_kv_oracle(v: float, x: float, dps: int = 30) -> float:
     """log K_v(x) by tanh-sinh quadrature of exp(-x cosh t) cosh(v t).
 
@@ -63,7 +75,7 @@ def log_kv_oracle(v: float, x: float, dps: int = 30) -> float:
             corr = (1 + mp.exp(-2 * v_ * t)) / 2 if v > 0 else mp.mpf(1)
             return mp.exp(-x_ * mp.cosh(t) + v_ * t - c) * corr
 
-        val = mp.quad(g, [lo, (lo + t0) / 2, t0, (t0 + hi) / 2, hi])
+        val = _quad(g, [lo, (lo + t0) / 2, t0, (t0 + hi) / 2, hi])
         return float(c + mp.log(val))
 
 
@@ -106,7 +118,7 @@ def index_cdf_oracle(n: int, v: int, j: int, x: float, dps: int = 25) -> float:
         mode = mp.mpf(max(2 * j + v - mp.mpf("1.5"), mp.mpf("0.5")))
         hi = c * mp.mpf(x)
         pts = sorted({mp.mpf(0), min(mode, hi), hi})
-        return float(mp.quad(f, pts))
+        return float(_quad(f, pts))
 
 
 def gamma_product_tail_oracle(
@@ -133,7 +145,7 @@ def gamma_product_tail_oracle(
 
         # the product's mass sits near g ~ j and g ~ s / (j+v)
         pts = sorted({mp.mpf(0), a, s / b, 4 * a + 40, mp.inf})
-        return float(mp.quad(f, pts))
+        return float(_quad(f, pts))
 
 
 def gamma_tail_log(a: float, b: float, upper: bool, dps: int = 30) -> float:
@@ -238,7 +250,7 @@ def tau_integral_log(
             return mp.exp(-v_ * tau_mp(y) - c)
 
         pts = sorted({lo_, anchor, (anchor + hi_) / 2, hi_})
-        return float(c + mp.log(mp.quad(g, pts)))
+        return float(c + mp.log(_quad(g, pts)))
 
 
 def ks_critical(count: int, level: float = 0.001) -> float:

@@ -6,6 +6,7 @@ import importlib.util
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -94,3 +95,15 @@ def test_a_last_line_that_is_not_a_result_is_a_failed_run(monkeypatch, tmp_path,
     summary, pairs, _ = bench_pairs._report(runs, ["w"], METRICS)
     assert summary["w"]["change"]["wall_s"]["runs"] == 0
     assert pairs["w"]["wall_s"]["pairs"] == 0
+
+
+@pytest.mark.parametrize("setting", [None, "1"], ids=["unset", "set"])
+def test_host_names_the_bytecode_setting_and_numpy(monkeypatch, setting):
+    if setting is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", setting)
+    host = bench_pairs._host()
+    assert host["PYTHONDONTWRITEBYTECODE"] == setting
+    assert host["numpy"] == np.__version__
+    assert set(host) == {"cpus", "machine", "python", "numpy", "PYTHONDONTWRITEBYTECODE"}

@@ -173,6 +173,19 @@ class TestLadderOracles:
         assert math.exp(log_sf_index(params, j, x)) == pytest.approx(sf, rel=1e-11)
         assert math.exp(log_cdf_index(params, j, x)) == pytest.approx(cdf, rel=1e-11)
 
+    def test_gamma_product_oracle_refuses_an_unconverged_quadrature(self):
+        """At 30 digits the deep sf at (1000, 10, 500, 0.7) carries a
+        quadrature error estimate of 3.8e-4 of its value (log P off by 6e-6):
+        the oracle raises rather than pin it.  At 50 digits it converges and
+        agrees with the ladder."""
+        n, v, j, x = 1000, 10, 500, 0.7
+        with pytest.raises(ArithmeticError, match="quadrature error estimate"):
+            gamma_product_tail_oracle(n, v, j, x, upper=True, dps=30)
+        sf = gamma_product_tail_oracle(n, v, j, x, upper=True, dps=50)
+        got = log_sf_index(EnsembleParams(n, v), j, x)
+        assert got == pytest.approx(-65.80480331112057, abs=1e-13)
+        assert math.log(sf) == pytest.approx(got, abs=1e-12)
+
 
 class TestTrapezoidK:
     """kve(0|1, t) = e^t K_{0|1}(t) from the trapezoid rule at v = 0, where

@@ -17,7 +17,7 @@ import pytest
 import chiral_ldp.exact_dist as exact_dist
 import chiral_ldp.sampler as sampler
 from chiral_ldp._quad import QuadratureError
-from chiral_ldp.core_types import EnsembleParams, derived_scales
+from chiral_ldp.core_types import EnsembleParams, Statistic, derived_scales
 from chiral_ldp.exact_dist import _tails_at, log_prob_max_le, log_prob_min_le
 from chiral_ldp.sampler import (
     MatrixProbeConfig,
@@ -293,15 +293,15 @@ class TestKsMaxBlocks:
         probe = self._probe(params, 400)
         y = sample_yj(params, params.n, seed=7, count=400).values
         whole = (
-            sampler._ks_max(params, probe["max"]),
-            sampler._ks_min(params, probe["min"]),
-            sampler._ks_index(params, params.n, y),
+            sampler._ks(params, probe["max"], Statistic.MAX_SQ),
+            sampler._ks(params, probe["min"], Statistic.MIN_SQ),
+            sampler._ks(params, y, params.n),
         )
         chunks = self._fifty_point_chunks(monkeypatch, params)
         # statistic and tally, bit for bit
-        assert sampler._ks_max(params, probe["max"]) == whole[0]
-        assert sampler._ks_min(params, probe["min"]) == whole[1]
-        assert sampler._ks_index(params, params.n, y) == whole[2]
+        assert sampler._ks(params, probe["max"], Statistic.MAX_SQ) == whole[0]
+        assert sampler._ks(params, probe["min"], Statistic.MIN_SQ) == whole[1]
+        assert sampler._ks(params, y, params.n) == whole[2]
         assert chunks == [50] * 24
 
     def test_failure_names_the_first_failing_point(self, monkeypatch):

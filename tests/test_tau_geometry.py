@@ -1,6 +1,7 @@
 """The exponent tau_j, its minimizer, and the kappa parametrization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,15 @@ class TestMinimizer:
                 ref = minimizer_oracle(j, v)
                 worst = max(worst, abs(minimizer_xj(TauParams(j=j, v=v)) - ref) / ref)
         assert worst <= 1e-15
+
+    @pytest.mark.parametrize("v", [1e-160, 1e-300])
+    def test_tiny_order_does_not_overflow(self, v):
+        """At v = 1e-160 the product (s-1)(s+1) is about 1e320; x_j is not."""
+        ref = minimizer_oracle(1, v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = minimizer_xj(TauParams(j=1, v=v))
+        assert abs(got - ref) <= 1e-15 * ref
 
     def test_bracket_invariant_grid(self):
         """The analytic enclosure holds for every j <= 200, v in {1,10,100,1000}."""

@@ -20,6 +20,9 @@ and per workload and end-to-end metric:
 * ``bounds``: the change's median relative to the parent's, and whether it
   is worse by more than the metric's ``BENCHMARK.json`` bound.
 
+The ``host`` block names what else the timings depend on: cpus, machine,
+python and numpy versions, and the ``PYTHONDONTWRITEBYTECODE`` setting.
+
 A good run exits 0 and reports ``correct: true``.  Other runs, runs whose
 last stdout line is not a result (recorded with the tail of their stderr
 and a note), and runs stopped after ``RUN_TIMEOUT_S`` seconds (recorded
@@ -30,6 +33,7 @@ with a null return code), stay out of every statistic and are listed under
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import platform
@@ -100,6 +104,19 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     record["correct"] = correct
     record["metrics"] = metrics
     return record
+
+
+def _host() -> dict:
+    """What the runs' timings depend on besides the code.  With
+    ``PYTHONDONTWRITEBYTECODE`` set (null when unset) every fresh process
+    compiles the package from source, which moves ``setup_s``."""
+    return {
+        "cpus": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+    }
 
 
 def _good(run: dict) -> bool:
@@ -202,11 +219,7 @@ def main(argv: list[str] | None = None) -> int:
             "says whether the change's median is worse than the parent's by more than the "
             "BENCHMARK.json bound, relative to the parent's median."
         ),
-        "host": {
-            "cpus": os.cpu_count(),
-            "machine": platform.machine(),
-            "python": platform.python_version(),
-        },
+        "host": _host(),
         "parent": trees["parent"][1],
         "change": trees["change"][1],
         "summary": summary,
