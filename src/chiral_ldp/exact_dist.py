@@ -443,8 +443,9 @@ def _ladder_sums(
             # log kve(v) and log kve(v+1), or the paired form's first two,
             # and then log(kve(v+1) p(v))
             log_a, log_b, log_c = (col[sel] for col in (log_kp if form else (*log_k, log_kp[2])))
-            mu = 0.5 * t[sel]
-            log_t, log_mu = np.log(t[sel]), np.log(mu)
+            ts = t[sel]
+            mu = 0.5 * ts
+            log_t, log_mu = np.log(ts), np.log(mu)
             rows = _Rows(*(col[:, None] for col in (mu, log_t, log_mu, log_a, log_b)))
             steps = _log_delta(rows, v, form, lo, top)  # delta_lo .. delta_{top-1}
             if first == 1:
@@ -649,9 +650,9 @@ def _window_tails(
     t = _threshold(params, x)
     first, last, bound = (1, top, 0.0) if stat is None else _window(t, params.v, top, stat)
     tails = _tails_at(np.array([t]), params.v, last, first)
-    return tails._replace(
-        log_sf=tails.log_sf[0], log_cdf=tails.log_cdf[0], cdf_direct=tails.cdf_direct[0],
-        stop=int(tails.stop[0]), truncation_bound=float(tails.truncation_bound[0]) + bound,
+    return IndexTails(
+        tails.log_sf[0], tails.log_cdf[0], tails.cdf_direct[0], int(tails.stop[0]),
+        float(tails.truncation_bound[0]) + bound, tails.failure, first,
     )
 
 
