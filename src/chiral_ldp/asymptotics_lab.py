@@ -453,22 +453,6 @@ def converge_table(
     return [_row(record, nn, vv, level) for nn, vv in pairs]
 
 
-def clt_default_levels(
-    params: EnsembleParams, g_args: tuple[float, ...] = (0.0, 2.0)
-) -> list[float]:
-    """Deviation levels y whose limiting Gumbel argument equals each g.
-
-    Inverts g = sqrt(log s) (2 sqrt(s) y - a(s)) at the finite-n scale s,
-    with the self-consistent centering (the display form's constant leaves
-    an O(1) gap against the exact tail; see centering_a_consistent).
-    """
-    s = derived_scales(params).s
-    if s <= math.e:
-        raise ValueError("centering undefined: need s > e")
-    a = centering_a_consistent(s)
-    return [(g / math.sqrt(math.log(s)) + a) / (2.0 * math.sqrt(s)) for g in g_args]
-
-
 def clt_check(
     n: int,
     v: int,
@@ -476,21 +460,26 @@ def clt_check(
 ) -> list[CltRow]:
     """Exact P(max >= 1+y) against the limiting Gumbel upper tail.
 
-    Default levels are the ones whose limiting argument is 0 and 2, where
-    the limit law puts its bulk.  The primary target uses the
-    self-consistent centering; the published display form is reported
-    beside it per row as target_display.
+    The default levels are the two y whose limiting Gumbel argument
+    g = sqrt(log s) (2 sqrt(s) y - a(s)) is 0 and 2, where the limit law
+    puts its bulk: y = (g / sqrt(log s) + a(s)) / (2 sqrt(s)) at the
+    finite-n scale s, with the self-consistent centering a(s) (the display
+    form's constant leaves an O(1) gap against the exact tail; see
+    centering_a_consistent).  That centering is the primary target; the
+    published display form is reported beside it per row as
+    target_display.  Raises ``ValueError`` unless s > e.
     """
     params = EnsembleParams(n=n, v=v)
     scales = derived_scales(params)
     if scales.s <= math.e:
         raise ValueError("centering undefined: need s > e")
-    ys = clt_default_levels(params) if y_grid is None else list(y_grid)
     a = centering_a_consistent(scales.s)
-    a_disp = centering_a(scales.s)
     sqrt_log_s = math.sqrt(math.log(scales.s))
+    if y_grid is None:
+        y_grid = [(g / sqrt_log_s + a) / (2.0 * math.sqrt(scales.s)) for g in (0.0, 2.0)]
+    a_disp = centering_a(scales.s)
     rows = []
-    for y in ys:
+    for y in y_grid:
         spread = 2.0 * math.sqrt(scales.s) * y
         g = sqrt_log_s * (spread - a)
         g_disp = sqrt_log_s * (spread - a_disp)

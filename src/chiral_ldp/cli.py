@@ -4,15 +4,15 @@ Subcommands: ``rate`` (rate-function evaluation), ``prob`` (exact tail
 log-probabilities), ``sample`` / ``matrix`` (the two sampling routes),
 ``converge`` (limit-theorem experiments), ``verify`` (invariant suites).
 
-Handlers return rows, notes and an exit code; :func:`main` builds the
-record, echoing the parser's options as its parameters.  Default output
-is CSV on stdout with diagnostics on stderr; ``--format json`` emits one
-structured record instead (schema shipped at ``data/output_schema.json``).
-Floats are printed with 17 significant digits so every value round-trips
-losslessly.  Exit codes: 0 success, 1 verification failure, 2 usage or
-guard violation, 3 numeric failure: a non-finite Bessel or ladder value,
-or a reverse ladder sum that did not converge, reported with the partial
-estimate on stderr.
+Handlers return rows, notes and an exit code; :func:`main` hands them, with
+the command and the parser's options as its parameters, to the CSV or the
+JSON writer.  Default output is CSV on stdout with diagnostics on stderr;
+``--format json`` emits one structured record instead (schema shipped at
+``data/output_schema.json``).  Floats are printed with 17 significant
+digits so every value round-trips losslessly.  Exit codes: 0 success, 1
+verification failure, 2 usage or guard violation, 3 numeric failure: a
+non-finite Bessel or ladder value, or a reverse ladder sum that did not
+converge, reported by every command with the partial estimate on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -44,16 +44,6 @@ _NOT_PARAMETERS = ("subcommand", "handler", "format", "summary", "ks")
 _Result = tuple[list[dict], list[str], int]  # rows, diagnostics, exit code
 
 
-@dataclass
-class OutputRecord:
-    """One command's structured output: echo, rows, and side notes."""
-
-    command: str
-    parameters: dict
-    results: list[dict]
-    diagnostics: list[str] = field(default_factory=list)
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -64,16 +54,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit_csv(record: OutputRecord, out: TextIO, err: TextIO) -> None:
-    echo = " ".join(f"{k}={_fmt(v)}" for k, v in record.parameters.items())
-    err.write(f"# {record.command} {echo}\n")
-    for line in record.diagnostics:
+def _emit_csv(
+    command: str, parameters: dict, rows: list[dict], notes: list[str], out: TextIO, err: TextIO
+) -> None:
+    echo = " ".join(f"{k}={_fmt(v)}" for k, v in parameters.items())
+    err.write(f"# {command} {echo}\n")
+    for line in notes:
         err.write(f"# {line}\n")
     writer = csv.writer(out, lineterminator="\n")
-    if record.results:
-        header = list(record.results[0].keys()) + ["schema_version"]
+    if rows:
+        header = list(rows[0].keys()) + ["schema_version"]
         writer.writerow(header)
-        for row in record.results:
+        for row in rows:
             writer.writerow([_fmt(row[k]) for k in header[:-1]] + [SCHEMA_VERSION])
 
 
@@ -93,25 +85,20 @@ def _json_object(mapping: dict) -> str:
     return "{" + inner + "}"
 
 
-def _emit_json(record: OutputRecord, out: TextIO) -> None:
-    rows = ", ".join(_json_object(r) for r in record.results)
-    notes = ", ".join(_json_scalar(d) for d in record.diagnostics)
+def _emit_json(
+    command: str, parameters: dict, rows: list[dict], notes: list[str], out: TextIO
+) -> None:
+    results = ", ".join(_json_object(r) for r in rows)
+    diagnostics = ", ".join(_json_scalar(d) for d in notes)
     out.write(
         "{"
         f'"schema_version": "{SCHEMA_VERSION}", '
-        f'"command": {_json_scalar(record.command)}, '
-        f'"parameters": {_json_object(record.parameters)}, '
-        f'"results": [{rows}], '
-        f'"diagnostics": [{notes}]'
+        f'"command": {_json_scalar(command)}, '
+        f'"parameters": {_json_object(parameters)}, '
+        f'"results": [{results}], '
+        f'"diagnostics": [{diagnostics}]'
         "}\n"
     )
-
-
-def _emit(record: OutputRecord, fmt: str, out: TextIO, err: TextIO) -> None:
-    if fmt == "json":
-        _emit_json(record, out)
-    else:
-        _emit_csv(record, out, err)
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -164,6 +151,14 @@ def _ladder_note(tally: _Tally) -> str:
     return note
 
 
+def _failure_notes(exc: QuadratureError) -> list[str]:
+    """The numeric failure's cause, then its partial estimate when it has one."""
+    notes = [f"numeric failure: {exc}"]
+    if exc.partial is not None and exc.rel_err is not None:
+        notes.append(f"partial estimate {exc.partial:.17g} with relative error {exc.rel_err:.3e}")
+    return notes
+
+
 def _cmd_prob(args) -> _Result:
     query = TailQuery(Statistic(args.stat), Direction(args.side), args.x)
     tails = _window_tails(EnsembleParams(args.n, args.v), args.x, query.statistic)
@@ -172,12 +167,8 @@ def _cmd_prob(args) -> _Result:
     try:
         lp = log_prob_from_tails(tails, query)
     except QuadratureError as exc:
-        diags.append(f"numeric failure: {exc}")
+        diags += _failure_notes(exc)
         code, lp = 3, exc.partial
-        if exc.partial is not None and exc.rel_err is not None:
-            diags.append(
-                f"partial estimate {exc.partial:.17g} with relative error {exc.rel_err:.3e}"
-            )
     else:
         probability = math.exp(lp) if lp > -745.0 else 0.0
         if lp == -math.inf:
@@ -418,10 +409,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        print("\n".join(_failure_notes(exc)), file=sys.stderr)
         return 3
-    record = OutputRecord(args.subcommand, _echo(args), rows, diags)
-    _emit(record, args.format, sys.stdout, sys.stderr)
+    if args.format == "json":
+        _emit_json(args.subcommand, _echo(args), rows, diags, sys.stdout)
+    else:
+        _emit_csv(args.subcommand, _echo(args), rows, diags, sys.stdout, sys.stderr)
     return code
 
 

@@ -193,8 +193,6 @@ def mdp_max_right_const(alpha) -> float:
     """Coefficient of x^2 in the max upper moderate tail (speed n l^2):
     2(1+alpha)/(2+alpha); 1 at alpha=0, 2 at infinity."""
     a = check_alpha(alpha)
-    if a == 0.0:
-        return 1.0
     if math.isinf(a):
         return 2.0
     return 2.0 * (1.0 + a) / (2.0 + a)
@@ -205,8 +203,6 @@ def mdp_max_left_const(alpha) -> float:
     4(1+alpha)^2/(3(2+alpha)^2); 1/3 at alpha=0, 4/3 at infinity.  Evaluated
     as 4/3 ((1+alpha)/(2+alpha))^2, which does not overflow for huge alpha."""
     a = check_alpha(alpha)
-    if a == 0.0:
-        return 1.0 / 3.0
     if math.isinf(a):
         return 4.0 / 3.0
     return 4.0 / 3.0 * ((1.0 + a) / (2.0 + a)) ** 2

@@ -18,11 +18,11 @@ gamma sampler is pinned (Marsaglia-Tsang with a fixed rejection budget and
 Box-Muller normals) instead of delegating to ``Generator.gamma`` so that
 values are stable across numpy versions; Philox is used purely as a
 counter-based uniform source.  Each replicate owns a fixed slab of uniforms
-(144 for a ``Y_j``: 24 rounds of 3 per gamma, two gammas), drawn in row
-blocks by consecutive calls on one generator, which yield the same stream as
-one call.  Rejection rounds are evaluated lazily: round r only for the rows
-no earlier round accepted, so a draw costs about one round, not 24.  The
-probe draws its replicates in row blocks the same way.
+(144 for a ``Y_j``: 24 rounds of 3 per gamma, two gammas), and both
+routes draw their rows through one block generator, :func:`_uniform_blocks`,
+whose consecutive calls on one generator yield the same stream as one call.
+Rejection rounds are evaluated lazily: round r only for the rows no earlier
+round accepted, so a draw costs about one round, not 24.
 
 :func:`ks_statistic`, :func:`ks_statistic_max` and :func:`ks_statistic_min`
 compare a sample with its exact law through one helper, :func:`_ks`, which
@@ -98,18 +98,22 @@ class MatrixProbeConfig:
             raise ValueError("matrix probe is limited to n <= 64")
 
 
-def _uniform_stream(seed: int, stream: int) -> np.random.Generator:
-    """A Philox generator of counter-based uniforms in [0, 1), keyed by
-    (seed, stream).
+def _uniform_blocks(seed: int, stream: int, count: int, shape: tuple[int, ...]):
+    """``count`` rows of the given shape of counter-based uniforms in [0, 1)
+    from a Philox generator keyed by (seed, stream), yielded as (first row,
+    block) in consecutive blocks of at most ``_CHUNK_ELEMENTS`` uniforms (at
+    least one row each).
 
     ``random`` fills in C order and consecutive calls continue one stream,
-    so for a fixed row width row i is a pure function of (seed, stream, i)
-    however the rows are split into calls: prefixes of longer runs coincide.
+    so for a fixed row shape row i is a pure function of (seed, stream, i)
+    however the rows are split into blocks: prefixes of longer runs coincide.
     """
     if seed < 0 or stream < 0:
         raise ValueError("seed and stream must be nonnegative")
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    block = max(1, _CHUNK_ELEMENTS // math.prod(shape))
+    for start in range(0, count, block):
+        yield start, gen.random((min(block, count - start), *shape))
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,15 +177,11 @@ def sample_yj(
     check_index(params, j)
     if count < 1:
         raise ValueError("count must be positive")
-    gen = _uniform_stream(seed, j)
-    block = _CHUNK_ELEMENTS // (2 * _GAMMA_ROUNDS * 3)
     t = np.empty(count)
-    for start in range(0, count, block):
-        rows = min(block, count - start)
-        u = gen.random((rows, 2, _GAMMA_ROUNDS, 3))
+    for start, u in _uniform_blocks(seed, j, count, (2, _GAMMA_ROUNDS, 3)):
         ga = _gamma_from_uniforms(float(j), u[:, 0])
         gb = _gamma_from_uniforms(float(j + params.v), u[:, 1])
-        t[start : start + rows] = 2.0 * np.sqrt(ga * gb)
+        t[start : start + len(u)] = 2.0 * np.sqrt(ga * gb)
     return SampleBatch(seed=seed, stream=j, count=count, values=t / (2.0 * params.n))
 
 
@@ -254,21 +254,17 @@ def matrix_probe_extremes(
     n, v = params.n, params.v
     scales = derived_scales(params)
     per_rect = 2 * (n + v) * n
-    block = max(1, _CHUNK_ELEMENTS // (2 * per_rect))
-    gen = _uniform_stream(seed, _MATRIX_STREAM)
     top = np.empty(count)
     bottom = np.empty(count)
-    for start in range(0, count, block):
-        rows = min(block, count - start)
-        u = gen.random((rows, 2 * per_rect))
+    for start, u in _uniform_blocks(seed, _MATRIX_STREAM, count, (2 * per_rect,)):
         p = _complex_rect(u[:, :per_rect], n + v, n, 1.0 / (4.0 * n))
         q = _complex_rect(u[:, per_rect:], n + v, n, 1.0 / (4.0 * n))
         phi = p + q
         psi = p - q
         m = np.swapaxes(psi.conj(), 1, 2) @ phi
         mods = np.abs(np.linalg.eigvals(m))
-        top[start : start + rows] = mods.max(axis=1)
-        bottom[start : start + rows] = mods.min(axis=1)
+        top[start : start + len(u)] = mods.max(axis=1)
+        bottom[start : start + len(u)] = mods.min(axis=1)
     return {
         "max": scales.modulus_scale * top,
         "min": scales.modulus_scale * bottom,

@@ -14,7 +14,6 @@ from chiral_ldp.asymptotics_lab import (
     THEOREM_TAGS,
     RegimeError,
     clt_check,
-    clt_default_levels,
     converge_table,
     lemma_ma_sums,
     predict_log_cdf_bounded_v,
@@ -235,7 +234,5 @@ class TestCltCheck:
             assert r.abs_gap < r.abs_gap_display
 
     def test_small_scale_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need s > e"):
             clt_check(5, 0)
-        with pytest.raises(ValueError):
-            clt_default_levels(EnsembleParams(5, 0))

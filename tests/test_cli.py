@@ -315,6 +315,26 @@ class TestExitCodes:
             run_cli(["rate", "--which", "sideways", "--alpha", "0", "--x", "1.5"])
         assert exc_info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "5", "--v", "2", "--j", "3", "--count", "40", "--ks"],
+            ["matrix", "--n", "3", "--v", "1", "--count", "40", "--ks"],
+        ],
+    )
+    def test_ks_failure_reports_the_partial_estimate(self, argv, monkeypatch):
+        # a truncation target no reverse sum reaches within its cap makes the
+        # KS ladder fail; the partial distance is reported as prob reports its
+        monkeypatch.setattr(exact_dist, "_TRUNCATION_NATS", 1e6)
+        code, out, err = run_cli(argv)
+        assert code == 3
+        assert out == ""
+        cause, partial = err.splitlines()
+        assert cause.startswith("numeric failure: reverse ladder sum at t=")
+        words = partial.split()
+        assert words[:2] == ["partial", "estimate"] and words[3:6] == ["with", "relative", "error"]
+        assert 0.0 < float(words[2]) < 1.0
+
     def test_verification_failure_exits_1(self, monkeypatch):
         import types
 

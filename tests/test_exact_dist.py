@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.special import kve, logsumexp
+from scipy.special import digamma, kve, logsumexp, polygamma
 
 import chiral_ldp.exact_dist as exact_dist
 from chiral_ldp._quad import QuadratureError
@@ -54,6 +54,7 @@ from oracles import (
     index_cdf_oracle,
     kve_oracle,
     log_kv_oracle,
+    saddle_point_tail_oracle,
     tau_integral_log,
 )
 
@@ -185,6 +186,48 @@ class TestLadderOracles:
         got = log_sf_index(EnsembleParams(n, v), j, x)
         assert got == pytest.approx(-65.80480331112057, abs=1e-13)
         assert math.log(sf) == pytest.approx(got, abs=1e-12)
+
+
+def _saddle_law(j: int) -> float:
+    """The saddle-point oracle's relative error bound in P at 2 and 5
+    standard deviations into the upper tail: 0.05 j^-1.4, at least 2.5x the
+    error measured against the ladder at j from 5 to 1e6 and v in {0, 10}."""
+    return 0.05 * j**-1.4
+
+
+def _sd_level(j: int, v: int, sds: float) -> tuple[float, float]:
+    """(x, log s) at n = j, sds standard deviations of log G_j + log G_{j+v}
+    above its mean; log s is recomputed from the rounded x, so both routes
+    see one level."""
+    y = digamma(j) + digamma(j + v) + sds * math.sqrt(polygamma(1, j) + polygamma(1, j + v))
+    x = math.sqrt(math.exp(y) / (j * (j + v)))
+    return x, math.log(j) + math.log(j + v) + 2.0 * math.log(x)
+
+
+class TestSaddlePointOracle:
+    """The Lugannani-Rice upper tail of log G_j + log G_{j+v}, calibrated
+    against mpmath where that runs, then pinning the ladder at large j."""
+
+    @pytest.mark.parametrize("sds", [2.0, 5.0])
+    @pytest.mark.parametrize("v", [0, 10])
+    @pytest.mark.parametrize("j", [5, 30])
+    def test_law_holds_against_the_gamma_product_oracle(self, j, v, sds):
+        x, log_s = _sd_level(j, v, sds)
+        want = gamma_product_tail_oracle(j, v, j, x, upper=True)
+        assert saddle_point_tail_oracle(j, v, log_s) == pytest.approx(want, rel=_saddle_law(j))
+
+    @pytest.mark.parametrize("sds", [2.0, 5.0])
+    @pytest.mark.parametrize("v", [0, 10])
+    @pytest.mark.parametrize("j", [500, 5000, 50_000, 10**6])
+    def test_log_sf_index_matches_it_at_large_j(self, j, v, sds):
+        x, log_s = _sd_level(j, v, sds)
+        got = math.exp(log_sf_index(EnsembleParams(j, v), j, x))
+        assert got == pytest.approx(saddle_point_tail_oracle(j, v, log_s), rel=_saddle_law(j))
+
+    def test_refuses_the_lower_tail(self):
+        x, log_s = _sd_level(50, 3, -1.0)
+        with pytest.raises(ValueError, match="upper tail only"):
+            saddle_point_tail_oracle(50, 3, log_s)
 
 
 class TestTrapezoidK:

@@ -11,7 +11,6 @@ from chiral_ldp.tau_geometry import (
     bracket_xj,
     kappa,
     minimizer_xj,
-    minimizer_xj_array,
     tau,
     tau_prime,
     tau_second,
@@ -124,7 +123,7 @@ class TestMinimizer:
         js = np.arange(1, 201)
         for v in (1.0, 10.0, 100.0, 1000.0):
             lo, hi = bracket_xj(js, v)
-            xj = minimizer_xj_array(js, v)
+            xj = np.array([minimizer_xj(TauParams(j=int(j), v=v)) for j in js])
             assert np.all(xj > lo)
             assert np.all(xj <= hi)
 
