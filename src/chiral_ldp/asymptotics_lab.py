@@ -34,6 +34,7 @@ from .core_types import (
 from .exact_dist import log_prob
 from .rate_functions import (
     RateEval,
+    _power,
     mdp_max_left_const,
     mdp_max_right_const,
     mdp_min_alpha_const,
@@ -298,13 +299,6 @@ def _power_window(s: int) -> Callable[[int, float], str | None]:
     return note
 
 
-def _quartic_root_window(n: int, l: float) -> str | None:
-    bound = (math.log(n) / n) ** 0.25
-    if bound < l < 1.0:
-        return None
-    return f"window violated: need (log n/n)^(1/4) < l < 1, l = {l:.3g}, bound = {bound:.3g}"
-
-
 def _mdp_min_small_v(alpha: float, x: float) -> RateEval:
     if not x >= 0.0:
         raise ValueError("x must be >= 0")
@@ -315,9 +309,11 @@ def _mdp_min_alpha(alpha: float, x: float) -> RateEval:
     if not x >= 0.0:
         raise ValueError("x must be >= 0")
     c = mdp_min_alpha_const(alpha)
-    # x^4/4 at alpha = inf bit for bit as rate_min_right(inf, x) gives it below one
-    x4 = x**4 if math.isfinite(alpha) else x * x * x * x
-    return RateEval(c * x4, "mdp_speed_n2_l4")
+    # x^4/4 at alpha = inf bit for bit as rate_min_right(inf, x) gives it below one;
+    # where c overflows (alpha below ~1e-154), (x sqrt(c) x)^2 does not
+    x4 = _power(x, 4) if math.isfinite(alpha) else x * x * x * x
+    value = c * x4 if c < math.inf else _power(x * (x * ((1.0 + alpha) / alpha / 2.0)), 2)
+    return RateEval(value, "mdp_speed_n2_l4")
 
 
 @dataclass(frozen=True)
@@ -385,7 +381,7 @@ THEOREMS: dict[str, LimitTheorem] = {
     "t3-left": LimitTheorem(
         "mdp-max-left", Statistic.MAX_SQ, Direction.LE, level=lambda l, x: 1.0 - l * x,
         scale=lambda n, v: float(n) ** -(1.0 / 4.0), speed=lambda n, v, l: n**2 * l**3,
-        rate=lambda a, x: RateEval(mdp_max_left_const(a) * x**3, "mdp_speed_n2_l3"),
+        rate=lambda a, x: RateEval(mdp_max_left_const(a) * _power(x, 3), "mdp_speed_n2_l3"),
         grid=((10**4, 0), (10**5, 0), (10**6, 0)), x=1.0, window=_power_window(3),
     ),
     "t4-item1": LimitTheorem(
@@ -408,7 +404,7 @@ THEOREMS: dict[str, LimitTheorem] = {
         "mdp-min-alpha", Statistic.MIN_SQ, Direction.GE, level=lambda l, x: l * x,
         scale=_alpha_scale, speed=lambda n, v, l: n**2 * l**4, rate=_mdp_min_alpha,
         grid=((10**6, 10**6), (3 * 10**6, 3 * 10**6), (10**7, 10**7)), x=1.0,
-        window=_quartic_root_window,
+        window=_power_window(4),
     ),
 }
 
@@ -453,14 +449,10 @@ def converge_table(
     return [_row(record, nn, vv, level) for nn, vv in pairs]
 
 
-def clt_check(
-    n: int,
-    v: int,
-    y_grid: list[float] | None = None,
-) -> list[CltRow]:
+def clt_check(n: int, v: int) -> list[CltRow]:
     """Exact P(max >= 1+y) against the limiting Gumbel upper tail.
 
-    The default levels are the two y whose limiting Gumbel argument
+    The two levels are the y whose limiting Gumbel argument
     g = sqrt(log s) (2 sqrt(s) y - a(s)) is 0 and 2, where the limit law
     puts its bulk: y = (g / sqrt(log s) + a(s)) / (2 sqrt(s)) at the
     finite-n scale s, with the self-consistent centering a(s) (the display
@@ -475,11 +467,9 @@ def clt_check(
         raise ValueError("centering undefined: need s > e")
     a = centering_a_consistent(scales.s)
     sqrt_log_s = math.sqrt(math.log(scales.s))
-    if y_grid is None:
-        y_grid = [(g / sqrt_log_s + a) / (2.0 * math.sqrt(scales.s)) for g in (0.0, 2.0)]
     a_disp = centering_a(scales.s)
     rows = []
-    for y in y_grid:
+    for y in ((g0 / sqrt_log_s + a) / (2.0 * math.sqrt(scales.s)) for g0 in (0.0, 2.0)):
         spread = 2.0 * math.sqrt(scales.s) * y
         g = sqrt_log_s * (spread - a)
         g_disp = sqrt_log_s * (spread - a_disp)

@@ -70,6 +70,21 @@ def _log1p_excess(y: float) -> float:
     return y * acc
 
 
+def _log_ratio(a: float, k: float) -> float:
+    """log((1+a)/(a+k)) for k >= 1 as log1p((1-k)/(a+k)), which keeps the term
+    at large a; as -log1p((k-1)/(1+a)) where that argument rounds to -1 or a+k overflows."""
+    w = (1.0 - k) / (a + k)
+    return math.log1p(w) if w > -1.0 and a + k < math.inf else -math.log1p((k - 1.0) / (1.0 + a))
+
+
+def _power(x: float, p: int) -> float:
+    """x**p for x >= 0, inf where it overflows (a float's ** raises there)."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
 def rate_max_right(alpha, x: float) -> RateEval:
     """Decay rate (speed n) of P(max X >= x); zero on x <= 1.
 
@@ -86,9 +101,8 @@ def rate_max_right(alpha, x: float) -> RateEval:
     if math.isinf(a):
         return RateEval(x * x - 2.0 * math.log(x) - 1.0, "infinite_alpha", float(kappa(a, x)))
     k = float(kappa(a, x))
-    # log((1+a)/(a+k)) as log1p((1-k)/(a+k)): the ratio collapses onto 1 for
-    # large a and the direct log would lose the whole surviving term
-    value = a * math.log1p((1.0 - k) / (a + k)) + 2.0 * (k - math.log(x) - 1.0)
+    # kappa overflows only where the rate, at least kappa, does too
+    value = a * _log_ratio(a, k) + 2.0 * (k - math.log(x) - 1.0) if k < math.inf else k
     return RateEval(value, "finite_alpha", k)
 
 
@@ -167,17 +181,19 @@ def rate_min_right(alpha, x: float) -> RateEval:
             value = 2.0 * x - 1.5 - math.log(x)
         elif math.isinf(a):
             value = x * x - math.log(x) - 0.75
-        else:
+        elif k < math.inf:  # where kappa overflows, so does the rate
             # a ((a+2)/2 log1p(1/a) - log1p(k/a)) - a/2 in O(1) terms:
-            # (a^2/2) (log1p(1/a) - 1/a + 1/(2a^2)) - 1/4 + a log1p((1-k)/(a+k))
+            # (a^2/2) (log1p(1/a) - 1/a + 1/(2a^2)) - 1/4 + a log((1+a)/(a+k))
             value = (
                 0.5 * _log1p_excess(1.0 / a)
                 - 0.25
-                + a * math.log1p((1.0 - k) / (a + k))
+                + a * _log_ratio(a, k)
                 + 2.0 * k
                 - 1.5
                 - math.log(x)
             )
+        else:
+            value = k
         return RateEval(value, "above_one", k)
     if a == 0.0:
         value = x * x / 2.0
@@ -191,11 +207,12 @@ def rate_min_right(alpha, x: float) -> RateEval:
 
 def mdp_max_right_const(alpha) -> float:
     """Coefficient of x^2 in the max upper moderate tail (speed n l^2):
-    2(1+alpha)/(2+alpha); 1 at alpha=0, 2 at infinity."""
+    2(1+alpha)/(2+alpha); 1 at alpha=0, 2 at infinity.  Evaluated as
+    2 ((1+alpha)/(2+alpha)), which does not overflow for huge alpha."""
     a = check_alpha(alpha)
     if math.isinf(a):
         return 2.0
-    return 2.0 * (1.0 + a) / (2.0 + a)
+    return 2.0 * ((1.0 + a) / (2.0 + a))
 
 
 def mdp_max_left_const(alpha) -> float:
@@ -211,14 +228,14 @@ def mdp_max_left_const(alpha) -> float:
 def mdp_min_alpha_const(alpha) -> float:
     """Coefficient of x^4 in the min moderate tail for v ~ alpha n with
     alpha in (0, inf] (speed n^2 l^4): (1+alpha)^2/(4 alpha^2); 1/4 at
-    infinity.  Evaluated as ((1+alpha)/(2 alpha))^2, which does not overflow
-    for huge alpha."""
+    infinity.  Evaluated as ((1+alpha)/alpha/2)^2, which does not overflow
+    for huge alpha; inf below alpha ~ 1e-154, where the value overflows."""
     a = check_alpha(alpha)
     if a == 0.0:
         raise ValueError("alpha-positive regime needs alpha > 0")
     if math.isinf(a):
         return 0.25
-    return ((1.0 + a) / (2.0 * a)) ** 2
+    return _power((1.0 + a) / a / 2.0, 2)
 
 
 def vscale_rate(x: float) -> float:
@@ -231,6 +248,8 @@ def vscale_rate(x: float) -> float:
     """
     if not x >= 0.0:
         raise ValueError("x must be >= 0")
+    if x > 1e150:  # the rest is below an ulp of x^2/2, and x^2 overflows from 1.3e154
+        return 0.5 * x * x
     r = math.sqrt(1.0 + 4.0 * x * x)
     return 0.5 * math.log((1.0 + r) / 2.0) + (1.0 + x * x) / 2.0 - r / 2.0
 

@@ -142,20 +142,24 @@ def kappa(alpha, x):
     Evaluated as 2(1+a)x^2 / (a + sqrt(a^2 + 4(1+a)x^2)) for finite a (no
     cancellation); the limits are kappa_0 = x and kappa_inf = x^2.
     ``alpha`` is a float in [0, inf] (0.0 and math.inf select the limits);
-    vectorized in x.
+    vectorized in x; inf where kappa exceeds the largest double.
     """
     a = check_alpha(alpha)
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("kappa needs x > 0")
-    if a == 0.0:
-        out = x.copy()
-    elif math.isinf(a):
-        out = x * x
-    else:
-        # a^2 overflows above a ~ 1.3e154; scaled by the power of two m just
-        # above a (1 for a < 1), which is exact, it cannot
-        m = math.ldexp(1.0, max(0, math.frexp(a)[1]))
-        b = a / m
-        out = 2.0 * (1.0 + a) * x * x / (a + m * np.sqrt(b * b + 4.0 * (1.0 + a) / m * x * x / m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if a == 0.0:
+            out = x.copy()
+        elif math.isinf(a):
+            out = x * x
+        else:
+            # a^2 and 2(1+a) overflow; divided by the power of two m just above
+            # a (1 for a < 1, at most 2^1023), which is exact, they cannot.
+            # Above x = 1e150, where x^2 can overflow, a factor x comes out.
+            m = math.ldexp(1.0, min(1023, max(0, math.frexp(a)[1])))
+            b, c = a / m, (1.0 + a) / m
+            out = 2.0 * c * x * x / (b + np.sqrt(b * b + 4.0 * c * x * x / m))
+            y = b / x
+            out = np.where(x > 1e150, x * (2.0 * c / (y + np.sqrt(y * y + 4.0 * c / m))), out)
     return float(out) if out.ndim == 0 else out

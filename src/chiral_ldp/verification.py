@@ -71,19 +71,15 @@ _ALPHAS = (0.0, 0.1, 1.0, 10.0, math.inf)
 
 
 def _check_rate_boundary_zeros() -> tuple[bool, str]:
-    worst = 0.0
-    for alpha in _ALPHAS:
-        worst = max(worst, abs(rate_max_right(alpha, 1.0).value))
-        worst = max(worst, abs(rate_max_left(alpha, 1.0).value))
+    rates = (rate_max_right, rate_max_left)
+    worst = max(abs(rate(alpha, 1.0).value) for alpha in _ALPHAS for rate in rates)
     return worst <= 1e-12, f"max boundary value {worst:.3e} (tol 1e-12)"
 
 
 def _check_min_rate_continuity() -> tuple[bool, str]:
-    worst = 0.0
-    for alpha in _ALPHAS:
-        below = rate_min_right(alpha, 1.0 - 1e-12).value
-        at = rate_min_right(alpha, 1.0).value
-        worst = max(worst, abs(below - at))
+    worst = max(
+        abs(rate_min_right(a, 1.0 - 1e-12).value - rate_min_right(a, 1.0).value) for a in _ALPHAS
+    )
     return worst <= 1e-10, f"max branch mismatch at x=1: {worst:.3e} (tol 1e-10)"
 
 
@@ -136,9 +132,7 @@ def _check_tail_complement() -> tuple[bool, str]:
 def _check_max_tail_sandwich() -> tuple[bool, str]:
     params = EnsembleParams(20, 3)
     x = 1.2
-    logs = np.array(
-        [log_sf_index(params, j, x) for j in range(1, 21)]
-    )
+    logs = np.array([log_sf_index(params, j, x) for j in range(1, 21)])
     query = TailQuery(Statistic.MAX_SQ, Direction.GE, x)
     lp = log_prob(params, query)
     lo = float(logs.max())
@@ -238,11 +232,8 @@ def _check_exponent_tail_sandwich() -> tuple[bool, str]:
 
 
 def _check_sum_residuals() -> tuple[bool, str]:
-    worst = 0.0
-    for n in (100, 10_000):
-        for v in (0, 7):
-            ma = lemma_ma_sums(n, v)
-            worst = max(worst, abs(ma.residual_1), abs(ma.residual_2))
+    sums = [lemma_ma_sums(n, v) for n in (100, 10_000) for v in (0, 7)]
+    worst = max(max(abs(ma.residual_1), abs(ma.residual_2)) for ma in sums)
     return worst <= 1.0, f"max |residual| = {worst:.4f} (bound 1)"
 
 
@@ -256,15 +247,11 @@ def _check_sampler_determinism() -> tuple[bool, str]:
 
 
 def _check_mdp_constants() -> tuple[bool, str]:
-    pairs = (
-        (0.0, 1.0, 1.0 / 3.0),
-        (2.0, 1.5, 0.75),
-        (math.inf, 2.0, 4.0 / 3.0),
+    pairs = ((0.0, 1.0, 1.0 / 3.0), (2.0, 1.5, 0.75), (math.inf, 2.0, 4.0 / 3.0))
+    worst = max(
+        max(abs(mdp_max_right_const(a) - right), abs(mdp_max_left_const(a) - left))
+        for a, right, left in pairs
     )
-    worst = 0.0
-    for alpha, right, left in pairs:
-        worst = max(worst, abs(mdp_max_right_const(alpha) - right))
-        worst = max(worst, abs(mdp_max_left_const(alpha) - left))
     return worst <= 1e-12, f"max constant error {worst:.3e}"
 
 
@@ -296,47 +283,27 @@ def _check_sampler_mean() -> tuple[bool, str]:
 def _check_gumbel_tail_gap() -> tuple[bool, str]:
     rows = clt_check(2000, 0)
     ok = rows[0].abs_gap <= 0.10 and rows[1].abs_gap <= 0.06
-    return ok, (
-        f"gaps {rows[0].abs_gap:.4f} (tol 0.10), {rows[1].abs_gap:.4f} (tol 0.06)"
-    )
+    return ok, f"gaps {rows[0].abs_gap:.4f} (tol 0.10), {rows[1].abs_gap:.4f} (tol 0.06)"
 
 
-def _trend(rows) -> tuple[bool, float]:
-    gaps = [r.scaled_gap for r in rows]
-    return all(b < a for a, b in zip(gaps, gaps[1:])), gaps[-1]
-
-
-def _rate_trend(theorem: str, x: float, tol: float) -> tuple[bool, str]:
-    rows = converge_table(theorem, x=x)
-    decreasing, last = _trend(rows)
-    rel = last / rows[-1].rate_target
-    return decreasing and rel <= tol, (
-        f"gaps decreasing={decreasing}, final rel gap {rel:.3f} (tol {tol:.2f})"
-    )
-
-
-def _check_min_rate_trend() -> tuple[bool, str]:
-    details = []
-    ok = True
-    for x, tol in ((0.5, 0.20), (2.0, 0.20)):
-        rows = converge_table("t2", x=x)
-        decreasing, last = _trend(rows)
-        rel = last / rows[-1].rate_target
-        ok = ok and decreasing and rel <= tol
-        details.append(f"x={x}: rel {rel:.3f}")
-    return ok, "; ".join(details) + " (tol 0.20, decreasing)"
-
-
-def _check_mdp_max_trend() -> tuple[bool, str]:
-    rows = converge_table("t3-right", x=1.0)
-    rel = rows[-1].scaled_gap / rows[-1].rate_target
-    return rel <= 0.30, f"final rel gap {rel:.3f} (tol 0.30)"
-
-
-def _check_vscale_rate_gap() -> tuple[bool, str]:
-    rows = converge_table("t4-item2", grid=((2000, 160),), x=1.0)
-    rel = rows[-1].scaled_gap / rows[-1].rate_target
-    return rel <= 0.30, f"rel gap {rel:.3f} at (2000,160) (tol 0.30)"
+def _rate_gap(
+    theorem: str,
+    levels: tuple[float, ...],
+    tol: float,
+    falling: bool = True,
+    grid: tuple[tuple[int, int], ...] | None = None,
+) -> tuple[bool, str]:
+    """At each level of ``theorem``'s table, the last row's scaled gap over
+    the rate is at most ``tol``; when ``falling``, the gaps fall row by row."""
+    ok, details = True, []
+    for x in levels:
+        rows = converge_table(theorem, grid=grid, x=x)
+        rel = rows[-1].scaled_gap / rows[-1].rate_target
+        decreasing = all(b.scaled_gap < a.scaled_gap for a, b in zip(rows, rows[1:]))
+        ok = ok and rel <= tol and (decreasing or not falling)
+        trend = f", decreasing={decreasing}" if falling else ""
+        details.append(f"x={x}: rel gap {rel:.3f}{trend}")
+    return ok, "; ".join(details) + f" (tol {tol:.2f})"
 
 
 def _check_sampler_vs_product_law() -> tuple[bool, str]:
@@ -371,11 +338,11 @@ _FULL_EXTRA: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
     ("sampler-mean", _check_sampler_mean),
     ("sampler-vs-product-law", _check_sampler_vs_product_law),
     ("gumbel-tail-gap", _check_gumbel_tail_gap),
-    ("max-right-rate-trend", partial(_rate_trend, "t1-right", 1.5, 0.25)),
-    ("max-left-rate-trend", partial(_rate_trend, "t1-left", 0.5, 0.20)),
-    ("min-rate-trend", _check_min_rate_trend),
-    ("mdp-max-trend", _check_mdp_max_trend),
-    ("vscale-rate-gap", _check_vscale_rate_gap),
+    ("max-right-rate-trend", partial(_rate_gap, "t1-right", (1.5,), 0.25)),
+    ("max-left-rate-trend", partial(_rate_gap, "t1-left", (0.5,), 0.20)),
+    ("min-rate-trend", partial(_rate_gap, "t2", (0.5, 2.0), 0.20)),
+    ("mdp-max-trend", partial(_rate_gap, "t3-right", (1.0,), 0.30, False)),
+    ("vscale-rate-gap", partial(_rate_gap, "t4-item2", (1.0,), 0.30, False, ((2000, 160),))),
 )
 
 

@@ -152,33 +152,45 @@ def gamma_product_tail_oracle(
 
 
 def saddle_point_tail_oracle(j: int, v: int, log_s: float) -> float:
-    """P(G_j G_{j+v} >= s) by the Lugannani-Rice formula, for log s above
-    the mean of log G_j + log G_{j+v}; in double precision, any j.
+    """The tail of G_j G_{j+v} beyond s by the Lugannani-Rice formula:
+    P(G_j G_{j+v} >= s) for log s above the mean of log G_j + log G_{j+v},
+    P(G_j G_{j+v} <= s) below it; in double precision, any j.
 
     log G_j + log G_{j+v} has the cumulant generating function
     K(theta) = lnG(j+theta) - lnG(j) + lnG(j+v+theta) - lnG(j+v), so the
-    saddle point theta > 0 solves K'(theta) = psi(j+theta) + psi(j+v+theta)
-    = log s (brentq), and with w = sqrt(2 (theta log s - K(theta))) and
-    u = theta sqrt(K''(theta)) the tail is 1 - Phi(w) + phi(w) (1/u - 1/w)
-    (Lugannani & Rice, Adv. Appl. Probab. 12, 1980).  theta log s - K(theta)
-    is taken as the integral of log s - K'(t) over (0, theta) by 40-point
-    Gauss-Legendre, checked against 20 points, rather than from differences
-    of gammaln values: lnG(j) is about j log j, and its rounding alone puts
-    2e-9 into P at j = 1e6.  The expansion's relative error in P falls like
-    j^-1.4 at a fixed number of standard deviations into the tail (the
-    tests state the law).
+    saddle point theta solves K'(theta) = psi(j+theta) + psi(j+v+theta)
+    = log s (brentq), with theta > 0 above the mean and -j < theta < 0
+    below it.  With w = sign(theta) sqrt(2 (theta log s - K(theta))) and
+    u = theta sqrt(K''(theta)), the upper tail is
+    1 - Phi(w) + phi(w) (1/u - 1/w) and the lower one
+    Phi(w) - phi(w) (1/u - 1/w) (Lugannani & Rice, Adv. Appl. Probab. 12,
+    1980).  theta log s - K(theta) is taken as the integral of
+    log s - K'(t) over (0, theta) by 40-point Gauss-Legendre, checked
+    against 20 points, rather than from differences of gammaln values:
+    lnG(j) is about j log j, and its rounding alone puts 2e-9 into P at
+    j = 1e6.  At the mean (theta = 0) the formula is singular.  The
+    expansion's relative error in P falls like j^-1.4 to j^-1.5 at a fixed
+    number of standard deviations into either tail (the tests state the
+    laws).
     """
     a, b = float(j), float(j + v)
 
     def k1(theta):
         return digamma(a + theta) + digamma(b + theta)
 
-    if not log_s > k1(0.0):
-        raise ValueError("the saddle-point oracle covers the upper tail only")
-    hi = 1.0
-    while k1(hi) < log_s:
-        hi *= 2.0
-    theta, info = brentq(lambda t: k1(t) - log_s, 0.0, hi, rtol=1e-15, full_output=True)
+    mean = k1(0.0)
+    if log_s > mean:
+        lo, hi = 0.0, 1.0
+        while k1(hi) < log_s:
+            hi *= 2.0
+    elif log_s < mean:
+        # psi(j + theta) falls to -inf as theta falls to -j
+        lo, hi = -0.5 * a, 0.0
+        while k1(lo) > log_s:
+            lo = 0.5 * (lo - a)
+    else:
+        raise ValueError("the saddle-point oracle is singular at the mean")
+    theta, info = brentq(lambda t: k1(t) - log_s, lo, hi, rtol=1e-15, full_output=True)
     if not info.converged:
         raise ArithmeticError(f"saddle point not found: {info.flag}")
 
@@ -188,12 +200,15 @@ def saddle_point_tail_oracle(j: int, v: int, log_s: float) -> float:
         return 0.5 * theta * float(np.dot(weights, log_s - k1(t)))
 
     half_w2 = legendre(40)
-    # each node rounds log s - K'(t) by a few ulp of log s
-    if not abs(half_w2 - legendre(20)) <= 8.0 * np.finfo(float).eps * theta * max(1.0, abs(log_s)):
+    # each node rounds log s - K'(t) by a few ulp of K'(t), which lies
+    # between log s and the mean
+    tol = 8.0 * np.finfo(float).eps * abs(theta) * max(1.0, abs(log_s), abs(mean))
+    if not abs(half_w2 - legendre(20)) <= tol:
         raise ArithmeticError("Gauss-Legendre rule for theta log s - K(theta) not converged")
-    w = math.sqrt(2.0 * half_w2)
+    w = math.copysign(math.sqrt(2.0 * half_w2), theta)
     u = theta * math.sqrt(polygamma(1, a + theta) + polygamma(1, b + theta))
-    return float(ndtr(-w) + math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi) * (1.0 / u - 1.0 / w))
+    correction = math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi) * (1.0 / u - 1.0 / w)
+    return float(ndtr(-w) + correction if theta > 0.0 else ndtr(w) - correction)
 
 
 def gamma_tail_log(a: float, b: float, upper: bool, dps: int = 30) -> float:
@@ -207,13 +222,16 @@ def gamma_tail_log(a: float, b: float, upper: bool, dps: int = 30) -> float:
 
 
 def finite_alpha_rate_oracle(which: str, alpha: float, x: float) -> float:
-    """The published finite-alpha display of ``which`` ("max-left" or
-    "min-right"), evaluated as written at enough digits that its O(alpha^2)
-    terms cancel exactly (40 plus twice the decades of alpha)."""
+    """The published finite-alpha display of ``which`` ("max-right",
+    "max-left" or "min-right"), evaluated as written at enough digits that
+    its O(alpha^2) terms cancel exactly (40 plus twice the decades of
+    alpha)."""
     with mp.workdps(40 + 2 * max(0, math.ceil(math.log10(alpha)))):
         a, x_ = mp.mpf(alpha), mp.mpf(x)
         k = 2 * (1 + a) * x_ * x_ / (a + mp.sqrt(a * a + 4 * (1 + a) * x_ * x_))
-        if which == "max-left":
+        if which == "max-right":
+            value = a * mp.log((1 + a) / (a + k)) + 2 * (k - mp.log(x_) - 1)
+        elif which == "max-left":
             value = (a + a * a / 2) * mp.log1p((1 - k) / (k + a)) - mp.log(x_) - (a + 3 - k) * (1 - k) / 2
         elif x_ >= 1:
             value = a * ((a + 2) / 2 * mp.log1p(1 / a) - mp.log1p(k / a)) + 2 * k - (3 + a) / 2 - mp.log(x_)

@@ -7,9 +7,11 @@ structure, guards, and closed sums are tested exactly.
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from chiral_ldp import verification
 from chiral_ldp.asymptotics_lab import (
     THEOREM_TAGS,
     RegimeError,
@@ -164,9 +166,19 @@ class TestConvergeTable:
             assert r.predicted == pytest.approx(r.scaling * r.rate_target, rel=1e-14)
             assert r.l is None and r.note is None
 
-    def test_mdp_window_note(self):
-        # n = 25 sits outside log n / n < l^2; n = 1000 inside
-        rows = converge_table("t3-right", grid=((25, 0), (1000, 0)))
+    @pytest.mark.parametrize(
+        "tag, outside, inside",
+        [
+            # n = 25 sits outside log n / n < l^2; n = 1000 inside
+            ("t3-right", (25, 0), (1000, 0)),
+            # l = n^(-1/5): l^4 = 0.0040 against log n/n = 0.0069 at n = 1000,
+            # and 1.6e-5 against 1.4e-5 at n = 1e6
+            ("t4-item3", (1000, 1000), (10**6, 10**6)),
+        ],
+        ids=["t3-right", "t4-item3"],
+    )
+    def test_mdp_window_note(self, tag, outside, inside):
+        rows = converge_table(tag, grid=(outside, inside))
         assert rows[0].note is not None and "window" in rows[0].note
         assert rows[1].note is None
 
@@ -207,6 +219,30 @@ class TestConvergeTable:
             "t1-right", "t1-left", "t2", "t3-right",
             "t3-left", "t4-item1", "t4-item2", "t4-item3",
         }
+
+
+class TestGapRule:
+    """verify's five convergence checks share one pass/fail rule."""
+
+    @staticmethod
+    def _check(name):
+        return dict(verification._FULL_EXTRA)[name]()
+
+    def test_rising_gaps_fail_a_trend_check_only(self, monkeypatch):
+        # gaps under the tolerance that rise from row to row
+        def rising(theorem, grid=None, x=None):
+            return [
+                SimpleNamespace(scaled_gap=g, rate_target=1.0) for g in (0.01, 0.02, 0.05)
+            ]
+
+        monkeypatch.setattr(verification, "converge_table", rising)
+        passed, detail = self._check("min-rate-trend")
+        assert not passed
+        assert detail == (
+            "x=0.5: rel gap 0.050, decreasing=False; "
+            "x=2.0: rel gap 0.050, decreasing=False (tol 0.20)"
+        )
+        assert self._check("mdp-max-trend") == (True, "x=1.0: rel gap 0.050 (tol 0.30)")
 
 
 class TestCltCheck:

@@ -136,6 +136,18 @@ class TestRateCommand:
         _, rows = csv_rows(out)
         assert float(rows[0]["value"]) == pytest.approx(expected, rel=1e-15)
 
+    @pytest.mark.parametrize("which", [t.kind for t in THEOREMS.values()])
+    def test_the_whole_double_range_gives_a_rate_or_a_refusal(self, which):
+        # overflowing values read inf; only the flagged display goes negative
+        for alpha in ("0", "1e-300", "1", "1e300", "1.7e308", "inf"):
+            for x in ("1e-6", "0.5", "2", "1e103", "1e160"):
+                code, out, err = run_cli(["rate", "--which", which, "--alpha", alpha, "--x", x])
+                assert code in (0, 2), (alpha, x, err)
+                assert "nan" not in out + err, (alpha, x)
+                if code == 0:
+                    row = csv_rows(out)[1][0]
+                    assert float(row["value"]) >= 0.0 or row["warning"], (alpha, x)
+
     def test_diagnostics_go_to_stderr_prefixed(self):
         _, out, err = run_cli(["rate", "--which", "max-right", "--alpha", "0", "--x", "1.5"])
         assert "#" not in out

@@ -188,16 +188,17 @@ class TestLadderOracles:
         assert math.log(sf) == pytest.approx(got, abs=1e-12)
 
 
-def _saddle_law(j: int) -> float:
+def _saddle_law(j: int, sds: float) -> float:
     """The saddle-point oracle's relative error bound in P at 2 and 5
-    standard deviations into the upper tail: 0.05 j^-1.4, at least 2.5x the
-    error measured against the ladder at j from 5 to 1e6 and v in {0, 10}."""
-    return 0.05 * j**-1.4
+    standard deviations into a tail: 0.05 j^-1.4 above the mean and
+    0.8 j^-1.5 below it, each at least 2.5x the error measured against the
+    ladder at j from 5 to 1e6 and v in {0, 10}."""
+    return 0.05 * j**-1.4 if sds > 0 else 0.8 * j**-1.5
 
 
 def _sd_level(j: int, v: int, sds: float) -> tuple[float, float]:
     """(x, log s) at n = j, sds standard deviations of log G_j + log G_{j+v}
-    above its mean; log s is recomputed from the rounded x, so both routes
+    from its mean; log s is recomputed from the rounded x, so both routes
     see one level."""
     y = digamma(j) + digamma(j + v) + sds * math.sqrt(polygamma(1, j) + polygamma(1, j + v))
     x = math.sqrt(math.exp(y) / (j * (j + v)))
@@ -205,16 +206,16 @@ def _sd_level(j: int, v: int, sds: float) -> tuple[float, float]:
 
 
 class TestSaddlePointOracle:
-    """The Lugannani-Rice upper tail of log G_j + log G_{j+v}, calibrated
-    against mpmath where that runs, then pinning the ladder at large j."""
+    """The Lugannani-Rice tails of log G_j + log G_{j+v}, calibrated against
+    mpmath where that runs, then pinning the ladder at large j."""
 
-    @pytest.mark.parametrize("sds", [2.0, 5.0])
+    @pytest.mark.parametrize("sds", [-5.0, -2.0, 2.0, 5.0])
     @pytest.mark.parametrize("v", [0, 10])
     @pytest.mark.parametrize("j", [5, 30])
     def test_law_holds_against_the_gamma_product_oracle(self, j, v, sds):
         x, log_s = _sd_level(j, v, sds)
-        want = gamma_product_tail_oracle(j, v, j, x, upper=True)
-        assert saddle_point_tail_oracle(j, v, log_s) == pytest.approx(want, rel=_saddle_law(j))
+        want = gamma_product_tail_oracle(j, v, j, x, upper=sds > 0)
+        assert saddle_point_tail_oracle(j, v, log_s) == pytest.approx(want, rel=_saddle_law(j, sds))
 
     @pytest.mark.parametrize("sds", [2.0, 5.0])
     @pytest.mark.parametrize("v", [0, 10])
@@ -222,11 +223,20 @@ class TestSaddlePointOracle:
     def test_log_sf_index_matches_it_at_large_j(self, j, v, sds):
         x, log_s = _sd_level(j, v, sds)
         got = math.exp(log_sf_index(EnsembleParams(j, v), j, x))
-        assert got == pytest.approx(saddle_point_tail_oracle(j, v, log_s), rel=_saddle_law(j))
+        assert got == pytest.approx(saddle_point_tail_oracle(j, v, log_s), rel=_saddle_law(j, sds))
 
-    def test_refuses_the_lower_tail(self):
-        x, log_s = _sd_level(50, 3, -1.0)
-        with pytest.raises(ValueError, match="upper tail only"):
+    @pytest.mark.parametrize("sds", [-5.0, -2.0])
+    @pytest.mark.parametrize("v", [0, 10])
+    @pytest.mark.parametrize("j", [500, 5000, 50_000, 10**6])
+    def test_log_cdf_index_matches_it_at_large_j(self, j, v, sds):
+        x, log_s = _sd_level(j, v, sds)
+        got = math.exp(log_cdf_index(EnsembleParams(j, v), j, x))
+        assert got == pytest.approx(saddle_point_tail_oracle(j, v, log_s), rel=_saddle_law(j, sds))
+
+    def test_refuses_the_mean(self):
+        # theta = 0 there, and 1/u - 1/w is 0/0
+        log_s = digamma(50) + digamma(53)
+        with pytest.raises(ValueError, match="singular at the mean"):
             saddle_point_tail_oracle(50, 3, log_s)
 
 

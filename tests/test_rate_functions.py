@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from chiral_ldp.asymptotics_lab import THEOREMS
 from chiral_ldp.rate_functions import (
@@ -182,9 +183,10 @@ class TestLimitCoherence:
                 rate_min_right(inf, x).value, abs=1e-5
             )
 
-    @pytest.mark.parametrize("alpha", [1e8, 1e12, 1e16, 1e18, 1e300])
+    @pytest.mark.parametrize("alpha", [1e8, 1e12, 1e16, 1e18, 1e300, 4e307, 8.9e307, 1.7e308])
     def test_huge_finite_alpha_reaches_the_limits(self, alpha):
-        # the finite-alpha displays cancel O(alpha^2) terms down to O(1)
+        # the finite-alpha displays cancel O(alpha^2) terms down to O(1);
+        # from alpha ~ 4e307 kappa itself overflowed
         for x in (0.3, 0.5, 0.8):
             got = rate_max_left(alpha, x).value
             assert got > 0.0
@@ -193,6 +195,15 @@ class TestLimitCoherence:
             got = rate_min_right(alpha, x).value
             assert got > 0.0
             assert got == pytest.approx(rate_min_right(math.inf, x).value, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "alpha, x", [(1e-300, 1e103), (1.0, 1e103), (1e300, 1e103), (1.0, 1e160), (1.7e308, 1e154)]
+    )
+    def test_huge_levels_match_high_precision_display(self, alpha, x):
+        # log1p((1-k)/(a+k)) had its argument round to -1, or a+k overflow
+        for which, rate in (("max-right", rate_max_right), ("min-right", rate_min_right)):
+            want = finite_alpha_rate_oracle(which, alpha, x)
+            assert rate(alpha, x).value == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("alpha", [1e-6, 1e-3, 0.1, 1.0, 2.5, 100.0, 1e4, 1e8, 1e16])
     def test_finite_alpha_matches_high_precision_display(self, alpha):
@@ -222,12 +233,15 @@ class TestMdpConstants:
         assert mdp_max_left_const(1e9) == pytest.approx(4.0 / 3.0, abs=1e-8)
 
     def test_huge_finite_alpha_reaches_the_limits(self):
-        # (1+a)^2 overflows above a ~ 1.3e154; the ratio forms do not
-        assert mdp_max_left_const(1e300) == 4.0 / 3.0
-        for x in (0.3, 0.7, 2.0):
-            want = x**4 / 4.0
-            got = THEOREMS["t4-item3"].rate(1e300, x).value
-            assert got == pytest.approx(want, rel=1e-15)
+        # (1+a)^2 overflows above a ~ 1.3e154, and 2(1+a) and 2a near the
+        # largest double; the ratio forms do not
+        for alpha in (1e300, 4e307, 8.9e307, 1.7e308):
+            assert mdp_max_left_const(alpha) == 4.0 / 3.0
+            assert mdp_max_right_const(alpha) == 2.0
+            for x in (0.3, 0.7, 2.0):
+                want = x**4 / 4.0
+                got = THEOREMS["t4-item3"].rate(alpha, x).value
+                assert got == pytest.approx(want, rel=1e-15)
 
 
 class TestMdpMinRate:
@@ -239,6 +253,22 @@ class TestMdpMinRate:
         assert THEOREMS["t4-item3"].rate(1.0, 1.0).value == pytest.approx(1.0)
         assert mdp_min_alpha_const(math.inf) == pytest.approx(0.25)
         assert THEOREMS["t4-item3"].rate(math.inf, 1.0).value == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("x", [1e150, 1.1e150, 1e154, 1e160])
+    def test_vscale_rate_at_huge_levels(self, x):
+        # sqrt(1+4x^2) and x^2 overflowed from about 1e154 and left NaN
+        with mp.workdps(60):
+            r = mp.sqrt(1 + 4 * mp.mpf(x) ** 2)
+            want = mp.log((1 + r) / 2) / 2 + (1 + mp.mpf(x) ** 2) / 2 - r / 2
+        assert vscale_rate(x) == pytest.approx(float(want) if want < 1.8e308 else math.inf, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha, x", [(1e-160, 1e-90), (1e-200, 1e-60), (1e-300, 1e-100)])
+    def test_alpha_rate_where_its_constant_overflows(self, alpha, x):
+        # (1+alpha)^2/(4 alpha^2) is inf below alpha ~ 1e-154; times x^4 it
+        # read NaN or inf where the rate is finite
+        with mp.workdps(40):
+            want = (mp.mpf(x) ** 2 * (1 + mp.mpf(alpha)) / (2 * mp.mpf(alpha))) ** 2
+        assert THEOREMS["t4-item3"].rate(alpha, x).value == pytest.approx(float(want), rel=1e-15)
 
     def test_vscale_pinned_one(self):
         # (1/2) log((1+sqrt 5)/2) + 1 - sqrt(5)/2, frozen at 30 digits

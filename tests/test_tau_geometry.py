@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from chiral_ldp.tau_geometry import (
     TauParams,
@@ -172,6 +173,21 @@ class TestKappa:
             for big in (1e8, 1e300):  # alpha^2 overflows above about 1.3e154
                 target = x * x * big / (big + x * x)
                 assert abs(kappa(big, x) - target) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "alpha, x",
+        [(a, x) for a in (4e307, 8.9e307, 1e308, 1.79e308) for x in (1e-6, 0.5, 2.0, 10.0, 1e103)]
+        + [(1e-300, 1e160), (1.0, 1e160), (1e300, 1e151)],
+    )
+    def test_edges_of_the_double_range_match_mpmath(self, alpha, x):
+        # the scale 2^1024 above alpha ~ 9e307 overflowed, as did 2(1+alpha)x^2
+        # and, above x ~ 1e154, x^2
+        with mp.workdps(50):
+            a, x_ = mp.mpf(alpha), mp.mpf(x)
+            want = float(2 * (1 + a) * x_**2 / (a + mp.sqrt(a * a + 4 * (1 + a) * x_**2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kappa(alpha, x) == pytest.approx(want, rel=1e-15)
 
     def test_nonpositive_x_rejected(self):
         with pytest.raises(ValueError):

@@ -58,9 +58,26 @@ COMMANDS: tuple[str, ...] = (
         for grid in ("", " --n 500,2000 --format json")
     ),
     "converge --theorem t4-item2 --n 500,2000 --v 50,200 --format json",
+    "converge --theorem t4-item3 --grid 1000:1000",
     "rate --which mdp-max-left --alpha 0 --x 0.5",
     "rate --which mdp-max-right --alpha 0 --x 1.5",
     "rate --which max-left --alpha inf --x 0.5 --format json",
+    # the edges of the double range, where kappa, the constants or x^p overflow
+    *(
+        f"rate --which {which} --alpha {alpha} --x {x}"
+        for which, alpha, x in (
+            ("max-left", "5e307", "0.5"),
+            ("min-right", "5e307", "1"),
+            ("max-right", "1.7e308", "2"),
+            ("mdp-max-right", "1e308", "1"),
+            ("mdp-min-alpha", "1e-300", "1"),
+            ("mdp-max-left", "0", "1e103"),
+            ("mdp-min-alpha", "1", "1e103"),
+            ("mdp-min-vscale", "0", "1e154"),
+            ("max-right", "1", "1e160"),
+            ("min-right", "1", "1e160"),
+        )
+    ),
     "verify --quick",
     "verify --quick --format json",
 )
