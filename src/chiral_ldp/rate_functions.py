@@ -101,8 +101,12 @@ def rate_max_right(alpha, x: float) -> RateEval:
     if math.isinf(a):
         return RateEval(x * x - 2.0 * math.log(x) - 1.0, "infinite_alpha", float(kappa(a, x)))
     k = float(kappa(a, x))
-    # kappa overflows only where the rate, at least kappa, does too
-    value = a * _log_ratio(a, k) + 2.0 * (k - math.log(x) - 1.0) if k < math.inf else k
+    if k == math.inf:  # kappa overflows only where the rate, at least kappa, does too
+        return RateEval(k, "finite_alpha", k)
+    drop, rise = a * _log_ratio(a, k), k - math.log(x) - 1.0
+    value = drop + 2.0 * rise
+    if value == math.inf:  # only 2 rise overflowed, and halving is exact
+        value = 2.0 * (0.5 * drop + rise)
     return RateEval(value, "finite_alpha", k)
 
 
@@ -184,14 +188,10 @@ def rate_min_right(alpha, x: float) -> RateEval:
         elif k < math.inf:  # where kappa overflows, so does the rate
             # a ((a+2)/2 log1p(1/a) - log1p(k/a)) - a/2 in O(1) terms:
             # (a^2/2) (log1p(1/a) - 1/a + 1/(2a^2)) - 1/4 + a log((1+a)/(a+k))
-            value = (
-                0.5 * _log1p_excess(1.0 / a)
-                - 0.25
-                + a * _log_ratio(a, k)
-                + 2.0 * k
-                - 1.5
-                - math.log(x)
-            )
+            e, drop, lx = _log1p_excess(1.0 / a), a * _log_ratio(a, k), math.log(x)
+            value = 0.5 * e - 0.25 + drop + 2.0 * k - 1.5 - lx
+            if value == math.inf:  # only 2 k overflowed, and halving is exact
+                value = 2.0 * (0.25 * e - 0.125 + 0.5 * drop + k - 0.75 - 0.5 * lx)
         else:
             value = k
         return RateEval(value, "above_one", k)
@@ -266,4 +266,6 @@ def vscale_rate_statement_form(x: float) -> float:
     if not x >= 0.0:
         raise ValueError("x must be >= 0")
     r = math.sqrt(1.0 + 4.0 * x * x)
+    if r == math.inf:  # 4x^2 overflowed; the rest, about -1/(2x), is below an ulp of log x
+        return math.log(x)
     return 0.5 * math.log((1.0 + r) / 2.0 + 1.0 + x * x - r)

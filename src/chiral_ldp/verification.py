@@ -52,6 +52,8 @@ from .sampler import (
 )
 from .tau_geometry import TauParams, minimizer_xj, tau, tau_prime
 
+__all__ = ["CheckResult", "all_passed", "check_names", "run_checks"]
+
 # Largest |sf + cdf - 1| the tail-complement check accepts, with sf from the
 # forward ladder sum and cdf from the reverse one.
 COMPLEMENT_TOL = 1e-9

@@ -33,7 +33,7 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import digamma, ndtr, polygamma
+from scipy.special import digamma, erfcx, polygamma
 
 
 def _quad(f, points):
@@ -151,10 +151,44 @@ def gamma_product_tail_oracle(
         return float(_quad(f, pts))
 
 
-def saddle_point_tail_oracle(j: int, v: int, log_s: float) -> float:
-    """The tail of G_j G_{j+v} beyond s by the Lugannani-Rice formula:
-    P(G_j G_{j+v} >= s) for log s above the mean of log G_j + log G_{j+v},
-    P(G_j G_{j+v} <= s) below it; in double precision, any j.
+def gamma_product_log_sf_oracle(j: int, v: int, log_s: float, dps: int = 30) -> float:
+    """log P(G_j G_{j+v} >= s) by the integral of
+    :func:`gamma_product_tail_oracle`, for upper tails so deep that P
+    underflows a double.
+
+    The integrand is taken relative to its value at its peak g*, where
+    g (g + v) = s when s/g* is well above j+v, so that mpmath's absolute
+    tolerance does not swamp a value of, say, 1e-94; breakpoints 1, 2, 4,
+    8 and 16 sqrt(g*) either side of g* (the peak is about sqrt(g*/2)
+    wide) let the rule resolve it.
+    """
+    with mp.workdps(dps):
+        s = mp.exp(mp.mpf(log_s))
+        a, b = mp.mpf(j), mp.mpf(j + v)
+        log_norm = mp.loggamma(a)
+
+        def f(g):
+            return mp.exp((a - 1) * mp.log(g) - g - log_norm) * mp.gammainc(
+                b, s / g, mp.inf, regularized=True
+            )
+
+        peak = (mp.sqrt((b - a) ** 2 + 4 * s) - (b - a)) / 2
+        top, width = f(peak), mp.sqrt(peak)
+        pts = sorted({mp.mpf(0), mp.inf} | {
+            peak + k * width for k in (-16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16) if peak + k * width > 0
+        })
+        return float(mp.log(top) + mp.log(_quad(lambda g: f(g) / top, pts)))
+
+
+# Gauss-Legendre nodes and weights of the saddle-point oracle's rule and check
+_LEGENDRE = {points: np.polynomial.legendre.leggauss(points) for points in (20, 40)}
+
+
+def saddle_point_log_tail_oracle(j: int, v: int, log_s: float) -> float:
+    """The log tail of G_j G_{j+v} beyond s by the Lugannani-Rice formula:
+    log P(G_j G_{j+v} >= s) for log s above the mean of log G_j + log G_{j+v},
+    log P(G_j G_{j+v} <= s) below it; in double precision, any j, and finite
+    where P underflows.
 
     log G_j + log G_{j+v} has the cumulant generating function
     K(theta) = lnG(j+theta) - lnG(j) + lnG(j+v+theta) - lnG(j+v), so the
@@ -164,40 +198,45 @@ def saddle_point_tail_oracle(j: int, v: int, log_s: float) -> float:
     u = theta sqrt(K''(theta)), the upper tail is
     1 - Phi(w) + phi(w) (1/u - 1/w) and the lower one
     Phi(w) - phi(w) (1/u - 1/w) (Lugannani & Rice, Adv. Appl. Probab. 12,
-    1980).  theta log s - K(theta) is taken as the integral of
-    log s - K'(t) over (0, theta) by 40-point Gauss-Legendre, checked
-    against 20 points, rather than from differences of gammaln values:
-    lnG(j) is about j log j, and its rounding alone puts 2e-9 into P at
-    j = 1e6.  At the mean (theta = 0) the formula is singular.  The
-    expansion's relative error in P falls like j^-1.4 to j^-1.5 at a fixed
-    number of standard deviations into either tail (the tests state the
+    1980); both are phi(w) (R(|w|) + 1/|u| - 1/|w|), with the Mills ratio
+    R(z) = (1 - Phi(z)) / phi(z) from erfcx.  theta log s - K(theta) is
+    taken as the integral of log s - K'(t) over (0, theta) by 40-point
+    Gauss-Legendre in y = log(j + t), checked against 20 points, rather
+    than from differences of gammaln values: lnG(j) is about j log j, and
+    its rounding alone puts 2e-9 into P at j = 1e6.  In y the integrand
+    stays smooth where theta >> j, 10 and more standard deviations into the
+    upper tail at j <= 30, which a rule in t does not resolve.  At the mean
+    (theta = 0) the formula is singular.  The expansion's relative error in
+    P falls like j^-1.4 to j^-1.5 at a fixed number of standard deviations
+    into either tail, and grows with that number (the tests state the
     laws).
     """
     a, b = float(j), float(j + v)
 
-    def k1(theta):
-        return digamma(a + theta) + digamma(b + theta)
+    def k1(g):  # K'(theta) at g = j + theta
+        return digamma(g) + digamma(g + (b - a))
 
-    mean = k1(0.0)
+    mean = k1(a)
     if log_s > mean:
         lo, hi = 0.0, 1.0
-        while k1(hi) < log_s:
+        while k1(a + hi) < log_s:
             hi *= 2.0
     elif log_s < mean:
         # psi(j + theta) falls to -inf as theta falls to -j
         lo, hi = -0.5 * a, 0.0
-        while k1(lo) > log_s:
+        while k1(a + lo) > log_s:
             lo = 0.5 * (lo - a)
     else:
         raise ValueError("the saddle-point oracle is singular at the mean")
-    theta, info = brentq(lambda t: k1(t) - log_s, lo, hi, rtol=1e-15, full_output=True)
+    theta, info = brentq(lambda t: k1(a + t) - log_s, lo, hi, rtol=1e-15, full_output=True)
     if not info.converged:
         raise ArithmeticError(f"saddle point not found: {info.flag}")
+    span = math.log1p(theta / a)  # log(j + theta) - log j
 
     def legendre(points: int) -> float:
-        nodes, weights = np.polynomial.legendre.leggauss(points)
-        t = 0.5 * theta * (nodes + 1.0)
-        return 0.5 * theta * float(np.dot(weights, log_s - k1(t)))
+        nodes, weights = _LEGENDRE[points]
+        g = a * np.exp(0.5 * span * (nodes + 1.0))  # j + t, and dt = g dy
+        return 0.5 * span * float(np.dot(weights, (log_s - k1(g)) * g))
 
     half_w2 = legendre(40)
     # each node rounds log s - K'(t) by a few ulp of K'(t), which lies
@@ -205,10 +244,10 @@ def saddle_point_tail_oracle(j: int, v: int, log_s: float) -> float:
     tol = 8.0 * np.finfo(float).eps * abs(theta) * max(1.0, abs(log_s), abs(mean))
     if not abs(half_w2 - legendre(20)) <= tol:
         raise ArithmeticError("Gauss-Legendre rule for theta log s - K(theta) not converged")
-    w = math.copysign(math.sqrt(2.0 * half_w2), theta)
-    u = theta * math.sqrt(polygamma(1, a + theta) + polygamma(1, b + theta))
-    correction = math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi) * (1.0 / u - 1.0 / w)
-    return float(ndtr(-w) + correction if theta > 0.0 else ndtr(w) - correction)
+    w = math.sqrt(2.0 * half_w2)
+    u = abs(theta) * math.sqrt(polygamma(1, a + theta) + polygamma(1, b + theta))
+    mills = math.sqrt(0.5 * math.pi) * float(erfcx(w / math.sqrt(2.0)))
+    return -half_w2 - 0.5 * math.log(2.0 * math.pi) + math.log(mills + 1.0 / u - 1.0 / w)
 
 
 def gamma_tail_log(a: float, b: float, upper: bool, dps: int = 30) -> float:

@@ -49,12 +49,13 @@ from chiral_ldp.tau_geometry import TauParams, minimizer_xj, tau, tau_prime
 from chiral_ldp.verification import _log_gamma_tail, _log_tau_integral
 
 from oracles import (
+    gamma_product_log_sf_oracle,
     gamma_product_tail_oracle,
     gamma_tail_log,
     index_cdf_oracle,
     kve_oracle,
     log_kv_oracle,
-    saddle_point_tail_oracle,
+    saddle_point_log_tail_oracle,
     tau_integral_log,
 )
 
@@ -188,12 +189,16 @@ class TestLadderOracles:
         assert math.log(sf) == pytest.approx(got, abs=1e-12)
 
 
-def _saddle_law(j: int, sds: float) -> float:
-    """The saddle-point oracle's relative error bound in P at 2 and 5
-    standard deviations into a tail: 0.05 j^-1.4 above the mean and
-    0.8 j^-1.5 below it, each at least 2.5x the error measured against the
-    ladder at j from 5 to 1e6 and v in {0, 10}."""
-    return 0.05 * j**-1.4 if sds > 0 else 0.8 * j**-1.5
+def _saddle_law(j, sds):
+    """The saddle-point oracle's relative error bound in P at sds standard
+    deviations into a tail (floats or arrays): 0.05 j^-1.4 max(1, sds/5)
+    above the mean, from 2 to 30 sd, and 0.8 j^-1.5 below it, at 2 and
+    5 sd.  Each is at least 2.5x the error measured against the ladder at j
+    from 5 to 1e6 and v in {0, 10}.  Above the mean, from 5 sd on, the
+    error grows about linearly in sds at j >= 500 (3.9e-11 at 5 sd and
+    2.4e-10 at 30 sd, j = 1e6) and falls at j <= 30."""
+    j = np.asarray(j, dtype=float)
+    return 0.05 * j**-1.4 * np.maximum(1.0, sds / 5.0) if np.all(sds > 0) else 0.8 * j**-1.5
 
 
 def _sd_level(j: int, v: int, sds: float) -> tuple[float, float]:
@@ -203,6 +208,11 @@ def _sd_level(j: int, v: int, sds: float) -> tuple[float, float]:
     y = digamma(j) + digamma(j + v) + sds * math.sqrt(polygamma(1, j) + polygamma(1, j + v))
     x = math.sqrt(math.exp(y) / (j * (j + v)))
     return x, math.log(j) + math.log(j + v) + 2.0 * math.log(x)
+
+
+def _rel_gap(log_got: float, log_want: float) -> float:
+    """|P_got / P_want - 1| from the two logs."""
+    return abs(math.expm1(log_got - log_want))
 
 
 class TestSaddlePointOracle:
@@ -215,29 +225,61 @@ class TestSaddlePointOracle:
     def test_law_holds_against_the_gamma_product_oracle(self, j, v, sds):
         x, log_s = _sd_level(j, v, sds)
         want = gamma_product_tail_oracle(j, v, j, x, upper=sds > 0)
-        assert saddle_point_tail_oracle(j, v, log_s) == pytest.approx(want, rel=_saddle_law(j, sds))
+        assert _rel_gap(saddle_point_log_tail_oracle(j, v, log_s), math.log(want)) <= _saddle_law(j, sds)
 
-    @pytest.mark.parametrize("sds", [2.0, 5.0])
+    @pytest.mark.parametrize("sds", [10.0, 20.0, 30.0])
+    @pytest.mark.parametrize("v", [0, 10])
+    @pytest.mark.parametrize("j", [5, 30])
+    def test_law_holds_deep_in_the_upper_tail(self, j, v, sds):
+        # down to log P = -194568 (j = 5, v = 0, 30 sd), so in logs
+        _, log_s = _sd_level(j, v, sds)
+        want = gamma_product_log_sf_oracle(j, v, log_s)
+        got = saddle_point_log_tail_oracle(j, v, log_s)
+        assert _rel_gap(got, want) <= _saddle_law(j, sds)
+
+    @pytest.mark.parametrize("sds", [2.0, 5.0, 10.0, 20.0, 30.0])
     @pytest.mark.parametrize("v", [0, 10])
     @pytest.mark.parametrize("j", [500, 5000, 50_000, 10**6])
     def test_log_sf_index_matches_it_at_large_j(self, j, v, sds):
         x, log_s = _sd_level(j, v, sds)
-        got = math.exp(log_sf_index(EnsembleParams(j, v), j, x))
-        assert got == pytest.approx(saddle_point_tail_oracle(j, v, log_s), rel=_saddle_law(j, sds))
+        got = log_sf_index(EnsembleParams(j, v), j, x)
+        assert _rel_gap(got, saddle_point_log_tail_oracle(j, v, log_s)) <= _saddle_law(j, sds)
 
     @pytest.mark.parametrize("sds", [-5.0, -2.0])
     @pytest.mark.parametrize("v", [0, 10])
     @pytest.mark.parametrize("j", [500, 5000, 50_000, 10**6])
     def test_log_cdf_index_matches_it_at_large_j(self, j, v, sds):
         x, log_s = _sd_level(j, v, sds)
-        got = math.exp(log_cdf_index(EnsembleParams(j, v), j, x))
-        assert got == pytest.approx(saddle_point_tail_oracle(j, v, log_s), rel=_saddle_law(j, sds))
+        got = log_cdf_index(EnsembleParams(j, v), j, x)
+        assert _rel_gap(got, saddle_point_log_tail_oracle(j, v, log_s)) <= _saddle_law(j, sds)
+
+    @pytest.mark.parametrize(
+        "n, v, x",
+        [(10**4, 0, 1.05), (10**4, 10, 1.05), (10**5, 0, 1.02), (10**5, 10, 1.03), (10**6, 0, 1.02)],
+    )
+    def test_max_ge_product_matches_it_at_large_n(self, n, v, x):
+        """P(max >= x) = 1 - prod (1 - sf_j) over the window the query keeps,
+        whose indices sit 7 (n = 1e4) to 30 (n = 1e6) sd into the upper
+        tail; to first order in the sf_j (P is below 1e-10 here) its
+        relative error is the sf-weighted mean of the per-index laws."""
+        params = EnsembleParams(n, v)
+        first, last, _ = exact_dist._window(
+            exact_dist._threshold(params, x), v, n, Statistic.MAX_SQ
+        )
+        j = np.arange(first, last + 1)
+        log_s = math.log(n) + math.log(n + v) + 2.0 * math.log(x)
+        sf = np.exp([saddle_point_log_tail_oracle(int(i), v, log_s) for i in j])
+        sds = (log_s - digamma(j) - digamma(j + v)) / np.sqrt(polygamma(1, j) + polygamma(1, j + v))
+        want = -math.expm1(float(np.sum(np.log1p(-sf))))
+        assert want > 1e-300
+        law = float(np.dot(sf, _saddle_law(j, sds)) / np.sum(sf))
+        assert _rel_gap(log_prob_max_ge(params, x), math.log(want)) <= law
 
     def test_refuses_the_mean(self):
         # theta = 0 there, and 1/u - 1/w is 0/0
         log_s = digamma(50) + digamma(53)
         with pytest.raises(ValueError, match="singular at the mean"):
-            saddle_point_tail_oracle(50, 3, log_s)
+            saddle_point_log_tail_oracle(50, 3, log_s)
 
 
 class TestTrapezoidK:

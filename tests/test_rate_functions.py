@@ -197,10 +197,12 @@ class TestLimitCoherence:
             assert got == pytest.approx(rate_min_right(math.inf, x).value, abs=1e-6)
 
     @pytest.mark.parametrize(
-        "alpha, x", [(1e-300, 1e103), (1.0, 1e103), (1e300, 1e103), (1.0, 1e160), (1.7e308, 1e154)]
+        "alpha, x",
+        [(1e-300, 1e103), (1.0, 1e103), (1e300, 1e103), (1.0, 1e160), (1.7e308, 1e154), (1.7e308, 1.2e154)],
     )
     def test_huge_levels_match_high_precision_display(self, alpha, x):
-        # log1p((1-k)/(a+k)) had its argument round to -1, or a+k overflow
+        # log1p((1-k)/(a+k)) had its argument round to -1, or a+k overflow;
+        # at (1.7e308, 1.2e154) the rate is 1.1e308 but 2 kappa overflowed
         for which, rate in (("max-right", rate_max_right), ("min-right", rate_min_right)):
             want = finite_alpha_rate_oracle(which, alpha, x)
             assert rate(alpha, x).value == pytest.approx(want, rel=1e-14)

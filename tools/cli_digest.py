@@ -76,8 +76,13 @@ COMMANDS: tuple[str, ...] = (
             ("mdp-min-vscale", "0", "1e154"),
             ("max-right", "1", "1e160"),
             ("min-right", "1", "1e160"),
+            ("max-right", "1.7e308", "1.2e154"),
+            ("min-right", "1.7e308", "1.2e154"),
         )
     ),
+    "converge --theorem t4-item2 --grid 10000:100 --x 1e160",
+    # near x = 1 the max rates lose relative accuracy to cancellation
+    "rate --which max-right --alpha 0 --x 1.00000001",
     "verify --quick",
     "verify --quick --format json",
 )
