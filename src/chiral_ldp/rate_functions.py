@@ -188,10 +188,9 @@ def rate_min_right(alpha, x: float) -> RateEval:
         elif k < math.inf:  # where kappa overflows, so does the rate
             # a ((a+2)/2 log1p(1/a) - log1p(k/a)) - a/2 in O(1) terms:
             # (a^2/2) (log1p(1/a) - 1/a + 1/(2a^2)) - 1/4 + a log((1+a)/(a+k))
-            e, drop, lx = _log1p_excess(1.0 / a), a * _log_ratio(a, k), math.log(x)
-            value = 0.5 * e - 0.25 + drop + 2.0 * k - 1.5 - lx
-            if value == math.inf:  # only 2 k overflowed, and halving is exact
-                value = 2.0 * (0.25 * e - 0.125 + 0.5 * drop + k - 0.75 - 0.5 * lx)
+            # summed halved, which is exact here and keeps 2 k from overflowing
+            e, drop = _log1p_excess(1.0 / a), a * _log_ratio(a, k)
+            value = 2.0 * (0.25 * e - 0.125 + 0.5 * drop + k - 0.75 - 0.5 * math.log(x))
         else:
             value = k
         return RateEval(value, "above_one", k)

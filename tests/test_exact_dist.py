@@ -261,14 +261,19 @@ class TestSaddlePointOracle:
         """P(max >= x) = 1 - prod (1 - sf_j) over the window the query keeps,
         whose indices sit 7 (n = 1e4) to 30 (n = 1e6) sd into the upper
         tail; to first order in the sf_j (P is below 1e-10 here) its
-        relative error is the sf-weighted mean of the per-index laws."""
+        relative error is the sf-weighted mean of the per-index laws.  The
+        oracle also sums half the window again below it, so the window's
+        cut is checked against its own bound and not taken on trust."""
         params = EnsembleParams(n, v)
-        first, last, _ = exact_dist._window(
+        first, last, bound = exact_dist._window(
             exact_dist._threshold(params, x), v, n, Statistic.MAX_SQ
         )
-        j = np.arange(first, last + 1)
+        j = np.arange(max(1, first - (last - first + 1) // 2), last + 1)
         log_s = math.log(n) + math.log(n + v) + 2.0 * math.log(x)
-        sf = np.exp([saddle_point_log_tail_oracle(int(i), v, log_s) for i in j])
+        log_sf = np.array([saddle_point_log_tail_oracle(int(i), v, log_s) for i in j])
+        cut = j < first  # about e^-52 to e^-55 of the kept mass, against bounds near e^-41
+        assert np.logaddexp.reduce(log_sf[cut]) - np.logaddexp.reduce(log_sf[~cut]) <= math.log(bound)
+        sf = np.exp(log_sf)
         sds = (log_s - digamma(j) - digamma(j + v)) / np.sqrt(polygamma(1, j) + polygamma(1, j + v))
         want = -math.expm1(float(np.sum(np.log1p(-sf))))
         assert want > 1e-300

@@ -256,13 +256,16 @@ class TestMdpMinRate:
         assert mdp_min_alpha_const(math.inf) == pytest.approx(0.25)
         assert THEOREMS["t4-item3"].rate(math.inf, 1.0).value == pytest.approx(0.25)
 
-    @pytest.mark.parametrize("x", [1e150, 1.1e150, 1e154, 1e160])
+    @pytest.mark.parametrize("x", [1e150, 1.1e150, 1e154, 1e160, 1e300])
     def test_vscale_rate_at_huge_levels(self, x):
-        # sqrt(1+4x^2) and x^2 overflowed from about 1e154 and left NaN
+        # sqrt(1+4x^2) and x^2 overflowed from about 1e154 and left NaN in
+        # both forms; the statement form is about log x - 1/(2x) there
         with mp.workdps(60):
             r = mp.sqrt(1 + 4 * mp.mpf(x) ** 2)
             want = mp.log((1 + r) / 2) / 2 + (1 + mp.mpf(x) ** 2) / 2 - r / 2
+            statement = mp.log((1 + r) / 2 + 1 + mp.mpf(x) ** 2 - r) / 2
         assert vscale_rate(x) == pytest.approx(float(want) if want < 1.8e308 else math.inf, rel=1e-15)
+        assert vscale_rate_statement_form(x) == pytest.approx(float(statement), rel=1e-15)
 
     @pytest.mark.parametrize("alpha, x", [(1e-160, 1e-90), (1e-200, 1e-60), (1e-300, 1e-100)])
     def test_alpha_rate_where_its_constant_overflows(self, alpha, x):
