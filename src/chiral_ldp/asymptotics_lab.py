@@ -311,7 +311,7 @@ def _mdp_min_alpha(alpha: float, x: float) -> RateEval:
     c = mdp_min_alpha_const(alpha)
     # x^4/4 at alpha = inf bit for bit as rate_min_right(inf, x) gives it below one;
     # where c overflows (alpha below ~1e-154), (x sqrt(c) x)^2 does not
-    x4 = _power(x, 4) if math.isfinite(alpha) else x * x * x * x
+    x4 = _power(x, 4) if math.isfinite(alpha) else (x * x) * (x * x)
     value = c * x4 if c < math.inf else _power(x * (x * ((1.0 + alpha) / alpha / 2.0)), 2)
     return RateEval(value, "mdp_speed_n2_l4")
 

@@ -262,20 +262,40 @@ def gamma_tail_log(a: float, b: float, upper: bool, dps: int = 30) -> float:
 
 def finite_alpha_rate_oracle(which: str, alpha: float, x: float) -> float:
     """The published finite-alpha display of ``which`` ("max-right",
-    "max-left" or "min-right"), evaluated as written at enough digits that
-    its O(alpha^2) terms cancel exactly (40 plus twice the decades of
-    alpha)."""
-    with mp.workdps(40 + 2 * max(0, math.ceil(math.log10(alpha)))):
-        a, x_ = mp.mpf(alpha), mp.mpf(x)
-        k = 2 * (1 + a) * x_ * x_ / (a + mp.sqrt(a * a + 4 * (1 + a) * x_ * x_))
-        if which == "max-right":
-            value = a * mp.log((1 + a) / (a + k)) + 2 * (k - mp.log(x_) - 1)
-        elif which == "max-left":
-            value = (a + a * a / 2) * mp.log1p((1 - k) / (k + a)) - mp.log(x_) - (a + 3 - k) * (1 - k) / 2
-        elif x_ >= 1:
-            value = a * ((a + 2) / 2 * mp.log1p(1 / a) - mp.log1p(k / a)) + 2 * k - (3 + a) / 2 - mp.log(x_)
+    "max-left" or "min-right"), evaluated as written, and its closed limits
+    at alpha = 0 and alpha = inf (for "max-left" the pointwise limit
+    x^2 - x^4/4 - 3/4 - log x, not the published infinite-alpha display).
+
+    The displays cancel O(alpha^2) terms down to the rate, which near x = 1
+    is as small as (x - 1)^3, so they run at 200 digits plus twice the
+    decades of alpha."""
+    decades = math.ceil(math.log10(alpha)) if 1.0 < alpha < math.inf else 0
+    with mp.workdps(200 + 2 * decades):
+        x_ = mp.mpf(x)
+        lx = mp.log(x_)
+        if alpha == 0.0:
+            value = {
+                "max-right": 2 * (x_ - lx - 1),
+                "max-left": -lx - (x_ * x_ - 4 * x_ + 3) / 2,
+                "min-right": 2 * x_ - mp.mpf(1.5) - lx if x_ >= 1 else x_ * x_ / 2,
+            }[which]
+        elif alpha == math.inf:
+            value = {
+                "max-right": x_**2 - 2 * lx - 1,
+                "max-left": x_**2 - x_**4 / 4 - mp.mpf(0.75) - lx,
+                "min-right": x_**2 - lx - mp.mpf(0.75) if x_ >= 1 else x_**4 / 4,
+            }[which]
         else:
-            value = a * a / 2 * mp.log1p(k / a) - (a * k - k * k) / 2
+            a = mp.mpf(alpha)
+            k = 2 * (1 + a) * x_ * x_ / (a + mp.sqrt(a * a + 4 * (1 + a) * x_ * x_))
+            if which == "max-right":
+                value = a * mp.log((1 + a) / (a + k)) + 2 * (k - mp.log(x_) - 1)
+            elif which == "max-left":
+                value = (a + a * a / 2) * mp.log1p((1 - k) / (k + a)) - mp.log(x_) - (a + 3 - k) * (1 - k) / 2
+            elif x_ >= 1:
+                value = a * ((a + 2) / 2 * mp.log1p(1 / a) - mp.log1p(k / a)) + 2 * k - (3 + a) / 2 - mp.log(x_)
+            else:
+                value = a * a / 2 * mp.log1p(k / a) - (a * k - k * k) / 2
         return float(value)
 
 

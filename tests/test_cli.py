@@ -25,6 +25,7 @@ import pytest
 import chiral_ldp.cli as cli_module
 import chiral_ldp.exact_dist as exact_dist
 import chiral_ldp.sampler as sampler
+import chiral_ldp.verification as verification
 from chiral_ldp._quad import QuadratureError
 from chiral_ldp.asymptotics_lab import THEOREMS, converge_table
 from chiral_ldp.cli import main
@@ -36,6 +37,12 @@ RATE_PINS = {
     ("max-right", "0", "1.5"): 0.18906978378367123604,
     ("max-right", "inf", "2"): 1.6137056388801093812,
     ("min-right", "0", "2"): 1.8068528194400546906,
+    # at subnormal alpha, where 1/alpha overflows, the alpha = 0 rate
+    ("min-right", "1e-309", "2"): 1.8068528194400546906,
+    # where the rates vanish like (x-1)^2, (1-x)^3/3 and x^4/4
+    ("max-right", "0", "1.00000001"): 9.9999998117839159997e-17,
+    ("max-left", "0", "0.999999999999"): 3.3331121210282869973e-37,
+    ("mdp-min-vscale", "0", "1e-8"): 2.4999999999999998759e-33,
 }
 CLOSED_TAIL_LOG_HALF = -0.50765194821075233095  # log P(2Y_1 >= 0.5) at n=1, v=0
 
@@ -139,7 +146,7 @@ class TestRateCommand:
     @pytest.mark.parametrize("which", [t.kind for t in THEOREMS.values()])
     def test_the_whole_double_range_gives_a_rate_or_a_refusal(self, which):
         # overflowing values read inf; only the flagged display goes negative
-        for alpha in ("0", "1e-300", "1", "1e300", "1.7e308", "inf"):
+        for alpha in ("0", "1e-309", "1e-300", "1", "1e300", "1.7e308", "inf"):
             for x in ("1e-6", "0.5", "2", "1e103", "1e160"):
                 code, out, err = run_cli(["rate", "--which", which, "--alpha", alpha, "--x", x])
                 assert code in (0, 2), (alpha, x, err)
@@ -265,6 +272,10 @@ class TestExitCodes:
         [
             (["rate", "--which", "max-right", "--alpha", "-1", "--x", "1.5"],
              "alpha must be >= 0"),
+            (["rate", "--which", "max-right", "--alpha", "abc", "--x", "2"],
+             "alpha must be a number, '0', or 'inf', got 'abc'"),
+            (["converge", "--theorem", "t1-right", "--n", "25,50", "--v", "0,1,2"],
+             "--v must list one value or match --n in length"),
             (["prob", "--n", "1", "--x", "0", "--stat", "max", "--side", "ge"],
              "level x must be finite and > 0"),
             (["matrix", "--n", "100", "--count", "2"],
@@ -473,6 +484,13 @@ class TestSampleCommand:
         assert gap <= 4.0 * float(row["se_t"])
         assert "t denotes 2nY_j" in err
 
+    def test_summary_of_one_draw_has_no_spread(self):
+        code, out, _ = run_cli(["sample", "--n", "5", "--j", "1", "--count", "1", "--summary"])
+        assert code == 0
+        row = csv_rows(out)[1][0]
+        assert int(row["count"]) == 1
+        assert float(row["sd_t"]) == 0.0 and float(row["se_t"]) == 0.0
+
     def test_ks_mode_below_critical_band(self):
         code, out, _ = run_cli(
             ["sample", "--n", "5", "--v", "2", "--j", "3", "--count", "8000",
@@ -576,6 +594,12 @@ class TestConvergeCommand:
         gaps = [float(r["scaled_gap"]) for r in rows]
         assert gaps[1] < gaps[0]
 
+    def test_default_grid_gives_one_row_per_entry(self):
+        code, out, _ = run_cli(["converge", "--theorem", "t1-right"])
+        assert code == 0
+        rows = csv_rows(out)[1]
+        assert [(int(r["n"]), int(r["v"])) for r in rows] == list(THEOREMS["t1-right"].grid)
+
     def test_rate_and_converge_read_one_table(self):
         """Every theorem's ``rate`` kind gives the converge row's target bit
         for bit, and both commands offer exactly the table's entries."""
@@ -634,6 +658,23 @@ class TestVerifyCommand:
         assert rows, "quick suite must contain checks"
         assert all(r["passed"] == "true" for r in rows)
         assert "checks passed (quick suite)" in err
+
+    def test_full_suite_green(self):
+        # the sampler, probe and rate-trend checks run only in the full suite
+        results = verification.run_checks(quick=False)
+        assert [r.name for r in results] == verification.check_names(quick=False)
+        assert [r.name for r in results if not r.passed] == []
+
+    def test_a_raising_check_fails_and_the_suite_goes_on(self, monkeypatch):
+        def boom():
+            raise RuntimeError("forced")
+
+        name, _ = verification._QUICK[0]
+        monkeypatch.setattr(verification, "_QUICK", ((name, boom),) + verification._QUICK[1:])
+        results = verification.run_checks(quick=True)
+        assert (results[0].name, results[0].passed) == (name, False)
+        assert results[0].detail == "raised RuntimeError: forced"
+        assert all(r.passed for r in results[1:])
 
 
 class TestDeterminism:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from chiral_ldp.asymptotics_lab import THEOREMS
@@ -219,6 +221,63 @@ class TestLimitCoherence:
             assert rate_min_right(alpha, x).value == pytest.approx(want, rel=1e-13)
 
 
+def assert_rates_close(alpha: float, right: float, left: float) -> None:
+    """Every rate at alpha on its deviation side, at ``right`` > 1 and
+    ``left`` < 1, is positive and within 4e-15 relative of the display in
+    mpmath; at alpha = inf max-left's check is on its consistent limit."""
+    cases = [
+        (rate_max_right(alpha, right).value, "max-right", right),
+        (rate_min_right(alpha, right).value, "min-right", right),
+        (rate_min_right(alpha, left).value, "min-right", left),
+        (
+            rate_max_left(alpha, left).value if alpha < math.inf else rate_max_left_infinity_consistent(left),
+            "max-left",
+            left,
+        ),
+    ]
+    for got, which, x in cases:
+        want = finite_alpha_rate_oracle(which, alpha, x)
+        assert got > 0.0 and abs(got - want) <= 4e-15 * want, (which, alpha, x, got, want)
+
+
+class TestAccuracy:
+    """Each rate within a few ulp of the published display in mpmath (or
+    its closed limits at alpha = 0 and inf) where it vanishes, at the ends
+    of the double range, and over the whole domain."""
+
+    @pytest.mark.parametrize("gap", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2])
+    @pytest.mark.parametrize("alpha", [0.0, 1e-300, 1e-8, 0.1, 1.0, 100.0, 1e8, 1e16, 1e100, math.inf])
+    def test_near_one(self, alpha, gap):
+        # the rates vanish like (x-1)^2 and (1-x)^3 there, and forms that
+        # subtracted O(1) terms lost them: rate_max_right(0, 1.00000001) read 0
+        assert_rates_close(alpha, 1.0 + gap, 1.0 - gap)
+
+    @pytest.mark.parametrize("alpha, x", [(0.0, 5e-324), (1.0, 1e-300), (1e300, 1e-200)])
+    def test_max_left_where_kappa_underflows(self, alpha, x):
+        # kappa is 5e-324, 0 and 0 here, and -log kappa comes from x
+        got = rate_max_left(alpha, x).value
+        want = finite_alpha_rate_oracle("max-left", alpha, x)
+        assert got > 0.0 and abs(got - want) <= 4e-15 * want
+        if alpha == 1e300:
+            assert got == 459.76701859880916
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.one_of(
+            st.sampled_from([0.0, math.inf]), st.floats(-310.0, 308.25).map(lambda t: 10.0**t)
+        ),
+        right=st.floats(-15.0, 3.0).map(lambda t: 1.0 + 10.0**t),
+        left=st.one_of(
+            st.floats(-6.0, -1e-3).map(lambda t: 10.0**t),
+            st.floats(-15.0, -0.5).map(lambda t: 1.0 - 10.0**t),
+        ),
+    )
+    def test_whole_domain(self, alpha, right, left):
+        # alpha log-uniform over [1e-310, 1.78e308] and both limits; x up to
+        # 1e3 on the right and down to 1e-6 on the left
+        assert_rates_close(alpha, right, left)
+
+
 class TestMdpConstants:
     def test_pinned_values(self):
         assert mdp_max_right_const(0.0) == 1.0
@@ -256,16 +315,36 @@ class TestMdpMinRate:
         assert mdp_min_alpha_const(math.inf) == pytest.approx(0.25)
         assert THEOREMS["t4-item3"].rate(math.inf, 1.0).value == pytest.approx(0.25)
 
+    @staticmethod
+    def _vscale_oracle(x: float) -> tuple[float, float]:
+        """The proof form and the statement form in mpmath, with digits for
+        the x^4 they cancel down to at small x."""
+        with mp.workdps(60 + 4 * max(0, -math.floor(math.log10(x)))):
+            r = mp.sqrt(1 + 4 * mp.mpf(x) ** 2)
+            proof = mp.log((1 + r) / 2) / 2 + (1 + mp.mpf(x) ** 2) / 2 - r / 2
+            statement = mp.log((1 + r) / 2 + 1 + mp.mpf(x) ** 2 - r) / 2
+            return float(proof) if proof < 1.8e308 else math.inf, float(statement)
+
     @pytest.mark.parametrize("x", [1e150, 1.1e150, 1e154, 1e160, 1e300])
     def test_vscale_rate_at_huge_levels(self, x):
         # sqrt(1+4x^2) and x^2 overflowed from about 1e154 and left NaN in
         # both forms; the statement form is about log x - 1/(2x) there
-        with mp.workdps(60):
-            r = mp.sqrt(1 + 4 * mp.mpf(x) ** 2)
-            want = mp.log((1 + r) / 2) / 2 + (1 + mp.mpf(x) ** 2) / 2 - r / 2
-            statement = mp.log((1 + r) / 2 + 1 + mp.mpf(x) ** 2 - r) / 2
-        assert vscale_rate(x) == pytest.approx(float(want) if want < 1.8e308 else math.inf, rel=1e-15)
-        assert vscale_rate_statement_form(x) == pytest.approx(float(statement), rel=1e-15)
+        proof, statement = self._vscale_oracle(x)
+        assert vscale_rate(x) == pytest.approx(proof, rel=1e-15)
+        assert vscale_rate_statement_form(x) == pytest.approx(statement, rel=1e-15)
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-20, 1e-8, 1e-5, 1e-3, 0.1])
+    def test_vscale_rate_at_small_levels(self, x):
+        # both forms subtracted O(1) terms from a rate near x^4/4: vscale_rate
+        # read -1.1e-16 at x = 1e-8 and 0 at 1e-5; at 1e-300 the rate underflows
+        for got, want in zip((vscale_rate(x), vscale_rate_statement_form(x)), self._vscale_oracle(x)):
+            assert got >= 0.0 and abs(got - want) <= 4e-15 * want, (got, want)
+
+    def test_alpha_rate_at_infinity_is_the_min_rate_below_one(self):
+        # both give x^4/4 at alpha = inf, and to the last bit
+        xs = np.exp(np.random.default_rng(5).uniform(math.log(1e-6), 0.0, 20_000))
+        for x in xs.tolist():
+            assert THEOREMS["t4-item3"].rate(math.inf, x).value == rate_min_right(math.inf, x).value
 
     @pytest.mark.parametrize("alpha, x", [(1e-160, 1e-90), (1e-200, 1e-60), (1e-300, 1e-100)])
     def test_alpha_rate_where_its_constant_overflows(self, alpha, x):

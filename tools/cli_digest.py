@@ -81,8 +81,14 @@ COMMANDS: tuple[str, ...] = (
         )
     ),
     "converge --theorem t4-item2 --grid 10000:100 --x 1e160",
-    # near x = 1 the max rates lose relative accuracy to cancellation
+    # near x = 1 the rates vanish, and a form that subtracts O(1) terms loses them
     "rate --which max-right --alpha 0 --x 1.00000001",
+    "rate --which max-left --alpha 0 --x 0.999999999999",
+    "rate --which mdp-min-vscale --alpha 0 --x 1e-8",
+    "converge --theorem t4-item2 --grid 10000:100 --x 1e-3",
+    # at subnormal alpha 1/alpha overflows; where kappa underflows log kappa does
+    "rate --which min-right --alpha 1e-309 --x 2",
+    "rate --which max-left --alpha 1e300 --x 1e-200",
     "verify --quick",
     "verify --quick --format json",
 )
