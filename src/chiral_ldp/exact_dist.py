@@ -70,13 +70,24 @@ its window (see :func:`_window_tails`, which :func:`index_tails` shares
 with the window 1..top).  A large batch, such as the sampler's KS
 statistics evaluating the exact cdf at every sample point over every index,
 goes through one loop, :func:`_reduce_rows`: it cuts the thresholds into
-chunks of rows sized by the ladder's footprint per row and reduces each
-chunk to one value per threshold, so memory does not grow with the batch.
+blocks of rows sized by the ladder's footprint per row and reduces each
+block to one value per threshold, so memory does not grow with the batch.
+
+Blocks.  A job of independent rows (ladder thresholds here, sampler and
+probe replicates in :mod:`chiral_ldp.sampler`) is cut by :func:`_blocks`
+into equal blocks of at most ``_CHUNK_ELEMENTS // _WORKERS`` elements, and
+:func:`_run_blocks` runs them on one shared thread pool of ``_WORKERS``
+threads, the usable CPU count, each block writing its own slice of a
+preallocated output.  Rows never depend on the block they run in, so the
+values are the same bits for any CPU count.  A job of one block runs inline
+and never starts the pool.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -112,8 +123,15 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # Everything the sums drop is this many nats below what they keep; the
 # reverse sum's tail and the index window each get half (see _window).
 _TRUNCATION_NATS = 40.0
-# Rows run in chunks that keep each temporary near this many elements.
+# Rows run in blocks whose temporaries together stay near this many
+# elements: _WORKERS blocks run at once, each under _CHUNK_ELEMENTS // _WORKERS.
 _CHUNK_ELEMENTS = 1_000_000
+# Threads of the block pool (see _run_blocks): the CPUs this process may use.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+_POOL = None  # created by the first job of more than one block
+_POOL_LOCK = threading.Lock()
 # The trapezoid rule (see _kve_sums) runs to where its integrands are
 # e^-_K_NATS below their peak, in at most _K_MAX_GROUPS * _K_NODES nodes
 # (more overflow the cosh weights at v = 0); rows run in blocks of _K_BLOCK.
@@ -419,7 +437,7 @@ def _ladder_sums(
     reverse sum is taken in the rows where sf_top > 1/2, the one case where
     some cdf is the smaller side, or in all rows when ``force_reverse`` asks
     for it.  All rows run at once: a caller with many thresholds passes them
-    in chunks through :func:`_reduce_rows`.  Numpy's floating-point warnings
+    in blocks through :func:`_reduce_rows`.  Numpy's floating-point warnings
     are off inside: a non-finite sum is reported by its caller, not by a
     warning.
     """
@@ -504,7 +522,16 @@ def _tails_at(t: np.ndarray, v: int, top: int, first: int = 1) -> IndexTails:
     sf_{first-1} (see :func:`_window`).  At t = inf, where a level's
     threshold overflows, the ladder's sums are NaN and each row holds the
     exact limits sf = 0, cdf = 1 instead.  ``failure`` names the first row
-    whose values cannot be trusted."""
+    whose values cannot be trusted (see :func:`_failure`)."""
+    tails, finite, converged = _rows_at(t, v, top, first)
+    return tails._replace(failure=_failure(t, v, finite, converged, tails.stop))
+
+
+def _rows_at(
+    t: np.ndarray, v: int, top: int, first: int = 1
+) -> tuple[IndexTails, np.ndarray, np.ndarray]:
+    """:func:`_tails_at` without its ``failure``, and instead which rows are
+    finite and which reverse sums converged."""
     t = np.asarray(t, dtype=float)
     with np.errstate(all="ignore"):
         sums = _ladder_sums(t, v, top, first=first)
@@ -514,20 +541,68 @@ def _tails_at(t: np.ndarray, v: int, top: int, first: int = 1) -> IndexTails:
         truncation_bound = np.exp(sums.log_bound)
     beyond = t == math.inf
     log_sf[beyond], log_cdf[beyond] = -math.inf, 0.0
-    failure, bad = None, ()
     finite = beyond | np.isfinite(log_sf).all(axis=1) & np.isfinite(log_cdf).all(axis=1)
+    tails = IndexTails(log_sf, log_cdf, cdf_direct, sums.stop, truncation_bound, None, first)
+    return tails, finite, sums.converged
+
+
+def _failure(
+    t: np.ndarray, v: int, finite: np.ndarray, converged: np.ndarray, stop: np.ndarray
+) -> str | None:
+    """Why a batch's values cannot be trusted, None when they can: the first
+    threshold with a non-finite value, or else the first whose reverse sum
+    did not converge, and how many more thresholds fail the same way."""
     if not finite.all():
         bad = np.flatnonzero(~finite)
         failure = f"non-finite ladder value at t={float(t[bad[0]])!r}, v={v}"
-    elif not sums.converged.all():
-        bad = np.flatnonzero(~sums.converged)
+    elif not converged.all():
+        bad = np.flatnonzero(~converged)
         failure = (
             f"reverse ladder sum at t={float(t[bad[0]])!r} did not converge "
-            f"by index {int(sums.stop[bad[0]])}"
+            f"by index {int(stop[bad[0]])}"
         )
-    if len(bad) > 1:
+    else:
+        return None
+    if bad.size > 1:
         failure += f" (and at {bad.size - 1} more thresholds)"
-    return IndexTails(log_sf, log_cdf, cdf_direct, sums.stop, truncation_bound, failure, first)
+    return failure
+
+
+def _blocks(count: int, row_elements: int) -> list[slice]:
+    """Rows 0..count-1 cut into blocks of at most ``_CHUNK_ELEMENTS //
+    _WORKERS`` elements (at least one row each), ``row_elements`` per row.
+
+    More than one block become a multiple of ``_WORKERS`` blocks of equal
+    size, give or take a row, so the pool's threads finish together.
+    """
+    rows = max(1, _CHUNK_ELEMENTS // _WORKERS // row_elements)
+    pieces = -(-count // rows)
+    if pieces > 1:
+        pieces = min(count, -(-pieces // _WORKERS) * _WORKERS)
+    cuts = [i * count // pieces for i in range(pieces + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _run_blocks(block: Callable[[slice], object], blocks: list[slice]) -> list:
+    """``block`` of each block, in block order: on the shared pool of
+    ``_WORKERS`` threads, or inline for a single block or a single worker.
+
+    ``block`` writes its rows into preallocated outputs and may call only
+    private functions of the package: never a public one, which a tracer may
+    have wrapped, and never :func:`_run_blocks` again, whose tasks would then
+    wait on tasks queued behind them in the same pool.  Numpy releases the
+    interpreter lock in the heavy loops (Philox fills, element-wise
+    arithmetic, LAPACK), so the threads overlap.
+    """
+    global _POOL
+    if len(blocks) == 1 or _WORKERS == 1:
+        return [block(rows) for rows in blocks]
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor  # only when a job needs it
+
+            _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="chiral_ldp")
+    return list(_POOL.map(block, blocks))
 
 
 def _reduce_rows(
@@ -537,25 +612,36 @@ def _reduce_rows(
     t, and a tally of the ladder they came from.
 
     This is the one loop that cuts a batch of thresholds into rows: the
-    ladder runs over chunks of thresholds sized by its own footprint per
-    row, 2 (top - 1) + 1 Poisson counts forward and up to 2 (cap - top) + 3
-    in the reverse sum, so every temporary stays near ``_CHUNK_ELEMENTS``
-    elements.  ``keep`` reduces each chunk's (threshold, index) log tails to
-    one value per threshold, so memory does not grow with thresholds times
-    top.  A failure names the first failing threshold; the count of further
-    failing thresholds in its message covers that threshold's chunk.
+    ladder runs over blocks of thresholds (see :func:`_blocks`) sized by its
+    own footprint per row, 2 (top - 1) + 1 Poisson counts forward and up to
+    2 (cap - top) + 3 in the reverse sum, so the temporaries of the blocks
+    in flight stay near ``_CHUNK_ELEMENTS`` elements together.  The blocks
+    run on the pool (see :func:`_run_blocks`); ``keep`` reduces each block's
+    (threshold, index) log tails to one value per threshold, so memory does
+    not grow with thresholds times top.  The tally merges the blocks', and
+    its failure is the one :func:`_tails_at` gives the whole batch at once:
+    the first failing threshold of the batch, and the count of the others,
+    whatever the blocks.
     """
-    chunk = max(1, _CHUNK_ELEMENTS // (2 * max(top - 1, _cap(top, v) - top) + 3))
-    kept = np.empty(t.size)
-    direct, stop, bound, failure = 0, 0, 0.0, None
-    for start in range(0, t.size, chunk):
-        tails = _tails_at(t[start : start + chunk], v, top)
-        kept[start : start + chunk] = keep(tails)
-        part = _tally(tails)
-        direct += part.cdf_direct
-        stop, bound = max(stop, part.stop), max(bound, part.truncation_bound)
-        failure = failure or part.failure
-    return kept, _Tally(t.size, 1, top, direct, stop, bound, failure)
+    per_row = 2 * max(top - 1, _cap(top, v) - top) + 3
+    kept, stop = np.empty(t.size), np.empty(t.size, dtype=int)
+    finite, converged = np.empty(t.size, dtype=bool), np.empty(t.size, dtype=bool)
+
+    def block(rows: slice) -> _Tally:
+        tails, finite[rows], converged[rows] = _rows_at(t[rows], v, top)
+        kept[rows], stop[rows] = keep(tails), tails.stop
+        return _tally(tails)
+
+    parts = _run_blocks(block, _blocks(t.size, per_row))
+    return kept, _Tally(
+        t.size,
+        1,
+        top,
+        sum(part.cdf_direct for part in parts),
+        max(part.stop for part in parts),
+        max(part.truncation_bound for part in parts),
+        _failure(t, v, finite, converged, stop),
+    )
 
 
 def _checked(value: float, tails: IndexTails | _Tally) -> float:

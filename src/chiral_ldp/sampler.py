@@ -17,12 +17,20 @@ Every draw is a pure function of ``(seed, stream, replicate index)``.  The
 gamma sampler is pinned (Marsaglia-Tsang with a fixed rejection budget and
 Box-Muller normals) instead of delegating to ``Generator.gamma`` so that
 values are stable across numpy versions; Philox is used purely as a
-counter-based uniform source.  Each replicate owns a fixed slab of uniforms
-(144 for a ``Y_j``: 24 rounds of 3 per gamma, two gammas), and both
-routes draw their rows through one block generator, :func:`_uniform_blocks`,
-whose consecutive calls on one generator yield the same stream as one call.
-Rejection rounds are evaluated lazily: round r only for the rows no earlier
-round accepted, so a draw costs about one round, not 24.
+counter-based uniform source (Salmon et al., SC'11).  Each replicate owns a
+fixed slab of uniforms (144 for a ``Y_j``: 24 rounds of 3 per gamma, two
+gammas; 4 n (n + v) for a probe matrix), row i starting at word
+i * (words per row) of the (seed, stream) Philox stream.  Philox emits four
+64-bit words per counter value, and every row length is a multiple of four,
+so :func:`_uniforms` starts any block of rows directly at counter
+first row * (words per row) / 4, with no generator carried from block to
+block.  Both routes cut their replicates into blocks with the exact layer's
+:func:`exact_dist._blocks` and run them on its thread pool
+(:func:`exact_dist._run_blocks`), each block drawing its own uniforms and
+writing its own slice of the output, so the values are the same bits for
+any block size and CPU count.  Rejection rounds are evaluated lazily: round
+r only for the rows no earlier round accepted, so a draw costs about one
+round, not 24.
 
 :func:`ks_statistic`, :func:`ks_statistic_max` and :func:`ks_statistic_min`
 compare a sample with its exact law through one helper, :func:`_ks`, which
@@ -30,9 +38,10 @@ the command line's ``sample --ks`` and ``matrix --ks`` call too.  It
 evaluates the exact cdf (cdf_j, prod_j cdf_j or 1 - prod_j sf_j) at every
 sample point by the gamma-shape ladder (:mod:`chiral_ldp.exact_dist`), so
 the distance is exact, not interpolated from a grid.  The points pass
-through the exact layer's one chunk loop (:func:`exact_dist._reduce_rows`),
-which runs the ladder over chunks of points and keeps one value per point,
-so memory does not grow with the sample size times the number of indices.
+through the exact layer's one block loop (:func:`exact_dist._reduce_rows`),
+which runs the ladder over blocks of points on the same pool and keeps one
+value per point, so memory does not grow with the sample size times the
+number of indices.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_types import EnsembleParams, Statistic, check_index, derived_scales
-from .exact_dist import _CHUNK_ELEMENTS, IndexTails, _checked, _reduce_rows, _Tally
+from .exact_dist import IndexTails, _blocks, _checked, _reduce_rows, _run_blocks, _Tally
 
 __all__ = [
     "SampleBatch",
@@ -60,8 +69,9 @@ __all__ = [
 # exceeds 0.95 for shape >= 1, so 24 rounds leave a failure probability below
 # 1e-30 per draw.  Every round keeps its uniforms in the layout, but only the
 # rows still pending evaluate it, so nearly all rows stop after round 0.
-# sample_yj draws the 2 * 24 * 3 = 144 uniforms of each row in blocks of
-# _CHUNK_ELEMENTS // 144 rows (6944 rows, 8 MB), as the probe and the ladder
+# sample_yj draws the 2 * 24 * 3 = 144 uniforms of each row in blocks of at
+# most _CHUNK_ELEMENTS // _WORKERS // 144 rows (3472 rows, 4 MB, on two
+# CPUs), one block per pool thread at a time, as the probe and the ladder
 # size theirs, so memory stays flat in the draw count.
 _GAMMA_ROUNDS = 24
 
@@ -98,22 +108,31 @@ class MatrixProbeConfig:
             raise ValueError("matrix probe is limited to n <= 64")
 
 
-def _uniform_blocks(seed: int, stream: int, count: int, shape: tuple[int, ...]):
-    """``count`` rows of the given shape of counter-based uniforms in [0, 1)
-    from a Philox generator keyed by (seed, stream), yielded as (first row,
-    block) in consecutive blocks of at most ``_CHUNK_ELEMENTS`` uniforms (at
-    least one row each).
-
-    ``random`` fills in C order and consecutive calls continue one stream,
-    so for a fixed row shape row i is a pure function of (seed, stream, i)
-    however the rows are split into blocks: prefixes of longer runs coincide.
-    """
+def _stream_blocks(seed: int, stream: int, count: int, shape: tuple[int, ...]) -> list[slice]:
+    """The blocks (see :func:`exact_dist._blocks`) that ``count`` rows of
+    the given shape of uniforms from stream ``stream`` of ``seed`` run in."""
     if seed < 0 or stream < 0:
         raise ValueError("seed and stream must be nonnegative")
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
-    block = max(1, _CHUNK_ELEMENTS // math.prod(shape))
-    for start in range(0, count, block):
-        yield start, gen.random((min(block, count - start), *shape))
+    words = math.prod(shape)
+    assert words % 4 == 0, "a row must start on a Philox counter"
+    return _blocks(count, words)
+
+
+def _uniforms(seed: int, stream: int, rows: slice, shape: tuple[int, ...]) -> np.ndarray:
+    """Rows ``rows`` of the given shape of counter-based uniforms in [0, 1)
+    from the Philox stream keyed by (seed, stream).
+
+    ``random`` fills in C order, one 64-bit word per uniform and four words
+    per counter value, so row i is words i * w .. (i + 1) * w - 1 of the
+    stream (w uniforms per row, a multiple of four), which a generator
+    started at counter ``rows.start * w // 4`` reaches first: row i is a
+    pure function of (seed, stream, i) however the rows are split.
+    """
+    words = math.prod(shape)
+    bits = np.random.Philox(
+        key=np.array([seed, stream], dtype=np.uint64), counter=rows.start * words // 4
+    )
+    return np.random.Generator(bits).random((rows.stop - rows.start, *shape))
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,17 +190,22 @@ def sample_yj(
     """Draw ``count`` replicates of the surrogate variable ``Y_j``.
 
     Stream ``j`` of ``seed``; extending ``count`` preserves earlier values.
-    Uniforms are drawn in blocks of about ``_CHUNK_ELEMENTS`` uniforms, so
-    memory does not grow with ``count``.
+    Rows are drawn in blocks on the exact layer's thread pool, so memory
+    does not grow with ``count``; the values do not depend on the blocks.
     """
     check_index(params, j)
     if count < 1:
         raise ValueError("count must be positive")
+    shape = (2, _GAMMA_ROUNDS, 3)
     t = np.empty(count)
-    for start, u in _uniform_blocks(seed, j, count, (2, _GAMMA_ROUNDS, 3)):
+
+    def block(rows: slice) -> None:
+        u = _uniforms(seed, j, rows, shape)
         ga = _gamma_from_uniforms(float(j), u[:, 0])
         gb = _gamma_from_uniforms(float(j + params.v), u[:, 1])
-        t[start : start + len(u)] = 2.0 * np.sqrt(ga * gb)
+        t[rows] = 2.0 * np.sqrt(ga * gb)
+
+    _run_blocks(block, _stream_blocks(seed, j, count, shape))
     return SampleBatch(seed=seed, stream=j, count=count, values=t / (2.0 * params.n))
 
 
@@ -245,8 +269,9 @@ def matrix_probe_extremes(
     measure-zero event); callers wanting a usable minimum should redraw
     those under a fresh seed.
 
-    Replicates are drawn and solved in blocks of about
-    ``_CHUNK_ELEMENTS`` uniforms, so memory does not grow with ``count``.
+    Replicates are drawn and solved in blocks on the exact layer's thread
+    pool, so memory does not grow with ``count``; the values do not depend
+    on the blocks.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -256,15 +281,19 @@ def matrix_probe_extremes(
     per_rect = 2 * (n + v) * n
     top = np.empty(count)
     bottom = np.empty(count)
-    for start, u in _uniform_blocks(seed, _MATRIX_STREAM, count, (2 * per_rect,)):
+
+    def block(rows: slice) -> None:
+        u = _uniforms(seed, _MATRIX_STREAM, rows, (2 * per_rect,))
         p = _complex_rect(u[:, :per_rect], n + v, n, 1.0 / (4.0 * n))
         q = _complex_rect(u[:, per_rect:], n + v, n, 1.0 / (4.0 * n))
         phi = p + q
         psi = p - q
         m = np.swapaxes(psi.conj(), 1, 2) @ phi
         mods = np.abs(np.linalg.eigvals(m))
-        top[start : start + len(u)] = mods.max(axis=1)
-        bottom[start : start + len(u)] = mods.min(axis=1)
+        top[rows] = mods.max(axis=1)
+        bottom[rows] = mods.min(axis=1)
+
+    _run_blocks(block, _stream_blocks(seed, _MATRIX_STREAM, count, (2 * per_rect,)))
     return {
         "max": scales.modulus_scale * top,
         "min": scales.modulus_scale * bottom,

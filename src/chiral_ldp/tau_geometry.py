@@ -146,7 +146,8 @@ def kappa(alpha, x):
     """
     a = check_alpha(alpha)
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    least = float(np.fmin.reduce(x, axis=None, initial=math.inf))  # NaN aside
+    if least <= 0.0:
         raise ValueError("kappa needs x > 0")
     with np.errstate(over="ignore", invalid="ignore"):
         if a == 0.0:
@@ -156,10 +157,15 @@ def kappa(alpha, x):
         else:
             # a^2 and 2(1+a) overflow; divided by the power of two m just above
             # a (1 for a < 1, at most 2^1023), which is exact, they cannot.
-            # Above x = 1e150, where x^2 can overflow, a factor x comes out.
+            # Above x = 1e150, where x^2 can overflow, a factor x comes out;
+            # below 2^-511, where x^2 is subnormal, too, with (b/x)^2 kept
+            # inside a hypot, since b/x can pass 1e154 there.
             m = math.ldexp(1.0, min(1023, max(0, math.frexp(a)[1])))
             b, c = a / m, (1.0 + a) / m
             out = 2.0 * c * x * x / (b + np.sqrt(b * b + 4.0 * c * x * x / m))
             y = b / x
             out = np.where(x > 1e150, x * (2.0 * c / (y + np.sqrt(y * y + 4.0 * c / m))), out)
+            if least < 2.0**-511:
+                tiny = x * (2.0 * c / (y + np.hypot(y, math.sqrt(4.0 * c / m))))
+                out = np.where(x < 2.0**-511, tiny, out)
     return float(out) if out.ndim == 0 else out

@@ -108,6 +108,14 @@ class TestRateCommand:
         assert rows[0]["branch"] == "zero_region"
         assert rows[0]["kappa"] == ""
 
+    def test_kappa_below_the_square_root_of_the_smallest_normal(self):
+        # x^2 underflows here, but kappa is about x since alpha << x
+        code, out, _ = run_cli(["rate", "--which", "max-left", "--alpha", "1e-320", "--x", "1e-200"])
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert float(rows[0]["kappa"]) == 1e-200
+        assert float(rows[0]["value"]) == 459.01701859880916
+
     def test_branch_labels(self):
         cases = {
             ("max-right", "0", "1.5"): "zero_alpha",
@@ -708,6 +716,50 @@ class TestDeterminism:
                                            queries * 3))
             assert concurrent == serial * 3
         assert serial[target] == printed
+
+    def test_concurrent_callers_share_the_block_pool(self, monkeypatch):
+        # four user threads call the pooled entry points at once, with more
+        # pool threads than the machine may have CPUs and a short switch
+        # interval; each gets the serial result, and none waits forever
+        import threading
+
+        from chiral_ldp.core_types import EnsembleParams
+
+        monkeypatch.setattr(exact_dist, "_WORKERS", 3)
+        monkeypatch.setattr(exact_dist, "_CHUNK_ELEMENTS", 30_000)
+        params = EnsembleParams(3, 1)
+        config = sampler.MatrixProbeConfig(params)
+        x = np.linspace(0.2, 2.0, 500)
+
+        def calls(seed):
+            probe = sampler.matrix_probe_extremes(config, seed, 700)
+            return [
+                sampler.ks_statistic_max(params, x * (1.0 + seed / 100.0)).hex(),
+                probe["max"].tobytes(),
+                probe["min"].tobytes(),
+                probe["resample"].tobytes(),
+                sampler.sample_yj(params, 2, seed, 900).values.tobytes(),
+            ]
+
+        seeds = range(4)
+        serial = [calls(seed) for seed in seeds]
+        concurrent = {}
+
+        def user(seed):
+            concurrent[seed] = [calls(seed) for _ in range(3)]
+
+        users = [threading.Thread(target=user, args=(seed,), daemon=True) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in users:
+                thread.start()
+            for thread in users:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in users)
+        assert [concurrent[seed] for seed in seeds] == [[want] * 3 for want in serial]
 
     def test_repeat_runs_identical(self):
         argv = ["rate", "--which", "max-left", "--alpha", "2.5", "--x", "0.7"]

@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chiral_ldp.exact_dist as exact_dist
 import chiral_ldp.sampler as sampler
@@ -87,7 +89,7 @@ class TestLazyRounds:
     """The lazy, row-blocked sampler draws what the eager one drew, byte for
     byte: every uniform from one array, every round for every row."""
 
-    BLOCK = sampler._CHUNK_ELEMENTS // (2 * sampler._GAMMA_ROUNDS * 3)
+    BLOCK = exact_dist._CHUNK_ELEMENTS // exact_dist._WORKERS // (2 * sampler._GAMMA_ROUNDS * 3)
 
     # gamma shapes (j, j + v) of 1, 3 and 5, 10, 1000, and 3 with 1000
     @pytest.mark.parametrize(
@@ -273,19 +275,24 @@ class TestKsMaxBlocks:
         return matrix_probe_extremes(MatrixProbeConfig(params), seed=7, count=count)
 
     @staticmethod
-    def _fifty_point_chunks(monkeypatch, params):
-        # 50 rows of 2 (cap - top) + 3 Poisson counts (363 at (3, 1)), so
-        # 400 points run as eight chunks; returns the list of chunk sizes
+    def _per_row(params):
+        # 2 (cap - top) + 3 Poisson counts, 363 at (3, 1)
         top, v = params.n, params.v
-        per_row = 2 * max(top - 1, exact_dist._cap(top, v) - top) + 3
-        monkeypatch.setattr(exact_dist, "_CHUNK_ELEMENTS", 50 * per_row)
-        real, chunks = exact_dist._tails_at, []
+        return 2 * max(top - 1, exact_dist._cap(top, v) - top) + 3
+
+    @classmethod
+    def _fifty_point_chunks(cls, monkeypatch, params):
+        # 50 rows on one worker, so 400 points run as eight chunks; returns
+        # the list of chunk sizes
+        monkeypatch.setattr(exact_dist, "_WORKERS", 1)
+        monkeypatch.setattr(exact_dist, "_CHUNK_ELEMENTS", 50 * cls._per_row(params))
+        real, chunks = exact_dist._rows_at, []
 
         def counted(t, v, top, first=1):
             chunks.append(t.size)
             return real(t, v, top, first)
 
-        monkeypatch.setattr(exact_dist, "_tails_at", counted)
+        monkeypatch.setattr(exact_dist, "_rows_at", counted)
         return chunks
 
     def test_blocks_match_one_block(self, monkeypatch):
@@ -322,6 +329,37 @@ class TestKsMaxBlocks:
         assert math.isnan(info.value.partial) and info.value.rel_err == math.inf
         assert chunks == [50] * 8
 
+    @pytest.mark.parametrize("unconverged", [False, True])
+    def test_failure_text_does_not_depend_on_the_blocks(self, monkeypatch, unconverged):
+        # Points 120 and 330 fail, apart in blocks of 50 and together in one
+        # block; with every reverse sum unconverged too, the lowest points
+        # fail first, but the batch names its non-finite values first.  The
+        # text is the whole batch's, for any block size and worker count.
+        params = EnsembleParams(3, 1)
+        x = self._probe(params, 400)["max"]
+        t = np.sort(x) * derived_scales(params).c
+        bad = t[[120, 330]]
+        real = exact_dist._kve_sums
+        monkeypatch.setattr(
+            exact_dist,
+            "_kve_sums",
+            lambda s, v: np.where(np.isin(s, bad), np.nan, real(s, v)),
+        )
+        if unconverged:
+            monkeypatch.setattr(exact_dist, "_TRUNCATION_NATS", 1e6)
+            assert "did not converge" in exact_dist._tails_at(t[:50], params.v, params.n).failure
+        want = exact_dist._tails_at(t, params.v, params.n).failure
+        assert want == (
+            f"non-finite ladder value at t={float(bad[0])!r}, v=1 (and at 1 more thresholds)"
+        )
+        for elements in (exact_dist._CHUNK_ELEMENTS, 50 * self._per_row(params)):
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(exact_dist, "_CHUNK_ELEMENTS", elements)
+                monkeypatch.setattr(exact_dist, "_WORKERS", workers)
+                with pytest.raises(QuadratureError) as info:
+                    ks_statistic_max(params, x)
+                assert str(info.value) == want, (elements, workers)
+
     def test_memory_does_not_grow_with_points_times_n(self):
         # 2e4 points at n=200 (and j=200) are 27 chunks of 749; one array
         # over all of them would take 32 MB, and the unchunked ladder peaked
@@ -349,7 +387,8 @@ class TestProbeBlocks:
     def test_blocks_match_one_block(self, monkeypatch, n, v, count, rows):
         config = MatrixProbeConfig(EnsembleParams(n, v))
         whole = matrix_probe_extremes(config, seed=7, count=count)
-        monkeypatch.setattr(sampler, "_CHUNK_ELEMENTS", rows * 4 * n * (n + v) + 1)
+        per_block = rows * 4 * n * (n + v) * exact_dist._WORKERS
+        monkeypatch.setattr(exact_dist, "_CHUNK_ELEMENTS", per_block + 1)
         blocked = matrix_probe_extremes(config, seed=7, count=count)
         for key in ("max", "min", "resample"):
             assert blocked[key].tobytes() == whole[key].tobytes(), key
@@ -365,6 +404,88 @@ class TestProbeBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 8 * exact_dist._CHUNK_ELEMENTS
+
+
+class TestWorkerCount:
+    """Every block draws its uniforms from its own Philox counter, so the
+    outputs are the same bytes for any number of pool threads."""
+
+    # 30,000 elements: 208, 104 or 69 sampler rows and 625, 312 or 208
+    # probe replicates at (3, 1) per block on 1, 2 or 3 workers
+    ELEMENTS = 30_000
+
+    @staticmethod
+    def _outputs(seed):
+        params = EnsembleParams(3, 1)
+        y = sample_yj(params, 3, seed, count=1001).values  # no multiple of a block
+        ext = sample_extremes_independent(params, seed, count=700)
+        probe = matrix_probe_extremes(MatrixProbeConfig(params), seed, count=1300)
+        usable = ~probe["resample"]
+        ks = (
+            ks_statistic(params, 3, y),
+            ks_statistic_max(params, probe["max"][usable]),
+            ks_statistic_min(params, probe["min"][usable]),
+        )
+        arrays = (y, ext["max"], ext["min"], probe["max"], probe["min"], probe["resample"])
+        return [a.tobytes() for a in arrays] + [k.hex() for k in ks]
+
+    def test_outputs_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # M is singular (P = Q) in three replicates, marked by their first
+        # uniforms in the sequential stream, so the same three are flagged
+        # however the replicates are cut into blocks
+        seed, count, per_rect = 7, 1300, 2 * 4 * 3
+        key = np.array([seed, sampler._MATRIX_STREAM], dtype=np.uint64)
+        stream = np.random.Generator(np.random.Philox(key=key)).random((count, 2 * per_rect))
+        singular = [5, 700, 1299]
+        marks = stream[singular][:, [0, per_rect]].ravel()
+        real = sampler._complex_rect
+
+        def rect(u, rows, cols, var_component):
+            z = real(u, rows, cols, var_component)
+            z[np.isin(u[:, 0], marks)] = 1.0
+            return z
+
+        monkeypatch.setattr(sampler, "_complex_rect", rect)
+        monkeypatch.setattr(exact_dist, "_CHUNK_ELEMENTS", self.ELEMENTS)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(exact_dist, "_WORKERS", workers)
+            runs.append(self._outputs(seed))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        resample = np.frombuffer(runs[0][5], dtype=bool)
+        assert np.flatnonzero(resample).tolist() == singular
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        count=st.integers(1, 10**6),
+        row_elements=st.integers(1, 10**5),
+        workers=st.integers(1, 8),
+    )
+    def test_blocks_cut_the_rows_evenly(self, count, row_elements, workers):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact_dist, "_WORKERS", workers)
+            blocks = exact_dist._blocks(count, row_elements)
+        sizes = [b.stop - b.start for b in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == count
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
+        most = max(1, exact_dist._CHUNK_ELEMENTS // workers // row_elements)
+        assert max(sizes) <= most
+        assert len(blocks) == 1 or len(blocks) % workers == 0 or len(blocks) == count
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream=st.integers(0, 2**64 - 1),
+        first=st.integers(0, 3000),
+        rows=st.integers(1, 12),
+        shape=st.sampled_from([(2, sampler._GAMMA_ROUNDS, 3), (48,), (4,)]),
+    )
+    def test_counter_addressed_rows_are_the_stream_rows(self, seed, stream, first, rows, shape):
+        key = np.array([seed, stream], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random((first + rows, *shape))
+        got = sampler._uniforms(seed, stream, slice(first, first + rows), shape)
+        assert got.tobytes() == want[first:].tobytes()
 
 
 class TestExtremesIndependent:

@@ -177,11 +177,14 @@ class TestKappa:
     @pytest.mark.parametrize(
         "alpha, x",
         [(a, x) for a in (4e307, 8.9e307, 1e308, 1.79e308) for x in (1e-6, 0.5, 2.0, 10.0, 1e103)]
-        + [(1e-300, 1e160), (1.0, 1e160), (1e300, 1e151)],
+        + [(1e-300, 1e160), (1.0, 1e160), (1e300, 1e151)]
+        + [(1e-320, 1e-300), (1e-300, 1e-300), (1e-160, 1e-155), (1e-154, 1e-154)]
+        + [(1e-310, 2.0**-512)],
     )
     def test_edges_of_the_double_range_match_mpmath(self, alpha, x):
         # the scale 2^1024 above alpha ~ 9e307 overflowed, as did 2(1+alpha)x^2
-        # and, above x ~ 1e154, x^2
+        # and, above x ~ 1e154, x^2; below x ~ 1.5e-154 x^2 underflowed, and
+        # kappa read 0 where it is as large as x
         with mp.workdps(50):
             a, x_ = mp.mpf(alpha), mp.mpf(x)
             want = float(2 * (1 + a) * x_**2 / (a + mp.sqrt(a * a + 4 * (1 + a) * x_**2)))

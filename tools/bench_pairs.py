@@ -1,6 +1,6 @@
 """Benchmark a change against its parent in alternating pairs of runs.
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_12.json
+    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --out records/BENCH_<n>.json
 
 Each side is a git revision, exported with ``git archive`` into a fresh
 temporary directory, or an existing directory holding a source tree, used
