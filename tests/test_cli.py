@@ -110,7 +110,8 @@ class TestRateCommand:
 
     def test_kappa_below_the_square_root_of_the_smallest_normal(self):
         # x^2 underflows here, but kappa is about x since alpha << x
-        code, out, _ = run_cli(["rate", "--which", "max-left", "--alpha", "1e-320", "--x", "1e-200"])
+        argv = ["rate", "--which", "max-left", "--alpha", "1e-320", "--x", "1e-200"]
+        code, out, _ = run_cli(argv)
         assert code == 0
         _, rows = csv_rows(out)
         assert float(rows[0]["kappa"]) == 1e-200
