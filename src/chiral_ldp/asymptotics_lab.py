@@ -343,12 +343,10 @@ class LimitTheorem:
 
     def rate_at(self, alpha: float, x: float) -> RateEval:
         """``rate(alpha, x)`` at a level from outside the program, which must
-        be finite and >= 0; the rate's own guards run first, and a level
-        refused here leaves no numpy warning behind."""
+        be finite and >= 0; the rate's own guards run first."""
         if 0.0 <= x < math.inf:
             return self.rate(alpha, x)
-        with np.errstate(all="ignore"):
-            self.rate(alpha, x)
+        self.rate(alpha, x)
         raise ValueError(f"x must be finite and >= 0, got {x}")
 
 

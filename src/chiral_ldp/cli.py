@@ -29,7 +29,7 @@ import numpy as np
 from ._quad import QuadratureError
 from .asymptotics_lab import THEOREM_TAGS, THEOREMS, clt_check, converge_table
 from .core_types import Direction, EnsembleParams, Statistic, TailQuery, check_alpha
-from .exact_dist import _tally, _Tally, _window_tails, log_prob_from_tails
+from .exact_dist import _Tally, _window_tails, log_prob_from_tails
 from .sampler import MatrixProbeConfig, _ks, matrix_probe_extremes, sample_yj
 from .verification import all_passed, run_checks
 
@@ -161,8 +161,8 @@ def _failure_notes(exc: QuadratureError) -> list[str]:
 
 def _cmd_prob(args) -> _Result:
     query = TailQuery(Statistic(args.stat), Direction(args.side), args.x)
-    tails = _window_tails(EnsembleParams(args.n, args.v), args.x, query.statistic)
-    diags = [_ladder_note(_tally(tails))]
+    tails, tally = _window_tails(EnsembleParams(args.n, args.v), args.x, query.statistic)
+    diags = [_ladder_note(tally)]
     code, probability = 0, None
     try:
         lp = log_prob_from_tails(tails, query)

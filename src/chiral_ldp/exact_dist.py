@@ -62,25 +62,24 @@ shortest whose bound, times 2 top (for the count, and -log(1-p) <= 2p), is
 e^-40 / 2 (see :func:`_window`).  At n = 1e6 and x = 1 a max query keeps
 about 7400 indices, a tail far from the bulk a few hundred.
 
-Batches.  The ladder runs over a 1-d array of thresholds at once, one row
-per threshold, with every choice above (increment form, reverse sum, stop)
-made per row and the index window shared; each row gets the same values as
-its threshold run alone.  A single query is a batch of one threshold over
-its window (see :func:`_window_tails`, which :func:`index_tails` shares
-with the window 1..top).  A large batch, such as the sampler's KS
-statistics evaluating the exact cdf at every sample point over every index,
-goes through one loop, :func:`_reduce_rows`: it cuts the thresholds into
-blocks of rows sized by the ladder's footprint per row and reduces each
-block to one value per threshold, so memory does not grow with the batch.
-
-Blocks.  A job of independent rows (ladder thresholds here, sampler and
-probe replicates in :mod:`chiral_ldp.sampler`) is cut by :func:`_blocks`
-into equal blocks of at most ``_CHUNK_ELEMENTS // _WORKERS`` elements, and
-:func:`_run_blocks` runs them on one shared thread pool of ``_WORKERS``
-threads, the usable CPU count, each block writing its own slice of a
-preallocated output.  Rows never depend on the block they run in, so the
-values are the same bits for any CPU count.  A job of one block runs inline
-and never starts the pool.
+Batches and blocks.  The ladder has one entry, :func:`_reduce_rows`, which
+runs it over a 1-d array of thresholds, one row per threshold, with every
+choice above (increment form, reverse sum, stop) made per row and the index
+window shared; each row gets the same values as its threshold run alone.  A
+single query is a batch of one threshold over its window (see
+:func:`_window_tails`, which :func:`index_tails` shares with the window
+1..top); the sampler's KS statistics are a batch of every sample point over
+every index.  The entry cuts a batch into blocks of rows sized by the
+ladder's footprint per row and hands each block's tails to the caller's
+reduction, which keeps what it needs (one value per threshold for KS), so
+memory does not grow with the batch; the batch gets one tally.  A job of
+independent rows (ladder thresholds here, sampler and probe replicates in
+:mod:`chiral_ldp.sampler`) is cut by :func:`_blocks` into equal blocks of
+at most ``_CHUNK_ELEMENTS // _WORKERS`` elements, and :func:`_run_blocks`
+runs them on one shared thread pool of ``_WORKERS`` threads, the usable CPU
+count, each block writing its own slice of a preallocated output.  Rows
+never depend on the block they run in, so the values are the same bits for
+any CPU count.  A job of one block runs inline and never starts the pool.
 """
 
 from __future__ import annotations
@@ -166,25 +165,22 @@ class IndexTails(NamedTuple):
 
     The arrays hold the indices first, first+1, ...: all of 1..top from
     :func:`index_tails`, the window a query needs (see :func:`_window`)
-    elsewhere.  :func:`_window_tails`, behind :func:`index_tails` and every
-    single query, returns one threshold's tails, 1-d arrays with a scalar
-    ``stop`` and ``truncation_bound``; :func:`_tails_at` returns a batch,
-    one row per threshold and one ``stop`` and bound per row.
+    elsewhere.
     """
 
     log_sf: np.ndarray  # log P(X_j >= x), j = first, first+1, ...
     log_cdf: np.ndarray  # log P(X_j <= x)
     cdf_direct: np.ndarray  # True where cdf came from its own sum, sf by complement
-    stop: int | np.ndarray  # last index of the reverse sum, 0 when it was not needed
-    truncation_bound: float | np.ndarray  # relative bound on everything the sums dropped
+    stop: int  # last index of the reverse sum, 0 when it was not needed
+    truncation_bound: float  # relative bound on everything the sums dropped
     failure: str | None  # why the values cannot be trusted, None when they can
     first: int = 1  # the index of the first entry
 
 
 class _Tally(NamedTuple):
-    """An :class:`IndexTails` reduced to what its diagnostic reports, summed
-    over its (threshold, index) pairs; ``rows`` is None for a single
-    threshold."""
+    """What the ladder's diagnostic reports of one run of
+    :func:`_reduce_rows`, summed over its (threshold, index) pairs;
+    ``rows`` is None for a single query."""
 
     rows: int | None
     first: int
@@ -193,19 +189,6 @@ class _Tally(NamedTuple):
     stop: int  # furthest reverse-sum stop, 0 when none was taken
     truncation_bound: float  # largest bound on what the sums dropped
     failure: str | None
-
-
-def _tally(tails: IndexTails) -> _Tally:
-    batch = tails.log_sf.ndim == 2
-    return _Tally(
-        tails.log_sf.shape[0] if batch else None,
-        tails.first,
-        tails.first + tails.log_sf.shape[-1] - 1,
-        int(np.count_nonzero(tails.cdf_direct)),
-        int(np.max(tails.stop)),
-        float(np.max(tails.truncation_bound)),
-        tails.failure,
-    )
 
 
 class _Rows(NamedTuple):
@@ -436,10 +419,10 @@ def _ladder_sums(
     delta_{first-1} and leave out sf_{first-1} (see :func:`_window`).  The
     reverse sum is taken in the rows where sf_top > 1/2, the one case where
     some cdf is the smaller side, or in all rows when ``force_reverse`` asks
-    for it.  All rows run at once: a caller with many thresholds passes them
-    in blocks through :func:`_reduce_rows`.  Numpy's floating-point warnings
-    are off inside: a non-finite sum is reported by its caller, not by a
-    warning.
+    for it.  All rows run at once: every caller in the package but verify's
+    tail-complement check, which reads the raw sums, reaches them through
+    :func:`_reduce_rows`.  Numpy's floating-point warnings are off inside: a
+    non-finite sum is reported by its caller, not by a warning.
     """
     t = np.asarray(t, dtype=float)
     width = top - first + 1
@@ -516,36 +499,6 @@ def _reverse_sums(
     sums.converged[where] = converged
 
 
-def _tails_at(t: np.ndarray, v: int, top: int, first: int = 1) -> IndexTails:
-    """Per-index tails of T_first..T_top at each threshold of the 1-d array t
-    on the t scale, one row per threshold; past first = 1 without
-    sf_{first-1} (see :func:`_window`).  At t = inf, where a level's
-    threshold overflows, the ladder's sums are NaN and each row holds the
-    exact limits sf = 0, cdf = 1 instead.  ``failure`` names the first row
-    whose values cannot be trusted (see :func:`_failure`)."""
-    tails, finite, converged = _rows_at(t, v, top, first)
-    return tails._replace(failure=_failure(t, v, finite, converged, tails.stop))
-
-
-def _rows_at(
-    t: np.ndarray, v: int, top: int, first: int = 1
-) -> tuple[IndexTails, np.ndarray, np.ndarray]:
-    """:func:`_tails_at` without its ``failure``, and instead which rows are
-    finite and which reverse sums converged."""
-    t = np.asarray(t, dtype=float)
-    with np.errstate(all="ignore"):
-        sums = _ladder_sums(t, v, top, first=first)
-        cdf_direct = sums.log_sf > -_LOG2  # never in rows without a reverse sum
-        log_sf = np.where(cdf_direct, np.log1p(-np.exp(sums.log_cdf)), sums.log_sf)
-        log_cdf = np.where(cdf_direct, sums.log_cdf, np.log1p(-np.exp(sums.log_sf)))
-        truncation_bound = np.exp(sums.log_bound)
-    beyond = t == math.inf
-    log_sf[beyond], log_cdf[beyond] = -math.inf, 0.0
-    finite = beyond | np.isfinite(log_sf).all(axis=1) & np.isfinite(log_cdf).all(axis=1)
-    tails = IndexTails(log_sf, log_cdf, cdf_direct, sums.stop, truncation_bound, None, first)
-    return tails, finite, sums.converged
-
-
 def _failure(
     t: np.ndarray, v: int, finite: np.ndarray, converged: np.ndarray, stop: np.ndarray
 ) -> str | None:
@@ -606,48 +559,55 @@ def _run_blocks(block: Callable[[slice], object], blocks: list[slice]) -> list:
 
 
 def _reduce_rows(
-    t: np.ndarray, v: int, top: int, keep: Callable[[IndexTails], np.ndarray]
-) -> tuple[np.ndarray, _Tally]:
-    """``keep`` of the tails of T_1..T_top at each threshold of the 1-d array
-    t, and a tally of the ladder they came from.
+    t: np.ndarray, v: int, top: int, keep: Callable[..., object], first: int = 1
+) -> tuple[list, _Tally]:
+    """``keep`` of each block's tails of T_first..T_top at the thresholds of
+    the 1-d array t, in block order, and the tally of the ladder they came
+    from; past first = 1 without sf_{first-1} (see :func:`_window`).
 
-    This is the one loop that cuts a batch of thresholds into rows: the
-    ladder runs over blocks of thresholds (see :func:`_blocks`) sized by its
-    own footprint per row, 2 (top - 1) + 1 Poisson counts forward and up to
-    2 (cap - top) + 3 in the reverse sum, so the temporaries of the blocks
-    in flight stay near ``_CHUNK_ELEMENTS`` elements together.  The blocks
-    run on the pool (see :func:`_run_blocks`); ``keep`` reduces each block's
-    (threshold, index) log tails to one value per threshold, so memory does
-    not grow with thresholds times top.  The tally merges the blocks', and
-    its failure is the one :func:`_tails_at` gives the whole batch at once:
-    the first failing threshold of the batch, and the count of the others,
-    whatever the blocks.
+    This is the one entry to the ladder.  It cuts the thresholds into blocks
+    (see :func:`_blocks`) sized by the ladder's footprint per row,
+    2 (top - first) + 1 Poisson counts forward and up to 2 (cap - top) + 3
+    in the reverse sum, so the temporaries of the blocks in flight stay near
+    ``_CHUNK_ELEMENTS`` elements together, and runs them on the pool (see
+    :func:`_run_blocks`).  ``keep`` takes a block's ``(log_sf, log_cdf,
+    cdf_direct)``, one row per threshold, and reduces them to what its
+    caller needs, so memory does not grow with thresholds times indices.
+    At t = inf, where a level's threshold overflows, the ladder's sums are
+    NaN and each row holds the exact limits sf = 0, cdf = 1 instead.  The
+    tally's failure is that of the whole batch (see :func:`_failure`): the
+    first failing threshold, and the count of the others, whatever the
+    blocks.
     """
-    per_row = 2 * max(top - 1, _cap(top, v) - top) + 3
-    kept, stop = np.empty(t.size), np.empty(t.size, dtype=int)
+    per_row = 2 * max(top - first, _cap(top, v) - top) + 3
+    stop, bound = np.empty(t.size, dtype=int), np.empty(t.size)
     finite, converged = np.empty(t.size, dtype=bool), np.empty(t.size, dtype=bool)
 
-    def block(rows: slice) -> _Tally:
-        tails, finite[rows], converged[rows] = _rows_at(t[rows], v, top)
-        kept[rows], stop[rows] = keep(tails), tails.stop
-        return _tally(tails)
+    def block(rows: slice) -> tuple[object, int]:
+        ts = t[rows]
+        with np.errstate(all="ignore"):
+            sums = _ladder_sums(ts, v, top, first=first)
+            cdf_direct = sums.log_sf > -_LOG2  # never in rows without a reverse sum
+            log_sf = np.where(cdf_direct, np.log1p(-np.exp(sums.log_cdf)), sums.log_sf)
+            log_cdf = np.where(cdf_direct, sums.log_cdf, np.log1p(-np.exp(sums.log_sf)))
+            bound[rows] = np.exp(sums.log_bound)
+        beyond = ts == math.inf
+        log_sf[beyond], log_cdf[beyond] = -math.inf, 0.0
+        finite[rows] = beyond | np.isfinite(log_sf).all(axis=1) & np.isfinite(log_cdf).all(axis=1)
+        converged[rows], stop[rows] = sums.converged, sums.stop
+        return keep(log_sf, log_cdf, cdf_direct), np.count_nonzero(cdf_direct)
 
-    parts = _run_blocks(block, _blocks(t.size, per_row))
-    return kept, _Tally(
-        t.size,
-        1,
-        top,
-        sum(part.cdf_direct for part in parts),
-        max(part.stop for part in parts),
-        max(part.truncation_bound for part in parts),
-        _failure(t, v, finite, converged, stop),
+    kept, direct = zip(*_run_blocks(block, _blocks(t.size, per_row)))
+    failure = _failure(t, v, finite, converged, stop)
+    return list(kept), _Tally(
+        t.size, first, top, sum(direct), int(stop.max()), float(bound.max()), failure
     )
 
 
 def _checked(value: float, tails: IndexTails | _Tally) -> float:
     """``value`` when the tails it came from are sound; else raise with it."""
     if tails.failure is not None:
-        rel_err = float(np.max(tails.truncation_bound)) if math.isfinite(value) else math.inf
+        rel_err = tails.truncation_bound if math.isfinite(value) else math.inf
         raise QuadratureError(tails.failure, partial=value, rel_err=rel_err)
     return value
 
@@ -723,34 +683,36 @@ def index_tails(params: EnsembleParams, x: float, top: int | None = None) -> Ind
     """Tails of X_1 .. X_top at level x (top defaults to n), unchecked:
     ``failure`` says whether they can be trusted."""
     top = params.n if top is None else check_index(params, top)
-    return _window_tails(params, x, None, top)
+    return _window_tails(params, x, None, top)[0]
 
 
 def _window_tails(
     params: EnsembleParams, x: float, stat: Statistic | None, top: int | None = None
-) -> IndexTails:
+) -> tuple[IndexTails, _Tally]:
     """Tails at level x over the window of 1..top (top defaults to n) that
     a product over ``stat``'s side needs, all of 1..top when ``stat`` is
-    None, unchecked, with the window's bound added to ``truncation_bound``."""
+    None, unchecked, and their tally: a batch of one threshold through
+    :func:`_reduce_rows`, with the window's bound added to both
+    ``truncation_bound``s and the tally's ``rows`` None."""
     top = params.n if top is None else top
     t = _threshold(params, x)
     first, last, bound = (1, top, 0.0) if stat is None else _window(t, params.v, top, stat)
-    tails = _tails_at(np.array([t]), params.v, last, first)
-    return IndexTails(
-        tails.log_sf[0], tails.log_cdf[0], tails.cdf_direct[0], int(tails.stop[0]),
-        float(tails.truncation_bound[0]) + bound, tails.failure, first,
+    [row], tally = _reduce_rows(
+        np.array([t]), params.v, last, lambda *arrays: [a[0] for a in arrays], first
     )
+    tally = tally._replace(rows=None, truncation_bound=tally.truncation_bound + bound)
+    return IndexTails(*row, tally.stop, tally.truncation_bound, tally.failure, first), tally
 
 
 def log_sf_index(params: EnsembleParams, j: int, x: float) -> float:
     """log P(X_j >= x) for one index."""
-    tails = _window_tails(params, x, Statistic.MAX_SQ, check_index(params, j))
+    tails, _ = _window_tails(params, x, Statistic.MAX_SQ, check_index(params, j))
     return _checked(float(tails.log_sf[-1]), tails)
 
 
 def log_cdf_index(params: EnsembleParams, j: int, x: float) -> float:
     """log P(X_j <= x) for one index."""
-    tails = _window_tails(params, x, Statistic.MAX_SQ, check_index(params, j))
+    tails, _ = _window_tails(params, x, Statistic.MAX_SQ, check_index(params, j))
     return _checked(float(tails.log_cdf[-1]), tails)
 
 
@@ -801,4 +763,4 @@ def log_prob_from_tails(tails: IndexTails, query: TailQuery) -> float:
 
 def log_prob(params: EnsembleParams, query: TailQuery) -> float:
     """log probability of a tail query on the X scale."""
-    return log_prob_from_tails(_window_tails(params, query.x, query.statistic), query)
+    return log_prob_from_tails(_window_tails(params, query.x, query.statistic)[0], query)

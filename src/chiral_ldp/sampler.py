@@ -37,11 +37,12 @@ compare a sample with its exact law through one helper, :func:`_ks`, which
 the command line's ``sample --ks`` and ``matrix --ks`` call too.  It
 evaluates the exact cdf (cdf_j, prod_j cdf_j or 1 - prod_j sf_j) at every
 sample point by the gamma-shape ladder (:mod:`chiral_ldp.exact_dist`), so
-the distance is exact, not interpolated from a grid.  The points pass
-through the exact layer's one block loop (:func:`exact_dist._reduce_rows`),
-which runs the ladder over blocks of points on the same pool and keeps one
-value per point, so memory does not grow with the sample size times the
-number of indices.
+the distance is exact, not interpolated from a grid.  The points go
+through the exact layer's one entry to the ladder
+(:func:`exact_dist._reduce_rows`), as a single tail query does: it runs the
+ladder over blocks of points on the same pool, and :func:`_ks` reduces each
+block's arrays to one value per point, so memory does not grow with the
+sample size times the number of indices.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_types import EnsembleParams, Statistic, check_index, derived_scales
-from .exact_dist import IndexTails, _blocks, _checked, _reduce_rows, _run_blocks, _Tally
+from .exact_dist import _blocks, _checked, _reduce_rows, _run_blocks, _Tally
 
 __all__ = [
     "SampleBatch",
@@ -327,14 +328,16 @@ def _ks(params: EnsembleParams, values: np.ndarray, law: int | Statistic) -> tup
     with np.errstate(over="ignore"):
         t = np.sort(arr) * scale
 
-    def keep(tails: IndexTails) -> np.ndarray:  # the log of cdf_j, prod_j cdf_j or prod_j sf_j
+    def keep(log_sf: np.ndarray, log_cdf: np.ndarray, _) -> np.ndarray:
+        # the log of cdf_j, prod_j cdf_j or prod_j sf_j at each point
         if law is Statistic.MIN_SQ:
-            return np.sum(tails.log_sf, axis=1)
+            return np.sum(log_sf, axis=1)
         if law is Statistic.MAX_SQ:
-            return np.sum(tails.log_cdf, axis=1)
-        return tails.log_cdf[:, -1]
+            return np.sum(log_cdf, axis=1)
+        return log_cdf[:, -1]
 
-    kept, tally = _reduce_rows(t, params.v, top, keep)
+    blocks, tally = _reduce_rows(t, params.v, top, keep)
+    kept = np.concatenate(blocks)
     cdf = -np.expm1(kept) if law is Statistic.MIN_SQ else np.exp(kept)
     k = np.arange(1, cdf.size + 1)
     distance = max(np.max(k / cdf.size - cdf), np.max(cdf - (k - 1) / cdf.size))

@@ -136,36 +136,34 @@ def minimizer_xj(params: TauParams) -> float:
     return float(np.sqrt(s_m1) * np.sqrt(s + 1.0))
 
 
-def kappa(alpha, x):
+def kappa(alpha: float, x: float) -> float:
     """kappa_alpha(x): the positive root of k (k + alpha) = (1 + alpha) x^2.
 
     Evaluated as 2(1+a)x^2 / (a + sqrt(a^2 + 4(1+a)x^2)) for finite a (no
     cancellation); the limits are kappa_0 = x and kappa_inf = x^2.
-    ``alpha`` is a float in [0, inf] (0.0 and math.inf select the limits);
-    vectorized in x; inf where kappa exceeds the largest double.
+    ``alpha`` is a float in [0, inf] (0.0 and math.inf select the limits)
+    and ``x`` a float > 0; inf where kappa exceeds the largest double, NaN
+    for a NaN x.
     """
     a = check_alpha(alpha)
-    x = np.asarray(x, dtype=float)
-    least = float(np.fmin.reduce(x, axis=None, initial=math.inf))  # NaN aside
-    if least <= 0.0:
+    x = float(x)
+    if x <= 0.0:
         raise ValueError("kappa needs x > 0")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if a == 0.0:
-            out = x.copy()
-        elif math.isinf(a):
-            out = x * x
-        else:
-            # a^2 and 2(1+a) overflow; divided by the power of two m just above
-            # a (1 for a < 1, at most 2^1023), which is exact, they cannot.
-            # Above x = 1e150, where x^2 can overflow, a factor x comes out;
-            # below 2^-511, where x^2 is subnormal, too, with (b/x)^2 kept
-            # inside a hypot, since b/x can pass 1e154 there.
-            m = math.ldexp(1.0, min(1023, max(0, math.frexp(a)[1])))
-            b, c = a / m, (1.0 + a) / m
-            out = 2.0 * c * x * x / (b + np.sqrt(b * b + 4.0 * c * x * x / m))
-            y = b / x
-            out = np.where(x > 1e150, x * (2.0 * c / (y + np.sqrt(y * y + 4.0 * c / m))), out)
-            if least < 2.0**-511:
-                tiny = x * (2.0 * c / (y + np.hypot(y, math.sqrt(4.0 * c / m))))
-                out = np.where(x < 2.0**-511, tiny, out)
-    return float(out) if out.ndim == 0 else out
+    if a == 0.0:
+        return x
+    if math.isinf(a):
+        return x * x
+    # a^2 and 2(1+a) overflow; divided by the power of two m just above a
+    # (1 for a < 1, at most 2^1023), which is exact, they cannot.  Above
+    # x = 1e150, where x^2 can overflow, a factor x comes out; below 2^-511,
+    # where x^2 is subnormal, too, with (b/x)^2 kept inside a hypot, since
+    # b/x can pass 1e154 there.
+    m = math.ldexp(1.0, min(1023, max(0, math.frexp(a)[1])))
+    b, c = a / m, (1.0 + a) / m
+    if x > 1e150:
+        y = b / x
+        return x * (2.0 * c / (y + math.sqrt(y * y + 4.0 * c / m)))
+    if x < 2.0**-511:
+        y = b / x
+        return x * (2.0 * c / (y + math.hypot(y, math.sqrt(4.0 * c / m))))
+    return 2.0 * c * x * x / (b + math.sqrt(b * b + 4.0 * c * x * x / m))

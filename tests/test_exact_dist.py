@@ -9,9 +9,15 @@ inputs, product laws, stochastic ordering, and the analytic integral
 sandwiches that the asymptotic machinery leans on.
 """
 
+import ast
+import contextlib
+import io
 import math
+import threading
 import tracemalloc
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +27,7 @@ from scipy.optimize import brentq
 from scipy.special import digamma, kve, logsumexp, polygamma
 
 import chiral_ldp.exact_dist as exact_dist
+import chiral_ldp.sampler as sampler
 from chiral_ldp._quad import QuadratureError
 from chiral_ldp.core_types import (
     Direction,
@@ -33,7 +40,7 @@ from chiral_ldp.exact_dist import (
     _bessel,
     _kve_sums,
     _ladder_sums,
-    _tails_at,
+    _reduce_rows,
     _window_tails,
     index_tails,
     log_cdf_index,
@@ -45,6 +52,8 @@ from chiral_ldp.exact_dist import (
     log_prob_min_le,
     log_sf_index,
 )
+from chiral_ldp.cli import main as cli_main
+from chiral_ldp.sampler import ks_statistic, ks_statistic_max, ks_statistic_min
 from chiral_ldp.tau_geometry import TauParams, minimizer_xj, tau, tau_prime
 from chiral_ldp.verification import _log_gamma_tail, _log_tau_integral
 
@@ -76,6 +85,29 @@ CDF_ORACLE_PINS = {
     (7, 0, 7, 1.3): 0.8927929206855425,
     (4, 4, 1, 0.35): 0.58171787704509659,
 }
+
+
+def _batch(t, v, top, first=1):
+    """The tails of T_first..T_top at each threshold of t through the
+    ladder's one entry, :func:`_reduce_rows`, one row per threshold, with
+    each row's stop and bound read from the sums its block ran on."""
+    local, real = threading.local(), exact_dist._ladder_sums
+
+    def spy(*args, **kwargs):
+        local.sums = real(*args, **kwargs)
+        return local.sums
+
+    def keep(*tails):  # a block's tails, its stops and bounds
+        return (*tails, local.sums.stop, np.exp(local.sums.log_bound))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact_dist, "_ladder_sums", spy)
+        blocks, tally = _reduce_rows(np.asarray(t, dtype=float), v, top, keep, first)
+    log_sf, log_cdf, cdf_direct, stop, bound = (np.concatenate(a) for a in zip(*blocks))
+    return SimpleNamespace(
+        log_sf=log_sf, log_cdf=log_cdf, cdf_direct=cdf_direct, stop=stop,
+        truncation_bound=bound, failure=tally.failure, first=first,
+    )
 
 
 class TestLevelGuard:
@@ -466,7 +498,7 @@ class TestIndexWindow:
         query = TailQuery(stat, side, x)
         want = log_prob_from_tails(full, query)
         assert abs(log_prob(params, query) - want) <= 1e-12 * abs(want)
-        tails = exact_dist._window_tails(params, x, stat)
+        tails, _ = exact_dist._window_tails(params, x, stat)
         assert tails.failure is None and tails.truncation_bound <= math.exp(-40.0)
         first, last = tails.first, tails.first + tails.log_sf.size - 1
         # (the kept sum of sf or cdf is at most the kept sum of -log cdf or -log sf)
@@ -508,7 +540,7 @@ class TestIndexWindow:
     def test_windows_that_drop_indices(self, n, v, x, pair):
         params = EnsembleParams(n, v)
         stat, side = PAIRS[pair]
-        tails = exact_dist._window_tails(params, x, stat)
+        tails, _ = exact_dist._window_tails(params, x, stat)
         assert tails.log_sf.size < n
         self._check(params, x, stat, side, n // 2, index_tails(params, x))
 
@@ -532,7 +564,7 @@ class TestIndexWindow:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        tails = exact_dist._window_tails(params, x, stat)
+        tails, _ = exact_dist._window_tails(params, x, stat)
         assert math.isfinite(got) and got < 0.0
         assert tails.failure is None and tails.truncation_bound <= math.exp(-40.0)
         assert peak < 16 * 2**20
@@ -564,7 +596,7 @@ class TestLadderFailures:
             log_sf_index(params, n, x)
             log_cdf_index(params, n, x)
             top = min(n, 50)
-            _tails_at(np.array([c * 1e-6, c * x, c * 10.0]), v, top)
+            _reduce_rows(np.array([c * 1e-6, c * x, c * 10.0]), v, top, lambda *tails: tails)
             _ladder_sums(np.array([c * x]), v, top, force_reverse=True)
 
     @pytest.mark.parametrize("n, v", [(1, 0), (7, 3), (10**6, 0)])
@@ -573,7 +605,7 @@ class TestLadderFailures:
         # a product query evaluates the one index that gives it exactly
         params = EnsembleParams(n, v)
         for stat, index in ((Statistic.MAX_SQ, n), (Statistic.MIN_SQ, 1)):
-            window = _window_tails(params, 1e308, stat)
+            window, _ = _window_tails(params, 1e308, stat)
             assert window.first == index and window.log_sf.shape == (1,)
             assert window.truncation_bound == 0.0 and window.failure is None
         tails = index_tails(params, 1e308)
@@ -629,12 +661,12 @@ class TestBatchedLadder:
         switch = self._paired_switch(v)
         extra = [s for s in (switch * 0.999 / c, switch * 1.001 / c) if 1e-6 <= s <= 10.0]
         t = c * np.array(xs + [1e-6, 10.0] + extra)
-        batch = _tails_at(t, v, top)
+        batch = _batch(t, v, top)
         assert batch.failure is None
         assert batch.cdf_direct[-len(extra) - 2].any()
         assert not batch.cdf_direct[-len(extra) - 1].any()
         for row, threshold in enumerate(t):
-            alone = _tails_at(np.array([threshold]), v, top)
+            alone = _batch(np.array([threshold]), v, top)
             assert alone.stop[0] == batch.stop[row]
             assert alone.truncation_bound[0] == batch.truncation_bound[row]
             np.testing.assert_array_equal(alone.cdf_direct[0], batch.cdf_direct[row])
@@ -654,10 +686,10 @@ class TestBatchedLadder:
         c = derived_scales(EnsembleParams(n, v)).c
         switch = self._paired_switch(v)
         t = np.array([c * x for x in xs] + [switch * 0.999, switch * 1.001])
-        batch = _tails_at(t, v, n, first)
+        batch = _batch(t, v, n, first)
         assert batch.first == first and batch.log_sf.shape == (t.size, n - first + 1)
         for row, threshold in enumerate(t):
-            alone = _tails_at(np.array([threshold]), v, n, first)
+            alone = _batch(np.array([threshold]), v, n, first)
             assert alone.stop[0] == batch.stop[row]
             np.testing.assert_array_equal(alone.log_sf[0], batch.log_sf[row])
             np.testing.assert_array_equal(alone.log_cdf[0], batch.log_cdf[row])
@@ -701,8 +733,6 @@ class TestBatchedLadder:
             assert logsumexp(dropped) - logsumexp(kept) <= sums.log_bound[0] + 1e-9
 
     def test_one_nan_row_fails_the_batch(self, monkeypatch):
-        from chiral_ldp.sampler import ks_statistic
-
         params = EnsembleParams(5, 2)
         y = np.linspace(0.05, 2.0, 40)
         bad = float(2.0 * params.n * y[17])
@@ -710,7 +740,7 @@ class TestBatchedLadder:
         monkeypatch.setattr(
             exact_dist, "_kve_sums", lambda t, v: np.where(t == bad, np.nan, real(t, v))
         )
-        tails = _tails_at(2.0 * params.n * y, params.v, 3)
+        tails = _batch(2.0 * params.n * y, params.v, 3)
         assert f"non-finite ladder value at t={bad!r}" in tails.failure
         assert np.isfinite(np.delete(tails.log_cdf, 17, axis=0)).all()
         with pytest.raises(QuadratureError) as info:
@@ -719,8 +749,6 @@ class TestBatchedLadder:
         assert math.isnan(info.value.partial) and info.value.rel_err == math.inf
 
     def test_unconverged_rows_fail_the_batch_with_partial(self, monkeypatch):
-        from chiral_ldp.sampler import ks_statistic
-
         params = EnsembleParams(5, 2)
         y = np.linspace(0.05, 2.0, 40)
         exact = ks_statistic(params, 3, y)
@@ -731,6 +759,80 @@ class TestBatchedLadder:
         assert "more thresholds" in str(info.value)
         assert info.value.partial == pytest.approx(exact, abs=1e-12)
         assert 0.0 <= info.value.rel_err < 1e-12
+
+
+def _cli_prob(stat: str, side: str) -> int:
+    argv = ["prob", "--n", "20", "--v", "3", "--x", "0.9", "--stat", stat, "--side", side]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli_main(argv)
+
+
+# every entry point that evaluates exact tails, at (n, v) = (20, 3)
+_LADDER_CALLERS = {
+    **{
+        f"log_prob {stat.name} {side.name}": (
+            lambda p, stat=stat, side=side: log_prob(p, TailQuery(stat, side, 0.9))
+        )
+        for stat, side in PAIRS
+    },
+    "log_sf_index": lambda p: log_sf_index(p, 7, 0.9),
+    "log_cdf_index": lambda p: log_cdf_index(p, 7, 0.9),
+    "index_tails": lambda p: index_tails(p, 0.9),
+    "ks_statistic": lambda p: ks_statistic(p, 7, np.linspace(0.01, 0.2, 50)),
+    "ks_statistic_max": lambda p: ks_statistic_max(p, np.linspace(0.6, 1.4, 50)),
+    "ks_statistic_min": lambda p: ks_statistic_min(p, np.linspace(0.001, 0.1, 50)),
+    "cli prob": lambda p: _cli_prob("max", "ge"),
+}
+
+
+class TestOneEntry:
+    """Every query reaches the ladder through one call of _reduce_rows, and
+    the ladder's sums only through it."""
+
+    @pytest.mark.parametrize("name", list(_LADDER_CALLERS))
+    def test_each_query_runs_the_ladder_once(self, monkeypatch, name):
+        # sampler imports _reduce_rows by name, so both modules are wrapped;
+        # _ladder_sums runs in pool threads too, inside a _reduce_rows call
+        real_reduce, real_sums = exact_dist._reduce_rows, exact_dist._ladder_sums
+        calls, depth, stray = [], [0], []
+
+        def reduce_rows(*args, **kwargs):
+            calls.append(args[2])
+            depth[0] += 1
+            try:
+                return real_reduce(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def ladder_sums(*args, **kwargs):
+            if not depth[0]:
+                stray.append(args)
+            return real_sums(*args, **kwargs)
+
+        for module in (exact_dist, sampler):
+            monkeypatch.setattr(module, "_reduce_rows", reduce_rows)
+        monkeypatch.setattr(exact_dist, "_ladder_sums", ladder_sums)
+        _LADDER_CALLERS[name](EnsembleParams(20, 3))
+        assert len(calls) == 1 and stray == []
+
+    def test_only_the_entry_calls_the_ladder_sums(self):
+        # verify's tail-complement check reads the raw force_reverse sums
+        callers = set()
+        for path in Path(exact_dist.__file__).parent.glob("*.py"):
+            for node in ast.parse(path.read_text()).body:
+                for inner in ast.walk(node):
+                    if (
+                        isinstance(inner, ast.Call)
+                        and isinstance(inner.func, ast.Name)
+                        and inner.func.id == "_ladder_sums"
+                    ):
+                        callers.add((path.stem, node.name))
+        assert callers == {
+            ("exact_dist", "_reduce_rows"),
+            ("verification", "_check_tail_complement"),
+        }
+        for name in ("_tails_at", "_rows_at", "_tally"):
+            assert not hasattr(exact_dist, name)
 
 
 class TestProductLaws:

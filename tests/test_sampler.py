@@ -10,6 +10,7 @@ errors.
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ import chiral_ldp.exact_dist as exact_dist
 import chiral_ldp.sampler as sampler
 from chiral_ldp._quad import QuadratureError
 from chiral_ldp.core_types import EnsembleParams, Statistic, derived_scales
-from chiral_ldp.exact_dist import _tails_at, log_prob_max_le, log_prob_min_le
+from chiral_ldp.exact_dist import _reduce_rows, log_prob_max_le, log_prob_min_le
 from chiral_ldp.sampler import (
     MatrixProbeConfig,
     SampleBatch,
@@ -170,6 +171,14 @@ class TestDistribution:
             ks_statistic_max(EnsembleParams(2, 0), np.array([]))
 
 
+def _tails(t, v: int, top: int) -> SimpleNamespace:
+    """log sf and log cdf of T_1..T_top at each threshold of t, one row per
+    threshold, through the ladder's one entry."""
+    blocks, _ = _reduce_rows(np.asarray(t, dtype=float), v, top, lambda *tails: tails[:2])
+    log_sf, log_cdf = (np.concatenate(a) for a in zip(*blocks))
+    return SimpleNamespace(log_sf=log_sf, log_cdf=log_cdf)
+
+
 def _brute_ks(cdf: np.ndarray) -> float:
     k = np.arange(1, cdf.size + 1)
     return float(max(np.max(k / cdf.size - cdf), np.max(cdf - (k - 1) / cdf.size)))
@@ -202,7 +211,7 @@ class TestExactKs:
         # failure and no warning
         params = EnsembleParams(1, 0)
         values = np.array([0.5, 1e308])
-        at_one = _tails_at(np.array([1.0]), 0, 1)  # t = 2 x 0.5
+        at_one = _tails(np.array([1.0]), 0, 1)  # t = 2 x 0.5
         cdf_max = np.array([math.exp(at_one.log_cdf[0, 0]), 1.0])
         cdf_min = np.array([-math.expm1(at_one.log_sf[0, 0]), 1.0])
         with warnings.catch_warnings():
@@ -220,7 +229,7 @@ class TestExactKs:
         n, v, j = 5, 2, 3
         params = EnsembleParams(n, v)
         t = 2.0 * n * sample_yj(params, j, seed=4, count=3).values
-        cdf = np.exp(_tails_at(t, v, j).log_cdf[:, j - 1])
+        cdf = np.exp(_tails(t, v, j).log_cdf[:, j - 1])
         c = derived_scales(params).c
         for ti, got in zip(t, cdf):
             want = gamma_product_tail_oracle(n, v, j, ti / c, upper=False)
@@ -230,7 +239,7 @@ class TestExactKs:
         n, v = 3, 1
         params = EnsembleParams(n, v)
         x = matrix_probe_extremes(MatrixProbeConfig(params), seed=2, count=2)["max"]
-        cdf = np.exp(np.sum(_tails_at(x * derived_scales(params).c, v, n).log_cdf, axis=1))
+        cdf = np.exp(np.sum(_tails(x * derived_scales(params).c, v, n).log_cdf, axis=1))
         for xi, got in zip(x, cdf):
             want = math.prod(
                 gamma_product_tail_oracle(n, v, j, xi, upper=False) for j in range(1, n + 1)
@@ -243,7 +252,7 @@ class TestExactKs:
         params = EnsembleParams(n, v)
         y = sample_yj(params, j, seed=8, count=200).values
         t = np.sort(y) * 2.0 * n
-        cdf = np.array([math.exp(_tails_at(np.array([ti]), v, j).log_cdf[0, -1]) for ti in t])
+        cdf = np.array([math.exp(_tails(np.array([ti]), v, j).log_cdf[0, -1]) for ti in t])
         assert ks_statistic(params, j, y) == pytest.approx(_brute_ks(cdf), rel=1e-14, abs=0)
 
     def test_ks_max_equals_per_point_ladder(self):
@@ -252,7 +261,7 @@ class TestExactKs:
         x = matrix_probe_extremes(MatrixProbeConfig(params), seed=9, count=200)["max"]
         t = np.sort(x) * derived_scales(params).c
         cdf = np.array(
-            [math.exp(float(np.sum(_tails_at(np.array([ti]), v, n).log_cdf))) for ti in t]
+            [math.exp(float(np.sum(_tails(np.array([ti]), v, n).log_cdf))) for ti in t]
         )
         assert ks_statistic_max(params, x) == pytest.approx(_brute_ks(cdf), rel=1e-14, abs=0)
 
@@ -262,7 +271,7 @@ class TestExactKs:
         x = matrix_probe_extremes(MatrixProbeConfig(params), seed=9, count=200)["min"]
         t = np.sort(x) * derived_scales(params).c
         cdf = np.array(
-            [-math.expm1(float(np.sum(_tails_at(np.array([ti]), v, n).log_sf))) for ti in t]
+            [-math.expm1(float(np.sum(_tails(np.array([ti]), v, n).log_sf))) for ti in t]
         )
         assert ks_statistic_min(params, x) == pytest.approx(_brute_ks(cdf), rel=1e-14, abs=0)
 
@@ -286,13 +295,13 @@ class TestKsMaxBlocks:
         # the list of chunk sizes
         monkeypatch.setattr(exact_dist, "_WORKERS", 1)
         monkeypatch.setattr(exact_dist, "_CHUNK_ELEMENTS", 50 * cls._per_row(params))
-        real, chunks = exact_dist._rows_at, []
+        real, chunks = exact_dist._ladder_sums, []
 
-        def counted(t, v, top, first=1):
+        def counted(t, v, top, force_reverse=False, first=1):
             chunks.append(t.size)
-            return real(t, v, top, first)
+            return real(t, v, top, force_reverse, first)
 
-        monkeypatch.setattr(exact_dist, "_rows_at", counted)
+        monkeypatch.setattr(exact_dist, "_ladder_sums", counted)
         return chunks
 
     def test_blocks_match_one_block(self, monkeypatch):
@@ -347,8 +356,9 @@ class TestKsMaxBlocks:
         )
         if unconverged:
             monkeypatch.setattr(exact_dist, "_TRUNCATION_NATS", 1e6)
-            assert "did not converge" in exact_dist._tails_at(t[:50], params.v, params.n).failure
-        want = exact_dist._tails_at(t, params.v, params.n).failure
+            head = _reduce_rows(t[:50], params.v, params.n, lambda *tails: None)[1]
+            assert "did not converge" in head.failure
+        want = _reduce_rows(t, params.v, params.n, lambda *tails: None)[1].failure
         assert want == (
             f"non-finite ladder value at t={float(bad[0])!r}, v=1 (and at 1 more thresholds)"
         )

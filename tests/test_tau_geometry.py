@@ -195,10 +195,3 @@ class TestKappa:
     def test_nonpositive_x_rejected(self):
         with pytest.raises(ValueError):
             kappa(1.0, 0.0)
-
-    def test_vectorized(self):
-        xs = np.array([0.5, 1.0, 2.0])
-        out = kappa(2.0, xs)
-        assert out.shape == xs.shape
-        for x, k in zip(xs, out):
-            assert k == pytest.approx(kappa(2.0, float(x)), rel=1e-15)
