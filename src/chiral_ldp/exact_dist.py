@@ -70,10 +70,11 @@ single query is a batch of one threshold over its window (see
 :func:`_window_tails`, which :func:`index_tails` shares with the window
 1..top); the sampler's KS statistics are a batch of every sample point over
 every index.  The entry cuts a batch into blocks of rows sized by the
-ladder's footprint per row and hands each block's tails to the caller's
-reduction, which keeps what it needs (one value per threshold for KS), so
-memory does not grow with the batch; the batch gets one tally.  A job of
-independent rows (ladder thresholds here, sampler and probe replicates in
+ladder's footprint per row, its reverse sum counted to the batch's furthest
+stop, and hands each block's tails to the caller's reduction, which keeps
+what it needs (one value per threshold for KS), so memory does not grow
+with the batch; the batch gets one tally.  A job of independent rows
+(ladder thresholds here, sampler and probe replicates in
 :mod:`chiral_ldp.sampler`) is cut by :func:`_blocks` into equal blocks of
 at most ``_CHUNK_ELEMENTS // _WORKERS`` elements, and :func:`_run_blocks`
 runs them on one shared thread pool of ``_WORKERS`` threads, the usable CPU
@@ -269,11 +270,14 @@ def _kve_sums(t: np.ndarray, v: int) -> np.ndarray:
                 out[0, at] = h * (a_sum + 0.5)
                 out[1, at] = h * (a_sum + (a * s).sum(axis=1) + 0.5)
             else:
-                e = np.expm1(x + x)
-                a = np.exp(v * (x + x - e) - gap[at, None] * s)
+                e = np.expm1(np.add(x, x, out=x))  # x is u - u* from here
+                x -= e
+                x *= v
+                x -= np.multiply(s, gap[at, None], out=s)
+                a = np.exp(x, out=x)
                 a_sum = a.sum(axis=1)
                 out[0, at] = 0.5 * h * a_sum
-                out[1, at] = 0.5 * h * (a_sum + (a * e).sum(axis=1))
+                out[1, at] = 0.5 * h * (a_sum + np.multiply(e, a, out=e).sum(axis=1))
     return out
 
 
@@ -358,37 +362,41 @@ def _deviance(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_poisson(mu: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """log(mu^m e^-mu / m!) for a column of means and counts m >= 0,
-    accurate around the mode."""
-    m = m.astype(float)
-    out = -_stirling_error(m) - _deviance(m, mu) - _HALF_LOG_2PI - 0.5 * np.log(m)
+def _log_poisson(mu: np.ndarray, m: np.ndarray, stirling: np.ndarray) -> np.ndarray:
+    """log(mu^m e^-mu / m!) for a column of means and a 1-d float array of
+    counts m >= 0 with their Stirling errors, accurate around the mode."""
+    out = -stirling - _deviance(m, mu) - _HALF_LOG_2PI - 0.5 * np.log(m)
     return np.where(m == 0.0, -mu, out)
 
 
 def _log_delta(rows: _Rows, v: int, paired: bool, lo: int, hi: int) -> np.ndarray:
     """log delta_i = log(D(i, i+v) + D(i+v+1, i)) for i = lo .. hi-1.  Each
     value depends on its index alone, so every range of indices gets the
-    same values as one call over all."""
+    same values as one call over all.  The counts i-1 and i, and i+v, come
+    from one pass over lo-1 .. hi-1+v where that is shorter than the two
+    ranges, i+v as the last hi-lo counts either way."""
     if hi <= lo:
         return np.empty((rows.mu.shape[0], 0))
-    m = np.arange(lo - 1, hi)  # p(i-1) and p(i), then p(i+v) in the unpaired form
-    log_p = _log_poisson(rows.mu, m if paired else np.concatenate((m, m[1:] + v)))
+    m = np.arange(lo - 1.0, hi)
+    counts = np.arange(lo - 1.0, hi + v) if v < m.size else np.concatenate((m, m[1:] + v))
+    stirling = _stirling_error(counts)
     if paired:
+        log_p = _log_poisson(rows.mu, counts[: m.size], stirling[: m.size])
         # log(p(a) / p(b)), a = b + d = i+v, b = v+1, in closed form at each
         # index: the difference of the two Stirling errors and Loader
         # deviances, d (log(a/mu) - 1) + b log(a/b), and of log sqrt(2 pi m)
         d = m[1:] - 1.0
         b = v + 1.0
         run = (
-            (_stirling_error(b) - _stirling_error(b + d))
+            (_stirling_error(b) - stirling[1 - m.size :])
             - d * (np.log((b + d) / rows.mu) - 1.0)
             - (b + 0.5) * np.log1p(d / b)
         )
         kv_a = rows.log_a + run  # log(kve(v) p(i+v))
         kv_b = rows.log_b + run + np.log((v + 2) / rows.mu)  # log(kve(v+1) p(i+v))
     else:
-        log_p, high = log_p[:, : m.size], log_p[:, m.size :]
+        log_p = _log_poisson(rows.mu, counts, stirling)
+        log_p, high = log_p[:, : m.size], log_p[:, 1 - m.size :]
         kv_a = rows.log_a + high
         kv_b = rows.log_b + high
     pair = np.logaddexp(kv_a + log_p[:, :-1], kv_b + log_p[:, 1:])
@@ -464,6 +472,19 @@ def _ladder_sums(
     return sums
 
 
+def _last_stop(mu: np.ndarray, v: int, top: int) -> int:
+    """The furthest index that a reverse sum from top can stop at, given the
+    means mu = t/2 of its rows: min(max (k + _reach), cap), with k where rho
+    falls to 1 (see "Truncation rule"); the cap when any row is NaN."""
+    half = 0.5 * (v + 1)
+    with np.errstate(all="ignore"):
+        k = np.maximum(top, np.ceil(mu * (mu / (np.hypot(half, mu) + half))))  # l (l+1+v) >= s
+        g = np.log(k) + np.log(k + 1.0 + v) - 2.0 * np.log(mu)  # -log rho_k
+        # one index spare against rounding; NaN rows run to the cap
+        far, cap = np.max(k + _reach(k, v, g, _TRUNCATION_NATS + _LOG2)), _cap(top, v)
+    return int(far) if far <= cap else cap
+
+
 def _reverse_sums(
     sums: _Sums, where: np.ndarray, rows: _Rows, head: np.ndarray, v: int, top: int, paired: bool
 ) -> None:
@@ -478,15 +499,9 @@ def _reverse_sums(
     for the furthest L, each row's increments past its own L are masked out,
     and one reverse accumulation gives every cdf.
     """
-    nats, cap = _TRUNCATION_NATS + _LOG2, _cap(top, v)
-    mu, log_s, half = rows.mu, 2.0 * rows.log_mu, 0.5 * (v + 1)
-    k = np.maximum(top, np.ceil(mu * (mu / (np.hypot(half, mu) + half))))  # l (l+1+v) >= s
-    g = np.log(k) + np.log(k + 1.0 + v) - log_s  # -log rho_k
-    # one index spare against rounding; NaN rows run to the cap
-    far = np.max(k + _reach(k, v, g, nats))
-    l = np.arange(top, int(far) + 1 if far <= cap else cap + 1, dtype=float)
-    gain = np.cumsum(np.maximum(np.log(l) + np.log(l + 1.0 + v) - log_s, 0.0), axis=1)
-    hits = gain >= nats
+    l = np.arange(top, _last_stop(rows.mu, v, top) + 1, dtype=float)
+    gain = np.cumsum(np.maximum(np.log(l) + np.log(l + 1.0 + v) - 2.0 * rows.log_mu, 0.0), axis=1)
+    hits = gain >= _TRUNCATION_NATS + _LOG2
     converged = hits[:, -1]
     at = np.where(converged, np.argmax(hits, axis=1), l.size - 1)
     stop = top + at  # the last increment summed
@@ -566,20 +581,24 @@ def _reduce_rows(
     from; past first = 1 without sf_{first-1} (see :func:`_window`).
 
     This is the one entry to the ladder.  It cuts the thresholds into blocks
-    (see :func:`_blocks`) sized by the ladder's footprint per row,
-    2 (top - first) + 1 Poisson counts forward and up to 2 (cap - top) + 3
-    in the reverse sum, so the temporaries of the blocks in flight stay near
-    ``_CHUNK_ELEMENTS`` elements together, and runs them on the pool (see
-    :func:`_run_blocks`).  ``keep`` takes a block's ``(log_sf, log_cdf,
-    cdf_direct)``, one row per threshold, and reduces them to what its
-    caller needs, so memory does not grow with thresholds times indices.
+    (see :func:`_blocks`) sized by the ladder's footprint per row, at most
+    2 (top - first) + 1 Poisson counts forward and 2 (L - top) + 3 in the
+    reverse sum, with L the cap or, where the cap would split the batch, the
+    batch's furthest stop (see :func:`_last_stop`), so the temporaries of
+    the blocks in flight stay near ``_CHUNK_ELEMENTS`` elements together,
+    and runs them on the pool (see :func:`_run_blocks`).  ``keep`` takes a
+    block's ``(log_sf, log_cdf, cdf_direct)``, one row per threshold, and
+    reduces them to what its caller needs, so memory does not grow with
+    thresholds times indices.
     At t = inf, where a level's threshold overflows, the ladder's sums are
     NaN and each row holds the exact limits sf = 0, cdf = 1 instead.  The
     tally's failure is that of the whole batch (see :func:`_failure`): the
     first failing threshold, and the count of the others, whatever the
     blocks.
     """
-    per_row = 2 * max(top - first, _cap(top, v) - top) + 3
+    blocks = _blocks(t.size, 2 * max(top - first, _cap(top, v) - top) + 3)
+    if len(blocks) > 1:  # the cap would split the batch: size it by its furthest stop
+        blocks = _blocks(t.size, 2 * max(top - first, _last_stop(0.5 * t, v, top) - top) + 3)
     stop, bound = np.empty(t.size, dtype=int), np.empty(t.size)
     finite, converged = np.empty(t.size, dtype=bool), np.empty(t.size, dtype=bool)
 
@@ -597,7 +616,7 @@ def _reduce_rows(
         converged[rows], stop[rows] = sums.converged, sums.stop
         return keep(log_sf, log_cdf, cdf_direct), np.count_nonzero(cdf_direct)
 
-    kept, direct = zip(*_run_blocks(block, _blocks(t.size, per_row)))
+    kept, direct = zip(*_run_blocks(block, blocks))
     failure = _failure(t, v, finite, converged, stop)
     return list(kept), _Tally(
         t.size, first, top, sum(direct), int(stop.max()), float(bound.max()), failure

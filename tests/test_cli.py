@@ -342,6 +342,23 @@ class TestExitCodes:
         assert result.returncode == 2
         assert result.stderr == "error: x must be finite and >= 0, got inf\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "3", "--j", "1", "--count", "2"],
+            ["matrix", "--n", "3", "--count", "5", "--summary"],
+        ],
+        ids=["sample", "matrix"],
+    )
+    def test_seed_beyond_the_philox_key_exits_2(self, argv):
+        # a Philox key word holds seeds below 2**64; the largest one runs
+        for seed in (2**64, 2**64 + 5):
+            code, out, err = run_cli(argv + ["--seed", str(seed)])
+            assert (code, out) == (2, "")
+            assert err == f"error: seed and stream must be in [0, 2**64), got seed {seed}\n"
+        code, _, err = run_cli(argv + ["--seed", str(2**64 - 1)])
+        assert code == 0 and "error" not in err
+
     def test_argparse_rejects_unknown_choice(self):
         with pytest.raises(SystemExit) as exc_info:
             run_cli(["rate", "--which", "sideways", "--alpha", "0", "--x", "1.5"])

@@ -761,6 +761,70 @@ class TestBatchedLadder:
         assert 0.0 <= info.value.rel_err < 1e-12
 
 
+class TestOnePoissonPass:
+    """_log_delta takes the counts i-1, i and i+v from one pass over
+    lo-1 .. hi-1+v where that is shorter than two passes (v < hi - lo + 1),
+    with the same bits as two."""
+
+    @staticmethod
+    def _rows(mus, v):
+        # the constants of each form at thresholds t = 2 mu
+        t = 2.0 * np.asarray(mus)
+        mu = 0.5 * t
+        log_k, log_kp = _bessel(t, v)
+        forms = {False: log_k, True: log_kp[:2]}
+        return {
+            paired: exact_dist._Rows(*(c[:, None] for c in (mu, np.log(t), np.log(mu), *log_ab)))
+            for paired, log_ab in forms.items()
+        }
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lo=st.integers(1, 400),
+        width=st.integers(1, 400),
+        v=st.integers(0, 800),
+        mus=st.lists(st.floats(1e-3, 3e3), min_size=1, max_size=4),
+    )
+    def test_union_pass_equals_two_passes(self, lo, width, v, mus):
+        # each Poisson weight and Stirling error depends on its count alone
+        hi = lo + width
+        mu = np.array(mus)[:, None]
+        m = np.arange(lo - 1.0, hi)
+        union = np.arange(lo - 1.0, hi + v)
+        with np.errstate(all="ignore"):  # count 0 takes its own branch
+            stirling = exact_dist._stirling_error(union)
+            one = exact_dist._log_poisson(mu, union, stirling)
+            for counts, at in ((m, 0), (m[1:] + v, v + 1)):
+                part = exact_dist._stirling_error(counts)
+                assert stirling[at : at + counts.size].tobytes() == part.tobytes()
+                two = exact_dist._log_poisson(mu, counts, part)
+                assert one[:, at : at + counts.size].tobytes() == two.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lo=st.integers(1, 300),
+        width=st.integers(1, 300),
+        v=st.integers(0, 600),
+        mus=st.lists(st.floats(1e-3, 3e3), min_size=1, max_size=4),
+        cut=st.floats(0.0, 1.0),
+    )
+    def test_one_pass_and_two_give_the_same_bits(self, lo, width, v, mus, cut):
+        # a range that takes one pass (v < width + 1) against the same
+        # indices one at a time, which take two once v >= 2, and against two
+        # halves, which may take either; in both increment forms
+        hi = lo + width
+        mid = lo + int(cut * width)
+        with np.errstate(all="ignore"):  # as the ladder runs it
+            for paired, rows in self._rows(mus, v).items():
+                delta = lambda lo, hi: exact_dist._log_delta(rows, v, paired, lo, hi)
+                whole = delta(lo, hi)
+                assert whole.shape == (len(mus), width) and np.isfinite(whole).all()
+                single = [delta(i, i + 1) for i in range(lo, hi)]
+                halves = [delta(lo, mid), delta(mid, hi)]
+                for pieces in (single, halves):
+                    assert np.concatenate(pieces, axis=1).tobytes() == whole.tobytes(), paired
+
+
 def _cli_prob(stat: str, side: str) -> int:
     argv = ["prob", "--n", "20", "--v", "3", "--x", "0.9", "--stat", stat, "--side", side]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

@@ -33,7 +33,7 @@ from chiral_ldp.sampler import (
     sample_yj,
 )
 
-from oracles import eager_sample_yj, gamma_product_tail_oracle, ks_critical
+from oracles import _eager_gamma, eager_sample_yj, gamma_product_tail_oracle, ks_critical
 
 # E[2n Y_j] = 2 Gamma(j+1/2) Gamma(j+v+1/2) / (Gamma(j) Gamma(j+v)), and
 # E[(2n Y_j)^2] = 4 j (j+v) from the gamma product representation.
@@ -63,6 +63,19 @@ class TestBatchContract:
             sample_yj(params, 1, seed=1, count=0)
         with pytest.raises(ValueError):
             sample_yj(params, 1, seed=-1, count=4)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_the_philox_key_is_refused(self, seed):
+        # a key word holds 0 <= seed < 2**64; numpy would raise OverflowError
+        params = EnsembleParams(3, 0)
+        with pytest.raises(ValueError, match=r"seed and stream must be in \[0, 2\*\*64\)"):
+            sample_yj(params, 1, seed, count=2)
+        with pytest.raises(ValueError, match=r"seed and stream must be in \[0, 2\*\*64\)"):
+            matrix_probe_extremes(MatrixProbeConfig(params), seed, count=2)
+        with pytest.raises(ValueError, match=r"seed and stream must be in \[0, 2\*\*64\)"):
+            sample_extremes_independent(params, seed, count=2)
+        largest = sample_yj(params, 1, 2**64 - 1, count=2).values
+        assert np.isfinite(largest).all()
 
 
 class TestDeterminism:
@@ -132,16 +145,42 @@ class TestLazyRounds:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    @staticmethod
+    def _words(uniforms):
+        # Philox words read as the uniforms, rounded down to multiples of 2**-53
+        return (np.asarray(uniforms) * 2.0**53).astype(np.uint64) << 11
+
     def test_exhausted_rejection_budget_raises(self):
         # u1 = 0.999 and u2 = 0.5 give z = -3.72, so base = 1 + z / sqrt(6) < 0
         # at shape 1 and every round of the second row is invalid
         uniforms = np.full((3, sampler._GAMMA_ROUNDS, 3), [0.999, 0.5, 0.5])
         uniforms[[0, 2], 5] = [0.3, 0.1, 0.5]  # rows 0 and 2 accept in round 5
         with pytest.raises(RuntimeError, match="rejection budget exhausted"):
-            sampler._gamma_from_uniforms(1.0, uniforms)
+            sampler._gamma_from_words(1.0, self._words(uniforms))
         uniforms[1, -1] = [0.3, 0.1, 0.5]  # ... and row 1 in the last round
-        draws = sampler._gamma_from_uniforms(1.0, uniforms)
+        draws = sampler._gamma_from_words(1.0, self._words(uniforms))
         assert np.all(draws == draws[0]) and draws[0] > 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        first=st.integers(0, 10**6),
+        rows=st.integers(1, 300),
+        shape_a=st.sampled_from([1.0, 2.0, 3.0, 10.0, 1000.0]),
+    )
+    def test_raw_word_draws_equal_generator_uniform_draws(self, seed, first, rows, shape_a):
+        # the words a round converts, (w >> 11) * 2**-53, are the doubles
+        # Generator.random gives at the same counters, so the lazy draws from
+        # raw words are the eager draws from Generator uniforms, bit for bit
+        layout = (sampler._GAMMA_ROUNDS, 3)
+        words = sampler._stream_rows(seed, 1, slice(first, first + rows), layout, raw=True)
+        bits = np.random.Philox(
+            key=np.array([seed, 1], dtype=np.uint64), counter=first * math.prod(layout) // 4
+        )
+        uniforms = np.random.Generator(bits).random((rows, *layout))
+        assert ((words >> 11) * 2.0**-53).tobytes() == uniforms.tobytes()
+        want = _eager_gamma(shape_a, uniforms)
+        assert sampler._gamma_from_words(shape_a, words).tobytes() == want.tobytes()
 
 
 class TestDistribution:
@@ -284,17 +323,19 @@ class TestKsMaxBlocks:
         return matrix_probe_extremes(MatrixProbeConfig(params), seed=7, count=count)
 
     @staticmethod
-    def _per_row(params):
-        # 2 (cap - top) + 3 Poisson counts, 363 at (3, 1)
+    def _per_row(params, t):
+        # 2 (L - top) + 3 Poisson counts, L the furthest reverse-sum stop at
+        # the thresholds t: the size _reduce_rows gives a batch that 2 (cap -
+        # top) + 3 = 363 counts per row at (3, 1) would split
         top, v = params.n, params.v
-        return 2 * max(top - 1, exact_dist._cap(top, v) - top) + 3
+        return 2 * max(top - 1, exact_dist._last_stop(0.5 * t, v, top) - top) + 3
 
     @classmethod
-    def _fifty_point_chunks(cls, monkeypatch, params):
-        # 50 rows on one worker, so 400 points run as eight chunks; returns
-        # the list of chunk sizes
+    def _fifty_point_chunks(cls, monkeypatch, params, t):
+        # 50 rows of the thresholds t on one worker, so 400 points run as
+        # eight chunks; returns the list of chunk sizes
         monkeypatch.setattr(exact_dist, "_WORKERS", 1)
-        monkeypatch.setattr(exact_dist, "_CHUNK_ELEMENTS", 50 * cls._per_row(params))
+        monkeypatch.setattr(exact_dist, "_CHUNK_ELEMENTS", 50 * cls._per_row(params, t))
         real, chunks = exact_dist._ladder_sums, []
 
         def counted(t, v, top, force_reverse=False, first=1):
@@ -308,17 +349,19 @@ class TestKsMaxBlocks:
         params = EnsembleParams(3, 1)
         probe = self._probe(params, 400)
         y = sample_yj(params, params.n, seed=7, count=400).values
-        whole = (
-            sampler._ks(params, probe["max"], Statistic.MAX_SQ),
-            sampler._ks(params, probe["min"], Statistic.MIN_SQ),
-            sampler._ks(params, y, params.n),
-        )
-        chunks = self._fifty_point_chunks(monkeypatch, params)
-        # statistic and tally, bit for bit
-        assert sampler._ks(params, probe["max"], Statistic.MAX_SQ) == whole[0]
-        assert sampler._ks(params, probe["min"], Statistic.MIN_SQ) == whole[1]
-        assert sampler._ks(params, y, params.n) == whole[2]
-        assert chunks == [50] * 24
+        c = derived_scales(params).c
+        samples = [
+            (probe["max"], Statistic.MAX_SQ, c),
+            (probe["min"], Statistic.MIN_SQ, c),
+            (y, params.n, 2.0 * params.n),
+        ]
+        whole = [sampler._ks(params, values, law) for values, law, _ in samples]
+        for (values, law, scale), want in zip(samples, whole):
+            with monkeypatch.context() as patch:
+                chunks = self._fifty_point_chunks(patch, params, values * scale)
+                # statistic and tally, bit for bit
+                assert sampler._ks(params, values, law) == want
+            assert chunks == [50] * 8
 
     def test_failure_names_the_first_failing_point(self, monkeypatch):
         params = EnsembleParams(3, 1)
@@ -331,7 +374,7 @@ class TestKsMaxBlocks:
             "_kve_sums",
             lambda s, v: np.where(np.isin(s, bad), np.nan, real(s, v)),
         )
-        chunks = self._fifty_point_chunks(monkeypatch, params)
+        chunks = self._fifty_point_chunks(monkeypatch, params, t)
         with pytest.raises(QuadratureError) as info:
             ks_statistic_max(params, x)
         assert f"non-finite ladder value at t={float(bad[0])!r}" in str(info.value)
@@ -362,13 +405,51 @@ class TestKsMaxBlocks:
         assert want == (
             f"non-finite ladder value at t={float(bad[0])!r}, v=1 (and at 1 more thresholds)"
         )
-        for elements in (exact_dist._CHUNK_ELEMENTS, 50 * self._per_row(params)):
+        for elements in (exact_dist._CHUNK_ELEMENTS, 50 * self._per_row(params, t)):
             for workers in (1, 2, 3):
                 monkeypatch.setattr(exact_dist, "_CHUNK_ELEMENTS", elements)
                 monkeypatch.setattr(exact_dist, "_WORKERS", workers)
                 with pytest.raises(QuadratureError) as info:
                     ks_statistic_max(params, x)
                 assert str(info.value) == want, (elements, workers)
+
+    @pytest.mark.parametrize("n,v,j", [(5, 2, 3), (3, 1, 3), (200, 0, 200), (40, 300, 40)])
+    def test_sizing_bound_covers_every_block_stop(self, monkeypatch, n, v, j):
+        # a batch that the cap would split is cut by its furthest stop, and
+        # no block's reverse sum runs past it; a single threshold never
+        # computes that bound
+        params = EnsembleParams(n, v)
+        y = sample_yj(params, j, seed=5, count=20_000).values
+        real_blocks, real_sums, real_last = (
+            exact_dist._blocks, exact_dist._ladder_sums, exact_dist._last_stop
+        )
+        sizes, stops, bounds = [], [], []
+
+        def blocks(count, row_elements):
+            sizes.append(row_elements)
+            return real_blocks(count, row_elements)
+
+        def ladder_sums(*args, **kwargs):
+            sums = real_sums(*args, **kwargs)
+            stops.append(int(sums.stop.max()))
+            return sums
+
+        def last_stop(mu, v, top):
+            bounds.append(real_last(mu, v, top))
+            return bounds[-1]
+
+        monkeypatch.setattr(exact_dist, "_CHUNK_ELEMENTS", 200_000)
+        monkeypatch.setattr(exact_dist, "_blocks", blocks)
+        monkeypatch.setattr(exact_dist, "_ladder_sums", ladder_sums)
+        monkeypatch.setattr(exact_dist, "_last_stop", last_stop)
+        ks_statistic(params, j, y)
+        bound, cap = real_last(0.5 * (y * (2.0 * n)), v, j), exact_dist._cap(j, v)
+        assert sizes == [2 * max(j - 1, cap - j) + 3, 2 * max(j - 1, bound - j) + 3]
+        assert len(stops) > 1 and all(stop <= bound for stop in stops)
+        assert bounds[0] == bound < cap
+        sizes.clear()
+        exact_dist.log_cdf_index(params, j, float(np.median(y)))
+        assert len(sizes) == 1
 
     def test_memory_does_not_grow_with_points_times_n(self):
         # 2e4 points at n=200 (and j=200) are 27 chunks of 749; one array
@@ -421,7 +502,9 @@ class TestWorkerCount:
     outputs are the same bytes for any number of pool threads."""
 
     # 30,000 elements: 208, 104 or 69 sampler rows and 625, 312 or 208
-    # probe replicates at (3, 1) per block on 1, 2 or 3 workers
+    # probe replicates at (3, 1) per block on 1, 2 or 3 workers; the KS
+    # ladder, sized by its furthest reverse-sum stop, runs each sample as 4
+    # to 5, 8 to 10 or 12 to 15 blocks
     ELEMENTS = 30_000
 
     @staticmethod
@@ -492,10 +575,15 @@ class TestWorkerCount:
         shape=st.sampled_from([(2, sampler._GAMMA_ROUNDS, 3), (48,), (4,)]),
     )
     def test_counter_addressed_rows_are_the_stream_rows(self, seed, stream, first, rows, shape):
+        # raw words and uniforms alike
         key = np.array([seed, stream], dtype=np.uint64)
-        want = np.random.Generator(np.random.Philox(key=key)).random((first + rows, *shape))
-        got = sampler._uniforms(seed, stream, slice(first, first + rows), shape)
-        assert got.tobytes() == want[first:].tobytes()
+        size = (first + rows, *shape)
+        want = np.random.Generator(np.random.Philox(key=key)).random(size)
+        words = np.random.Philox(key=key).random_raw(size)
+        at = slice(first, first + rows)
+        assert sampler._stream_rows(seed, stream, at, shape).tobytes() == want[first:].tobytes()
+        got = sampler._stream_rows(seed, stream, at, shape, raw=True)
+        assert got.tobytes() == words[first:].tobytes()
 
 
 class TestExtremesIndependent:
