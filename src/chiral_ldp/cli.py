@@ -29,7 +29,7 @@ import numpy as np
 from ._quad import QuadratureError
 from .asymptotics_lab import THEOREM_TAGS, THEOREMS, clt_check, converge_table
 from .core_types import Direction, EnsembleParams, Statistic, TailQuery, check_alpha
-from .exact_dist import _Tally, _window_tails, log_prob_from_tails
+from .exact_dist import _window_tails, log_prob_from_tails
 from .sampler import MatrixProbeConfig, _ks, matrix_probe_extremes, sample_yj
 from .verification import all_passed, run_checks
 
@@ -42,6 +42,9 @@ _RATES = {t.kind: t for t in THEOREMS.values()}
 _NOT_PARAMETERS = ("subcommand", "handler", "format", "summary", "ks")
 
 _Result = tuple[list[dict], list[str], int]  # rows, diagnostics, exit code
+
+# what a JSON string may not hold raw: the quote, the backslash and U+0000-U+001F
+_JSON_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{c: f"\\u{c:04x}" for c in range(32)}}
 
 
 def _fmt(value) -> str:
@@ -76,8 +79,7 @@ def _json_scalar(value) -> str:
         isinstance(value, float) and math.isfinite(value)
     ):
         return _fmt(value)
-    text = str(value).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{text}"'
+    return f'"{str(value).translate(_JSON_ESCAPES)}"'
 
 
 def _json_object(mapping: dict) -> str:
@@ -130,27 +132,6 @@ def _cmd_rate(args) -> _Result:
     return [row], diags, 0
 
 
-def _ladder_note(tally: _Tally) -> str:
-    """Which indices the ladder evaluated, which tail side each summed
-    directly, and where it stopped; over a batch of sample points, counts
-    over all (point, index) pairs, the furthest stop and the largest bound."""
-    batch = tally.rows is not None
-    points = f" at {tally.rows} sample points" if batch else ""
-    pairs = (tally.top - tally.first + 1) * (tally.rows or 1)
-    note = (
-        f"gamma-shape ladder over indices {tally.first}..{tally.top}{points}: "
-        f"cdf summed directly for {tally.cdf_direct}, sf for {pairs - tally.cdf_direct}"
-    )
-    if tally.stop:
-        note += f"; reverse {'sums stopped by' if batch else 'sum stopped at'} index {tally.stop}"
-    if tally.stop or tally.truncation_bound:
-        note += (
-            f"{' with' if tally.stop else ';'} dropped tail below "
-            f"{tally.truncation_bound:.1e} relative"
-        )
-    return note
-
-
 def _failure_notes(exc: QuadratureError) -> list[str]:
     """The numeric failure's cause, then its partial estimate when it has one."""
     notes = [f"numeric failure: {exc}"]
@@ -162,7 +143,7 @@ def _failure_notes(exc: QuadratureError) -> list[str]:
 def _cmd_prob(args) -> _Result:
     query = TailQuery(Statistic(args.stat), Direction(args.side), args.x)
     tails, tally = _window_tails(EnsembleParams(args.n, args.v), args.x, query.statistic)
-    diags = [_ladder_note(tally)]
+    diags = [tally.note()]
     code, probability = 0, None
     try:
         lp = log_prob_from_tails(tails, query)
@@ -187,22 +168,21 @@ def _cmd_sample(args) -> _Result:
     diags: list[str] = []
     if args.summary:
         t = 2.0 * args.n * batch.values
+        sd = t.std(ddof=1) if args.count > 1 else 0.0
         rows = [
             {
                 "count": args.count,
                 "mean_y": float(batch.values.mean()),
                 "mean_t": float(t.mean()),
-                "sd_t": float(t.std(ddof=1)) if args.count > 1 else 0.0,
-                "se_t": float(t.std(ddof=1) / math.sqrt(args.count))
-                if args.count > 1
-                else 0.0,
+                "sd_t": float(sd),
+                "se_t": float(sd / math.sqrt(args.count)),
             }
         ]
         diags.append("t denotes 2nY_j")
     elif args.ks:
-        ks, tails = _ks(params_obj, batch.values, args.j)
+        ks, tally = _ks(params_obj, batch.values, args.j)
         rows = [{"count": args.count, "ks": ks}]
-        diags.append(_ladder_note(tails))
+        diags.append(tally.note())
     else:
         rows = [
             {"replicate": i, "y": float(y)} for i, y in enumerate(batch.values)
@@ -230,9 +210,9 @@ def _cmd_matrix(args) -> _Result:
             }
         ]
     elif args.ks:
-        ks, tails = _ks(params_obj, out["max"], Statistic.MAX_SQ)
+        ks, tally = _ks(params_obj, out["max"], Statistic.MAX_SQ)
         rows = [{"count": args.count, "ks": ks, "resample_count": resample_count}]
-        diags.append(_ladder_note(tails))
+        diags.append(tally.note())
     else:
         rows = [
             {
@@ -327,14 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format",
-            choices=("csv", "json"),
-            default="csv",
-            help="output format (default csv)",
-        )
-
     def add_modes(p: argparse.ArgumentParser, ks_help: str) -> None:
         group = p.add_mutually_exclusive_group()
         group.add_argument("--summary", action="store_true", help="moments instead of draws")
@@ -344,7 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--alpha", required=True, help="v/n limit: a number, 0, or inf")
     p_rate.add_argument("--x", type=float, required=True, help="deviation level")
     p_rate.add_argument("--which", choices=tuple(_RATES), required=True)
-    add_format(p_rate)
     p_rate.set_defaults(handler=_cmd_rate)
 
     p_prob = sub.add_parser("prob", help="exact tail log-probability")
@@ -353,7 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prob.add_argument("--x", type=float, required=True, help="threshold level")
     p_prob.add_argument("--stat", choices=("max", "min"), required=True)
     p_prob.add_argument("--side", choices=("ge", "le"), required=True)
-    add_format(p_prob)
     p_prob.set_defaults(handler=_cmd_prob)
 
     p_sample = sub.add_parser("sample", help="draw one index's surrogate variable")
@@ -363,7 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--count", type=int, required=True)
     add_modes(p_sample, "KS distance against the exact law")
-    add_format(p_sample)
     p_sample.set_defaults(handler=_cmd_sample)
 
     p_matrix = sub.add_parser("matrix", help="sample extremes from explicit matrices")
@@ -372,7 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_matrix.add_argument("--seed", type=int, default=0)
     p_matrix.add_argument("--count", type=int, required=True)
     add_modes(p_matrix, "KS distance of the max against the product law")
-    add_format(p_matrix)
     p_matrix.set_defaults(handler=_cmd_matrix)
 
     p_conv = sub.add_parser("converge", help="limit-theorem convergence experiment")
@@ -387,16 +355,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument(
         "--v", default=None, help="comma-separated v values (default 0, broadcast)"
     )
-    add_format(p_conv)
     p_conv.set_defaults(handler=_cmd_converge)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     p_verify.add_argument(
         "--quick", action="store_true", help="deterministic subset only"
     )
-    add_format(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
+    for p in sub.choices.values():
+        p.add_argument(
+            "--format", choices=("csv", "json"), default="csv", help="output format (default csv)"
+        )
     return parser
 
 

@@ -70,11 +70,12 @@ single query is a batch of one threshold over its window (see
 :func:`_window_tails`, which :func:`index_tails` shares with the window
 1..top); the sampler's KS statistics are a batch of every sample point over
 every index.  The entry cuts a batch into blocks of rows sized by the
-ladder's footprint per row, its reverse sum counted to the batch's furthest
-stop, and hands each block's tails to the caller's reduction, which keeps
-what it needs (one value per threshold for KS), so memory does not grow
-with the batch; the batch gets one tally.  A job of independent rows
-(ladder thresholds here, sampler and probe replicates in
+ladder's footprint per row, its reverse sum counted to the furthest stop of
+a row that can take one, and hands each block's tails to the caller's
+reduction, which keeps what it needs (one value per threshold for KS), so
+memory does not grow with the batch; the batch gets one tally.  The tally
+renders the run's diagnostic note (see :meth:`_Tally.note`).  A job of
+independent rows (ladder thresholds here, sampler and probe replicates in
 :mod:`chiral_ldp.sampler`) is cut by :func:`_blocks` into equal blocks of
 at most ``_CHUNK_ELEMENTS // _WORKERS`` elements, and :func:`_run_blocks`
 runs them on one shared thread pool of ``_WORKERS`` threads, the usable CPU
@@ -190,6 +191,27 @@ class _Tally(NamedTuple):
     stop: int  # furthest reverse-sum stop, 0 when none was taken
     truncation_bound: float  # largest bound on what the sums dropped
     failure: str | None
+
+    def note(self) -> str:
+        """Which indices the ladder evaluated, which tail side each summed
+        directly, and where it stopped; over a batch of sample points, counts
+        over all (point, index) pairs, the furthest stop and the largest bound."""
+        batch = self.rows is not None
+        points = f" at {self.rows} sample points" if batch else ""
+        pairs = (self.top - self.first + 1) * (self.rows or 1)
+        note = (
+            f"gamma-shape ladder over indices {self.first}..{self.top}{points}: "
+            f"cdf summed directly for {self.cdf_direct}, sf for {pairs - self.cdf_direct}"
+        )
+        if self.stop:
+            stopped = "sums stopped by" if batch else "sum stopped at"
+            note += f"; reverse {stopped} index {self.stop}"
+        if self.stop or self.truncation_bound:
+            note += (
+                f"{' with' if self.stop else ';'} dropped tail below "
+                f"{self.truncation_bound:.1e} relative"
+            )
+        return note
 
 
 class _Rows(NamedTuple):
@@ -584,12 +606,17 @@ def _reduce_rows(
     (see :func:`_blocks`) sized by the ladder's footprint per row, at most
     2 (top - first) + 1 Poisson counts forward and 2 (L - top) + 3 in the
     reverse sum, with L the cap or, where the cap would split the batch, the
-    batch's furthest stop (see :func:`_last_stop`), so the temporaries of
-    the blocks in flight stay near ``_CHUNK_ELEMENTS`` elements together,
-    and runs them on the pool (see :func:`_run_blocks`).  ``keep`` takes a
-    block's ``(log_sf, log_cdf, cdf_direct)``, one row per threshold, and
-    reduces them to what its caller needs, so memory does not grow with
-    thresholds times indices.
+    furthest stop of a row that takes a reverse sum (see :func:`_last_stop`),
+    so the temporaries of the blocks in flight stay near ``_CHUNK_ELEMENTS``
+    elements together, and runs them on the pool (see :func:`_run_blocks`).
+    Such a row has sf_top > 1/2, and 2 sqrt(G_top G_{top+v}) is at most
+    G_top + G_{top+v} ~ Gamma(2 top + v), whose median is below 2 top + v
+    (Chen & Rubin 1986), so its mu = t/2 is below top + v/2: every mu is
+    clipped there, which leaves each such row its own and gives a t = inf
+    row a finite one.  ``keep`` takes a block's
+    ``(log_sf, log_cdf, cdf_direct)``, one row per threshold, and reduces
+    them to what its caller needs, so memory does not grow with thresholds
+    times indices.
     At t = inf, where a level's threshold overflows, the ladder's sums are
     NaN and each row holds the exact limits sf = 0, cdf = 1 instead.  The
     tally's failure is that of the whole batch (see :func:`_failure`): the
@@ -597,8 +624,9 @@ def _reduce_rows(
     blocks.
     """
     blocks = _blocks(t.size, 2 * max(top - first, _cap(top, v) - top) + 3)
-    if len(blocks) > 1:  # the cap would split the batch: size it by its furthest stop
-        blocks = _blocks(t.size, 2 * max(top - first, _last_stop(0.5 * t, v, top) - top) + 3)
+    if len(blocks) > 1:  # the cap would split the batch: size it by the furthest stop
+        mu = np.minimum(0.5 * t, top + 0.5 * v)
+        blocks = _blocks(t.size, 2 * max(top - first, _last_stop(mu, v, top) - top) + 3)
     stop, bound = np.empty(t.size, dtype=int), np.empty(t.size)
     finite, converged = np.empty(t.size, dtype=bool), np.empty(t.size, dtype=bool)
 

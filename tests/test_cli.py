@@ -415,6 +415,8 @@ class TestJsonOutput:
               "--seed", "3", "--ks"], "sample"),
             (["matrix", "--n", "3", "--v", "1", "--count", "30", "--seed", "4",
               "--ks"], "matrix"),
+            # int() accepts the tab, and the grid text is echoed with it
+            (["converge", "--theorem", "t1-right", "--grid", "25:0\t"], "converge"),
         ],
     )
     def test_records_validate(self, argv, command):
@@ -428,6 +430,10 @@ class TestJsonOutput:
         assert record["command"] == command
         assert isinstance(record["results"], list) and record["results"]
         assert all(isinstance(d, str) for d in record["diagnostics"])
+
+    def test_json_scalar_escapes_every_control_character(self):
+        text = "".join(map(chr, range(0x20))) + '"\\ ok'
+        assert json.loads(cli_module._json_scalar(text)) == text
 
     def test_json_value_matches_pin(self):
         _, out, _ = run_cli(

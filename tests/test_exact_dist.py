@@ -37,6 +37,7 @@ from chiral_ldp.core_types import (
     derived_scales,
 )
 from chiral_ldp.exact_dist import (
+    _Tally,
     _bessel,
     _kve_sums,
     _ladder_sums,
@@ -897,6 +898,56 @@ class TestOneEntry:
         }
         for name in ("_tails_at", "_rows_at", "_tally"):
             assert not hasattr(exact_dist, name)
+
+
+class TestTallyNote:
+    """The tally renders the run's note: the indices kept, the pairs whose
+    cdf was summed directly, the reverse-sum stop and the dropped-tail bound;
+    per sample point over a batch, where the stop is the furthest."""
+
+    @pytest.mark.parametrize(
+        "tally, note",
+        [
+            (_Tally(None, 3, 9, 2, 15, 2.5e-18, None),
+             "gamma-shape ladder over indices 3..9: cdf summed directly for 2, sf for 5; "
+             "reverse sum stopped at index 15 with dropped tail below 2.5e-18 relative"),
+            (_Tally(None, 3, 9, 0, 0, 1.2e-19, None),
+             "gamma-shape ladder over indices 3..9: cdf summed directly for 0, sf for 7; "
+             "dropped tail below 1.2e-19 relative"),
+            (_Tally(None, 1, 9, 0, 0, 0.0, None),
+             "gamma-shape ladder over indices 1..9: cdf summed directly for 0, sf for 9"),
+            (_Tally(4, 1, 3, 5, 20, 3e-18, None),
+             "gamma-shape ladder over indices 1..3 at 4 sample points: cdf summed directly "
+             "for 5, sf for 7; reverse sums stopped by index 20 with dropped tail below "
+             "3.0e-18 relative"),
+            (_Tally(4, 1, 3, 0, 0, 0.0, None),
+             "gamma-shape ladder over indices 1..3 at 4 sample points: cdf summed directly "
+             "for 0, sf for 12"),
+        ],
+        ids=["query-stop", "query-window", "query-whole", "batch-stop", "batch-no-stop"],
+    )
+    def test_text(self, tally, note):
+        assert tally.note() == note
+
+    @pytest.mark.parametrize("x, stat", [(1.3, Statistic.MAX_SQ), (0.5, Statistic.MAX_SQ)])
+    def test_single_query(self, x, stat):
+        tally = _window_tails(EnsembleParams(1000, 10), x, stat)[1]
+        note = tally.note()
+        assert tally.rows is None and tally.first > 1
+        assert f"over indices {tally.first}..{tally.top}: " in note
+        assert "sample points" not in note and "reverse sums" not in note
+        assert ("reverse sum stopped at index " in note) == (tally.stop > 0)
+        bound = float(note.split("dropped tail below ")[1].split()[0])
+        assert bound == pytest.approx(tally.truncation_bound, rel=0.06)
+
+    @pytest.mark.parametrize("t, stop", [([20.0, 30.0], False), ([2.0, 30.0], True)])
+    def test_batch(self, t, stop):
+        tally = _reduce_rows(np.array(t), 2, 5, lambda *tails: None)[1]
+        note = tally.note()
+        assert note.startswith("gamma-shape ladder over indices 1..5 at 2 sample points: ")
+        assert (tally.stop > 0) == stop and "reverse sum stopped" not in note
+        assert (f"reverse sums stopped by index {tally.stop} with" in note) == stop
+        assert ("dropped tail below" in note) == stop
 
 
 class TestProductLaws:

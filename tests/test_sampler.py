@@ -323,12 +323,18 @@ class TestKsMaxBlocks:
         return matrix_probe_extremes(MatrixProbeConfig(params), seed=7, count=count)
 
     @staticmethod
-    def _per_row(params, t):
-        # 2 (L - top) + 3 Poisson counts, L the furthest reverse-sum stop at
-        # the thresholds t: the size _reduce_rows gives a batch that 2 (cap -
-        # top) + 3 = 363 counts per row at (3, 1) would split
+    def _last_stop(t, v, top):
+        # the furthest stop of a row at the thresholds t that can take a
+        # reverse sum, whose mu = t/2 is below top + v/2
+        return exact_dist._last_stop(np.minimum(0.5 * t, top + 0.5 * v), v, top)
+
+    @classmethod
+    def _per_row(cls, params, t):
+        # 2 (L - top) + 3 Poisson counts, L that stop: the size _reduce_rows
+        # gives a batch that 2 (cap - top) + 3 = 363 counts per row at (3, 1)
+        # would split
         top, v = params.n, params.v
-        return 2 * max(top - 1, exact_dist._last_stop(0.5 * t, v, top) - top) + 3
+        return 2 * max(top - 1, cls._last_stop(t, v, top) - top) + 3
 
     @classmethod
     def _fifty_point_chunks(cls, monkeypatch, params, t):
@@ -443,13 +449,28 @@ class TestKsMaxBlocks:
         monkeypatch.setattr(exact_dist, "_ladder_sums", ladder_sums)
         monkeypatch.setattr(exact_dist, "_last_stop", last_stop)
         ks_statistic(params, j, y)
-        bound, cap = real_last(0.5 * (y * (2.0 * n)), v, j), exact_dist._cap(j, v)
+        bound, cap = self._last_stop(y * (2.0 * n), v, j), exact_dist._cap(j, v)
         assert sizes == [2 * max(j - 1, cap - j) + 3, 2 * max(j - 1, bound - j) + 3]
         assert len(stops) > 1 and all(stop <= bound for stop in stops)
         assert bounds[0] == bound < cap
         sizes.clear()
         exact_dist.log_cdf_index(params, j, float(np.median(y)))
         assert len(sizes) == 1
+
+    def test_overflowing_point_cuts_the_same_blocks(self, monkeypatch):
+        # a point at t = inf takes no reverse sum, so it leaves the sizing
+        # alone: one draw set to 1e308 cuts the blocks of the sample without it
+        params = EnsembleParams(5, 2)
+        y = sample_yj(params, 3, seed=5, count=50_000).values
+        huge = y.copy()
+        huge[123] = 1e308
+        real, cuts = exact_dist._blocks, []
+        monkeypatch.setattr(
+            exact_dist, "_blocks", lambda count, row: cuts.append(real(count, row)) or cuts[-1]
+        )
+        want = ks_statistic(params, 3, y)
+        assert ks_statistic(params, 3, huge).hex() == want.hex()
+        assert len(cuts) == 4 and cuts[1] == cuts[3] and len(cuts[1]) > 1
 
     def test_memory_does_not_grow_with_points_times_n(self):
         # 2e4 points at n=200 (and j=200) are 27 chunks of 749; one array
@@ -503,8 +524,8 @@ class TestWorkerCount:
 
     # 30,000 elements: 208, 104 or 69 sampler rows and 625, 312 or 208
     # probe replicates at (3, 1) per block on 1, 2 or 3 workers; the KS
-    # ladder, sized by its furthest reverse-sum stop, runs each sample as 4
-    # to 5, 8 to 10 or 12 to 15 blocks
+    # ladder, sized by the furthest stop of a row that can take a reverse
+    # sum, runs each sample as 3 to 4, 6 to 8 or 9 to 12 blocks
     ELEMENTS = 30_000
 
     @staticmethod
