@@ -34,14 +34,17 @@ which keeps the rounding of each log-term near double precision.
 Truncation rule.  Everything the sums drop stays below e^-40 relative, half
 of it in the reverse sum's tail and half in the index window below.  The
 forward sums are finite.  The reverse sum is needed only when some sf_j
-exceeds 1/2.  Both parts of delta shrink by at least rho_i = s / (i (i+v+1))
-from one index to the next and rho decreases in i, so cdf_{j+1} <= rho_j
-cdf_j.  The sum stops at the first L with rho_k ... rho_L <= e^-40 / 2,
-k = max(top, ceil(c)) and rho_c = 1, found before any increment is summed
-(see :func:`_reach`); what it drops, cdf_{L+1}, is at most that product
-times every cdf it feeds.  The ladder never runs past top + 40 sqrt(top+v)
-+ 100 indices.  A reverse sum that stops there unconverged, or a non-finite
-value anywhere, raises :class:`QuadratureError` carrying the partial result.
+exceeds 1/2, which takes t < 2 top + v (see :func:`_reduce_rows`).  Both
+parts of delta shrink by at least rho_i = s / (i (i+v+1)) from one index to
+the next and rho decreases in i, so cdf_{j+1} <= rho_j cdf_j.  The sum stops
+at the first L with rho_k ... rho_L <= e^-40 / 2, k = max(top, ceil(c)) and
+rho_c = 1, which depends on t alone (see :func:`_stops` and :func:`_reach`);
+what it drops, cdf_{L+1}, is at most that product times every cdf it feeds.
+So L is fixed before any increment is drawn, and a single query with
+t < 2 top + v draws every increment it sums, forward and reverse, in one
+pass.  The ladder never runs past top + 40 sqrt(top+v) + 100 indices.  A
+reverse sum that stops there unconverged, or a non-finite value anywhere,
+raises :class:`QuadratureError` carrying the partial result.
 A threshold that overflows to t = inf is not a failure: there every tail
 takes its exact limit, sf = 0 and cdf = 1, so a product query evaluates one
 index (the top one for the max, index 1 for the min), which alone gives the
@@ -69,9 +72,10 @@ window shared; each row gets the same values as its threshold run alone.  A
 single query is a batch of one threshold over its window (see
 :func:`_window_tails`, which :func:`index_tails` shares with the window
 1..top); the sampler's KS statistics are a batch of every sample point over
-every index.  The entry cuts a batch into blocks of rows sized by the
-ladder's footprint per row, its reverse sum counted to the furthest stop of
-a row that can take one, and hands each block's tails to the caller's
+every index.  The entry bounds the stops of the rows that can take a
+reverse sum once per batch (see :func:`_last_stop`), cuts the batch into
+blocks of rows sized by the ladder's footprint per row, its reverse sum
+counted to that bound, and hands each block's tails to the caller's
 reduction, which keeps what it needs (one value per threshold for KS), so
 memory does not grow with the batch; the batch gets one tally.  The tally
 renders the run's diagnostic note (see :meth:`_Tally.note`).  A job of
@@ -346,6 +350,8 @@ def _stirling_error(m: np.ndarray | float) -> np.ndarray | float:
     series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r / 1188) * r) * r) * r) / m
     if isinstance(m, float):
         return series if m > 15.0 else float(_STIRLING_ERROR[int(m)])
+    if m.min() > 15.0:
+        return series
     return np.where(m > 15.0, series, _STIRLING_ERROR[np.minimum(m, 15.0).astype(int)])
 
 
@@ -431,7 +437,12 @@ def _cap(top: int, v: int) -> int:
 
 
 def _ladder_sums(
-    t: np.ndarray, v: int, top: int, force_reverse: bool = False, first: int = 1
+    t: np.ndarray,
+    v: int,
+    top: int,
+    force_reverse: bool = False,
+    first: int = 1,
+    last: int | None = None,
 ) -> _Sums:
     """Forward (sf) and, when asked or needed, reverse (cdf) ladder sums for
     the indices first..top at each threshold of the 1-d array ``t``, one row
@@ -444,15 +455,24 @@ def _ladder_sums(
     log kve(k, t), log p(k) are both large; there kve(v) and kve(v+1) are
     carried paired with p(v+1) and p(v+2) (see :func:`_bessel`), and p(i+v)
     as a ratio to p(v+1), which leaves terms of size about mu instead.  The
-    form is chosen per row: the rows of each form run together, a batch of
-    one form whole, as views.  Past first = 1 the forward sums start at
-    delta_{first-1} and leave out sf_{first-1} (see :func:`_window`).  The
-    reverse sum is taken in the rows where sf_top > 1/2, the one case where
-    some cdf is the smaller side, or in all rows when ``force_reverse`` asks
-    for it.  All rows run at once: every caller in the package but verify's
-    tail-complement check, which reads the raw sums, reaches them through
-    :func:`_reduce_rows`.  Numpy's floating-point warnings are off inside: a
-    non-finite sum is reported by its caller, not by a warning.
+    form is chosen per row.  Past first = 1 the forward sums start at
+    delta_{first-1} and leave out sf_{first-1} (see :func:`_window`).
+
+    The reverse sum is taken in the rows where sf_top > 1/2, the one case
+    where some cdf is the smaller side, or in all rows when ``force_reverse``
+    asks for it.  Only a row with t < 2 top + v can need it (see
+    :func:`_reduce_rows`), and its stop L follows from t alone (see
+    :func:`_stops`), within top..``last`` (:func:`_last_stop` when None).
+    So a lone such threshold fixes L first and draws delta_lo .. delta_L,
+    for both sums, in one :func:`_log_delta` call.  A batch draws the
+    forward increments of every row, and then delta_top .. delta_L of the
+    rows that need them: drawing them ahead for every such row made KS
+    batches slower, since about 15% of their rows would drop them.  Each
+    row's increments past its own L are masked out.  All rows run at once:
+    every caller in the package but verify's tail-complement check, which
+    reads the raw sums, reaches them through :func:`_reduce_rows`.  Numpy's
+    floating-point warnings are off inside: a non-finite sum is reported by
+    its caller, not by a warning.
     """
     t = np.asarray(t, dtype=float)
     width = top - first + 1
@@ -463,11 +483,14 @@ def _ladder_sums(
         np.full(t.size, -math.inf),
         np.ones(t.size, dtype=bool),
     )
-    where = np.arange(t.size)
     lo = max(first - 1, 1)  # the first increment summed
     with np.errstate(all="ignore"):
         log_k, log_kp = _bessel(t, v)
         paired = log_k[0] > t  # 2 mu = t
+        reach = np.ones(t.size, dtype=bool) if force_reverse else t < 2 * top + v
+        if last is None and reach.any():
+            last = _last_stop(0.5 * t[reach], v, top)
+        ahead = t.size == 1 and bool(reach[0])  # one pass for a lone candidate
         split = paired.any() and not paired.all()
         for form in (False, True) if split else (bool(paired.all()),):
             sel = np.flatnonzero(paired == form) if split else slice(None)
@@ -478,62 +501,79 @@ def _ladder_sums(
             mu = 0.5 * ts
             log_t, log_mu = np.log(ts), np.log(mu)
             rows = _Rows(*(col[:, None] for col in (mu, log_t, log_mu, log_a, log_b)))
-            steps = _log_delta(rows, v, form, lo, top)  # delta_lo .. delta_{top-1}
+            if ahead:
+                stop, log_bound, converged = _stops(rows.log_mu, v, top, last)
+            # delta_lo .. delta_L in one pass, or the forward ones to delta_{top-1}
+            steps = _log_delta(rows, v, form, lo, int(stop[0]) + 1 if ahead else top)
             if first == 1:
                 # sf_1 = P(G_1 G_{v+1} >= s) = t kve(v+1) p(0) p(v)
-                lead, head = (log_t - mu + log_c)[:, None], steps
+                lead, head = (log_t - mu + log_c)[:, None], steps[:, : top - 1]
             else:
-                lead, head = steps[:, :1], steps[:, 1:]
+                lead, head = steps[:, :1], steps[:, 1 : top - lo]
             log_sf = np.logaddexp.accumulate(np.concatenate((lead, head), axis=1), axis=1)
             sums.log_sf[sel] = log_sf
-            pending = force_reverse | (log_sf[:, -1] > -_LOG2)
+            pending = reach[sel] & (force_reverse | (log_sf[:, -1] > -_LOG2))
             if pending.any():
                 rev = slice(None) if pending.all() else np.flatnonzero(pending)
-                rows = _Rows(*(col[rev] for col in rows))
-                _reverse_sums(sums, where[sel][rev], rows, head[rev], v, top, form)
+                tail = steps[rev, first - lo :]  # delta_first onwards
+                if not ahead:
+                    rows = _Rows(*(col[rev] for col in rows))
+                    stop, log_bound, converged = _stops(rows.log_mu, v, top, last)
+                    more = _log_delta(rows, v, form, top, int(stop.max()) + 1)
+                    tail = np.concatenate((tail, more), axis=1)
+                # each row's increments past its own stop masked out
+                kept = np.where(
+                    np.arange(first, first + tail.shape[1]) <= stop[:, None], tail, -math.inf
+                )
+                cdf = np.logaddexp.accumulate(kept[:, ::-1], axis=1)
+                where = np.arange(t.size)[sel][rev]
+                sums.log_cdf[where] = cdf[:, ::-1][:, :width]
+                sums.stop[where] = stop
+                sums.log_bound[where] = log_bound
+                sums.converged[where] = converged
     return sums
+
+
+def _stops(
+    log_mu: np.ndarray, v: int, top: int, last: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's reverse-sum stop L, the last increment summed, from the
+    column log mu alone, with the log of its bound and whether it converged
+    by index ``last``: the running product of min(1, rho_l) from l = top
+    falls to e^-40 / 2 within :func:`_reach` indices of k, where rho_l falls
+    to 1, and L is the first index where it does (see "Truncation rule")."""
+    l = np.arange(top, last + 1, dtype=float)
+    gain = np.cumsum(np.maximum(np.log(l) + np.log(l + 1.0 + v) - 2.0 * log_mu, 0.0), axis=1)
+    hits = gain >= _TRUNCATION_NATS + _LOG2
+    converged = hits[:, -1]
+    at = np.where(converged, np.argmax(hits, axis=1), l.size - 1)
+    return top + at, -gain[np.arange(at.size), at], converged
 
 
 def _last_stop(mu: np.ndarray, v: int, top: int) -> int:
     """The furthest index that a reverse sum from top can stop at, given the
-    means mu = t/2 of its rows: min(max (k + _reach), cap), with k where rho
-    falls to 1 (see "Truncation rule"); the cap when any row is NaN."""
+    means mu = t/2 of the rows that can take one (t < 2 top + v, see
+    :func:`_reduce_rows`): min(max (k + _reach), cap), with k where rho falls
+    to 1 (see "Truncation rule"); the cap when any row is NaN.  One row
+    takes Python floats, which leave numpy's per-call cost out of a single
+    query; the bound only sizes an index range, and keeps one index spare
+    against rounding, so either form gives every row its stop."""
     half = 0.5 * (v + 1)
-    with np.errstate(all="ignore"):
-        k = np.maximum(top, np.ceil(mu * (mu / (np.hypot(half, mu) + half))))  # l (l+1+v) >= s
-        g = np.log(k) + np.log(k + 1.0 + v) - 2.0 * np.log(mu)  # -log rho_k
-        # one index spare against rounding; NaN rows run to the cap
-        far, cap = np.max(k + _reach(k, v, g, _TRUNCATION_NATS + _LOG2)), _cap(top, v)
+    nats, cap = _TRUNCATION_NATS + _LOG2, _cap(top, v)
+    if mu.size == 1:
+        mu = float(mu[0])
+        if not 0.0 < mu < math.inf:
+            return cap
+        k = max(top, math.ceil(mu * (mu / (math.hypot(half, mu) + half))))  # l (l+1+v) >= s
+        g = math.log(k) + math.log(k + 1.0 + v) - 2.0 * math.log(mu)  # -log rho_k
+        far = k + _reach(k, v, g, nats)
+    else:
+        with np.errstate(all="ignore"):
+            k = np.maximum(top, np.ceil(mu * (mu / (np.hypot(half, mu) + half))))
+            g = np.log(k) + np.log(k + 1.0 + v) - 2.0 * np.log(mu)
+            # one index spare against rounding; NaN rows run to the cap
+            far = np.max(k + _reach(k, v, g, nats))
     return int(far) if far <= cap else cap
-
-
-def _reverse_sums(
-    sums: _Sums, where: np.ndarray, rows: _Rows, head: np.ndarray, v: int, top: int, paired: bool
-) -> None:
-    """Fill the reverse sums of rows ``where`` of ``sums``, given their
-    constants and the increments from the window's first index to top-1
-    (``head``).
-
-    Each row's stop comes first (see "Truncation rule" above): the running
-    product of min(1, rho_l) from l = top falls to e^-40 / 2 within
-    :func:`_reach` indices of k, where rho_l falls to 1, and the first index
-    where it does is the stop L.  Then one call evaluates delta_top .. delta_L
-    for the furthest L, each row's increments past its own L are masked out,
-    and one reverse accumulation gives every cdf.
-    """
-    l = np.arange(top, _last_stop(rows.mu, v, top) + 1, dtype=float)
-    gain = np.cumsum(np.maximum(np.log(l) + np.log(l + 1.0 + v) - 2.0 * rows.log_mu, 0.0), axis=1)
-    hits = gain >= _TRUNCATION_NATS + _LOG2
-    converged = hits[:, -1]
-    at = np.where(converged, np.argmax(hits, axis=1), l.size - 1)
-    stop = top + at  # the last increment summed
-    tail = _log_delta(rows, v, paired, top, int(stop.max()) + 1)  # delta_top onwards
-    kept = np.where(np.arange(top, top + tail.shape[1]) <= stop[:, None], tail, -math.inf)
-    cdf = np.logaddexp.accumulate(np.concatenate((head, kept), axis=1)[:, ::-1], axis=1)
-    sums.log_cdf[where] = cdf[:, kept.shape[1] - 1 :][:, ::-1]
-    sums.stop[where] = stop
-    sums.log_bound[where] = -gain[np.arange(at.size), at]
-    sums.converged[where] = converged
 
 
 def _failure(
@@ -602,41 +642,44 @@ def _reduce_rows(
     the 1-d array t, in block order, and the tally of the ladder they came
     from; past first = 1 without sf_{first-1} (see :func:`_window`).
 
-    This is the one entry to the ladder.  It cuts the thresholds into blocks
+    This is the one entry to the ladder.  Only a row with sf_top > 1/2 takes
+    a reverse sum, and 2 sqrt(G_top G_{top+v}) is at most G_top + G_{top+v}
+    ~ Gamma(2 top + v), whose median is below 2 top + v (Chen & Rubin 1986),
+    so only a row with t < 2 top + v can: these candidates bound the stops
+    once for the batch, at L (see :func:`_last_stop`), and every block's
+    rows fix their stops within it before drawing the reverse increments
+    (see :func:`_ladder_sums`).  The entry cuts the thresholds into blocks
     (see :func:`_blocks`) sized by the ladder's footprint per row, at most
     2 (top - first) + 1 Poisson counts forward and 2 (L - top) + 3 in the
-    reverse sum, with L the cap or, where the cap would split the batch, the
-    furthest stop of a row that takes a reverse sum (see :func:`_last_stop`),
-    so the temporaries of the blocks in flight stay near ``_CHUNK_ELEMENTS``
-    elements together, and runs them on the pool (see :func:`_run_blocks`).
-    Such a row has sf_top > 1/2, and 2 sqrt(G_top G_{top+v}) is at most
-    G_top + G_{top+v} ~ Gamma(2 top + v), whose median is below 2 top + v
-    (Chen & Rubin 1986), so its mu = t/2 is below top + v/2: every mu is
-    clipped there, which leaves each such row its own and gives a t = inf
-    row a finite one.  ``keep`` takes a block's
+    reverse sum (a lone threshold, one block whatever its size, draws both
+    in one pass), so the temporaries of the blocks in flight stay near
+    ``_CHUNK_ELEMENTS`` elements together, and runs them on the pool (see
+    :func:`_run_blocks`).  ``keep`` takes a block's
     ``(log_sf, log_cdf, cdf_direct)``, one row per threshold, and reduces
     them to what its caller needs, so memory does not grow with thresholds
     times indices.
     At t = inf, where a level's threshold overflows, the ladder's sums are
-    NaN and each row holds the exact limits sf = 0, cdf = 1 instead.  The
-    tally's failure is that of the whole batch (see :func:`_failure`): the
-    first failing threshold, and the count of the others, whatever the
-    blocks.
+    NaN and each row holds the exact limits sf = 0, cdf = 1 instead; such a
+    row is no candidate, so it leaves L alone.  The tally's failure is that
+    of the whole batch (see :func:`_failure`): the first failing threshold,
+    and the count of the others, whatever the blocks.
     """
-    blocks = _blocks(t.size, 2 * max(top - first, _cap(top, v) - top) + 3)
-    if len(blocks) > 1:  # the cap would split the batch: size it by the furthest stop
-        mu = np.minimum(0.5 * t, top + 0.5 * v)
-        blocks = _blocks(t.size, 2 * max(top - first, _last_stop(mu, v, top) - top) + 3)
+    reach = t < 2 * top + v  # the rows that can take a reverse sum
+    last = _last_stop(0.5 * t[reach], v, top) if reach.any() else top
+    blocks = _blocks(t.size, 2 * max(top - first, last - top) + 3)
     stop, bound = np.empty(t.size, dtype=int), np.empty(t.size)
     finite, converged = np.empty(t.size, dtype=bool), np.empty(t.size, dtype=bool)
 
     def block(rows: slice) -> tuple[object, int]:
         ts = t[rows]
         with np.errstate(all="ignore"):
-            sums = _ladder_sums(ts, v, top, first=first)
+            sums = _ladder_sums(ts, v, top, first=first, last=last)
             cdf_direct = sums.log_sf > -_LOG2  # never in rows without a reverse sum
-            log_sf = np.where(cdf_direct, np.log1p(-np.exp(sums.log_cdf)), sums.log_sf)
-            log_cdf = np.where(cdf_direct, sums.log_cdf, np.log1p(-np.exp(sums.log_sf)))
+            if cdf_direct.any():  # else every log_cdf is NaN and log_sf kept as summed
+                log_sf = np.where(cdf_direct, np.log1p(-np.exp(sums.log_cdf)), sums.log_sf)
+                log_cdf = np.where(cdf_direct, sums.log_cdf, np.log1p(-np.exp(sums.log_sf)))
+            else:
+                log_sf, log_cdf = sums.log_sf, np.log1p(-np.exp(sums.log_sf))
             bound[rows] = np.exp(sums.log_bound)
         beyond = ts == math.inf
         log_sf[beyond], log_cdf[beyond] = -math.inf, 0.0

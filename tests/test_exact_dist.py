@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import digamma, kve, logsumexp, polygamma
@@ -661,11 +661,17 @@ class TestBatchedLadder:
         # on either side of the paired switch when it lies in range
         switch = self._paired_switch(v)
         extra = [s for s in (switch * 0.999 / c, switch * 1.001 / c) if 1e-6 <= s <= 10.0]
-        t = c * np.array(xs + [1e-6, 10.0] + extra)
+        # first a row that can take a reverse sum (t < 2 top + v) but does
+        # not: the median of Gamma(2 top + v) is above 2 top + v - 1/3
+        mid = 2 * top + v
+        t = np.concatenate(([mid - 0.25, mid], c * np.array(xs + [1e-6, 10.0] + extra)))
         batch = _batch(t, v, top)
         assert batch.failure is None
+        assert batch.stop[0] == 0 and not batch.cdf_direct[0].any()
         assert batch.cdf_direct[-len(extra) - 2].any()
         assert not batch.cdf_direct[-len(extra) - 1].any()
+        # every row takes the reverse sum when forced, in a batch and alone
+        forced = _ladder_sums(t, v, top, force_reverse=True)
         for row, threshold in enumerate(t):
             alone = _batch(np.array([threshold]), v, top)
             assert alone.stop[0] == batch.stop[row]
@@ -673,6 +679,9 @@ class TestBatchedLadder:
             np.testing.assert_array_equal(alone.cdf_direct[0], batch.cdf_direct[row])
             np.testing.assert_array_equal(alone.log_sf[0], batch.log_sf[row])
             np.testing.assert_array_equal(alone.log_cdf[0], batch.log_cdf[row])
+            alone = _ladder_sums(np.array([threshold]), v, top, force_reverse=True)
+            for got, want in zip(alone, forced):
+                np.testing.assert_array_equal(got[0], want[row])
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -703,10 +712,11 @@ class TestBatchedLadder:
         top_share=st.floats(0.0, 1.0),
     )
     def test_reverse_sum_stops_within_its_bound(self, n, v, x, top_share):
-        # the stop is fixed before any increment is summed: no increment past
-        # it is evaluated, and the increments a sum forced on to the cap adds
-        # past it stay within the bound (truncation_bound = e^log_bound) of
-        # the ones it kept
+        # the stop is fixed before any increment is drawn: one _log_delta
+        # call gives every increment a lone threshold sums, forward and
+        # reverse, and none past the stop; the increments a sum forced on to
+        # the cap adds past it stay within the bound (truncation_bound =
+        # e^log_bound) of the ones it kept
         top = 1 + int(top_share * (n - 1))
         t = np.array([derived_scales(EnsembleParams(n, v)).c * x])
         cap = exact_dist._cap(top, v)
@@ -722,14 +732,13 @@ class TestBatchedLadder:
             sums = _ladder_sums(t, v, top, force_reverse=True)
             stop = int(sums.stop[0])
             assert top <= stop <= cap and (sums.converged[0] or stop == cap)
-            assert max(hi for _, hi, _ in calls) == stop + 1
-            assert sum(hi - lo for lo, hi, _ in calls) == stop
+            assert [(lo, hi) for lo, hi, _ in calls] == [(1, stop + 1)]
             calls.clear()
             patch.setattr(exact_dist, "_TRUNCATION_NATS", 1e6)
             whole = _ladder_sums(t, v, top, force_reverse=True)
-        lo, hi, tail = calls[-1]
-        assert (lo, hi, int(whole.stop[0])) == (top, cap + 1, cap)
-        kept, dropped = tail[: stop - top + 1], tail[stop - top + 1 :]
+        [(lo, hi, steps)] = calls  # delta_1 .. delta_cap
+        assert (lo, hi, int(whole.stop[0])) == (1, cap + 1, cap)
+        kept, dropped = steps[top - 1 : stop], steps[stop:]
         if dropped.size:
             assert logsumexp(dropped) - logsumexp(kept) <= sums.log_bound[0] + 1e-9
 
@@ -760,6 +769,54 @@ class TestBatchedLadder:
         assert "more thresholds" in str(info.value)
         assert info.value.partial == pytest.approx(exact, abs=1e-12)
         assert 0.0 <= info.value.rel_err < 1e-12
+
+
+class TestStopBound:
+    """The reverse sum's candidates and stops, fixed before any increment is
+    drawn: only a row with t < 2 top + v can have sf_top > 1/2, and the
+    furthest stop of a lone row, from Python floats, bounds the stop its
+    reverse sum takes and is within one index of the array form's."""
+
+    @staticmethod
+    def _threshold(top, v, z):
+        # z standard deviations of G_top + G_{top+v} ~ Gamma(2 top + v) from its mean
+        mid = 2 * top + v
+        return mid + z * math.sqrt(mid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(top=st.integers(1, 10**6), v=st.integers(0, 10**4), z=st.floats(0.0, 10.0))
+    def test_no_row_past_twice_top_plus_v_has_sf_top_above_half(self, top, v, z):
+        # the one pass draws the reverse increments of the other rows only,
+        # so this rule decides which rows can take a reverse sum; the row is
+        # summed over the window a single index query keeps
+        t = self._threshold(top, v, z)
+        first, _, _ = exact_dist._window(t, v, top, Statistic.MAX_SQ)
+        sums = _ladder_sums(np.array([t]), v, top, first=first)
+        assert sums.log_sf[0, -1] <= -math.log(2.0)
+        assert sums.stop[0] == 0 and np.isnan(sums.log_cdf).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(top=st.integers(1, 10**6), v=st.integers(0, 10**4), z=st.floats(-10.0, 10.0))
+    def test_one_row_bound_covers_the_stop(self, top, v, z):
+        # a forced reverse sum with every index up to the cap in range stops
+        # within the bound, converged unless the bound is the cap
+        t = self._threshold(top, v, z)
+        assume(t > 0.0)
+        cap = exact_dist._cap(top, v)
+        first, _, _ = exact_dist._window(t, v, top, Statistic.MAX_SQ)
+        sums = _ladder_sums(np.array([t]), v, top, force_reverse=True, first=first, last=cap)
+        last = exact_dist._last_stop(np.array([0.5 * t]), v, top)
+        assert top <= sums.stop[0] <= last <= cap
+        assert sums.converged[0] or last == cap
+
+    @settings(max_examples=200, deadline=None)
+    @given(top=st.integers(1, 10**6), v=st.integers(0, 10**4), z=st.floats(-10.0, 10.0))
+    def test_one_row_bound_is_within_an_index_of_the_array_form(self, top, v, z):
+        t = self._threshold(top, v, z)
+        assume(t > 0.0)
+        mu = np.array([0.5 * t])
+        one = exact_dist._last_stop(mu, v, top)
+        assert abs(one - exact_dist._last_stop(np.repeat(mu, 2), v, top)) <= 1
 
 
 class TestOnePoissonPass:

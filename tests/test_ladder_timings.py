@@ -43,3 +43,12 @@ def test_cases_cover_the_large_ladder_calls():
     assert sum(name.startswith("log_prob_max_le((1e6") for name in names) == 3
     assert sum(name.startswith("log_prob_min_ge((1e6") for name in names) == 3
     assert sum(name.startswith("ks_statistic_") for name in names) == 3
+    # single queries that take the reverse sum, and crosscheck's index-law KS
+    for name in (
+        "log_prob_max_le((100, 0), 0.5)",
+        "log_sf_index((1000, 40), 1000, 0.9)",
+        "log_prob_min_ge((100, 0), 0.005)",
+        "ks_statistic((5, 2), 3, 5e4 draws)",
+    ):
+        assert name in names
+    assert len(names) == 13

@@ -325,14 +325,13 @@ class TestKsMaxBlocks:
     @staticmethod
     def _last_stop(t, v, top):
         # the furthest stop of a row at the thresholds t that can take a
-        # reverse sum, whose mu = t/2 is below top + v/2
-        return exact_dist._last_stop(np.minimum(0.5 * t, top + 0.5 * v), v, top)
+        # reverse sum, whose t is below 2 top + v
+        return exact_dist._last_stop(0.5 * t[t < 2 * top + v], v, top)
 
     @classmethod
     def _per_row(cls, params, t):
         # 2 (L - top) + 3 Poisson counts, L that stop: the size _reduce_rows
-        # gives a batch that 2 (cap - top) + 3 = 363 counts per row at (3, 1)
-        # would split
+        # gives a batch (2 (cap - top) + 3 = 363 counts per row at (3, 1))
         top, v = params.n, params.v
         return 2 * max(top - 1, cls._last_stop(t, v, top) - top) + 3
 
@@ -344,9 +343,9 @@ class TestKsMaxBlocks:
         monkeypatch.setattr(exact_dist, "_CHUNK_ELEMENTS", 50 * cls._per_row(params, t))
         real, chunks = exact_dist._ladder_sums, []
 
-        def counted(t, v, top, force_reverse=False, first=1):
+        def counted(t, *args, **kwargs):
             chunks.append(t.size)
-            return real(t, v, top, force_reverse, first)
+            return real(t, *args, **kwargs)
 
         monkeypatch.setattr(exact_dist, "_ladder_sums", counted)
         return chunks
@@ -421,11 +420,12 @@ class TestKsMaxBlocks:
 
     @pytest.mark.parametrize("n,v,j", [(5, 2, 3), (3, 1, 3), (200, 0, 200), (40, 300, 40)])
     def test_sizing_bound_covers_every_block_stop(self, monkeypatch, n, v, j):
-        # a batch that the cap would split is cut by its furthest stop, and
-        # no block's reverse sum runs past it; a single threshold never
-        # computes that bound
+        # a batch is cut by its furthest stop, bounded once for the batch,
+        # and no block's reverse sum runs past it; a single threshold is one
+        # block
         params = EnsembleParams(n, v)
         y = sample_yj(params, j, seed=5, count=20_000).values
+        bound, cap = self._last_stop(y * (2.0 * n), v, j), exact_dist._cap(j, v)
         real_blocks, real_sums, real_last = (
             exact_dist._blocks, exact_dist._ladder_sums, exact_dist._last_stop
         )
@@ -449,10 +449,9 @@ class TestKsMaxBlocks:
         monkeypatch.setattr(exact_dist, "_ladder_sums", ladder_sums)
         monkeypatch.setattr(exact_dist, "_last_stop", last_stop)
         ks_statistic(params, j, y)
-        bound, cap = self._last_stop(y * (2.0 * n), v, j), exact_dist._cap(j, v)
-        assert sizes == [2 * max(j - 1, cap - j) + 3, 2 * max(j - 1, bound - j) + 3]
+        assert sizes == [2 * max(j - 1, bound - j) + 3]
         assert len(stops) > 1 and all(stop <= bound for stop in stops)
-        assert bounds[0] == bound < cap
+        assert bounds == [bound] and bound < cap
         sizes.clear()
         exact_dist.log_cdf_index(params, j, float(np.median(y)))
         assert len(sizes) == 1
@@ -470,7 +469,7 @@ class TestKsMaxBlocks:
         )
         want = ks_statistic(params, 3, y)
         assert ks_statistic(params, 3, huge).hex() == want.hex()
-        assert len(cuts) == 4 and cuts[1] == cuts[3] and len(cuts[1]) > 1
+        assert len(cuts) == 2 and cuts[0] == cuts[1] and len(cuts[0]) > 1
 
     def test_memory_does_not_grow_with_points_times_n(self):
         # 2e4 points at n=200 (and j=200) are 27 chunks of 749; one array

@@ -5,10 +5,14 @@
 
 Each side is a git revision or a source directory, as in
 ``tools/bench_pairs.py``.  The calls (``CASES``) are the O(n) tail queries
-``log_prob_max_le`` and ``log_prob_min_ge`` at n = 1e6 and three large KS
-statistics.  A round runs one fresh process per side (odd rounds parent
-first) that imports the package from that side's ``src/``, makes each call
-once untimed and then ``--repeats`` times, and reports each call's value
+``log_prob_max_le`` and ``log_prob_min_ge`` at n = 1e6, three large KS
+statistics, three single queries that take the reverse sum (stopping at
+indices 125, 1124 and 21), and the index-law KS statistic of the benchmark's
+``crosscheck`` workload, ``ks_statistic((5, 2), 3, .)`` on 5e4 draws
+(``sample_yj`` seed 1, drawn once per process, untimed).  A round runs one
+fresh process per side (odd rounds parent first) that imports the package
+from that side's ``src/``, makes each call once untimed and then
+``--repeats`` times, and reports each call's value
 (``float.hex``) and fastest time.  The output holds, per call and side, the
 median and quartiles (``statistics.quantiles``, n=4) of those fastest times
 over the rounds; on how many rounds the change was faster and the median
@@ -44,6 +48,10 @@ CASES = {
         "ks_statistic_max(EnsembleParams(20000, 0), np.linspace(0.98, 1.05, 1000))",
     "ks_statistic_min((2000, 0), linspace(0.002, 0.02, 2000))":
         "ks_statistic_min(EnsembleParams(2000, 0), np.linspace(0.002, 0.02, 2000))",
+    "log_prob_max_le((100, 0), 0.5)": "log_prob_max_le(EnsembleParams(100, 0), 0.5)",
+    "log_sf_index((1000, 40), 1000, 0.9)": "log_sf_index(EnsembleParams(1000, 40), 1000, 0.9)",
+    "log_prob_min_ge((100, 0), 0.005)": "log_prob_min_ge(EnsembleParams(100, 0), 0.005)",
+    "ks_statistic((5, 2), 3, 5e4 draws)": "ks_statistic(EnsembleParams(5, 2), 3, draws)",
 }
 
 # Runs in the side's tree: argv is the JSON of CASES and the repeat count.
@@ -51,9 +59,11 @@ _CHILD = """
 import json, sys, time
 import numpy as np
 from chiral_ldp import (
-    EnsembleParams, ks_statistic_max, ks_statistic_min, log_prob_max_le, log_prob_min_ge,
+    EnsembleParams, ks_statistic, ks_statistic_max, ks_statistic_min, log_prob_max_le,
+    log_prob_min_ge, log_sf_index, sample_yj,
 )
 cases, repeats, out = json.loads(sys.argv[1]), int(sys.argv[2]), {}
+draws = sample_yj(EnsembleParams(5, 2), 3, 1, 50_000).values
 for name, call in cases.items():
     value, times = eval(call), []
     for _ in range(repeats):
