@@ -786,9 +786,9 @@ class TestStopBound:
     @settings(max_examples=40, deadline=None)
     @given(top=st.integers(1, 10**6), v=st.integers(0, 10**4), z=st.floats(0.0, 10.0))
     def test_no_row_past_twice_top_plus_v_has_sf_top_above_half(self, top, v, z):
-        # the one pass draws the reverse increments of the other rows only,
-        # so this rule decides which rows can take a reverse sum; the row is
-        # summed over the window a single index query keeps
+        # a row past 2 top + v is no candidate: the ladder never draws its
+        # reverse increments nor takes its reverse sum, so its values rest
+        # on this rule; the row is summed over a single index query's window
         t = self._threshold(top, v, z)
         first, _, _ = exact_dist._window(t, v, top, Statistic.MAX_SQ)
         sums = _ladder_sums(np.array([t]), v, top, first=first)

@@ -12,12 +12,12 @@ indices 125, 1124 and 21), and the index-law KS statistic of the benchmark's
 (``sample_yj`` seed 1, drawn once per process, untimed).  A round runs one
 fresh process per side (odd rounds parent first) that imports the package
 from that side's ``src/``, makes each call once untimed and then
-``--repeats`` times, and reports each call's value
-(``float.hex``) and fastest time.  The output holds, per call and side, the
-median and quartiles (``statistics.quantiles``, n=4) of those fastest times
-over the rounds; on how many rounds the change was faster and the median
-per-round ratio change / parent; and whether every run of both sides gave
-the same value.
+``--repeats`` times, and reports each call's value (``float.hex``) and
+fastest time.  The output holds, per call and side, the median and
+quartiles (``statistics.quantiles``, n=4) of those fastest times over the
+rounds; on how many rounds the change was faster and the median per-round
+ratio change / parent; and whether every run of both sides gave the same
+value.
 """
 
 from __future__ import annotations
@@ -142,7 +142,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     for name, case in out["cases"].items():
-        print(f"{name}: {case['parent']['median']:.3f} -> {case['change']['median']:.3f} s, "
+        print(f"{name}: {case['parent']['median'] * 1e3:.3f} -> "
+              f"{case['change']['median'] * 1e3:.3f} ms, "
               f"same value {case['same_value']}", flush=True)
     return 0
 
