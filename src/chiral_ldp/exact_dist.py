@@ -40,7 +40,7 @@ the next and rho decreases in i, so cdf_{j+1} <= rho_j cdf_j.  The sum stops
 at the first L with rho_k ... rho_L <= e^-40 / 2, k = max(top, ceil(c)) and
 rho_c = 1, which depends on t alone (see :func:`_stops` and :func:`_reach`);
 what it drops, cdf_{L+1}, is at most that product times every cdf it feeds.
-So L is fixed before any increment is drawn, and a single query with
+So L is fixed before any increment is drawn, and a row with
 t < 2 top + v draws every increment it sums, forward and reverse, in one
 pass.  The ladder never runs past top + 40 sqrt(top+v) + 100 indices.  A
 reverse sum that stops there unconverged, or a non-finite value anywhere,
@@ -74,7 +74,7 @@ single query is a batch of one threshold over its window (see
 1..top); the sampler's KS statistics are a batch of every sample point over
 every index.  The entry bounds the stops of the rows that can take a
 reverse sum once per batch (see :func:`_last_stop`), cuts the batch into
-blocks of rows sized by the ladder's footprint per row, its reverse sum
+blocks of rows sized by the ladder's footprint per row, its increments
 counted to that bound, and hands each block's tails to the caller's
 reduction, which keeps what it needs (one value per threshold for KS), so
 memory does not grow with the batch; the batch gets one tally.  The tally
@@ -463,16 +463,15 @@ def _ladder_sums(
     asks for it.  Only a row with t < 2 top + v can need it (see
     :func:`_reduce_rows`), and its stop L follows from t alone (see
     :func:`_stops`), within top..``last`` (:func:`_last_stop` when None).
-    So a lone such threshold fixes L first and draws delta_lo .. delta_L,
-    for both sums, in one :func:`_log_delta` call.  A batch draws the
-    forward increments of every row, and then delta_top .. delta_L of the
-    rows that need them: drawing them ahead for every such row made KS
-    batches slower, since about 15% of their rows would drop them.  Each
-    row's increments past its own L are masked out.  All rows run at once:
-    every caller in the package but verify's tail-complement check, which
-    reads the raw sums, reaches them through :func:`_reduce_rows`.  Numpy's
-    floating-point warnings are off inside: a non-finite sum is reported by
-    its caller, not by a warning.
+    So each such candidate row fixes L first, and one :func:`_log_delta`
+    call gives all of its increments delta_lo .. delta_L: the forward sum
+    reads their head and the reverse sum all of them, each row's past its
+    own L masked out.  A candidate whose sf_top comes out at most 1/2 keeps
+    stop 0 and a NaN cdf; the other rows draw the forward increments alone.
+    All rows run at once: every caller in the package but verify's
+    tail-complement check, which reads the raw sums, reaches them through
+    :func:`_reduce_rows`.  Numpy's floating-point warnings are off inside: a
+    non-finite sum is reported by its caller, not by a warning.
     """
     t = np.asarray(t, dtype=float)
     width = top - first + 1
@@ -490,10 +489,13 @@ def _ladder_sums(
         reach = np.ones(t.size, dtype=bool) if force_reverse else t < 2 * top + v
         if last is None and reach.any():
             last = _last_stop(0.5 * t[reach], v, top)
-        ahead = t.size == 1 and bool(reach[0])  # one pass for a lone candidate
-        split = paired.any() and not paired.all()
-        for form in (False, True) if split else (bool(paired.all()),):
-            sel = np.flatnonzero(paired == form) if split else slice(None)
+        # the rows of each (form, candidate) pair run together, a batch of
+        # one pair whole, as views
+        group = paired + 2 * reach
+        keys = np.unique(group).tolist() if t.size > 1 else group.tolist()
+        for key in keys:
+            form, candidate = bool(key & 1), key > 1
+            sel = np.flatnonzero(group == key) if len(keys) > 1 else slice(None)
             # log kve(v) and log kve(v+1), or the paired form's first two,
             # and then log(kve(v+1) p(v))
             log_a, log_b, log_c = (col[sel] for col in (log_kp if form else (*log_k, log_kp[2])))
@@ -501,10 +503,11 @@ def _ladder_sums(
             mu = 0.5 * ts
             log_t, log_mu = np.log(ts), np.log(mu)
             rows = _Rows(*(col[:, None] for col in (mu, log_t, log_mu, log_a, log_b)))
-            if ahead:
+            if candidate:
                 stop, log_bound, converged = _stops(rows.log_mu, v, top, last)
-            # delta_lo .. delta_L in one pass, or the forward ones to delta_{top-1}
-            steps = _log_delta(rows, v, form, lo, int(stop[0]) + 1 if ahead else top)
+            # delta_lo .. delta_{hi-1}: to the furthest stop, or to top - 1
+            hi = int(stop.max()) + 1 if candidate else top
+            steps = _log_delta(rows, v, form, lo, hi)
             if first == 1:
                 # sf_1 = P(G_1 G_{v+1} >= s) = t kve(v+1) p(0) p(v)
                 lead, head = (log_t - mu + log_c)[:, None], steps[:, : top - 1]
@@ -512,25 +515,20 @@ def _ladder_sums(
                 lead, head = steps[:, :1], steps[:, 1 : top - lo]
             log_sf = np.logaddexp.accumulate(np.concatenate((lead, head), axis=1), axis=1)
             sums.log_sf[sel] = log_sf
-            pending = reach[sel] & (force_reverse | (log_sf[:, -1] > -_LOG2))
+            if not candidate:
+                continue
+            pending = force_reverse | (log_sf[:, -1] > -_LOG2)
             if pending.any():
                 rev = slice(None) if pending.all() else np.flatnonzero(pending)
-                tail = steps[rev, first - lo :]  # delta_first onwards
-                if not ahead:
-                    rows = _Rows(*(col[rev] for col in rows))
-                    stop, log_bound, converged = _stops(rows.log_mu, v, top, last)
-                    more = _log_delta(rows, v, form, top, int(stop.max()) + 1)
-                    tail = np.concatenate((tail, more), axis=1)
-                # each row's increments past its own stop masked out
-                kept = np.where(
-                    np.arange(first, first + tail.shape[1]) <= stop[:, None], tail, -math.inf
-                )
+                # delta_first .. delta_{hi-1}, each row's past its own L masked out
+                tail = steps[rev, first - lo :]
+                kept = np.where(np.arange(first, hi) <= stop[rev, None], tail, -math.inf)
                 cdf = np.logaddexp.accumulate(kept[:, ::-1], axis=1)
                 where = np.arange(t.size)[sel][rev]
                 sums.log_cdf[where] = cdf[:, ::-1][:, :width]
-                sums.stop[where] = stop
-                sums.log_bound[where] = log_bound
-                sums.converged[where] = converged
+                sums.stop[where] = stop[rev]
+                sums.log_bound[where] = log_bound[rev]
+                sums.converged[where] = converged[rev]
     return sums
 
 
@@ -647,12 +645,12 @@ def _reduce_rows(
     ~ Gamma(2 top + v), whose median is below 2 top + v (Chen & Rubin 1986),
     so only a row with t < 2 top + v can: these candidates bound the stops
     once for the batch, at L (see :func:`_last_stop`), and every block's
-    rows fix their stops within it before drawing the reverse increments
-    (see :func:`_ladder_sums`).  The entry cuts the thresholds into blocks
-    (see :func:`_blocks`) sized by the ladder's footprint per row, at most
-    2 (top - first) + 1 Poisson counts forward and 2 (L - top) + 3 in the
-    reverse sum (a lone threshold, one block whatever its size, draws both
-    in one pass), so the temporaries of the blocks in flight stay near
+    rows fix their stops within it before drawing any increment (see
+    :func:`_ladder_sums`).  The entry cuts the thresholds into blocks (see
+    :func:`_blocks`) sized by the ladder's footprint per row, at most
+    2 (L - first) + 3 Poisson counts for the increments delta_first ..
+    delta_L that a candidate draws in one pass (L = top without
+    candidates), so the temporaries of the blocks in flight stay near
     ``_CHUNK_ELEMENTS`` elements together, and runs them on the pool (see
     :func:`_run_blocks`).  ``keep`` takes a block's
     ``(log_sf, log_cdf, cdf_direct)``, one row per threshold, and reduces
@@ -666,7 +664,7 @@ def _reduce_rows(
     """
     reach = t < 2 * top + v  # the rows that can take a reverse sum
     last = _last_stop(0.5 * t[reach], v, top) if reach.any() else top
-    blocks = _blocks(t.size, 2 * max(top - first, last - top) + 3)
+    blocks = _blocks(t.size, 2 * (last - first) + 3)
     stop, bound = np.empty(t.size, dtype=int), np.empty(t.size)
     finite, converged = np.empty(t.size, dtype=bool), np.empty(t.size, dtype=bool)
 

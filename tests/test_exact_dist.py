@@ -734,6 +734,10 @@ class TestBatchedLadder:
             assert top <= stop <= cap and (sums.converged[0] or stop == cap)
             assert [(lo, hi) for lo, hi, _ in calls] == [(1, stop + 1)]
             calls.clear()
+            # so do the candidate rows of a batch, to their furthest stop
+            _ladder_sums(np.repeat(t, 2), v, top, force_reverse=True)
+            assert [(lo, hi) for lo, hi, _ in calls] == [(1, stop + 1)]
+            calls.clear()
             patch.setattr(exact_dist, "_TRUNCATION_NATS", 1e6)
             whole = _ladder_sums(t, v, top, force_reverse=True)
         [(lo, hi, steps)] = calls  # delta_1 .. delta_cap

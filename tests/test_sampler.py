@@ -330,10 +330,10 @@ class TestKsMaxBlocks:
 
     @classmethod
     def _per_row(cls, params, t):
-        # 2 (L - top) + 3 Poisson counts, L that stop: the size _reduce_rows
-        # gives a batch (2 (cap - top) + 3 = 363 counts per row at (3, 1))
+        # 2 (L - 1) + 3 Poisson counts, L that stop: the size _reduce_rows
+        # gives a batch (2 (cap - 1) + 3 = 367 counts per row at (3, 1))
         top, v = params.n, params.v
-        return 2 * max(top - 1, cls._last_stop(t, v, top) - top) + 3
+        return 2 * (cls._last_stop(t, v, top) - 1) + 3
 
     @classmethod
     def _fifty_point_chunks(cls, monkeypatch, params, t):
@@ -449,7 +449,7 @@ class TestKsMaxBlocks:
         monkeypatch.setattr(exact_dist, "_ladder_sums", ladder_sums)
         monkeypatch.setattr(exact_dist, "_last_stop", last_stop)
         ks_statistic(params, j, y)
-        assert sizes == [2 * max(j - 1, bound - j) + 3]
+        assert sizes == [2 * (bound - 1) + 3]
         assert len(stops) > 1 and all(stop <= bound for stop in stops)
         assert bounds == [bound] and bound < cap
         sizes.clear()
