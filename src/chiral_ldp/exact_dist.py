@@ -73,9 +73,10 @@ single query is a batch of one threshold over its window (see
 :func:`_window_tails`, which :func:`index_tails` shares with the window
 1..top); the sampler's KS statistics are a batch of every sample point over
 every index.  The entry bounds the stops of the rows that can take a
-reverse sum once per batch (see :func:`_last_stop`), cuts the batch into
-blocks of rows sized by the ladder's footprint per row, its increments
-counted to that bound, and hands each block's tails to the caller's
+reverse sum once per batch, at the largest of their thresholds, whose stop
+no other row's passes (see :func:`_last_stop`), cuts the batch into blocks
+of rows sized by the ladder's footprint per row, its increments counted to
+that bound, and hands each block's tails to the caller's
 reduction, which keeps what it needs (one value per threshold for KS), so
 memory does not grow with the batch; the batch gets one tally.  The tally
 renders the run's diagnostic note (see :meth:`_Tally.note`).  A job of
@@ -462,7 +463,8 @@ def _ladder_sums(
     where some cdf is the smaller side, or in all rows when ``force_reverse``
     asks for it.  Only a row with t < 2 top + v can need it (see
     :func:`_reduce_rows`), and its stop L follows from t alone (see
-    :func:`_stops`), within top..``last`` (:func:`_last_stop` when None).
+    :func:`_stops`), within top..``last`` (when None, :func:`_last_stop` at
+    the largest candidate t, every t a candidate when ``force_reverse`` asks).
     So each such candidate row fixes L first, and one :func:`_log_delta`
     call gives all of its increments delta_lo .. delta_L: the forward sum
     reads their head and the reverse sum all of them, each row's past its
@@ -488,7 +490,7 @@ def _ladder_sums(
         paired = log_k[0] > t  # 2 mu = t
         reach = np.ones(t.size, dtype=bool) if force_reverse else t < 2 * top + v
         if last is None and reach.any():
-            last = _last_stop(0.5 * t[reach], v, top)
+            last = _last_stop(0.5 * float(t[reach].max()), v, top)
         # the rows of each (form, candidate) pair run together, a batch of
         # one pair whole, as views
         group = paired + 2 * reach
@@ -548,30 +550,27 @@ def _stops(
     return top + at, -gain[np.arange(at.size), at], converged
 
 
-def _last_stop(mu: np.ndarray, v: int, top: int) -> int:
+def _last_stop(mu: float, v: int, top: int) -> int:
     """The furthest index that a reverse sum from top can stop at, given the
-    means mu = t/2 of the rows that can take one (t < 2 top + v, see
-    :func:`_reduce_rows`): min(max (k + _reach), cap), with k where rho falls
-    to 1 (see "Truncation rule"); the cap when any row is NaN.  One row
-    takes Python floats, which leave numpy's per-call cost out of a single
-    query; the bound only sizes an index range, and keeps one index spare
-    against rounding, so either form gives every row its stop."""
+    largest mean mu = t/2 of the rows that can take one (t < 2 top + v, see
+    :func:`_reduce_rows`): min(k + _reach, cap), with k where rho falls to 1
+    (see "Truncation rule"); the cap when mu is NaN or infinite.
+
+    One bound at the largest mean covers every row: each term
+    max(0, -log rho_l) of :func:`_stops`' running sum falls as t grows, and
+    IEEE rounding is monotone, so a row's stop never decreases with t.  The
+    bound only sizes an index range, and keeps one index spare against
+    rounding, so every row still gets its own stop from :func:`_stops`.
+    """
+    cap = _cap(top, v)
+    if not 0.0 < mu < math.inf:
+        return cap
     half = 0.5 * (v + 1)
-    nats, cap = _TRUNCATION_NATS + _LOG2, _cap(top, v)
-    if mu.size == 1:
-        mu = float(mu[0])
-        if not 0.0 < mu < math.inf:
-            return cap
-        k = max(top, math.ceil(mu * (mu / (math.hypot(half, mu) + half))))  # l (l+1+v) >= s
-        g = math.log(k) + math.log(k + 1.0 + v) - 2.0 * math.log(mu)  # -log rho_k
-        far = k + _reach(k, v, g, nats)
-    else:
-        with np.errstate(all="ignore"):
-            k = np.maximum(top, np.ceil(mu * (mu / (np.hypot(half, mu) + half))))
-            g = np.log(k) + np.log(k + 1.0 + v) - 2.0 * np.log(mu)
-            # one index spare against rounding; NaN rows run to the cap
-            far = np.max(k + _reach(k, v, g, nats))
-    return int(far) if far <= cap else cap
+    k = max(top, math.ceil(mu * (mu / (math.hypot(half, mu) + half))))  # l (l+1+v) >= s
+    if k >= cap:  # keeps -a (k + v) in _reach finite for any finite mu
+        return cap
+    g = math.log(k) + math.log(k + 1.0 + v) - 2.0 * math.log(mu)  # -log rho_k
+    return min(k + _reach(k, v, g, _TRUNCATION_NATS + _LOG2), cap)
 
 
 def _failure(
@@ -643,16 +642,16 @@ def _reduce_rows(
     This is the one entry to the ladder.  Only a row with sf_top > 1/2 takes
     a reverse sum, and 2 sqrt(G_top G_{top+v}) is at most G_top + G_{top+v}
     ~ Gamma(2 top + v), whose median is below 2 top + v (Chen & Rubin 1986),
-    so only a row with t < 2 top + v can: these candidates bound the stops
-    once for the batch, at L (see :func:`_last_stop`), and every block's
-    rows fix their stops within it before drawing any increment (see
-    :func:`_ladder_sums`).  The entry cuts the thresholds into blocks (see
-    :func:`_blocks`) sized by the ladder's footprint per row, at most
-    2 (L - first) + 3 Poisson counts for the increments delta_first ..
-    delta_L that a candidate draws in one pass (L = top without
-    candidates), so the temporaries of the blocks in flight stay near
-    ``_CHUNK_ELEMENTS`` elements together, and runs them on the pool (see
-    :func:`_run_blocks`).  ``keep`` takes a block's
+    so only a row with t < 2 top + v can: the largest candidate threshold
+    bounds the stops once for the batch, at L (see :func:`_last_stop`), and
+    every block's rows fix their stops within it before drawing any
+    increment (see :func:`_ladder_sums`).  The entry cuts the thresholds
+    into blocks (see :func:`_blocks`) sized by the ladder's footprint per
+    row, at most 2 (L - first) + 3 Poisson counts for the increments
+    delta_first .. delta_L that a candidate draws in one pass (L = top
+    without candidates), so the temporaries of the blocks in flight stay
+    near ``_CHUNK_ELEMENTS`` elements together, and runs them on the pool
+    (see :func:`_run_blocks`).  ``keep`` takes a block's
     ``(log_sf, log_cdf, cdf_direct)``, one row per threshold, and reduces
     them to what its caller needs, so memory does not grow with thresholds
     times indices.
@@ -663,7 +662,7 @@ def _reduce_rows(
     and the count of the others, whatever the blocks.
     """
     reach = t < 2 * top + v  # the rows that can take a reverse sum
-    last = _last_stop(0.5 * t[reach], v, top) if reach.any() else top
+    last = _last_stop(0.5 * float(t[reach].max()), v, top) if reach.any() else top
     blocks = _blocks(t.size, 2 * (last - first) + 3)
     stop, bound = np.empty(t.size, dtype=int), np.empty(t.size)
     finite, converged = np.empty(t.size, dtype=bool), np.empty(t.size, dtype=bool)
@@ -706,20 +705,20 @@ def _threshold(params: EnsembleParams, x: float) -> float:
     return derived_scales(params).c * x
 
 
-def _root(a, b, c):
-    """The positive root of a m^2 + b m + c, for a > 0 > c; floats or arrays."""
-    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
-    return np.maximum(q / a, c / q)
+def _root(a: float, b: float, c: float) -> float:
+    """The positive root of a m^2 + b m + c, for finite a > 0 > c."""
+    q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+    return max(q / a, c / q)
 
 
-def _reach(k, v: int, g, a: float):
+def _reach(k: int, v: int, g: float, a: float) -> int:
     """At most how many indices k, k+1, ... the sum of
     -log rho_l = log(l (l+1+v) / s) takes to reach a > 0, given
-    g = -log rho_k >= 0; floats or arrays.  Over m indices the slope of
+    g = -log rho_k >= 0; every input finite.  Over m indices the slope of
     -log rho is at least 2/(k+m+v) and 1/(k+m), so the sum is at least
     m g + m (m-1) / (k+m+v) and m g + m (m-1) / (2 (k+m)).
     """
-    return np.ceil(np.minimum(
+    return math.ceil(min(
         _root(g + 1.0, g * (k + v) - 1.0 - a, -a * (k + v)),
         _root(2.0 * g + 1.0, 2.0 * g * k - 1.0 - 2.0 * a, -2.0 * a * k),
     ))
@@ -760,7 +759,7 @@ def _window(t: float, v: int, top: int, stat: Statistic) -> tuple[int, int, floa
     k = max(1, math.ceil(cross))
     g = math.log(k) + math.log(k + 1 + v) - log_s  # -log r_k
     a = nats + math.log(2.0 * top / k)
-    m = int(_reach(k, v, g, a))
+    m = _reach(k, v, g, a)
     if k + m - 1 >= top:
         return 1, top, 0.0
     e = 1.0 / (k + m - 1) + 1.0 / (k + m + v)

@@ -16,6 +16,7 @@ import math
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -777,9 +778,9 @@ class TestBatchedLadder:
 
 class TestStopBound:
     """The reverse sum's candidates and stops, fixed before any increment is
-    drawn: only a row with t < 2 top + v can have sf_top > 1/2, and the
-    furthest stop of a lone row, from Python floats, bounds the stop its
-    reverse sum takes and is within one index of the array form's."""
+    drawn: only a row with t < 2 top + v can have sf_top > 1/2, a row's stop
+    never decreases with t, and the furthest stop at the largest threshold,
+    from Python floats, bounds the stop of every row."""
 
     @staticmethod
     def _threshold(top, v, z):
@@ -809,18 +810,106 @@ class TestStopBound:
         cap = exact_dist._cap(top, v)
         first, _, _ = exact_dist._window(t, v, top, Statistic.MAX_SQ)
         sums = _ladder_sums(np.array([t]), v, top, force_reverse=True, first=first, last=cap)
-        last = exact_dist._last_stop(np.array([0.5 * t]), v, top)
+        last = exact_dist._last_stop(0.5 * t, v, top)
         assert top <= sums.stop[0] <= last <= cap
         assert sums.converged[0] or last == cap
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        top=st.integers(1, 10**6),
+        v=st.integers(0, 10**4),
+        runs=st.lists(
+            st.tuples(st.floats(-60.0, 1.0), st.integers(1, 5), st.integers(1, 3)),
+            min_size=2,
+            max_size=10,
+        ),
+    )
+    def test_largest_threshold_bounds_every_stop(self, top, v, runs):
+        # 2 to 50 thresholds from 2^-60 to twice 2 top + v, in runs a few
+        # ulps apart: each row's stop, with every index up to the cap in
+        # range, does not decrease with t, so the bound at the largest
+        # threshold covers them all
+        t = []
+        for scale, length, ulps in runs:
+            t.append((2 * top + v) * 2.0**scale)
+            for _ in range(length - 1):
+                for _ in range(ulps):
+                    t.append(math.nextafter(t[-1], math.inf))
+        t = np.sort(t)
+        stop, _, _ = exact_dist._stops(
+            np.log(0.5 * t)[:, None], v, top, exact_dist._cap(top, v)
+        )
+        assert (np.diff(stop) >= 0).all()
+        assert stop[-1] <= exact_dist._last_stop(0.5 * float(t[-1]), v, top)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, 1e307, 0.0, -1.0])
+    def test_bound_is_the_cap_without_a_finite_positive_mean(self, mu):
+        # a NaN or infinite largest mean, possible in forced rows, and a
+        # finite one past the cap return the cap without raising
+        assert exact_dist._last_stop(mu, 3, 5) == exact_dist._cap(5, 3)
+
+
+class TestRootAndReach:
+    """_root and _reach on Python floats: the positive root of each of
+    _reach's quadratics to a few ulps, a reach whose m indices sum to a,
+    and no exception from _window or _last_stop over n up to 1e6, v up to
+    1e4 and x from 1e-6 to 10, whose guards keep every input finite."""
+
+    _CASES = dict(
+        k=st.integers(1, 10**6),
+        v=st.integers(0, 10**4),
+        w=st.floats(0.0, 40.0),
+        a=st.floats(40.0, 60.0),
+    )
+
+    @staticmethod
+    def _g(k, v, w):
+        # mu = sqrt(k (k+1+v)) e^-w, and g = -log rho_k at that mean (about 2 w)
+        mu = math.sqrt(k * (k + 1.0 + v)) * math.exp(-w)
+        return mu, math.log(k) + math.log(k + 1.0 + v) - 2.0 * math.log(mu)
+
     @settings(max_examples=200, deadline=None)
-    @given(top=st.integers(1, 10**6), v=st.integers(0, 10**4), z=st.floats(-10.0, 10.0))
-    def test_one_row_bound_is_within_an_index_of_the_array_form(self, top, v, z):
-        t = self._threshold(top, v, z)
-        assume(t > 0.0)
-        mu = np.array([0.5 * t])
-        one = exact_dist._last_stop(mu, v, top)
-        assert abs(one - exact_dist._last_stop(np.repeat(mu, 2), v, top)) <= 1
+    @given(**_CASES)
+    def test_root_is_the_positive_root(self, k, v, w, a):
+        _, g = self._g(k, v, w)
+        assume(g >= 0.0)
+        for coeffs in (
+            (g + 1.0, g * (k + v) - 1.0 - a, -a * (k + v)),
+            (2.0 * g + 1.0, 2.0 * g * k - 1.0 - 2.0 * a, -2.0 * a * k),
+        ):
+            m = exact_dist._root(*coeffs)
+            # the residual, exact in rationals, against the size of its terms
+            qa, qb, qc, fm = map(Fraction, (*coeffs, m))
+            terms = (qa * fm * fm, qb * fm, qc)
+            assert m > 0.0
+            assert abs(sum(terms)) <= 4 * 2.0**-52 * sum(map(abs, terms))
+
+    @settings(max_examples=200, deadline=None)
+    @given(**_CASES)
+    def test_reach_sums_to_a(self, k, v, w, a):
+        mu, g = self._g(k, v, w)
+        assume(g >= 0.0)
+        m = exact_dist._reach(k, v, g, a)
+        assert isinstance(m, int) and m >= 1
+        total = math.fsum(
+            math.log(l) + math.log(l + 1.0 + v) - 2.0 * math.log(mu) for l in range(k, k + m)
+        )
+        # to within rounding: where g = -log rho_k is a to a few ulps, one
+        # index may take the sum to a few ulps below a
+        assert total >= a * (1.0 - 4 * 2.0**-52)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 10**6),
+        v=st.integers(0, 10**4),
+        x=st.floats(1e-6, 10.0),
+        stat=st.sampled_from(list(Statistic)),
+    )
+    def test_window_and_bound_raise_nowhere(self, n, v, x, stat):
+        t = derived_scales(EnsembleParams(n, v)).c * x
+        first, last, bound = exact_dist._window(t, v, n, stat)
+        assert 1 <= first <= last <= n and 0.0 <= bound < 1e-17
+        assert n <= exact_dist._last_stop(0.5 * t, v, n) <= exact_dist._cap(n, v)
 
 
 class TestOnePoissonPass:

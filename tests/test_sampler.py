@@ -325,8 +325,8 @@ class TestKsMaxBlocks:
     @staticmethod
     def _last_stop(t, v, top):
         # the furthest stop of a row at the thresholds t that can take a
-        # reverse sum, whose t is below 2 top + v
-        return exact_dist._last_stop(0.5 * t[t < 2 * top + v], v, top)
+        # reverse sum, whose t is below 2 top + v: the bound at the largest
+        return exact_dist._last_stop(0.5 * float(t[t < 2 * top + v].max()), v, top)
 
     @classmethod
     def _per_row(cls, params, t):
