@@ -72,14 +72,15 @@ window shared; each row gets the same values as its threshold run alone.  A
 single query is a batch of one threshold over its window (see
 :func:`_window_tails`, which :func:`index_tails` shares with the window
 1..top); the sampler's KS statistics are a batch of every sample point over
-every index.  The entry bounds the stops of the rows that can take a
-reverse sum once per batch, at the largest of their thresholds, whose stop
-no other row's passes (see :func:`_last_stop`), cuts the batch into blocks
-of rows sized by the ladder's footprint per row, its increments counted to
-that bound, and hands each block's tails to the caller's
-reduction, which keeps what it needs (one value per threshold for KS), so
-memory does not grow with the batch; the batch gets one tally.  The tally
-renders the run's diagnostic note (see :meth:`_Tally.note`).  A job of
+every index.  Both take one path, whose numpy calls do not grow with the
+rows: each threshold's constants are computed once (see :func:`_bessel`),
+and Stirling errors are read from a table.  The entry bounds the stops of
+the rows that can take a reverse sum at the largest of their thresholds
+(see :func:`_last_stop`), cuts the batch into blocks of rows sized by the
+increments each draws to that bound, and hands each block's tails to the
+caller's reduction, which keeps what it needs (one value per threshold for
+KS), so memory does not grow with the batch; the batch gets one tally,
+which renders the run's diagnostic note (see :meth:`_Tally.note`).  A job of
 independent rows (ladder thresholds here, sampler and probe replicates in
 :mod:`chiral_ldp.sampler`) is cut by :func:`_blocks` into equal blocks of
 at most ``_CHUNK_ELEMENTS // _WORKERS`` elements, and :func:`_run_blocks`
@@ -148,7 +149,7 @@ _K_BLOCK = 1 << 13
 _K_HALF_NODES = np.arange(_K_NODES * _K_MAX_GROUPS) / 2.0  # node index over 2, from the first
 # Stirling errors for m = 1 .. 15 (see _stirling_error), from 40-digit
 # mpmath and correctly rounded; the direct formula cancels up to 4e-15 here.
-_STIRLING_ERROR = np.array([
+_STIRLING_EXACT = np.array([
     math.nan, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
     0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
     0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
@@ -229,11 +230,12 @@ class _Rows(NamedTuple):
     log_b: np.ndarray  # log kve(v+1), times p(v+2) in the paired form
 
 
-def _kve_sums(t: np.ndarray, v: int) -> np.ndarray:
+def _kve_sums(t: np.ndarray, v: int, *geometry: np.ndarray) -> np.ndarray:
     """kve(v, t) and kve(v+1, t), kve(nu, t) = e^t K_nu(t), each over its
     integrand at u* below (see :func:`_bessel`; 1 at v = 0), as the two rows
     of one array, at each threshold of the 1-d array t; NaN where t is NaN,
-    infinite or negative, and at v = 0 below about 2e-304.
+    infinite or negative, and at v = 0 below about 2e-304.  At v >= 1
+    ``geometry`` is H, H - v and log t below, as :func:`_bessel` has them.
 
     The trapezoid rule on e^t K_nu(t) = 1/2 int exp(nu u - t (cosh u - 1)) du
     (DLMF 10.32.9), geometrically convergent in the step for this entire,
@@ -261,11 +263,9 @@ def _kve_sums(t: np.ndarray, v: int) -> np.ndarray:
         reach = 2.0 * np.arcsinh(math.sqrt(0.5 * _K_NATS) / np.sqrt(t))
         step = np.minimum(np.exp2(np.ceil(np.log2(reach / _K_NODES))), 0.25)
         count = _K_NODES * np.ceil(reach / (_K_NODES * step))
-        first = np.ones_like(t)  # the first node, in steps from the peak
     else:
-        big = np.hypot(v, t)
-        gap = t * (t / (big + v))  # H - v
-        width = np.minimum(0.6, 0.2 + np.maximum(0.1 * math.log(v), 0.14 * np.log(t)))
+        big, gap, log_t = geometry
+        width = np.minimum(0.6, 0.2 + np.maximum(0.1 * math.log(v), 0.14 * log_t))
         step = width / np.sqrt(big)
         # exponent bounds: -H d^2 / (2 + d) and the cosh term on the left,
         # d - H d^2 / 2 for order v+1 on the right, whose root is
@@ -277,42 +277,43 @@ def _kve_sums(t: np.ndarray, v: int) -> np.ndarray:
         right = np.where(
             big < 1e300, (1.0 + np.sqrt(1.0 + 2.0 * _K_NATS * big)) / big, np.sqrt(2.0 * c)
         )
-        first = -np.ceil(left / step)
+        first = -np.ceil(left / step)  # the first node, in steps from the peak
         count = np.ceil(right / step) - first + 1.0
-    count[~(count <= _K_NODES * _K_MAX_GROUPS)] = 0.0  # also t = inf and NaN
     groups = set(count.tolist())
-    for nodes in sorted(groups - {0.0}):
+    for nodes in (g for g in groups if g <= _K_NODES * _K_MAX_GROUPS):  # not inf or NaN
         rows = None if len(groups) == 1 else np.flatnonzero(count == nodes)  # None: all
         half = _K_HALF_NODES[: int(nodes)]
         per_block = max(1, _K_BLOCK // half.size)
         for start in range(0, t.size if rows is None else rows.size, per_block):
             at = slice(start, start + per_block) if rows is None else rows[start : start + per_block]
             h = step[at]
-            x = h[:, None] * (half + 0.5 * first[at, None])  # (u - u*) / 2
+            x = h[:, None] * (half + 0.5 * first[at, None] if v else half + 0.5)  # (u - u*) / 2
             s = np.sinh(x)
             s = 2.0 * s * s  # cosh(u - u*) - 1
             if v == 0:
                 a = np.exp(-t[at, None] * s)
-                a_sum = a.sum(axis=1)
+                a_sum = np.add.reduce(a, axis=1)
                 out[0, at] = h * (a_sum + 0.5)
-                out[1, at] = h * (a_sum + (a * s).sum(axis=1) + 0.5)
+                out[1, at] = h * (a_sum + np.add.reduce(a * s, axis=1) + 0.5)
             else:
                 e = np.expm1(np.add(x, x, out=x))  # x is u - u* from here
                 x -= e
                 x *= v
                 x -= np.multiply(s, gap[at, None], out=s)
                 a = np.exp(x, out=x)
-                a_sum = a.sum(axis=1)
+                a_sum = np.add.reduce(a, axis=1)
                 out[0, at] = 0.5 * h * a_sum
-                out[1, at] = 0.5 * h * (a_sum + np.multiply(e, a, out=e).sum(axis=1))
+                out[1, at] = 0.5 * h * (a_sum + np.add.reduce(np.multiply(e, a, out=e), axis=1))
     return out
 
 
-def _bessel(t: np.ndarray, v: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The ladder's Bessel constants at each threshold of the 1-d array t:
-    log kve(v, t) and log kve(v+1, t), and the paired form's
-    log(kve(v) p(v+1)), log(kve(v+1) p(v+2)) and log(kve(v+1) p(v)), with
-    p(m) = mu^m e^-mu / m! and mu = t/2.
+def _bessel(t: np.ndarray, v: int) -> tuple:
+    """The ladder's constants at each threshold of the 1-d array t, each
+    computed once, as ``(log_k, log_kp, mu, log_t, log_mu)``: log kve(v, t)
+    and log kve(v+1, t); the paired form's log(kve(v) p(v+1)),
+    log(kve(v+1) p(v+2)) and log(kve(v+1) p(v)), with p(m) = mu^m e^-mu / m!;
+    and mu = t/2, log t and log mu for the increments (see
+    :func:`_ladder_sums`).  The rule takes H, H - v = t q and log t from here.
 
     log kve is the log of the rule's sum plus that of its integrand's peak,
     P = v u* - (H - t) for order v and P + u* for order v+1.  P and log p(v)
@@ -322,47 +323,50 @@ def _bessel(t: np.ndarray, v: int) -> tuple[tuple[np.ndarray, ...], tuple[np.nda
     P + log p(v) = P - D(v, mu) - stirling(v) - log sqrt(2 pi v)
                  = v log1p(mu q / v) - t q + mu - stirling(v) - log sqrt(2 pi v).
     """
-    log_s0, log_s1 = np.log(_kve_sums(t, v))
     mu = 0.5 * t
-    log_mu = np.log(mu)
+    log_t, log_mu = np.log(t), np.log(mu)
     if v == 0:
-        peak = lift = 0.0
-        base = -mu  # log p(0)
+        geometry, peak, lift, base = (), 0.0, 0.0, -mu  # base = log p(0)
     else:
         big = np.hypot(v, t)
         q = t / (v + big)
+        geometry = big, t * q, log_t  # H, H - v and log t for the rule
         lift = np.arcsinh(v / t)  # u*
         peak = v * (lift - v / (big + t))  # v u* - (H - t)
         mode = _stirling_error(float(v)) + 0.5 * math.log(2.0 * math.pi * v)
-        base = v * np.log1p(mu * q / v) + (mu - t * q) - mode  # peak + log p(v)
+        base = v * np.log1p(mu * q / v) + (mu - geometry[1]) - mode  # peak + log p(v)
+    log_s0, log_s1 = np.log(_kve_sums(t, v, *geometry))
     log_k = (peak + log_s0, (peak + lift) + log_s1)
     log_kp = (
         ((log_s0 + log_mu) - math.log(v + 1)) + base,
         ((log_s1 + 2.0 * log_mu) - math.log((v + 1) * (v + 2))) + (base + lift),
         (base + lift) + log_s1,
     )
-    return log_k, log_kp
+    return log_k, log_kp, mu, log_t, log_mu
+
+
+def _stirling_series(m: np.ndarray | float) -> np.ndarray | float:
+    """The Stirling error's asymptotic series (see :func:`_stirling_error`)."""
+    r = 1.0 / (m * m)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r / 1188) * r) * r) * r) / m
+
+
+_STIRLING_ERROR = np.concatenate((_STIRLING_EXACT, _stirling_series(np.arange(16.0, 1 << 14))))
 
 
 def _stirling_error(m: np.ndarray | float) -> np.ndarray | float:
-    """log m! - (m + 1/2) log m + m - log sqrt(2 pi) for m >= 1 (Loader 2000):
-    tabulated up to 15, its asymptotic series above; a float for a float."""
-    r = 1.0 / (m * m)
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r / 1188) * r) * r) * r) / m
+    """log m! - (m + 1/2) log m + m - log sqrt(2 pi) for m >= 1 (Loader 2000),
+    NaN at m = 0; a float for a float, else for an ascending 1-d float array
+    of counts.  Counts below 2^14 read _STIRLING_ERROR (128 KB), which holds
+    the series' own values from 16 on, so each count gets the same bits by
+    either route; the series takes the rest."""
+    end = _STIRLING_ERROR.size
     if isinstance(m, float):
-        return series if m > 15.0 else float(_STIRLING_ERROR[int(m)])
-    if m.min() > 15.0:
-        return series
-    return np.where(m > 15.0, series, _STIRLING_ERROR[np.minimum(m, 15.0).astype(int)])
-
-
-def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
-    """log sum exp over the last axis, each row shifted by its peak; -inf,
-    without a warning, for a row of -inf."""
-    peak = np.max(terms, axis=-1, keepdims=True)
-    peak = np.where(np.isfinite(peak), peak, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(terms - peak), axis=-1)) + peak[..., 0]
+        return float(_STIRLING_ERROR[int(m)]) if m < end else _stirling_series(m)
+    if m[-1] < end:
+        return _STIRLING_ERROR[m.astype(np.intp)]
+    low = m[: np.searchsorted(m, end)]
+    return np.concatenate((_STIRLING_ERROR[low.astype(np.intp)], _stirling_series(m[low.size :])))
 
 
 def _deviance(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -370,12 +374,12 @@ def _deviance(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
     by its series in w = (m-mu)/(m+mu) near m = mu so that nothing cancels
     (Loader 2000)."""
     out = m * np.log(m / mu) + mu - m
-    near = np.abs(m - mu) < 0.1 * (m + mu)
-    if not near.any():
+    diff, total = m - mu, m + mu
+    near = np.abs(diff) < 0.1 * total
+    if not np.count_nonzero(near):
         return out
-    row, col = np.nonzero(near)
-    m, mu = m[col], mu[row, 0]
-    w = (m - mu) / (m + mu)
+    m, diff = m[near.nonzero()[1]], diff[near]
+    w = diff / total[near]
     w2 = w * w
     # w ((m - mu) + 2 m sum_{k=1}^{8} w^(2k) / (2k+1)), the sum by Horner
     # in w2, in place; |w| < 0.1 leaves the terms from k = 9 on below
@@ -385,17 +389,20 @@ def _deviance(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
         series += 1.0 / (2 * k + 1)
         series *= w2
     series *= 2.0 * m
-    series += m - mu
+    series += diff
     series *= w
     out[near] = series
     return out
 
 
 def _log_poisson(mu: np.ndarray, m: np.ndarray, stirling: np.ndarray) -> np.ndarray:
-    """log(mu^m e^-mu / m!) for a column of means and a 1-d float array of
-    counts m >= 0 with their Stirling errors, accurate around the mode."""
+    """log(mu^m e^-mu / m!) for a column of means and an ascending 1-d float
+    array of counts m >= 0, of which only the first may be 0, with their
+    Stirling errors; accurate around the mode."""
     out = -stirling - _deviance(m, mu) - _HALF_LOG_2PI - 0.5 * np.log(m)
-    return np.where(m == 0.0, -mu, out)
+    if m[0] == 0.0:
+        out[:, :1] = -mu
+    return out
 
 
 def _log_delta(rows: _Rows, v: int, paired: bool, lo: int, hi: int) -> np.ndarray:
@@ -438,11 +445,7 @@ def _cap(top: int, v: int) -> int:
 
 
 def _ladder_sums(
-    t: np.ndarray,
-    v: int,
-    top: int,
-    force_reverse: bool = False,
-    first: int = 1,
+    t: np.ndarray, v: int, top: int, force_reverse: bool = False, first: int = 1,
     last: int | None = None,
 ) -> _Sums:
     """Forward (sf) and, when asked or needed, reverse (cdf) ladder sums for
@@ -475,18 +478,13 @@ def _ladder_sums(
     :func:`_reduce_rows`.  Numpy's floating-point warnings are off inside: a
     non-finite sum is reported by its caller, not by a warning.
     """
-    t = np.asarray(t, dtype=float)
     width = top - first + 1
-    sums = _Sums(
-        np.empty((t.size, width)),
-        np.full((t.size, width), np.nan),
-        np.zeros(t.size, dtype=int),
-        np.full(t.size, -math.inf),
-        np.ones(t.size, dtype=bool),
-    )
+    shape = (t.size, width)
+    sums = _Sums(np.empty(shape), np.full(shape, np.nan), np.zeros(t.size, dtype=int),
+                 np.full(t.size, -math.inf), np.ones(t.size, dtype=bool))
     lo = max(first - 1, 1)  # the first increment summed
     with np.errstate(all="ignore"):
-        log_k, log_kp = _bessel(t, v)
+        log_k, log_kp, *per_row = _bessel(t, v)  # and mu, log t, log mu
         paired = log_k[0] > t  # 2 mu = t
         reach = np.ones(t.size, dtype=bool) if force_reverse else t < 2 * top + v
         if last is None and reach.any():
@@ -498,13 +496,11 @@ def _ladder_sums(
         for key in keys:
             form, candidate = bool(key & 1), key > 1
             sel = np.flatnonzero(group == key) if len(keys) > 1 else slice(None)
-            # log kve(v) and log kve(v+1), or the paired form's first two,
-            # and then log(kve(v+1) p(v))
-            log_a, log_b, log_c = (col[sel] for col in (log_kp if form else (*log_k, log_kp[2])))
-            ts = t[sel]
-            mu = 0.5 * ts
-            log_t, log_mu = np.log(ts), np.log(mu)
-            rows = _Rows(*(col[:, None] for col in (mu, log_t, log_mu, log_a, log_b)))
+            # as columns: mu, log t, log mu, log kve(v) and log kve(v+1) or
+            # the paired form's first two, and then log(kve(v+1) p(v))
+            log_ab = log_kp if form else (*log_k, log_kp[2])
+            *cols, log_c = (col[sel, None] for col in (*per_row, *log_ab))
+            rows = _Rows(*cols)
             if candidate:
                 stop, log_bound, converged = _stops(rows.log_mu, v, top, last)
             # delta_lo .. delta_{hi-1}: to the furthest stop, or to top - 1
@@ -512,21 +508,23 @@ def _ladder_sums(
             steps = _log_delta(rows, v, form, lo, hi)
             if first == 1:
                 # sf_1 = P(G_1 G_{v+1} >= s) = t kve(v+1) p(0) p(v)
-                lead, head = (log_t - mu + log_c)[:, None], steps[:, : top - 1]
+                terms = np.concatenate((rows.log_t - rows.mu + log_c, steps[:, : top - 1]), axis=1)
             else:
-                lead, head = steps[:, :1], steps[:, 1 : top - lo]
-            log_sf = np.logaddexp.accumulate(np.concatenate((lead, head), axis=1), axis=1)
+                terms = steps[:, :width]  # delta_{first-1} leads
+            log_sf = np.logaddexp.accumulate(terms, axis=1)
             sums.log_sf[sel] = log_sf
             if not candidate:
                 continue
-            pending = force_reverse | (log_sf[:, -1] > -_LOG2)
-            if pending.any():
-                rev = slice(None) if pending.all() else np.flatnonzero(pending)
+            pending = np.ones(len(log_sf), dtype=bool) if force_reverse else log_sf[:, -1] > -_LOG2
+            taken = np.count_nonzero(pending)
+            if taken:
+                rev = slice(None) if taken == pending.size else pending.nonzero()[0]
                 # delta_first .. delta_{hi-1}, each row's past its own L masked out
-                tail = steps[rev, first - lo :]
-                kept = np.where(np.arange(first, hi) <= stop[rev, None], tail, -math.inf)
+                kept = steps[rev, first - lo :]
+                if np.count_nonzero(stop[rev] < hi - 1):
+                    kept = np.where(np.arange(first, hi) <= stop[rev, None], kept, -math.inf)
                 cdf = np.logaddexp.accumulate(kept[:, ::-1], axis=1)
-                where = np.arange(t.size)[sel][rev]
+                where = rev if len(keys) == 1 else sel[rev]
                 sums.log_cdf[where] = cdf[:, ::-1][:, :width]
                 sums.stop[where] = stop[rev]
                 sums.log_bound[where] = log_bound[rev]
@@ -543,10 +541,11 @@ def _stops(
     falls to e^-40 / 2 within :func:`_reach` indices of k, where rho_l falls
     to 1, and L is the first index where it does (see "Truncation rule")."""
     l = np.arange(top, last + 1, dtype=float)
-    gain = np.cumsum(np.maximum(np.log(l) + np.log(l + 1.0 + v) - 2.0 * log_mu, 0.0), axis=1)
+    drop = np.maximum(np.log(l) + np.log(l + (v + 1.0)) - 2.0 * log_mu, 0.0)  # -log min(1, rho_l)
+    gain = np.add.accumulate(drop, axis=1)
     hits = gain >= _TRUNCATION_NATS + _LOG2
     converged = hits[:, -1]
-    at = np.where(converged, np.argmax(hits, axis=1), l.size - 1)
+    at = np.where(converged, hits.argmax(axis=1), l.size - 1)
     return top + at, -gain[np.arange(at.size), at], converged
 
 
@@ -579,10 +578,10 @@ def _failure(
     """Why a batch's values cannot be trusted, None when they can: the first
     threshold with a non-finite value, or else the first whose reverse sum
     did not converge, and how many more thresholds fail the same way."""
-    if not finite.all():
+    if np.count_nonzero(finite) < t.size:
         bad = np.flatnonzero(~finite)
         failure = f"non-finite ladder value at t={float(t[bad[0]])!r}, v={v}"
-    elif not converged.all():
+    elif np.count_nonzero(converged) < t.size:
         bad = np.flatnonzero(~converged)
         failure = (
             f"reverse ladder sum at t={float(t[bad[0]])!r} did not converge "
@@ -642,27 +641,24 @@ def _reduce_rows(
     This is the one entry to the ladder.  Only a row with sf_top > 1/2 takes
     a reverse sum, and 2 sqrt(G_top G_{top+v}) is at most G_top + G_{top+v}
     ~ Gamma(2 top + v), whose median is below 2 top + v (Chen & Rubin 1986),
-    so only a row with t < 2 top + v can: the largest candidate threshold
-    bounds the stops once for the batch, at L (see :func:`_last_stop`), and
-    every block's rows fix their stops within it before drawing any
-    increment (see :func:`_ladder_sums`).  The entry cuts the thresholds
-    into blocks (see :func:`_blocks`) sized by the ladder's footprint per
-    row, at most 2 (L - first) + 3 Poisson counts for the increments
-    delta_first .. delta_L that a candidate draws in one pass (L = top
-    without candidates), so the temporaries of the blocks in flight stay
-    near ``_CHUNK_ELEMENTS`` elements together, and runs them on the pool
-    (see :func:`_run_blocks`).  ``keep`` takes a block's
-    ``(log_sf, log_cdf, cdf_direct)``, one row per threshold, and reduces
-    them to what its caller needs, so memory does not grow with thresholds
-    times indices.
-    At t = inf, where a level's threshold overflows, the ladder's sums are
-    NaN and each row holds the exact limits sf = 0, cdf = 1 instead; such a
-    row is no candidate, so it leaves L alone.  The tally's failure is that
-    of the whole batch (see :func:`_failure`): the first failing threshold,
-    and the count of the others, whatever the blocks.
+    so only a row with t < 2 top + v can: the largest such threshold bounds
+    every stop at L (see :func:`_last_stop`), and each row fixes its own
+    within it before drawing any increment (see :func:`_ladder_sums`).  The
+    blocks (see :func:`_blocks`) are sized by at most 2 (L - first) + 3
+    Poisson counts per row, those of the increments delta_first .. delta_L
+    that a candidate draws (L = top without candidates), so the temporaries
+    of the blocks in flight stay near ``_CHUNK_ELEMENTS`` elements, and run
+    on the pool (see :func:`_run_blocks`).  ``keep`` reduces a block's
+    ``(log_sf, log_cdf, cdf_direct)``, one row per threshold, to what its
+    caller needs, so memory does not grow with thresholds times indices.
+    At t = inf, where a level's threshold overflows, the sums are NaN and
+    each row holds the exact limits sf = 0, cdf = 1 instead; such a row is
+    no candidate.  The tally's failure is the whole batch's (see
+    :func:`_failure`): the first failing threshold, and the count of the
+    others, whatever the blocks.
     """
-    reach = t < 2 * top + v  # the rows that can take a reverse sum
-    last = _last_stop(0.5 * float(t[reach].max()), v, top) if reach.any() else top
+    candidates = t[t < 2 * top + v]  # the rows that can take a reverse sum
+    last = _last_stop(0.5 * float(candidates.max()), v, top) if candidates.size else top
     blocks = _blocks(t.size, 2 * (last - first) + 3)
     stop, bound = np.empty(t.size, dtype=int), np.empty(t.size)
     finite, converged = np.empty(t.size, dtype=bool), np.empty(t.size, dtype=bool)
@@ -672,23 +668,24 @@ def _reduce_rows(
         with np.errstate(all="ignore"):
             sums = _ladder_sums(ts, v, top, first=first, last=last)
             cdf_direct = sums.log_sf > -_LOG2  # never in rows without a reverse sum
-            if cdf_direct.any():  # else every log_cdf is NaN and log_sf kept as summed
+            direct = np.count_nonzero(cdf_direct)
+            if direct:  # else every log_cdf is NaN and log_sf kept as summed
                 log_sf = np.where(cdf_direct, np.log1p(-np.exp(sums.log_cdf)), sums.log_sf)
                 log_cdf = np.where(cdf_direct, sums.log_cdf, np.log1p(-np.exp(sums.log_sf)))
             else:
                 log_sf, log_cdf = sums.log_sf, np.log1p(-np.exp(sums.log_sf))
             bound[rows] = np.exp(sums.log_bound)
-        beyond = ts == math.inf
-        log_sf[beyond], log_cdf[beyond] = -math.inf, 0.0
-        finite[rows] = beyond | np.isfinite(log_sf).all(axis=1) & np.isfinite(log_cdf).all(axis=1)
+            beyond = ts == math.inf
+            log_sf[beyond], log_cdf[beyond] = -math.inf, 0.0
+            # where both are finite one is at least about log 1/2: no overflow
+            finite[rows] = beyond | np.logical_and.reduce(np.isfinite(log_sf + log_cdf), axis=1)
         converged[rows], stop[rows] = sums.converged, sums.stop
-        return keep(log_sf, log_cdf, cdf_direct), np.count_nonzero(cdf_direct)
+        return keep(log_sf, log_cdf, cdf_direct), direct
 
     kept, direct = zip(*_run_blocks(block, blocks))
     failure = _failure(t, v, finite, converged, stop)
-    return list(kept), _Tally(
-        t.size, first, top, sum(direct), int(stop.max()), float(bound.max()), failure
-    )
+    tally = _Tally(t.size, first, top, sum(direct), int(stop.max()), float(bound.max()), failure)
+    return list(kept), tally
 
 
 def _checked(value: float, tails: IndexTails | _Tally) -> float:
@@ -840,12 +837,15 @@ def log_prob_from_tails(tails: IndexTails, query: TailQuery) -> float:
     high = query.statistic is Statistic.MAX_SQ
     own, other = (tails.log_cdf, tails.log_sf) if high else (tails.log_sf, tails.log_cdf)
     with np.errstate(over="ignore"):  # a product that underflows sums to -inf
-        total = float(np.sum(own))
+        total = float(own.sum())
     if (query.direction is Direction.LE) == high:
         return _checked(total, tails)
     if total <= -1e-250:
         return _checked(log1mexp(total), tails)
-    return _checked(float(_log_sum_exp(other)), tails)
+    peak = other.max()  # log sum exp, shifted by the peak; -inf for all -inf, without a warning
+    peak = peak if np.isfinite(peak) else 0.0
+    with np.errstate(divide="ignore"):
+        return _checked(float(np.log(np.exp(other - peak).sum()) + peak), tails)
 
 
 def log_prob(params: EnsembleParams, query: TailQuery) -> float:

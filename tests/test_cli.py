@@ -233,7 +233,7 @@ class TestProbCommand:
     def test_non_finite_bessel_exits_3_with_partial(self, monkeypatch):
         # a NaN from the Bessel values must end as a numeric failure, never
         # as a number
-        monkeypatch.setattr(exact_dist, "_kve_sums", lambda t, v: np.full((2, t.size), np.nan))
+        monkeypatch.setattr(exact_dist, "_kve_sums", lambda t, v, *_: np.full((2, t.size), np.nan))
         code, out, err = run_cli(
             ["prob", "--n", "5", "--v", "2", "--x", "0.9", "--stat", "max", "--side", "le"]
         )

@@ -323,7 +323,8 @@ class TestSaddlePointOracle:
 
 class TestTrapezoidK:
     """kve(0|1, t) = e^t K_{0|1}(t) from the trapezoid rule at v = 0, where
-    its peak is 1, against mpmath and scipy."""
+    its peak is 1, against mpmath and scipy; and a batch's rows against
+    their thresholds run alone, at v = 0 and above."""
 
     def test_matches_mpmath_and_scipy(self):
         t = np.geomspace(1e-8, 3e7, 61)
@@ -349,12 +350,23 @@ class TestTrapezoidK:
             log_prob_max_le(EnsembleParams(1, 0), 5e-306)
 
     def test_rows_equal_single_threshold_runs(self):
-        # node counts from 32 (t above about 1.7) to 2784 (t = 1e-300)
+        # node counts from 32 (t above about 1.7) to 2784 (t = 1e-300) at
+        # v = 0; at v >= 1, where the rule takes H, H - v and log t as
+        # _bessel computes them, from 33 to 289 (v = 1, 7 counts) down to
+        # 33 and 34 (v = 1e4); each row as its threshold alone, bit for bit
         t = np.geomspace(1e-300, 1e300, 301)
-        batch = _kve_sums(t, 0)
-        for row, threshold in enumerate(t):
-            alone = _kve_sums(np.array([threshold]), 0)
-            assert [k[row] for k in batch] == [k[0] for k in alone]
+
+        def geometry(t, v):
+            big = np.hypot(v, t)
+            return (big, t * (t / (v + big)), np.log(t)) if v else ()
+
+        with np.errstate(all="ignore"):  # the ladder's, around every call it makes
+            for v in (0, 1, 3, 40, 1000, 10000):
+                batch = _kve_sums(t, v, *geometry(t, v))
+                for row, threshold in enumerate(t):
+                    one = np.array([threshold])
+                    alone = _kve_sums(one, v, *geometry(one, v))
+                    assert batch[:, row].tobytes() == alone[:, 0].tobytes(), (v, threshold)
 
 
 class TestBesselValues:
@@ -378,7 +390,7 @@ class TestBesselValues:
         t = np.tile(self.TS, tiles) if tiles else np.array(self.TS)
         for v in self.ORDERS:
             if tiles:
-                log_k, _ = _bessel(t, v)
+                log_k = _bessel(t, v)[0]
             else:
                 alone = [_bessel(t[i : i + 1], v)[0] for i in range(t.size)]
                 log_k = tuple(np.concatenate([row[j] for row in alone]) for j in (0, 1))
@@ -397,7 +409,7 @@ class TestBesselValues:
             return m * np.log(mu) - mu - math.lgamma(m + 1)
 
         for v in self.ORDERS:
-            log_k, log_kp = _bessel(t, v)
+            log_k, log_kp = _bessel(t, v)[:2]
             plain = (log_k[0] + log_p(v + 1), log_k[1] + log_p(v + 2), log_k[1] + log_p(v))
             scale = np.abs(log_k[0]) + np.abs(log_p(v + 2)) + 1.0
             for got, want in zip(log_kp, plain):
@@ -576,7 +588,7 @@ class TestLadderFailures:
     """Failures raise QuadratureError with the partial value, never a number."""
 
     def test_non_finite_bessel_value_raises(self, monkeypatch):
-        monkeypatch.setattr(exact_dist, "_kve_sums", lambda t, v: np.full((2, t.size), np.nan))
+        monkeypatch.setattr(exact_dist, "_kve_sums", lambda t, v, *_: np.full((2, t.size), np.nan))
         with pytest.raises(QuadratureError) as info:
             log_prob_max_le(EnsembleParams(5, 2), 0.9)
         assert "non-finite" in str(info.value)
@@ -621,7 +633,7 @@ class TestLadderFailures:
         assert log_cdf_index(params, n, 1e308) == 0.0
 
     def test_non_finite_bessel_value_raises_without_warning(self, monkeypatch):
-        monkeypatch.setattr(exact_dist, "_kve_sums", lambda t, v: np.full((2, t.size), np.nan))
+        monkeypatch.setattr(exact_dist, "_kve_sums", lambda t, v, *_: np.full((2, t.size), np.nan))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(QuadratureError, match="non-finite"):
@@ -753,7 +765,7 @@ class TestBatchedLadder:
         bad = float(2.0 * params.n * y[17])
         real = exact_dist._kve_sums
         monkeypatch.setattr(
-            exact_dist, "_kve_sums", lambda t, v: np.where(t == bad, np.nan, real(t, v))
+            exact_dist, "_kve_sums", lambda t, v, *rest: np.where(t == bad, np.nan, real(t, v, *rest))
         )
         tails = _batch(2.0 * params.n * y, params.v, 3)
         assert f"non-finite ladder value at t={bad!r}" in tails.failure
@@ -922,7 +934,7 @@ class TestOnePoissonPass:
         # the constants of each form at thresholds t = 2 mu
         t = 2.0 * np.asarray(mus)
         mu = 0.5 * t
-        log_k, log_kp = _bessel(t, v)
+        log_k, log_kp = _bessel(t, v)[:2]
         forms = {False: log_k, True: log_kp[:2]}
         return {
             paired: exact_dist._Rows(*(c[:, None] for c in (mu, np.log(t), np.log(mu), *log_ab)))
@@ -974,6 +986,58 @@ class TestOnePoissonPass:
                 halves = [delta(lo, mid), delta(mid, hi)]
                 for pieces in (single, halves):
                     assert np.concatenate(pieces, axis=1).tobytes() == whole.tobytes(), paired
+
+
+class TestStirlingTable:
+    """_stirling_error reads counts below 2^14 from a table that holds the
+    series' own values from 16 on: over ascending count arrays it gives the
+    bits of its float form, element by element, and NaN at count 0."""
+
+    END = exact_dist._STIRLING_ERROR.size  # the first count past the table
+
+    @staticmethod
+    def _float_form(counts):
+        return np.array([exact_dist._stirling_error(float(c)) for c in counts])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # from count 0, across 15 | 16, across the table's end, and far past it
+        lo=st.one_of(
+            st.integers(0, 40), st.integers(END - 300, END + 40), st.integers(END, 10**7)
+        ),
+        width=st.integers(1, 400),
+        gap=st.integers(0, 2 * END),
+        union=st.booleans(),
+    )
+    def test_arrays_give_the_float_bits(self, lo, width, gap, union):
+        m = np.arange(float(lo), lo + width)
+        # _log_delta's two runs, i-1 and i then i+v, ascending since v >= m.size
+        counts = np.concatenate((m, m[1:] + (m.size + gap))) if union else m
+        got = exact_dist._stirling_error(counts)
+        assert got.tobytes() == self._float_form(counts).tobytes()
+        assert np.isnan(got[0]) == (lo == 0) and np.isfinite(got[lo == 0 :]).all()
+
+    def test_table_ends_where_the_series_takes_over(self):
+        assert self.END == 1 << 14
+        counts = np.arange(1.0, self.END + 3)
+        exact = exact_dist._STIRLING_ERROR[1:16]
+        assert exact_dist._stirling_error(counts[:15]).tobytes() == exact.tobytes()
+        series = exact_dist._stirling_series(counts[15:])
+        assert exact_dist._stirling_error(counts)[15:].tobytes() == series.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        width=st.integers(1, 300),
+        mus=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=6),
+    )
+    def test_log_poisson_is_minus_mu_at_count_zero(self, width, mus):
+        # only the first count may be 0; p(0) = e^-mu exactly, in every row
+        mu = np.array(mus)[:, None]
+        counts = np.arange(0.0, width)
+        with np.errstate(all="ignore"):  # as the ladder runs it
+            got = exact_dist._log_poisson(mu, counts, exact_dist._stirling_error(counts))
+        assert got[:, 0].tobytes() == (-mu[:, 0]).tobytes()
+        assert not np.isnan(got[:, 1:]).any()
 
 
 def _cli_prob(stat: str, side: str) -> int:

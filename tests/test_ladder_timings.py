@@ -43,12 +43,19 @@ def test_cases_cover_the_large_ladder_calls():
     assert sum(name.startswith("log_prob_max_le((1e6") for name in names) == 3
     assert sum(name.startswith("log_prob_min_ge((1e6") for name in names) == 3
     assert sum(name.startswith("ks_statistic_") for name in names) == 3
-    # single queries that take the reverse sum, and crosscheck's index-law KS
+    # single queries that take the reverse sum, short single queries that
+    # are mostly fixed per-run cost (v >= 1 unpaired, v = 0 with a window
+    # past index 1, the max's complement, the paired form), and
+    # crosscheck's index-law KS
     for name in (
         "log_prob_max_le((100, 0), 0.5)",
         "log_sf_index((1000, 40), 1000, 0.9)",
         "log_prob_min_ge((100, 0), 0.005)",
+        "log_sf_index((20, 5), 20, 0.964)",
+        "log_cdf_index((1058, 0), 1058, 1.002)",
+        "log_prob_max_ge((50, 40), 2.0)",
+        "log_prob_min_ge((10, 10000), 0.5)",
         "ks_statistic((5, 2), 3, 5e4 draws)",
     ):
         assert name in names
-    assert len(names) == 13
+    assert len(names) == 17

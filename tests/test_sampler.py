@@ -377,7 +377,7 @@ class TestKsMaxBlocks:
         monkeypatch.setattr(
             exact_dist,
             "_kve_sums",
-            lambda s, v: np.where(np.isin(s, bad), np.nan, real(s, v)),
+            lambda s, v, *rest: np.where(np.isin(s, bad), np.nan, real(s, v, *rest)),
         )
         chunks = self._fifty_point_chunks(monkeypatch, params, t)
         with pytest.raises(QuadratureError) as info:
@@ -400,7 +400,7 @@ class TestKsMaxBlocks:
         monkeypatch.setattr(
             exact_dist,
             "_kve_sums",
-            lambda s, v: np.where(np.isin(s, bad), np.nan, real(s, v)),
+            lambda s, v, *rest: np.where(np.isin(s, bad), np.nan, real(s, v, *rest)),
         )
         if unconverged:
             monkeypatch.setattr(exact_dist, "_TRUNCATION_NATS", 1e6)

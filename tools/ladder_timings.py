@@ -7,9 +7,12 @@ Each side is a git revision or a source directory, as in
 ``tools/bench_pairs.py``.  The calls (``CASES``) are the O(n) tail queries
 ``log_prob_max_le`` and ``log_prob_min_ge`` at n = 1e6, three large KS
 statistics, three single queries that take the reverse sum (stopping at
-indices 125, 1124 and 21), and the index-law KS statistic of the benchmark's
-``crosscheck`` workload, ``ks_statistic((5, 2), 3, .)`` on 5e4 draws
-(``sample_yj`` seed 1, drawn once per process, untimed).  A round runs one
+indices 125, 1124 and 21), four short single queries whose time is mostly
+the fixed numpy cost of one ladder run (v >= 1 unpaired, v = 0 with a window
+from index 835, the max's complement, and the paired form), and the
+index-law KS statistic of the benchmark's ``crosscheck`` workload,
+``ks_statistic((5, 2), 3, .)`` on 5e4 draws (``sample_yj`` seed 1, drawn
+once per process, untimed).  A round runs one
 fresh process per side (odd rounds parent first) that imports the package
 from that side's ``src/``, makes each call once untimed and then
 ``--repeats`` times, and reports each call's value (``float.hex``) and
@@ -51,6 +54,11 @@ CASES = {
     "log_prob_max_le((100, 0), 0.5)": "log_prob_max_le(EnsembleParams(100, 0), 0.5)",
     "log_sf_index((1000, 40), 1000, 0.9)": "log_sf_index(EnsembleParams(1000, 40), 1000, 0.9)",
     "log_prob_min_ge((100, 0), 0.005)": "log_prob_min_ge(EnsembleParams(100, 0), 0.005)",
+    "log_sf_index((20, 5), 20, 0.964)": "log_sf_index(EnsembleParams(20, 5), 20, 0.964)",
+    "log_cdf_index((1058, 0), 1058, 1.002)":
+        "log_cdf_index(EnsembleParams(1058, 0), 1058, 1.002)",
+    "log_prob_max_ge((50, 40), 2.0)": "log_prob_max_ge(EnsembleParams(50, 40), 2.0)",
+    "log_prob_min_ge((10, 10000), 0.5)": "log_prob_min_ge(EnsembleParams(10, 10000), 0.5)",
     "ks_statistic((5, 2), 3, 5e4 draws)": "ks_statistic(EnsembleParams(5, 2), 3, draws)",
 }
 
@@ -59,8 +67,8 @@ _CHILD = """
 import json, sys, time
 import numpy as np
 from chiral_ldp import (
-    EnsembleParams, ks_statistic, ks_statistic_max, ks_statistic_min, log_prob_max_le,
-    log_prob_min_ge, log_sf_index, sample_yj,
+    EnsembleParams, ks_statistic, ks_statistic_max, ks_statistic_min, log_cdf_index,
+    log_prob_max_ge, log_prob_max_le, log_prob_min_ge, log_sf_index, sample_yj,
 )
 cases, repeats, out = json.loads(sys.argv[1]), int(sys.argv[2]), {}
 draws = sample_yj(EnsembleParams(5, 2), 3, 1, 50_000).values
