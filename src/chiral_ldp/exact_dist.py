@@ -72,9 +72,9 @@ window shared; each row gets the same values as its threshold run alone.  A
 single query is a batch of one threshold over its window (see
 :func:`_window_tails`, which :func:`index_tails` shares with the window
 1..top); the sampler's KS statistics are a batch of every sample point over
-every index.  Both take one path, whose numpy calls do not grow with the
-rows: each threshold's constants are computed once (see :func:`_bessel`),
-and Stirling errors are read from a table.  The entry bounds the stops of
+every index.  Both take one path, with no form for one row: each
+threshold's constants are computed once (see :func:`_bessel`), and
+Stirling errors are read from a table.  The entry bounds the stops of
 the rows that can take a reverse sum at the largest of their thresholds
 (see :func:`_last_stop`), cuts the batch into blocks of rows sized by the
 increments each draws to that bound, and hands each block's tails to the
