@@ -74,20 +74,20 @@ single query is a batch of one threshold over its window (see
 1..top); the sampler's KS statistics are a batch of every sample point over
 every index.  Both take one path, with no form for one row: each
 threshold's constants are computed once (see :func:`_bessel`), and
-Stirling errors are read from a table.  The entry bounds the stops of
-the rows that can take a reverse sum at the largest of their thresholds
-(see :func:`_last_stop`), cuts the batch into blocks of rows sized by the
-increments each draws to that bound, and hands each block's tails to the
-caller's reduction, which keeps what it needs (one value per threshold for
-KS), so memory does not grow with the batch; the batch gets one tally,
-which renders the run's diagnostic note (see :meth:`_Tally.note`).  A job of
-independent rows (ladder thresholds here, sampler and probe replicates in
-:mod:`chiral_ldp.sampler`) is cut by :func:`_blocks` into equal blocks of
-at most ``_CHUNK_ELEMENTS // _WORKERS`` elements, and :func:`_run_blocks`
-runs them on one shared thread pool of ``_WORKERS`` threads, the usable CPU
-count, each block writing its own slice of a preallocated output.  Rows
-never depend on the block they run in, so the values are the same bits for
-any CPU count.  A job of one block runs inline and never starts the pool.
+Stirling errors are read from a table.  The entry alone bounds the stops
+of the rows that can take a reverse sum, at the largest of their
+thresholds (see :func:`_last_stop`), which sizes each row; it hands each
+block's tails to the caller's reduction, which keeps what it needs (one
+value per threshold for KS), so memory does not grow with the batch; the
+batch gets one tally, which renders its diagnostic note (see
+:meth:`_Tally.note`).  Every job of independent rows (ladder thresholds
+here, sampler and probe replicates in :mod:`chiral_ldp.sampler`) is one
+call of :func:`_run_blocks`, given its row count and elements per row,
+which cuts the rows into equal blocks of at most ``_CHUNK_ELEMENTS //
+_WORKERS`` elements and runs them on one shared pool of ``_WORKERS``
+threads, the usable CPU count, each block writing its own slice of a
+preallocated output.  Rows never depend on their block, so the values are
+the same bits for any CPU count; a job of one block never starts the pool.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ class _Tally(NamedTuple):
         directly, and where it stopped; over a batch of sample points, counts
         over all (point, index) pairs, the furthest stop and the largest bound."""
         batch = self.rows is not None
-        points = f" at {self.rows} sample points" if batch else ""
+        points = f" at {self.rows} sample point{'' if self.rows == 1 else 's'}" if batch else ""
         pairs = (self.top - self.first + 1) * (self.rows or 1)
         note = (
             f"gamma-shape ladder over indices {self.first}..{self.top}{points}: "
@@ -466,8 +466,8 @@ def _ladder_sums(
     where some cdf is the smaller side, or in all rows when ``force_reverse``
     asks for it.  Only a row with t < 2 top + v can need it (see
     :func:`_reduce_rows`), and its stop L follows from t alone (see
-    :func:`_stops`), within top..``last`` (when None, :func:`_last_stop` at
-    the largest candidate t, every t a candidate when ``force_reverse`` asks).
+    :func:`_stops`), within top..``last`` (the cap when None: L is the first
+    index where its product falls far enough, so any last >= L agrees).
     So each such candidate row fixes L first, and one :func:`_log_delta`
     call gives all of its increments delta_lo .. delta_L: the forward sum
     reads their head and the reverse sum all of them, each row's past its
@@ -487,8 +487,7 @@ def _ladder_sums(
         log_k, log_kp, *per_row = _bessel(t, v)  # and mu, log t, log mu
         paired = log_k[0] > t  # 2 mu = t
         reach = np.ones(t.size, dtype=bool) if force_reverse else t < 2 * top + v
-        if last is None and reach.any():
-            last = _last_stop(0.5 * float(t[reach].max()), v, top)
+        last = _cap(top, v) if last is None else last
         # the rows of each (form, candidate) pair run together, a batch of
         # one pair whole, as views
         group = paired + 2 * reach
@@ -560,6 +559,7 @@ def _last_stop(mu: float, v: int, top: int) -> int:
     IEEE rounding is monotone, so a row's stop never decreases with t.  The
     bound only sizes an index range, and keeps one index spare against
     rounding, so every row still gets its own stop from :func:`_stops`.
+    Only :func:`_reduce_rows` calls it; a lone :func:`_ladder_sums` takes the cap.
     """
     cap = _cap(top, v)
     if not 0.0 < mu < math.inf:
@@ -595,8 +595,9 @@ def _failure(
 
 
 def _blocks(count: int, row_elements: int) -> list[slice]:
-    """Rows 0..count-1 cut into blocks of at most ``_CHUNK_ELEMENTS //
-    _WORKERS`` elements (at least one row each), ``row_elements`` per row.
+    """Rows 0..count-1 cut, for :func:`_run_blocks`, into blocks of at most
+    ``_CHUNK_ELEMENTS // _WORKERS`` elements, ``row_elements`` per row
+    (at least one row each).
 
     More than one block become a multiple of ``_WORKERS`` blocks of equal
     size, give or take a row, so the pool's threads finish together.
@@ -609,9 +610,10 @@ def _blocks(count: int, row_elements: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def _run_blocks(block: Callable[[slice], object], blocks: list[slice]) -> list:
-    """``block`` of each block, in block order: on the shared pool of
-    ``_WORKERS`` threads, or inline for a single block or a single worker.
+def _run_blocks(block: Callable[[slice], object], count: int, row_elements: int) -> list:
+    """``block`` of each block that :func:`_blocks` cuts of ``count`` rows of
+    ``row_elements``, in block order, for every batched job: on the shared
+    pool of ``_WORKERS`` threads, or inline for one block or one worker.
 
     ``block`` writes its rows into preallocated outputs and may call only
     private functions of the package: never a public one, which a tracer may
@@ -621,6 +623,7 @@ def _run_blocks(block: Callable[[slice], object], blocks: list[slice]) -> list:
     arithmetic, LAPACK), so the threads overlap.
     """
     global _POOL
+    blocks = _blocks(count, row_elements)
     if len(blocks) == 1 or _WORKERS == 1:
         return [block(rows) for rows in blocks]
     with _POOL_LOCK:
@@ -642,15 +645,15 @@ def _reduce_rows(
     a reverse sum, and 2 sqrt(G_top G_{top+v}) is at most G_top + G_{top+v}
     ~ Gamma(2 top + v), whose median is below 2 top + v (Chen & Rubin 1986),
     so only a row with t < 2 top + v can: the largest such threshold bounds
-    every stop at L (see :func:`_last_stop`), and each row fixes its own
-    within it before drawing any increment (see :func:`_ladder_sums`).  The
-    blocks (see :func:`_blocks`) are sized by at most 2 (L - first) + 3
+    every stop at L, here alone (see :func:`_last_stop`), and each row fixes
+    its own within it before drawing any increment (see :func:`_ladder_sums`).
+    :func:`_run_blocks` cuts the rows into blocks by at most 2 (L - first) + 3
     Poisson counts per row, those of the increments delta_first .. delta_L
     that a candidate draws (L = top without candidates), so the temporaries
-    of the blocks in flight stay near ``_CHUNK_ELEMENTS`` elements, and run
-    on the pool (see :func:`_run_blocks`).  ``keep`` reduces a block's
-    ``(log_sf, log_cdf, cdf_direct)``, one row per threshold, to what its
-    caller needs, so memory does not grow with thresholds times indices.
+    of the blocks in flight stay near ``_CHUNK_ELEMENTS`` elements, and runs
+    them on the pool.  ``keep`` reduces a block's ``(log_sf, log_cdf,
+    cdf_direct)``, one row per threshold, to what its caller needs, so
+    memory does not grow with thresholds times indices.
     At t = inf, where a level's threshold overflows, the sums are NaN and
     each row holds the exact limits sf = 0, cdf = 1 instead; such a row is
     no candidate.  The tally's failure is the whole batch's (see
@@ -659,7 +662,6 @@ def _reduce_rows(
     """
     candidates = t[t < 2 * top + v]  # the rows that can take a reverse sum
     last = _last_stop(0.5 * float(candidates.max()), v, top) if candidates.size else top
-    blocks = _blocks(t.size, 2 * (last - first) + 3)
     stop, bound = np.empty(t.size, dtype=int), np.empty(t.size)
     finite, converged = np.empty(t.size, dtype=bool), np.empty(t.size, dtype=bool)
 
@@ -682,7 +684,7 @@ def _reduce_rows(
         converged[rows], stop[rows] = sums.converged, sums.stop
         return keep(log_sf, log_cdf, cdf_direct), direct
 
-    kept, direct = zip(*_run_blocks(block, blocks))
+    kept, direct = zip(*_run_blocks(block, t.size, 2 * (last - first) + 3))
     failure = _failure(t, v, finite, converged, stop)
     tally = _Tally(t.size, first, top, sum(direct), int(stop.max()), float(bound.max()), failure)
     return list(kept), tally

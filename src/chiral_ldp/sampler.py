@@ -24,14 +24,14 @@ i * (words per row) of the (seed, stream) Philox stream.  Philox emits four
 words per counter value, and every row length is a multiple of four, so
 :func:`_stream_rows` starts any block of rows directly at counter
 first row * (words per row) / 4, with no generator carried from block to
-block.  Both routes cut their replicates into blocks with the exact layer's
-:func:`exact_dist._blocks` and run them on its thread pool
-(:func:`exact_dist._run_blocks`), each block drawing its own words and
-writing its own slice of the output, so the values are the same bits for
-any block size and CPU count.  Rejection rounds are evaluated lazily: round
-r only for the rows no earlier round accepted, so a draw costs about one
-round, not 24, and converts only the words it reads to uniforms; the probe
-reads every word as a uniform.
+block.  Both routes hand their replicate count and words per row to the
+exact layer's :func:`exact_dist._run_blocks`, which cuts the replicates
+into blocks and runs them on its thread pool, each block drawing its own
+words and writing its own slice of the output, so the values are the same
+bits for any block size and CPU count.  Rejection rounds are evaluated
+lazily: round r only for the rows no earlier round accepted, so a draw
+costs about one round, not 24, and converts only the words it reads to
+uniforms; the probe reads every word as a uniform.
 
 :func:`ks_statistic`, :func:`ks_statistic_max` and :func:`ks_statistic_min`
 compare a sample with its exact law through one helper, :func:`_ks`, which
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_types import EnsembleParams, Statistic, check_index, derived_scales
-from .exact_dist import _blocks, _checked, _reduce_rows, _run_blocks, _Tally
+from .exact_dist import _checked, _reduce_rows, _run_blocks, _Tally
 
 __all__ = [
     "SampleBatch",
@@ -111,16 +111,6 @@ class MatrixProbeConfig:
             raise ValueError("matrix probe is limited to n <= 64")
 
 
-def _stream_blocks(seed: int, stream: int, count: int, shape: tuple[int, ...]) -> list[slice]:
-    """The blocks (see :func:`exact_dist._blocks`) that ``count`` rows of
-    the given shape of words from stream ``stream`` of ``seed`` run in."""
-    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
-        raise ValueError(f"seed and stream must be in [0, 2**64), got seed {seed}")
-    words = math.prod(shape)
-    assert words % 4 == 0, "a row must start on a Philox counter"
-    return _blocks(count, words)
-
-
 def _stream_rows(
     seed: int, stream: int, rows: slice, shape: tuple[int, ...], raw: bool = False
 ) -> np.ndarray:
@@ -132,11 +122,16 @@ def _stream_rows(
     value, so row i is words i * w .. (i + 1) * w - 1 of the stream (w
     entries per row, a multiple of four), which a generator started at
     counter ``rows.start * w // 4`` reaches first: row i is a pure function
-    of (seed, stream, i) however the rows are split.
+    of (seed, stream, i) however the rows are split.  Every key is built
+    here: a seed or stream outside [0, 2**64) raises ``ValueError``.
     """
+    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
+        raise ValueError(f"seed and stream must be in [0, 2**64), got seed {seed}")
+    words = math.prod(shape)
+    assert words % 4 == 0, "a row must start on a Philox counter"
     size = (rows.stop - rows.start, *shape)
     bits = np.random.Philox(
-        key=np.array([seed, stream], dtype=np.uint64), counter=rows.start * math.prod(shape) // 4
+        key=np.array([seed, stream], dtype=np.uint64), counter=rows.start * words // 4
     )
     return bits.random_raw(size) if raw else np.random.Generator(bits).random(size)
 
@@ -212,7 +207,7 @@ def sample_yj(
         gb = _gamma_from_words(float(j + params.v), w[:, 1])
         t[rows] = 2.0 * np.sqrt(ga * gb)
 
-    _run_blocks(block, _stream_blocks(seed, j, count, shape))
+    _run_blocks(block, count, math.prod(shape))
     return SampleBatch(seed=seed, stream=j, count=count, values=t / (2.0 * params.n))
 
 
@@ -300,7 +295,7 @@ def matrix_probe_extremes(
         top[rows] = mods.max(axis=1)
         bottom[rows] = mods.min(axis=1)
 
-    _run_blocks(block, _stream_blocks(seed, _MATRIX_STREAM, count, (2 * per_rect,)))
+    _run_blocks(block, count, 2 * per_rect)
     return {
         "max": scales.modulus_scale * top,
         "min": scales.modulus_scale * bottom,

@@ -9,6 +9,7 @@ structure, guards, and closed sums are tested exactly.
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from chiral_ldp import verification
@@ -25,6 +26,7 @@ from chiral_ldp.asymptotics_lab import (
 )
 from chiral_ldp.core_types import EnsembleParams, gumbel_sf
 from chiral_ldp.exact_dist import log_cdf_index, log_sf_index
+from chiral_ldp.rate_functions import rate_max_right, rate_min_right
 
 # Sum_{i<=10} i log i, frozen from 30-digit arithmetic.
 EXACT_SUM_10 = 102.08283055193492589
@@ -209,6 +211,28 @@ class TestConvergeTable:
         assert row.alt_scaled_gap == pytest.approx(
             abs(row.exact / row.scaling - row.alt_rate_target)
         )
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize(
+        "tag, x, grid, rate",
+        [
+            ("t1-right", 1.5, (125_000, 250_000, 500_000, 1_000_000), rate_max_right),
+            ("t2", 2.0, (12_500, 25_000, 50_000, 100_000), rate_min_right),
+        ],
+        ids=["t1-right", "t2"],
+    )
+    def test_finite_alpha_rate_is_the_exact_law_s_limit(self, tag, x, grid, rate, alpha):
+        # the exact exponents at v = alpha n, extrapolated by least squares
+        # in exact/speed = I + b log n/n + c/n, recover the rate display to
+        # 1e-10 (b reads 1/2), so a mistake that the display and its mpmath
+        # transcription share cannot pass
+        rows = converge_table(tag, grid=tuple((n, round(alpha * n)) for n in grid), x=x)
+        n = np.array([row.n for row in rows], dtype=float)
+        model = np.column_stack((np.ones(n.size), np.log(n) / n, 1.0 / n))
+        scaled = np.array([row.exact / row.scaling for row in rows])
+        (limit, b, _), *_ = np.linalg.lstsq(model, scaled, rcond=None)
+        assert abs(limit / rate(alpha, x).value - 1.0) <= 1e-8
+        assert b == pytest.approx(0.5, abs=1e-3)
 
     def test_tag_and_grid_validation(self):
         with pytest.raises(ValueError):

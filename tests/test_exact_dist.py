@@ -854,6 +854,23 @@ class TestStopBound:
         assert (np.diff(stop) >= 0).all()
         assert stop[-1] <= exact_dist._last_stop(0.5 * float(t[-1]), v, top)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        top=st.integers(1, 10**4),
+        v=st.integers(0, 10**4),
+        scales=st.lists(st.floats(-60.0, 1.0), min_size=1, max_size=5),
+    )
+    def test_cap_fallback_gives_the_bounded_sums(self, top, v, scales):
+        # _ladder_sums without ``last`` ranges its stops to the cap; given
+        # the bound at its largest threshold, as _reduce_rows passes one,
+        # every field holds the same bytes, from 2^-60 to twice 2 top + v
+        t = np.array([(2 * top + v) * 2.0**scale for scale in scales])
+        last = exact_dist._last_stop(0.5 * float(t.max()), v, top)
+        capped = _ladder_sums(t, v, top, force_reverse=True)
+        bounded = _ladder_sums(t, v, top, force_reverse=True, last=last)
+        for field, a, b in zip(capped._fields, capped, bounded):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
     @pytest.mark.parametrize("mu", [math.nan, math.inf, 1e307, 0.0, -1.0])
     def test_bound_is_the_cap_without_a_finite_positive_mean(self, mu):
         # a NaN or infinite largest mean, possible in forced rows, and a
@@ -1094,24 +1111,41 @@ class TestOneEntry:
         _LADDER_CALLERS[name](EnsembleParams(20, 3))
         assert len(calls) == 1 and stray == []
 
-    def test_only_the_entry_calls_the_ladder_sums(self):
-        # verify's tail-complement check reads the raw force_reverse sums
+    @staticmethod
+    def _callers(name):
+        # (module, top-level definition) of each call of ``name`` in the
+        # package, by name or as a module attribute
         callers = set()
         for path in Path(exact_dist.__file__).parent.glob("*.py"):
             for node in ast.parse(path.read_text()).body:
                 for inner in ast.walk(node):
-                    if (
-                        isinstance(inner, ast.Call)
-                        and isinstance(inner.func, ast.Name)
-                        and inner.func.id == "_ladder_sums"
+                    if isinstance(inner, ast.Call) and name in (
+                        getattr(inner.func, "id", None), getattr(inner.func, "attr", None)
                     ):
                         callers.add((path.stem, node.name))
-        assert callers == {
+        return callers
+
+    def test_only_the_entry_calls_the_ladder_sums(self):
+        # verify's tail-complement check reads the raw force_reverse sums
+        assert self._callers("_ladder_sums") == {
             ("exact_dist", "_reduce_rows"),
             ("verification", "_check_tail_complement"),
         }
         for name in ("_tails_at", "_rows_at", "_tally"):
             assert not hasattr(exact_dist, name)
+
+    def test_one_call_bounds_the_stops_and_one_cuts_the_blocks(self):
+        # the entry alone bounds a batch's reverse-sum stops, and every
+        # batched job, the ladder's, the sampler's and the probe's, is cut
+        # into blocks by the one call that runs them
+        assert self._callers("_last_stop") == {("exact_dist", "_reduce_rows")}
+        assert self._callers("_blocks") == {("exact_dist", "_run_blocks")}
+        assert self._callers("_run_blocks") == {
+            ("exact_dist", "_reduce_rows"),
+            ("sampler", "sample_yj"),
+            ("sampler", "matrix_probe_extremes"),
+        }
+        assert not hasattr(sampler, "_stream_blocks")
 
 
 class TestTallyNote:
@@ -1137,8 +1171,14 @@ class TestTallyNote:
             (_Tally(4, 1, 3, 0, 0, 0.0, None),
              "gamma-shape ladder over indices 1..3 at 4 sample points: cdf summed directly "
              "for 0, sf for 12"),
+            (_Tally(1, 1, 3, 1, 0, 0.0, None),
+             "gamma-shape ladder over indices 1..3 at 1 sample point: cdf summed directly "
+             "for 1, sf for 2"),
         ],
-        ids=["query-stop", "query-window", "query-whole", "batch-stop", "batch-no-stop"],
+        ids=[
+            "query-stop", "query-window", "query-whole", "batch-stop", "batch-no-stop",
+            "batch-one-point",
+        ],
     )
     def test_text(self, tally, note):
         assert tally.note() == note

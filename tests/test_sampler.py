@@ -65,17 +65,33 @@ class TestBatchContract:
             sample_yj(params, 1, seed=-1, count=4)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
-    def test_seed_outside_the_philox_key_is_refused(self, seed):
-        # a key word holds 0 <= seed < 2**64; numpy would raise OverflowError
+    def test_seed_outside_the_philox_key_is_refused(self, monkeypatch, seed):
+        # a key word holds 0 <= seed < 2**64; numpy would raise OverflowError.
+        # The check runs in each block, so a count cut into several blocks
+        # on the pool raises the same error: 40 rows are 14 blocks of the
+        # sampler's 144 words and 4 of the probe's 36 at 864 elements on two
+        # workers
         params = EnsembleParams(3, 0)
-        with pytest.raises(ValueError, match=r"seed and stream must be in \[0, 2\*\*64\)"):
-            sample_yj(params, 1, seed, count=2)
-        with pytest.raises(ValueError, match=r"seed and stream must be in \[0, 2\*\*64\)"):
-            matrix_probe_extremes(MatrixProbeConfig(params), seed, count=2)
-        with pytest.raises(ValueError, match=r"seed and stream must be in \[0, 2\*\*64\)"):
-            sample_extremes_independent(params, seed, count=2)
-        largest = sample_yj(params, 1, 2**64 - 1, count=2).values
+        refused = r"seed and stream must be in \[0, 2\*\*64\)"
+        largest = sample_yj(params, 1, 2**64 - 1, count=40).values
         assert np.isfinite(largest).all()
+        for count in (2, 40):
+            if count > 2:
+                monkeypatch.setattr(exact_dist, "_WORKERS", 2)
+                monkeypatch.setattr(exact_dist, "_CHUNK_ELEMENTS", 864)
+                real, cuts = exact_dist._blocks, []
+                monkeypatch.setattr(
+                    exact_dist, "_blocks", lambda count, row: cuts.append(real(count, row)) or cuts[-1]
+                )
+            with pytest.raises(ValueError, match=refused):
+                sample_yj(params, 1, seed, count=count)
+            with pytest.raises(ValueError, match=refused):
+                matrix_probe_extremes(MatrixProbeConfig(params), seed, count=count)
+            with pytest.raises(ValueError, match=refused):
+                sample_extremes_independent(params, seed, count=count)
+        assert [len(blocks) for blocks in cuts] == [14, 4, 14]
+        blocked = sample_yj(params, 1, 2**64 - 1, count=40).values
+        assert blocked.tobytes() == largest.tobytes()
 
 
 class TestDeterminism:
