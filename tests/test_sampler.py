@@ -72,23 +72,26 @@ class TestBatchContract:
         # sampler's 144 words and 4 of the probe's 36 at 864 elements on two
         # workers
         params = EnsembleParams(3, 0)
-        refused = r"seed and stream must be in \[0, 2\*\*64\)"
+
+        def refused(count):
+            match = r"seed and stream must be in \[0, 2\*\*64\)"
+            with pytest.raises(ValueError, match=match):
+                sample_yj(params, 1, seed, count=count)
+            with pytest.raises(ValueError, match=match):
+                matrix_probe_extremes(MatrixProbeConfig(params), seed, count=count)
+            with pytest.raises(ValueError, match=match):
+                sample_extremes_independent(params, seed, count=count)
+
+        refused(2)
         largest = sample_yj(params, 1, 2**64 - 1, count=40).values
         assert np.isfinite(largest).all()
-        for count in (2, 40):
-            if count > 2:
-                monkeypatch.setattr(exact_dist, "_WORKERS", 2)
-                monkeypatch.setattr(exact_dist, "_CHUNK_ELEMENTS", 864)
-                real, cuts = exact_dist._blocks, []
-                monkeypatch.setattr(
-                    exact_dist, "_blocks", lambda count, row: cuts.append(real(count, row)) or cuts[-1]
-                )
-            with pytest.raises(ValueError, match=refused):
-                sample_yj(params, 1, seed, count=count)
-            with pytest.raises(ValueError, match=refused):
-                matrix_probe_extremes(MatrixProbeConfig(params), seed, count=count)
-            with pytest.raises(ValueError, match=refused):
-                sample_extremes_independent(params, seed, count=count)
+        monkeypatch.setattr(exact_dist, "_WORKERS", 2)
+        monkeypatch.setattr(exact_dist, "_CHUNK_ELEMENTS", 864)
+        real, cuts = exact_dist._blocks, []
+        monkeypatch.setattr(
+            exact_dist, "_blocks", lambda count, row: cuts.append(real(count, row)) or cuts[-1]
+        )
+        refused(40)
         assert [len(blocks) for blocks in cuts] == [14, 4, 14]
         blocked = sample_yj(params, 1, 2**64 - 1, count=40).values
         assert blocked.tobytes() == largest.tobytes()
