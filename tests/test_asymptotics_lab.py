@@ -224,8 +224,8 @@ class TestConvergeTable:
     def test_finite_alpha_rate_is_the_exact_law_s_limit(self, tag, x, grid, rate, alpha):
         # the exact exponents at v = alpha n, extrapolated by least squares
         # in exact/speed = I + b log n/n + c/n, recover the rate display to
-        # 1e-10 (b reads 1/2), so a mistake that the display and its mpmath
-        # transcription share cannot pass
+        # about 4e-10 (b reads 1/2), so a mistake that the display and its
+        # mpmath transcription share cannot pass
         rows = converge_table(tag, grid=tuple((n, round(alpha * n)) for n in grid), x=x)
         n = np.array([row.n for row in rows], dtype=float)
         model = np.column_stack((np.ones(n.size), np.log(n) / n, 1.0 / n))
