@@ -29,8 +29,8 @@ import numpy as np
 from ._quad import QuadratureError
 from .asymptotics_lab import THEOREM_TAGS, THEOREMS, clt_check, converge_table
 from .core_types import Direction, EnsembleParams, Statistic, TailQuery, check_alpha
-from .exact_dist import _window_tails, log_prob_from_tails
-from .sampler import MatrixProbeConfig, _ks, matrix_probe_extremes, sample_yj
+from .exact_dist import _ks, _window_tails, log_prob_from_tails
+from .sampler import MatrixProbeConfig, matrix_probe_extremes, sample_yj
 from .verification import all_passed, run_checks
 
 SCHEMA_VERSION = "1"

@@ -68,13 +68,15 @@ about 7400 indices, a tail far from the bulk a few hundred.
 Batches and blocks.  The ladder has one entry, :func:`_reduce_rows`, which
 runs it over a 1-d array of thresholds, one row per threshold, with every
 choice above (increment form, reverse sum, stop) made per row and the index
-window shared; each row gets the same values as its threshold run alone.  A
-single query is a batch of one threshold over its window (see
-:func:`_window_tails`, which :func:`index_tails` shares with the window
-1..top); the sampler's KS statistics are a batch of every sample point over
-every index.  Both take one path, with no form for one row: each
-threshold's constants are computed once (see :func:`_bessel`), and
-Stirling errors are read from a table.  The entry alone bounds the stops
+window shared; each row gets the same values as its threshold run alone.
+Two functions call it: :func:`_window_tails` runs a single query as a batch
+of one threshold over its window (:func:`index_tails` shares it with the
+window 1..top), and :func:`_ks`, behind the sampler's KS statistics, runs
+every sample point over every index; so the run's protocol, its ``keep``
+reduction, its :class:`_Tally` and :func:`_checked`, stays in this module.
+Both take one path, with no form for one row: each threshold's constants
+are computed once (see :func:`_bessel`), and Stirling errors are read from
+a table.  The entry alone bounds the stops
 of the rows that can take a reverse sum, at the largest of their
 thresholds (see :func:`_last_stop`), which sizes each row; it hands each
 block's tails to the caller's reduction, which keeps what it needs (one
@@ -268,15 +270,13 @@ def _kve_sums(t: np.ndarray, v: int, *geometry: np.ndarray) -> np.ndarray:
         width = np.minimum(0.6, 0.2 + np.maximum(0.1 * math.log(v), 0.14 * log_t))
         step = width / np.sqrt(big)
         # exponent bounds: -H d^2 / (2 + d) and the cosh term on the left,
-        # d - H d^2 / 2 for order v+1 on the right, whose root is
-        # sqrt(2 c) to double precision where 2 _K_NATS H would overflow
-        c = _K_NATS / big
+        # d - H d^2 / 2 for order v+1 on the right, whose root, divided
+        # through by H, is 1/H + sqrt(1/H^2 + 2 c) and never overflows
+        c, inv = _K_NATS / big, 1.0 / big
         left = np.minimum(
             0.5 * (c + np.sqrt(c * (c + 8.0))), 2.0 * np.arcsinh(np.sqrt(0.5 * _K_NATS / gap))
         )
-        right = np.where(
-            big < 1e300, (1.0 + np.sqrt(1.0 + 2.0 * _K_NATS * big)) / big, np.sqrt(2.0 * c)
-        )
+        right = inv + np.sqrt(inv * inv + 2.0 * c)
         first = -np.ceil(left / step)  # the first node, in steps from the peak
         count = np.ceil(right / step) - first + 1.0
     groups = set(count.tolist())
@@ -736,8 +736,6 @@ def _window(t: float, v: int, top: int, stat: Statistic) -> tuple[int, int, floa
     mu = 0.5 * t
     if mu == math.inf:
         return (top, top, 0.0) if high else (1, 1, 0.0)
-    if not 0.0 < mu:
-        return 1, top, 0.0
     log_s = 2.0 * math.log(mu)
     nats = _TRUNCATION_NATS + _LOG2
     half = 0.5 * (v + (not high))
@@ -788,6 +786,53 @@ def _window_tails(
     )
     tally = tally._replace(rows=None, truncation_bound=tally.truncation_bound + bound)
     return IndexTails(*row, tally.stop, tally.truncation_bound, tally.failure, first), tally
+
+
+def _ks(params: EnsembleParams, values: np.ndarray, law: int | Statistic) -> tuple[float, _Tally]:
+    """Kolmogorov-Smirnov distance of a sample from its exact law, checked,
+    and the tally of the ladder run it came from: the one evaluation behind
+    the sampler's ``ks_statistic*`` and the command line's ``sample --ks``
+    and ``matrix --ks``.
+
+    ``law`` is an index j for a ``Y_j`` sample, whose cdf is cdf_j, or the
+    statistic of a sample of scaled maxima, prod_j cdf_j, or minima,
+    1 - prod_j sf_j.  The values, once checked to be a nonempty 1-d array
+    of finite values > 0, are sorted and scaled to the t scale; a product
+    that overflows is inf, a threshold the ladder meets with its exact
+    limits.  The points are the rows of one :func:`_reduce_rows` run over
+    indices 1..top, whose ``keep`` reduces each block to one log cdf per
+    point, so the cdf is exact at every point and memory does not grow with
+    the sample size times the number of indices.
+    """
+    if isinstance(law, Statistic):
+        name, top, scale = "x_values", params.n, derived_scales(params).c
+    else:
+        name, top, scale = "y_values", check_index(params, law), 2.0 * params.n
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-d array, got shape {arr.shape}")
+    bad = np.flatnonzero(~(np.isfinite(arr) & (arr > 0.0)))
+    if bad.size:
+        raise ValueError(
+            f"{name} must be finite and > 0, got {name}[{bad[0]}] = {float(arr[bad[0]])!r}"
+        )
+    with np.errstate(over="ignore"):
+        t = np.sort(arr) * scale
+
+    def keep(log_sf: np.ndarray, log_cdf: np.ndarray, _) -> np.ndarray:
+        # the log of cdf_j, prod_j cdf_j or prod_j sf_j at each point
+        if law is Statistic.MIN_SQ:
+            return np.sum(log_sf, axis=1)
+        if law is Statistic.MAX_SQ:
+            return np.sum(log_cdf, axis=1)
+        return log_cdf[:, -1]
+
+    blocks, tally = _reduce_rows(t, params.v, top, keep)
+    kept = np.concatenate(blocks)
+    cdf = -np.expm1(kept) if law is Statistic.MIN_SQ else np.exp(kept)
+    k = np.arange(1, cdf.size + 1)
+    distance = max(np.max(k / cdf.size - cdf), np.max(cdf - (k - 1) / cdf.size))
+    return _checked(float(distance), tally), tally
 
 
 def log_sf_index(params: EnsembleParams, j: int, x: float) -> float:

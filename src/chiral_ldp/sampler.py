@@ -34,16 +34,12 @@ costs about one round, not 24, and converts only the words it reads to
 uniforms; the probe reads every word as a uniform.
 
 :func:`ks_statistic`, :func:`ks_statistic_max` and :func:`ks_statistic_min`
-compare a sample with its exact law through one helper, :func:`_ks`, which
-the command line's ``sample --ks`` and ``matrix --ks`` call too.  It
-evaluates the exact cdf (cdf_j, prod_j cdf_j or 1 - prod_j sf_j) at every
-sample point by the gamma-shape ladder (:mod:`chiral_ldp.exact_dist`), so
-the distance is exact, not interpolated from a grid.  The points go
-through the exact layer's one entry to the ladder
-(:func:`exact_dist._reduce_rows`), as a single tail query does: it runs the
-ladder over blocks of points on the same pool, and :func:`_ks` reduces each
-block's arrays to one value per point, so memory does not grow with the
-sample size times the number of indices.
+compare a sample with its exact law through the exact layer's
+:func:`exact_dist._ks`, which the command line's ``sample --ks`` and
+``matrix --ks`` call too.  It evaluates the exact cdf (cdf_j, prod_j cdf_j
+or 1 - prod_j sf_j) at every sample point by the gamma-shape ladder, so the
+distance is exact, not interpolated from a grid; the exact layer runs the
+ladder over blocks of points on the same pool.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_types import EnsembleParams, Statistic, check_index, derived_scales
-from .exact_dist import _checked, _reduce_rows, _run_blocks, _Tally
+from .exact_dist import _ks, _run_blocks
 
 __all__ = [
     "SampleBatch",
@@ -152,11 +148,9 @@ def _gamma_from_words(shape_a: float, words: np.ndarray) -> np.ndarray:
     (read as a view), round r only on the rows that rounds 0 .. r-1
     rejected.  Every test is element-wise, so each row's draw is the one an
     evaluation of all rounds for all rows would pick.  Raises
-    ``RuntimeError`` when a row rejects all rounds.  Requires shape_a >= 1
-    (always true here: shapes are j and j + v with j >= 1, v >= 0).
+    ``RuntimeError`` when a row rejects all rounds.  ``shape_a`` is j or
+    j + v, after :func:`check_index`, so it is at least 1.
     """
-    if shape_a < 1.0:
-        raise ValueError("gamma shape must be >= 1")
     d = shape_a - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
 
@@ -301,48 +295,6 @@ def matrix_probe_extremes(
         "min": scales.modulus_scale * bottom,
         "resample": ~(np.isfinite(bottom) & (bottom > 0.0)),
     }
-
-
-def _ks(params: EnsembleParams, values: np.ndarray, law: int | Statistic) -> tuple[float, _Tally]:
-    """Kolmogorov-Smirnov distance of a sample from its exact law, and a
-    tally of the ladder it was computed from.
-
-    ``law`` is an index j for a ``Y_j`` sample, whose cdf is cdf_j, or the
-    statistic of a sample of scaled maxima, prod_j cdf_j, or minima,
-    1 - prod_j sf_j.  The values, once checked to be a nonempty 1-d array
-    of finite values > 0, are sorted and scaled to the t scale; a product
-    that overflows is inf, a threshold the ladder meets with its exact
-    limits.
-    """
-    if isinstance(law, Statistic):
-        name, top, scale = "x_values", params.n, derived_scales(params).c
-    else:
-        name, top, scale = "y_values", check_index(params, law), 2.0 * params.n
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-d array, got shape {arr.shape}")
-    bad = np.flatnonzero(~(np.isfinite(arr) & (arr > 0.0)))
-    if bad.size:
-        raise ValueError(
-            f"{name} must be finite and > 0, got {name}[{bad[0]}] = {float(arr[bad[0]])!r}"
-        )
-    with np.errstate(over="ignore"):
-        t = np.sort(arr) * scale
-
-    def keep(log_sf: np.ndarray, log_cdf: np.ndarray, _) -> np.ndarray:
-        # the log of cdf_j, prod_j cdf_j or prod_j sf_j at each point
-        if law is Statistic.MIN_SQ:
-            return np.sum(log_sf, axis=1)
-        if law is Statistic.MAX_SQ:
-            return np.sum(log_cdf, axis=1)
-        return log_cdf[:, -1]
-
-    blocks, tally = _reduce_rows(t, params.v, top, keep)
-    kept = np.concatenate(blocks)
-    cdf = -np.expm1(kept) if law is Statistic.MIN_SQ else np.exp(kept)
-    k = np.arange(1, cdf.size + 1)
-    distance = max(np.max(k / cdf.size - cdf), np.max(cdf - (k - 1) / cdf.size))
-    return _checked(float(distance), tally), tally
 
 
 def ks_statistic(

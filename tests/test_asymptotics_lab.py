@@ -26,7 +26,7 @@ from chiral_ldp.asymptotics_lab import (
 )
 from chiral_ldp.core_types import EnsembleParams, gumbel_sf
 from chiral_ldp.exact_dist import log_cdf_index, log_sf_index
-from chiral_ldp.rate_functions import rate_max_right, rate_min_right
+from chiral_ldp.rate_functions import rate_max_left, rate_max_right, rate_min_right
 
 # Sum_{i<=10} i log i, frozen from 30-digit arithmetic.
 EXACT_SUM_10 = 102.08283055193492589
@@ -214,31 +214,40 @@ class TestConvergeTable:
 
     @pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0])
     @pytest.mark.parametrize(
-        "tag, x, grid, rate",
+        "tag, x, grid, rate, terms, tol, half",
         [
-            ("t1-right", 1.5, (125_000, 250_000, 500_000, 1_000_000), rate_max_right),
-            ("t2", 2.0, (12_500, 25_000, 50_000, 100_000), rate_min_right),
+            ("t1-right", 1.5, (125_000, 250_000, 500_000, 1_000_000), rate_max_right, 3, 1e-8,
+             True),
+            ("t2", 2.0, (12_500, 25_000, 50_000, 100_000), rate_min_right, 3, 1e-8, True),
+            ("t1-left", 0.5, tuple(8000 << k for k in range(6)), rate_max_left, 4, 5e-7,
+             False),
         ],
-        ids=["t1-right", "t2"],
+        ids=["t1-right", "t2", "t1-left"],
     )
-    def test_finite_alpha_rate_is_the_exact_law_s_limit(self, tag, x, grid, rate, alpha):
+    def test_finite_alpha_rate_is_the_exact_law_s_limit(
+        self, tag, x, grid, rate, terms, tol, half, alpha
+    ):
         # the exact exponents at v = alpha n, extrapolated by least squares
         # in exact/speed = I + b log n/n + c/n, recover the rate display to
-        # about 4e-10 (b reads 1/2), so a mistake that the display and its
-        # mpmath transcription share cannot pass
+        # about 4e-10 on the right sides (b reads 1/2), so a mistake that
+        # the display and its mpmath transcription share cannot pass.
+        # t1-left (speed n^2) needs a fourth term, log n/n^2, and reads
+        # 4.5e-8 to 1.0e-7; its b depends on alpha (0.26, 0.31, 0.36)
         rows = converge_table(tag, grid=tuple((n, round(alpha * n)) for n in grid), x=x)
         n = np.array([row.n for row in rows], dtype=float)
-        model = np.column_stack((np.ones(n.size), np.log(n) / n, 1.0 / n))
+        model = np.column_stack((np.ones(n.size), np.log(n) / n, 1.0 / n, np.log(n) / n**2))
         scaled = np.array([row.exact / row.scaling for row in rows])
-        (limit, b, _), *_ = np.linalg.lstsq(model, scaled, rcond=None)
-        assert abs(limit / rate(alpha, x).value - 1.0) <= 1e-8
-        assert b == pytest.approx(0.5, abs=1e-3)
+        (limit, b, *_), *_ = np.linalg.lstsq(model[:, :terms], scaled, rcond=None)
+        assert abs(limit / rate(alpha, x).value - 1.0) <= tol
+        if half:
+            assert b == pytest.approx(0.5, abs=1e-3)
 
     def test_tag_and_grid_validation(self):
         with pytest.raises(ValueError):
             converge_table("t9-left")
-        with pytest.raises(ValueError):
-            converge_table("t4-item2", grid=((1000, 0),))
+        for tag in ("t4-item2", "t4-item3"):  # both need v > 0
+            with pytest.raises(ValueError, match="needs v"):
+                converge_table(tag, grid=((1000, 0),))
         assert set(THEOREM_TAGS) == {
             "t1-right", "t1-left", "t2", "t3-right",
             "t3-left", "t4-item1", "t4-item2", "t4-item3",

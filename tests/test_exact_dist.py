@@ -349,6 +349,17 @@ class TestTrapezoidK:
         with pytest.raises(QuadratureError, match="non-finite"):
             log_prob_max_le(EnsembleParams(1, 0), 5e-306)
 
+    @pytest.mark.parametrize("t", [1e306, 1e307, 1.7e308])
+    def test_right_reach_does_not_overflow(self, t):
+        # the right reach 1/H + sqrt(1/H^2 + 2 c) has no term that grows
+        # with H, so no overflow is raised even at the largest thresholds;
+        # there both orders read sqrt(pi / (2 t)), the integrand's peak 1
+        t = np.array([t])
+        big = np.hypot(3, t)
+        with np.errstate(over="raise"):
+            values = _kve_sums(t, 3, big, t * (t / (3 + big)), np.log(t))
+        assert values[:, 0] == pytest.approx(math.sqrt(0.5 * math.pi / t[0]), rel=1e-14)
+
     def test_rows_equal_single_threshold_runs(self):
         # node counts from 32 (t above about 1.7) to 2784 (t = 1e-300) at
         # v = 0; at v >= 1, where the rule takes H, H - v and log t as
@@ -1087,7 +1098,7 @@ class TestOneEntry:
 
     @pytest.mark.parametrize("name", list(_LADDER_CALLERS))
     def test_each_query_runs_the_ladder_once(self, monkeypatch, name):
-        # sampler imports _reduce_rows by name, so both modules are wrapped;
+        # only exact_dist calls _reduce_rows, the KS statistics too; and
         # _ladder_sums runs in pool threads too, inside a _reduce_rows call
         real_reduce, real_sums = exact_dist._reduce_rows, exact_dist._ladder_sums
         calls, depth, stray = [], [0], []
@@ -1105,8 +1116,7 @@ class TestOneEntry:
                 stray.append(args)
             return real_sums(*args, **kwargs)
 
-        for module in (exact_dist, sampler):
-            monkeypatch.setattr(module, "_reduce_rows", reduce_rows)
+        monkeypatch.setattr(exact_dist, "_reduce_rows", reduce_rows)
         monkeypatch.setattr(exact_dist, "_ladder_sums", ladder_sums)
         _LADDER_CALLERS[name](EnsembleParams(20, 3))
         assert len(calls) == 1 and stray == []
@@ -1146,6 +1156,53 @@ class TestOneEntry:
             ("sampler", "matrix_probe_extremes"),
         }
         assert not hasattr(sampler, "_stream_blocks")
+
+    def test_the_run_protocol_stays_in_the_exact_layer(self):
+        # the entry's two callers, a single query's window and the KS
+        # evaluation, are exact_dist's own, and so are the tally the entry
+        # returns and the failure test on it; the sampler keeps only the
+        # public KS statistics
+        assert self._callers("_reduce_rows") == {
+            ("exact_dist", "_window_tails"),
+            ("exact_dist", "_ks"),
+        }
+        for name in ("_Tally", "_checked"):
+            assert self._namers(name) == {"exact_dist"}, name
+        assert self._defines("exact_dist", "_ks") and not self._defines("sampler", "_ks")
+        assert self._imports("sampler", "exact_dist") == {"_ks", "_run_blocks"}
+        assert self._imports("cli", "exact_dist") >= {"_ks", "_window_tails"}
+
+    @staticmethod
+    def _namers(name):
+        # the modules of the package that name ``name`` anywhere: as a
+        # variable, an attribute or an import
+        namers = set()
+        for path in Path(exact_dist.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if name in (
+                    getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "name", None),
+                ):
+                    namers.add(path.stem)
+        return namers
+
+    @staticmethod
+    def _tree(module):
+        return ast.parse(Path(exact_dist.__file__).with_name(f"{module}.py").read_text())
+
+    @classmethod
+    def _defines(cls, module, name):
+        return any(getattr(node, "name", None) == name for node in cls._tree(module).body)
+
+    @classmethod
+    def _imports(cls, module, source):
+        # the names that ``module`` imports from the package's ``source``
+        return {
+            alias.name
+            for node in ast.walk(cls._tree(module))
+            if isinstance(node, ast.ImportFrom) and node.module == source
+            for alias in node.names
+        }
 
 
 class TestTallyNote:

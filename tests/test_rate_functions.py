@@ -387,6 +387,13 @@ class TestMdpMinRate:
                 THEOREMS[tag].rate(1.0, -1.0)
         with pytest.raises(ValueError):
             vscale_rate(-0.5)
+        # the deviation rates take x > 0 only
+        for x in (0.0, -1.0):
+            for rate in (rate_max_left, rate_min_right):
+                with pytest.raises(ValueError, match="x must be > 0"):
+                    rate(1.0, x)
+            with pytest.raises(ValueError, match="x must be > 0"):
+                rate_max_left_infinity_consistent(x)
 
 
 # Every function that takes alpha, called with it at a valid level.

@@ -379,12 +379,12 @@ class TestKsMaxBlocks:
             (probe["min"], Statistic.MIN_SQ, c),
             (y, params.n, 2.0 * params.n),
         ]
-        whole = [sampler._ks(params, values, law) for values, law, _ in samples]
+        whole = [exact_dist._ks(params, values, law) for values, law, _ in samples]
         for (values, law, scale), want in zip(samples, whole):
             with monkeypatch.context() as patch:
                 chunks = self._fifty_point_chunks(patch, params, values * scale)
                 # statistic and tally, bit for bit
-                assert sampler._ks(params, values, law) == want
+                assert exact_dist._ks(params, values, law) == want
             assert chunks == [50] * 8
 
     def test_failure_names_the_first_failing_point(self, monkeypatch):

@@ -37,6 +37,12 @@ class TestLogZj:
                 assert abs(got - form_a) <= 1e-10
                 assert abs(form_a - form_b) <= 1e-10
 
+    def test_out_of_domain_rejected(self):
+        with pytest.raises(ValueError, match="index j must be >= 1"):
+            log_Zj(0, 1)
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            log_Zj(1, -1)
+
     def test_oracle_spot_checks(self):
         for j, v in ((3, 2), (10, 5), (40, 17)):
             assert float(log_Zj(j, v)) == pytest.approx(log_zj_oracle(j, v), rel=1e-13)
