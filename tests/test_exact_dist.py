@@ -1168,7 +1168,7 @@ class TestOneEntry:
         }
         for name in ("_Tally", "_checked"):
             assert self._namers(name) == {"exact_dist"}, name
-        assert self._defines("exact_dist", "_ks") and not self._defines("sampler", "_ks")
+        assert sampler._ks is exact_dist._ks and exact_dist._ks.__module__ == exact_dist.__name__
         assert self._imports("sampler", "exact_dist") == {"_ks", "_run_blocks"}
         assert self._imports("cli", "exact_dist") >= {"_ks", "_window_tails"}
 
@@ -1187,19 +1187,12 @@ class TestOneEntry:
         return namers
 
     @staticmethod
-    def _tree(module):
-        return ast.parse(Path(exact_dist.__file__).with_name(f"{module}.py").read_text())
-
-    @classmethod
-    def _defines(cls, module, name):
-        return any(getattr(node, "name", None) == name for node in cls._tree(module).body)
-
-    @classmethod
-    def _imports(cls, module, source):
+    def _imports(module, source):
         # the names that ``module`` imports from the package's ``source``
+        path = Path(exact_dist.__file__).with_name(f"{module}.py")
         return {
             alias.name
-            for node in ast.walk(cls._tree(module))
+            for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.ImportFrom) and node.module == source
             for alias in node.names
         }
