@@ -29,7 +29,7 @@ import numpy as np
 from ._quad import QuadratureError
 from .asymptotics_lab import THEOREM_TAGS, THEOREMS, clt_check, converge_table
 from .core_types import Direction, EnsembleParams, Statistic, TailQuery, check_alpha
-from .exact_dist import _ks, _window_tails, log_prob_from_tails
+from .exact_dist import _ks, index_tails, log_prob_from_tails
 from .sampler import MatrixProbeConfig, matrix_probe_extremes, sample_yj
 from .verification import all_passed, run_checks
 
@@ -142,8 +142,8 @@ def _failure_notes(exc: QuadratureError) -> list[str]:
 
 def _cmd_prob(args) -> _Result:
     query = TailQuery(Statistic(args.stat), Direction(args.side), args.x)
-    tails, tally = _window_tails(EnsembleParams(args.n, args.v), args.x, query.statistic)
-    diags = [tally.note()]
+    tails = index_tails(EnsembleParams(args.n, args.v), args.x, stat=query.statistic)
+    diags = [tails.note()]
     code, probability = 0, None
     try:
         lp = log_prob_from_tails(tails, query)

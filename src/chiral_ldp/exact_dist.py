@@ -69,11 +69,11 @@ Batches and blocks.  The ladder has one entry, :func:`_reduce_rows`, which
 runs it over a 1-d array of thresholds, one row per threshold, with every
 choice above (increment form, reverse sum, stop) made per row and the index
 window shared; each row gets the same values as its threshold run alone.
-Two functions call it: :func:`_window_tails` runs a single query as a batch
-of one threshold over its window (:func:`index_tails` shares it with the
-window 1..top), and :func:`_ks`, behind the sampler's KS statistics, runs
-every sample point over every index; so the run's protocol, its ``keep``
-reduction, its :class:`_Tally` and :func:`_checked`, stays in this module.
+Two functions call it: :func:`index_tails` runs a single query as a batch
+of one threshold over its window (all of 1..top without a statistic), and
+:func:`_ks`, behind the sampler's KS statistics, runs every sample point
+over every index; so the run's protocol, its ``keep`` reduction, its
+:class:`_Tally` and :func:`_checked`, stays in this module.
 Both take one path, with no form for one row: each threshold's constants
 are computed once (see :func:`_bessel`), and Stirling errors are read from
 a table.  The entry alone bounds the stops
@@ -173,9 +173,8 @@ class _Sums(NamedTuple):
 class IndexTails(NamedTuple):
     """Per-index tails at one threshold, with how they were obtained.
 
-    The arrays hold the indices first, first+1, ...: all of 1..top from
-    :func:`index_tails`, the window a query needs (see :func:`_window`)
-    elsewhere.
+    The arrays hold the indices first, first+1, ...: all of 1..top, or the
+    window a statistic's product needs (see :func:`index_tails`).
     """
 
     log_sf: np.ndarray  # log P(X_j >= x), j = first, first+1, ...
@@ -185,6 +184,14 @@ class IndexTails(NamedTuple):
     truncation_bound: float  # relative bound on everything the sums dropped
     failure: str | None  # why the values cannot be trusted, None when they can
     first: int = 1  # the index of the first entry
+
+    def note(self) -> str:
+        """The ladder's diagnostic note on these tails (see :meth:`_Tally.note`)."""
+        last = self.first + self.log_sf.size - 1
+        direct = int(np.count_nonzero(self.cdf_direct))
+        return _Tally(
+            None, self.first, last, direct, self.stop, self.truncation_bound, self.failure
+        ).note()
 
 
 class _Tally(NamedTuple):
@@ -568,8 +575,7 @@ def _last_stop(mu: float, v: int, top: int) -> int:
     k = max(top, math.ceil(mu * (mu / (math.hypot(half, mu) + half))))  # l (l+1+v) >= s
     if k >= cap:  # keeps -a (k + v) in _reach finite for any finite mu
         return cap
-    g = math.log(k) + math.log(k + 1.0 + v) - 2.0 * math.log(mu)  # -log rho_k
-    return min(k + _reach(k, v, g, _TRUNCATION_NATS + _LOG2), cap)
+    return min(k + _reach(k, v, mu, _TRUNCATION_NATS + _LOG2)[0], cap)
 
 
 def _failure(
@@ -710,17 +716,19 @@ def _root(a: float, b: float, c: float) -> float:
     return max(q / a, c / q)
 
 
-def _reach(k: int, v: int, g: float, a: float) -> int:
+def _reach(k: int, v: int, mu: float, a: float) -> tuple[int, float]:
     """At most how many indices k, k+1, ... the sum of
-    -log rho_l = log(l (l+1+v) / s) takes to reach a > 0, given
-    g = -log rho_k >= 0; every input finite.  Over m indices the slope of
-    -log rho is at least 2/(k+m+v) and 1/(k+m), so the sum is at least
-    m g + m (m-1) / (k+m+v) and m g + m (m-1) / (2 (k+m)).
+    -log rho_l = log(l (l+1+v) / mu^2) takes to reach a > 0, and
+    g = -log rho_k, which must be >= 0; every input finite.  Over m indices
+    the slope of -log rho is at least 2/(k+m+v) and 1/(k+m), so the sum is
+    at least m g + m (m-1) / (k+m+v) and m g + m (m-1) / (2 (k+m)).
     """
-    return math.ceil(min(
+    g = math.log(k) + math.log(k + 1.0 + v) - 2.0 * math.log(mu)
+    m = math.ceil(min(
         _root(g + 1.0, g * (k + v) - 1.0 - a, -a * (k + v)),
         _root(2.0 * g + 1.0, 2.0 * g * k - 1.0 - 2.0 * a, -2.0 * a * k),
     ))
+    return m, g
 
 
 def _window(t: float, v: int, top: int, stat: Statistic) -> tuple[int, int, float]:
@@ -730,13 +738,12 @@ def _window(t: float, v: int, top: int, stat: Statistic) -> tuple[int, int, floa
     At t = inf, where every sf = 0 and every cdf = 1, one index gives the
     exact product: (top, top, 0.0) for the max and (1, 1, 0.0) for the min.
     Over m indices the tangent at l = k-1 bounds log lambda on the max side;
-    the min side takes m from :func:`_reach`.
+    the min side takes m and g = -log rho_k from :func:`_reach`.
     """
     high = stat is Statistic.MAX_SQ
     mu = 0.5 * t
     if mu == math.inf:
         return (top, top, 0.0) if high else (1, 1, 0.0)
-    log_s = 2.0 * math.log(mu)
     nats = _TRUNCATION_NATS + _LOG2
     half = 0.5 * (v + (not high))
     cross = mu * (mu / (math.hypot(half, mu) + half))  # l (l+v) = s, or l (l+1+v) = s
@@ -744,7 +751,7 @@ def _window(t: float, v: int, top: int, stat: Statistic) -> tuple[int, int, floa
         k = top if cross >= top - 1 else int(cross) + 1
         if k < 2:
             return 1, top, 0.0
-        g = log_s - math.log(k - 1) - math.log(k - 1 + v)  # -log lambda_{k-1}
+        g = 2.0 * math.log(mu) - math.log(k - 1) - math.log(k - 1 + v)  # -log lambda_{k-1}
         d = 1.0 / (k - 1) + 1.0 / (k - 1 + v)
         a = nats + math.log(2.0 * top / (top - k + 1))
         m = math.ceil(_root(0.5 * d, g - 0.5 * d, -a))
@@ -754,38 +761,29 @@ def _window(t: float, v: int, top: int, stat: Statistic) -> tuple[int, int, floa
     if cross >= top - 1:
         return 1, top, 0.0
     k = max(1, math.ceil(cross))
-    g = math.log(k) + math.log(k + 1 + v) - log_s  # -log r_k
     a = nats + math.log(2.0 * top / k)
-    m = _reach(k, v, g, a)
+    m, g = _reach(k, v, mu, a)
     if k + m - 1 >= top:
         return 1, top, 0.0
     e = 1.0 / (k + m - 1) + 1.0 / (k + m + v)
     return 1, k + m - 1, math.exp(a - nats - m * g - 0.5 * e * m * (m - 1))
 
 
-def index_tails(params: EnsembleParams, x: float, top: int | None = None) -> IndexTails:
-    """Tails of X_1 .. X_top at level x (top defaults to n), unchecked:
-    ``failure`` says whether they can be trusted."""
+def index_tails(
+    params: EnsembleParams, x: float, top: int | None = None, stat: Statistic | None = None
+) -> IndexTails:
+    """Tails at level x, unchecked (``failure`` says whether they can be
+    trusted): of X_1 .. X_top (top defaults to n), or with ``stat`` of the
+    window of them that a product over its side needs (see :func:`_window`),
+    whose bound ``truncation_bound`` includes.  A batch of one threshold
+    through :func:`_reduce_rows`; :meth:`IndexTails.note` renders its note."""
     top = params.n if top is None else check_index(params, top)
-    return _window_tails(params, x, None, top)[0]
-
-
-def _window_tails(
-    params: EnsembleParams, x: float, stat: Statistic | None, top: int | None = None
-) -> tuple[IndexTails, _Tally]:
-    """Tails at level x over the window of 1..top (top defaults to n) that
-    a product over ``stat``'s side needs, all of 1..top when ``stat`` is
-    None, unchecked, and their tally: a batch of one threshold through
-    :func:`_reduce_rows`, with the window's bound added to both
-    ``truncation_bound``s and the tally's ``rows`` None."""
-    top = params.n if top is None else top
     t = _threshold(params, x)
     first, last, bound = (1, top, 0.0) if stat is None else _window(t, params.v, top, stat)
     [row], tally = _reduce_rows(
         np.array([t]), params.v, last, lambda *arrays: [a[0] for a in arrays], first
     )
-    tally = tally._replace(rows=None, truncation_bound=tally.truncation_bound + bound)
-    return IndexTails(*row, tally.stop, tally.truncation_bound, tally.failure, first), tally
+    return IndexTails(*row, tally.stop, tally.truncation_bound + bound, tally.failure, first)
 
 
 def _ks(params: EnsembleParams, values: np.ndarray, law: int | Statistic) -> tuple[float, _Tally]:
@@ -837,13 +835,13 @@ def _ks(params: EnsembleParams, values: np.ndarray, law: int | Statistic) -> tup
 
 def log_sf_index(params: EnsembleParams, j: int, x: float) -> float:
     """log P(X_j >= x) for one index."""
-    tails, _ = _window_tails(params, x, Statistic.MAX_SQ, check_index(params, j))
+    tails = index_tails(params, x, j, Statistic.MAX_SQ)
     return _checked(float(tails.log_sf[-1]), tails)
 
 
 def log_cdf_index(params: EnsembleParams, j: int, x: float) -> float:
     """log P(X_j <= x) for one index."""
-    tails, _ = _window_tails(params, x, Statistic.MAX_SQ, check_index(params, j))
+    tails = index_tails(params, x, j, Statistic.MAX_SQ)
     return _checked(float(tails.log_cdf[-1]), tails)
 
 
@@ -870,8 +868,9 @@ def log_prob_min_le(params: EnsembleParams, x: float) -> float:
 
 
 def log_prob_from_tails(tails: IndexTails, query: TailQuery) -> float:
-    """log probability of ``query`` from :func:`index_tails` at its level,
-    or from the window of them that the query needs, raising as
+    """log probability of ``query`` from :func:`index_tails` at the query's
+    level, all of 1..n or the window for the query's statistic (the other
+    statistic's window drops indices that this product needs), raising as
     :func:`log_prob` does when the tails cannot be trusted.
 
     The statistic's own side, cdf for the max and sf for the min, gives the
@@ -897,4 +896,4 @@ def log_prob_from_tails(tails: IndexTails, query: TailQuery) -> float:
 
 def log_prob(params: EnsembleParams, query: TailQuery) -> float:
     """log probability of a tail query on the X scale."""
-    return log_prob_from_tails(_window_tails(params, query.x, query.statistic)[0], query)
+    return log_prob_from_tails(index_tails(params, query.x, stat=query.statistic), query)

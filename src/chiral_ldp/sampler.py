@@ -17,21 +17,22 @@ Every draw is a pure function of ``(seed, stream, replicate index)``.  The
 gamma sampler is pinned (Marsaglia-Tsang with a fixed rejection budget and
 Box-Muller normals) instead of delegating to ``Generator.gamma`` so that
 values are stable across numpy versions; Philox is used purely as a
-counter-based source of 64-bit words (Salmon et al., SC'11).  Each
-replicate owns a fixed slab of words (144 for a ``Y_j``: 24 rounds of 3 per
-gamma, two gammas; 4 n (n + v) for a probe matrix), row i starting at word
-i * (words per row) of the (seed, stream) Philox stream.  Philox emits four
-words per counter value, and every row length is a multiple of four, so
-:func:`_stream_rows` starts any block of rows directly at counter
-first row * (words per row) / 4, with no generator carried from block to
-block.  Both routes hand their replicate count and words per row to the
-exact layer's :func:`exact_dist._run_blocks`, which cuts the replicates
-into blocks and runs them on its thread pool, each block drawing its own
-words and writing its own slice of the output, so the values are the same
-bits for any block size and CPU count.  Rejection rounds are evaluated
-lazily: round r only for the rows no earlier round accepted, so a draw
-costs about one round, not 24, and converts only the words it reads to
-uniforms; the probe reads every word as a uniform.
+counter-based source of 64-bit words (Salmon et al., SC'11), which both
+routes read raw and turn into uniforms by one map, (w >> 11) * 2**-53 (see
+:func:`_uniforms`).  Each replicate owns a fixed slab of words (144 for a
+``Y_j``: 24 rounds of 3 per gamma, two gammas; 4 n (n + v) for a probe
+matrix), row i starting at word i * (words per row) of the (seed, stream)
+Philox stream.  Philox emits four words per counter value, and every row
+length is a multiple of four, so :func:`_stream_rows` starts any block of
+rows directly at counter first row * (words per row) / 4, with no
+generator carried from block to block.  Both routes hand their replicate
+count and words per row to the exact layer's
+:func:`exact_dist._run_blocks`, which cuts the replicates into blocks and
+runs them on its thread pool, each block drawing its own words and writing
+its own slice of the output, so the values are the same bits for any block
+size and CPU count.  Rejection rounds are evaluated lazily: round r only
+for the rows no earlier round accepted, so a draw costs about one round,
+not 24.
 
 :func:`ks_statistic`, :func:`ks_statistic_max` and :func:`ks_statistic_min`
 compare a sample with its exact law through the exact layer's
@@ -65,13 +66,9 @@ __all__ = [
 
 # Rejection rounds per gamma draw, three words each.  Acceptance per round
 # exceeds 0.95 for shape >= 1, so 24 rounds leave a failure probability below
-# 1e-30 per draw.  Every round keeps its words in the layout, but only the
-# rows still pending convert them to uniforms and evaluate the round, so
-# nearly all rows stop after round 0, having converted 6 of their words.
-# sample_yj draws the 2 * 24 * 3 = 144 raw Philox words of each row in blocks
-# of at most _CHUNK_ELEMENTS // _WORKERS // 144 rows (3472 rows, 4 MB, on two
-# CPUs), one block per pool thread at a time, as the probe and the ladder
-# size theirs, so memory stays flat in the draw count.
+# 1e-30 per draw; nearly all rows stop after round 0 (see _gamma_from_words).
+# sample_yj draws the 2 * 24 * 3 = 144 words of each row in blocks of at most
+# _CHUNK_ELEMENTS // _WORKERS // 144 rows (3472 rows, 4 MB, on two CPUs).
 _GAMMA_ROUNDS = 24
 
 # Stream id offset for the matrix probe, disjoint from index streams 1..n.
@@ -107,29 +104,31 @@ class MatrixProbeConfig:
             raise ValueError("matrix probe is limited to n <= 64")
 
 
-def _stream_rows(
-    seed: int, stream: int, rows: slice, shape: tuple[int, ...], raw: bool = False
-) -> np.ndarray:
-    """Rows ``rows`` of the given shape of the Philox stream keyed by
-    (seed, stream): its 64-bit words when ``raw``, else uniforms in [0, 1),
-    ``(w >> 11) * 2**-53`` of each word w, as ``Generator.random`` gives.
+def _stream_rows(seed: int, stream: int, rows: slice, shape: tuple[int, ...]) -> np.ndarray:
+    """Rows ``rows`` of the given shape of the 64-bit words of the Philox
+    stream keyed by (seed, stream).
 
-    Both fill in C order, one word per entry and four words per counter
-    value, so row i is words i * w .. (i + 1) * w - 1 of the stream (w
-    entries per row, a multiple of four), which a generator started at
-    counter ``rows.start * w // 4`` reaches first: row i is a pure function
-    of (seed, stream, i) however the rows are split.  Every key is built
-    here: a seed or stream outside [0, 2**64) raises ``ValueError``.
+    The words fill in C order, four per counter value, so row i is words
+    i * w .. (i + 1) * w - 1 of the stream (w words per row, a multiple of
+    four), which a generator started at counter ``rows.start * w // 4``
+    reaches first: row i is a pure function of (seed, stream, i) however
+    the rows are split.  Every key is built here: a seed or stream outside
+    [0, 2**64) raises ``ValueError`` naming it.
     """
-    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
-        raise ValueError(f"seed and stream must be in [0, 2**64), got seed {seed}")
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not 0 <= value < 2**64:
+            raise ValueError(f"seed and stream must be in [0, 2**64), got {name} {value}")
     words = math.prod(shape)
     assert words % 4 == 0, "a row must start on a Philox counter"
-    size = (rows.stop - rows.start, *shape)
     bits = np.random.Philox(
         key=np.array([seed, stream], dtype=np.uint64), counter=rows.start * words // 4
     )
-    return bits.random_raw(size) if raw else np.random.Generator(bits).random(size)
+    return bits.random_raw((rows.stop - rows.start, *shape))
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """(w >> 11) * 2**-53 of each Philox word w, as ``Generator.random`` maps a word to [0, 1)."""
+    return (words >> 11) * 2.0**-53
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +143,7 @@ def _gamma_from_words(shape_a: float, words: np.ndarray) -> np.ndarray:
 
     ``words`` has shape (count, _GAMMA_ROUNDS, 3); the first accepted round
     per row wins.  Rounds are evaluated lazily, each converting the words it
-    reads to uniforms as ``Generator.random`` does: round 0 on every row
+    reads to uniforms (see :func:`_uniforms`): round 0 on every row
     (read as a view), round r only on the rows that rounds 0 .. r-1
     rejected.  Every test is element-wise, so each row's draw is the one an
     evaluation of all rounds for all rows would pick.  Raises
@@ -156,7 +155,7 @@ def _gamma_from_words(shape_a: float, words: np.ndarray) -> np.ndarray:
 
     pending = slice(None)  # round 0 reads every row, as a view
     for r in range(_GAMMA_ROUNDS):
-        u1, u2, u3 = ((words[pending, r] >> 11) * 2.0**-53).T
+        u1, u2, u3 = _uniforms(words[pending, r]).T
         # the cosine half of _box_muller: 1 - u1 lies in (0, 1]
         z = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
 
@@ -196,7 +195,7 @@ def sample_yj(
     t = np.empty(count)
 
     def block(rows: slice) -> None:
-        w = _stream_rows(seed, j, rows, shape, raw=True)
+        w = _stream_rows(seed, j, rows, shape)
         ga = _gamma_from_words(float(j), w[:, 0])
         gb = _gamma_from_words(float(j + params.v), w[:, 1])
         t[rows] = 2.0 * np.sqrt(ga * gb)
@@ -279,7 +278,7 @@ def matrix_probe_extremes(
     bottom = np.empty(count)
 
     def block(rows: slice) -> None:
-        u = _stream_rows(seed, _MATRIX_STREAM, rows, (2 * per_rect,))
+        u = _uniforms(_stream_rows(seed, _MATRIX_STREAM, rows, (2 * per_rect,)))
         p = _complex_rect(u[:, :per_rect], n + v, n, 1.0 / (4.0 * n))
         q = _complex_rect(u[:, per_rect:], n + v, n, 1.0 / (4.0 * n))
         phi = p + q

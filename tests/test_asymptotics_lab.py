@@ -15,6 +15,7 @@ import pytest
 from chiral_ldp import verification
 from chiral_ldp.asymptotics_lab import (
     THEOREM_TAGS,
+    THEOREMS,
     RegimeError,
     clt_check,
     converge_table,
@@ -26,7 +27,6 @@ from chiral_ldp.asymptotics_lab import (
 )
 from chiral_ldp.core_types import EnsembleParams, gumbel_sf
 from chiral_ldp.exact_dist import log_cdf_index, log_sf_index
-from chiral_ldp.rate_functions import rate_max_left, rate_max_right, rate_min_right
 
 # Sum_{i<=10} i log i, frozen from 30-digit arithmetic.
 EXACT_SUM_10 = 102.08283055193492589
@@ -212,35 +212,52 @@ class TestConvergeTable:
             abs(row.exact / row.scaling - row.alt_rate_target)
         )
 
+    @staticmethod
+    def _by_n(terms):
+        # the first ``terms`` of 1, log n/n, 1/n and log n/n^2
+        return lambda n: np.column_stack(
+            (np.ones_like(n), np.log(n) / n, 1.0 / n, np.log(n) / n**2)[:terms]
+        )
+
+    @staticmethod
+    def _by_l(n):
+        # 1, l, l^2 and log n/(n l^2) at l = n^(-1/3)
+        l = n ** (-1.0 / 3.0)
+        return np.column_stack((np.ones_like(n), l, l * l, np.log(n) / (n * l * l)))
+
     @pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0])
     @pytest.mark.parametrize(
-        "tag, x, grid, rate, terms, tol, half",
+        "tag, x, grid, model, tol, term",
         [
-            ("t1-right", 1.5, (125_000, 250_000, 500_000, 1_000_000), rate_max_right, 3, 1e-8,
-             True),
-            ("t2", 2.0, (12_500, 25_000, 50_000, 100_000), rate_min_right, 3, 1e-8, True),
-            ("t1-left", 0.5, tuple(8000 << k for k in range(6)), rate_max_left, 4, 5e-7,
-             False),
+            ("t1-right", 1.5, (125_000, 250_000, 500_000, 1_000_000), _by_n(3), 1e-8,
+             (1, 0.5, 1e-3)),
+            ("t2", 2.0, (12_500, 25_000, 50_000, 100_000), _by_n(3), 1e-8, (1, 0.5, 1e-3)),
+            ("t1-left", 0.5, tuple(8000 << k for k in range(6)), _by_n(4), 5e-7, None),
+            ("t3-right", 1.0, tuple(8000 << k for k in range(8)), _by_l, 1e-4,
+             (3, -1.0 / 6.0, 2e-3)),
         ],
-        ids=["t1-right", "t2", "t1-left"],
+        ids=["t1-right", "t2", "t1-left", "t3-right"],
     )
     def test_finite_alpha_rate_is_the_exact_law_s_limit(
-        self, tag, x, grid, rate, terms, tol, half, alpha
+        self, tag, x, grid, model, tol, term, alpha
     ):
         # the exact exponents at v = alpha n, extrapolated by least squares
         # in exact/speed = I + b log n/n + c/n, recover the rate display to
         # about 4e-10 on the right sides (b reads 1/2), so a mistake that
         # the display and its mpmath transcription share cannot pass.
         # t1-left (speed n^2) needs a fourth term, log n/n^2, and reads
-        # 4.5e-8 to 1.0e-7; its b depends on alpha (0.26, 0.31, 0.36)
+        # 4.5e-8 to 1.0e-7; its b depends on alpha (0.26, 0.31, 0.36).
+        # t3-right (speed n l^2, level 1 + l x) is fitted in powers of l
+        # with a term log n/(n l^2), whose coefficient reads -1/6, the
+        # -(1/6) log n drift over the speed; I reads 1.6e-7 to 2.3e-5
         rows = converge_table(tag, grid=tuple((n, round(alpha * n)) for n in grid), x=x)
         n = np.array([row.n for row in rows], dtype=float)
-        model = np.column_stack((np.ones(n.size), np.log(n) / n, 1.0 / n, np.log(n) / n**2))
         scaled = np.array([row.exact / row.scaling for row in rows])
-        (limit, b, *_), *_ = np.linalg.lstsq(model[:, :terms], scaled, rcond=None)
-        assert abs(limit / rate(alpha, x).value - 1.0) <= tol
-        if half:
-            assert b == pytest.approx(0.5, abs=1e-3)
+        fit, *_ = np.linalg.lstsq(model(n), scaled, rcond=None)
+        assert abs(fit[0] / THEOREMS[tag].rate(alpha, x).value - 1.0) <= tol
+        if term is not None:
+            at, want, within = term
+            assert fit[at] == pytest.approx(want, abs=within)
 
     def test_tag_and_grid_validation(self):
         with pytest.raises(ValueError):

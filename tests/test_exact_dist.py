@@ -43,7 +43,6 @@ from chiral_ldp.exact_dist import (
     _kve_sums,
     _ladder_sums,
     _reduce_rows,
-    _window_tails,
     index_tails,
     log_cdf_index,
     log_prob,
@@ -523,7 +522,7 @@ class TestIndexWindow:
         query = TailQuery(stat, side, x)
         want = log_prob_from_tails(full, query)
         assert abs(log_prob(params, query) - want) <= 1e-12 * abs(want)
-        tails, _ = exact_dist._window_tails(params, x, stat)
+        tails = index_tails(params, x, stat=stat)
         assert tails.failure is None and tails.truncation_bound <= math.exp(-40.0)
         first, last = tails.first, tails.first + tails.log_sf.size - 1
         # (the kept sum of sf or cdf is at most the kept sum of -log cdf or -log sf)
@@ -565,7 +564,7 @@ class TestIndexWindow:
     def test_windows_that_drop_indices(self, n, v, x, pair):
         params = EnsembleParams(n, v)
         stat, side = PAIRS[pair]
-        tails, _ = exact_dist._window_tails(params, x, stat)
+        tails = index_tails(params, x, stat=stat)
         assert tails.log_sf.size < n
         self._check(params, x, stat, side, n // 2, index_tails(params, x))
 
@@ -589,7 +588,7 @@ class TestIndexWindow:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        tails, _ = exact_dist._window_tails(params, x, stat)
+        tails = index_tails(params, x, stat=stat)
         assert math.isfinite(got) and got < 0.0
         assert tails.failure is None and tails.truncation_bound <= math.exp(-40.0)
         assert peak < 16 * 2**20
@@ -630,7 +629,7 @@ class TestLadderFailures:
         # a product query evaluates the one index that gives it exactly
         params = EnsembleParams(n, v)
         for stat, index in ((Statistic.MAX_SQ, n), (Statistic.MIN_SQ, 1)):
-            window, _ = _window_tails(params, 1e308, stat)
+            window = index_tails(params, 1e308, stat=stat)
             assert window.first == index and window.log_sf.shape == (1,)
             assert window.truncation_bound == 0.0 and window.failure is None
         tails = index_tails(params, 1e308)
@@ -929,8 +928,8 @@ class TestRootAndReach:
     def test_reach_sums_to_a(self, k, v, w, a):
         mu, g = self._g(k, v, w)
         assume(g >= 0.0)
-        m = exact_dist._reach(k, v, g, a)
-        assert isinstance(m, int) and m >= 1
+        m, g_reach = exact_dist._reach(k, v, mu, a)
+        assert isinstance(m, int) and m >= 1 and g_reach == g
         total = math.fsum(
             math.log(l) + math.log(l + 1.0 + v) - 2.0 * math.log(mu) for l in range(k, k + m)
         )
@@ -1163,14 +1162,37 @@ class TestOneEntry:
         # returns and the failure test on it; the sampler keeps only the
         # public KS statistics
         assert self._callers("_reduce_rows") == {
-            ("exact_dist", "_window_tails"),
+            ("exact_dist", "index_tails"),
             ("exact_dist", "_ks"),
         }
         for name in ("_Tally", "_checked"):
             assert self._namers(name) == {"exact_dist"}, name
         assert sampler._ks is exact_dist._ks and exact_dist._ks.__module__ == exact_dist.__name__
-        assert self._imports("sampler", "exact_dist") == {"_ks", "_run_blocks"}
-        assert self._imports("cli", "exact_dist") >= {"_ks", "_window_tails"}
+
+    # (importing module, source module): the private names it imports from there
+    _PRIVATE_IMPORTS = {
+        ("cli", "exact_dist"): {"_ks"},
+        ("sampler", "exact_dist"): {"_ks", "_run_blocks"},
+        ("verification", "exact_dist"): {"_ladder_sums"},
+        ("asymptotics_lab", "rate_functions"): {"_power"},
+    }
+
+    def test_the_private_cross_module_surface_is_pinned(self):
+        # every private name one module of the package imports from another,
+        # and no Generator call: the sampler reads raw Philox words alone
+        imports, generators = {}, []
+        for path in Path(exact_dist.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    private = {a.name for a in node.names if a.name.startswith("_")}
+                    if private:
+                        imports.setdefault((path.stem, node.module), set()).update(private)
+                if isinstance(node, ast.Call) and "Generator" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    generators.append(f"{path.stem}:{node.lineno}")
+        assert imports == self._PRIVATE_IMPORTS
+        assert generators == []
 
     @staticmethod
     def _namers(name):
@@ -1185,17 +1207,6 @@ class TestOneEntry:
                 ):
                     namers.add(path.stem)
         return namers
-
-    @staticmethod
-    def _imports(module, source):
-        # the names that ``module`` imports from the package's ``source``
-        path = Path(exact_dist.__file__).with_name(f"{module}.py")
-        return {
-            alias.name
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.ImportFrom) and node.module == source
-            for alias in node.names
-        }
 
 
 class TestTallyNote:
@@ -1235,14 +1246,17 @@ class TestTallyNote:
 
     @pytest.mark.parametrize("x, stat", [(1.3, Statistic.MAX_SQ), (0.5, Statistic.MAX_SQ)])
     def test_single_query(self, x, stat):
-        tally = _window_tails(EnsembleParams(1000, 10), x, stat)[1]
-        note = tally.note()
-        assert tally.rows is None and tally.first > 1
-        assert f"over indices {tally.first}..{tally.top}: " in note
+        # the tails render their own note, window bound included
+        tails = index_tails(EnsembleParams(1000, 10), x, stat=stat)
+        note = tails.note()
+        last = tails.first + tails.log_sf.size - 1
+        direct = np.count_nonzero(tails.cdf_direct)
+        assert tails.first > 1
+        assert f"over indices {tails.first}..{last}: cdf summed directly for {direct}, " in note
         assert "sample points" not in note and "reverse sums" not in note
-        assert ("reverse sum stopped at index " in note) == (tally.stop > 0)
+        assert ("reverse sum stopped at index " in note) == (tails.stop > 0)
         bound = float(note.split("dropped tail below ")[1].split()[0])
-        assert bound == pytest.approx(tally.truncation_bound, rel=0.06)
+        assert bound == pytest.approx(tails.truncation_bound, rel=0.06)
 
     @pytest.mark.parametrize("t, stop", [([20.0, 30.0], False), ([2.0, 30.0], True)])
     def test_batch(self, t, stop):

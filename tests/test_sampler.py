@@ -8,6 +8,7 @@ errors.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -64,26 +65,36 @@ class TestBatchContract:
         with pytest.raises(ValueError):
             sample_yj(params, 1, seed=-1, count=4)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
-    def test_seed_outside_the_philox_key_is_refused(self, monkeypatch, seed):
-        # a key word holds 0 <= seed < 2**64; numpy would raise OverflowError.
+    @pytest.mark.parametrize(
+        "seed, j", [(-1, 1), (2**64, 1), (2**70, 1), (0, 2**64)],
+        ids=["-1", "18446744073709551616", "1180591620717411303424", "index-2**64"],
+    )
+    def test_seed_outside_the_philox_key_is_refused(self, monkeypatch, seed, j):
+        # a key word holds 0 <= seed, j < 2**64; numpy would raise
+        # OverflowError, and the message names the word that does not fit.
         # The check runs in each block, so a count cut into several blocks
         # on the pool raises the same error: 40 rows are 14 blocks of the
         # sampler's 144 words and 4 of the probe's 36 at 864 elements on two
-        # workers
-        params = EnsembleParams(3, 0)
+        # workers.  An index that large needs n = 2**64, past the probe's
+        # n <= 64, and the extremes would run every index below it.
+        index = j > 1
+        params = EnsembleParams(j if index else 3, 0)
+        bad = f"stream {j}" if index else f"seed {seed}"
+        message = re.escape(f"seed and stream must be in [0, 2**64), got {bad}") + "$"
+        fits = dict(j=2**64 - 1, seed=seed) if index else dict(j=1, seed=2**64 - 1)
 
         def refused(count):
-            match = r"seed and stream must be in \[0, 2\*\*64\)"
-            with pytest.raises(ValueError, match=match):
-                sample_yj(params, 1, seed, count=count)
-            with pytest.raises(ValueError, match=match):
-                matrix_probe_extremes(MatrixProbeConfig(params), seed, count=count)
-            with pytest.raises(ValueError, match=match):
-                sample_extremes_independent(params, seed, count=count)
+            with pytest.raises(ValueError, match=message):
+                sample_yj(params, j, seed, count=count)
+            if not index:
+                with pytest.raises(ValueError, match=message):
+                    matrix_probe_extremes(MatrixProbeConfig(params), seed, count=count)
+                with pytest.raises(ValueError, match=message):
+                    sample_extremes_independent(params, seed, count=count)
 
         refused(2)
-        largest = sample_yj(params, 1, 2**64 - 1, count=40).values
+        # the largest key word in the refused one's place is drawn
+        largest = sample_yj(params, **fits, count=40).values
         assert np.isfinite(largest).all()
         monkeypatch.setattr(exact_dist, "_WORKERS", 2)
         monkeypatch.setattr(exact_dist, "_CHUNK_ELEMENTS", 864)
@@ -92,8 +103,8 @@ class TestBatchContract:
             exact_dist, "_blocks", lambda count, row: cuts.append(real(count, row)) or cuts[-1]
         )
         refused(40)
-        assert [len(blocks) for blocks in cuts] == [14, 4, 14]
-        blocked = sample_yj(params, 1, 2**64 - 1, count=40).values
+        assert [len(blocks) for blocks in cuts] == ([14] if index else [14, 4, 14])
+        blocked = sample_yj(params, **fits, count=40).values
         assert blocked.tobytes() == largest.tobytes()
 
 
@@ -192,12 +203,12 @@ class TestLazyRounds:
         # Generator.random gives at the same counters, so the lazy draws from
         # raw words are the eager draws from Generator uniforms, bit for bit
         layout = (sampler._GAMMA_ROUNDS, 3)
-        words = sampler._stream_rows(seed, 1, slice(first, first + rows), layout, raw=True)
+        words = sampler._stream_rows(seed, 1, slice(first, first + rows), layout)
         bits = np.random.Philox(
             key=np.array([seed, 1], dtype=np.uint64), counter=first * math.prod(layout) // 4
         )
         uniforms = np.random.Generator(bits).random((rows, *layout))
-        assert ((words >> 11) * 2.0**-53).tobytes() == uniforms.tobytes()
+        assert sampler._uniforms(words).tobytes() == uniforms.tobytes()
         want = _eager_gamma(shape_a, uniforms)
         assert sampler._gamma_from_words(shape_a, words).tobytes() == want.tobytes()
 
@@ -614,15 +625,15 @@ class TestWorkerCount:
         shape=st.sampled_from([(2, sampler._GAMMA_ROUNDS, 3), (48,), (4,)]),
     )
     def test_counter_addressed_rows_are_the_stream_rows(self, seed, stream, first, rows, shape):
-        # raw words and uniforms alike
+        # the raw words, and the probe's uniforms from them, which are
+        # Generator.random's from the same stream
         key = np.array([seed, stream], dtype=np.uint64)
         size = (first + rows, *shape)
         want = np.random.Generator(np.random.Philox(key=key)).random(size)
         words = np.random.Philox(key=key).random_raw(size)
-        at = slice(first, first + rows)
-        assert sampler._stream_rows(seed, stream, at, shape).tobytes() == want[first:].tobytes()
-        got = sampler._stream_rows(seed, stream, at, shape, raw=True)
+        got = sampler._stream_rows(seed, stream, slice(first, first + rows), shape)
         assert got.tobytes() == words[first:].tobytes()
+        assert sampler._uniforms(got).tobytes() == want[first:].tobytes()
 
 
 class TestExtremesIndependent:
