@@ -120,10 +120,11 @@ def _stream_rows(seed: int, stream: int, rows: slice, shape: tuple[int, ...]) ->
             raise ValueError(f"seed and stream must be in [0, 2**64), got {name} {value}")
     words = math.prod(shape)
     assert words % 4 == 0, "a row must start on a Philox counter"
+    size = (rows.stop - rows.start, *shape)
     bits = np.random.Philox(
         key=np.array([seed, stream], dtype=np.uint64), counter=rows.start * words // 4
     )
-    return bits.random_raw((rows.stop - rows.start, *shape))
+    return bits.random_raw(size)
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:

@@ -249,7 +249,7 @@ class TestConvergeTable:
         # 4.5e-8 to 1.0e-7; its b depends on alpha (0.26, 0.31, 0.36).
         # t3-right (speed n l^2, level 1 + l x) is fitted in powers of l
         # with a term log n/(n l^2), whose coefficient reads -1/6, the
-        # -(1/6) log n drift over the speed; I reads 1.6e-7 to 2.3e-5
+        # -(1/6) log n drift over the speed; |I/rate - 1| reads 1.6e-7 to 2.3e-5
         rows = converge_table(tag, grid=tuple((n, round(alpha * n)) for n in grid), x=x)
         n = np.array([row.n for row in rows], dtype=float)
         scaled = np.array([row.exact / row.scaling for row in rows])
